@@ -4,9 +4,10 @@ On a small shared virtual machine the same work takes up to twice the
 CPU time from one minute to the next, because neighbours compete for
 the physical core and its caches; CPU time alone does not hide that.
 The benchmark therefore runs a fixed reference job, independent of the
-program, between every two simulations, and reports program time in
-*reference seconds*: the CPU seconds a simulation took, divided by how
-much slower than nominal the reference job ran around it.
+program, between every two simulations (and every two set-up probes),
+and reports program time in *reference seconds*: the seconds a
+simulation or probe took, divided by how much slower than nominal the
+reference job ran around it.
 
 A slower program moves the program's time and not the reference's, so
 every regression still shows (``selfcheck.py`` plants some and checks);

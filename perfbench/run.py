@@ -10,11 +10,11 @@ simulation's outputs, and prints as its last line one JSON object with
 ``--trace 0`` reports the end-to-end metrics, all measured on the host:
 set-up time (median of fresh processes timed to their first event, see
 ``probe.py``), CPU time per round, events and jobs per CPU second, CPU
-time per simulation (median and 90th percentile) and peak RSS.  CPU
-times are in *reference seconds*: scaled by the speed of a fixed
-reference job timed between simulations (``hostspeed.py``), which
-cancels the host's drift and leaves the program's own cost.  Round
-metrics are medians over the run's rounds.
+time per simulation (median and 90th percentile) and peak RSS.  Times
+are in *reference seconds*: scaled by the speed of a fixed reference
+job timed between simulations and between set-up probes
+(``hostspeed.py``), which cancels the host's drift and leaves the
+program's own cost.  Round metrics are medians over the run's rounds.
 
 ``--trace 1`` runs a few untraced rounds, then traced rounds with every
 layer boundary wrapped (``spans.py``), and reports per-layer calls and
@@ -191,15 +191,25 @@ def _metric(metrics: dict, name: str, value: float, unit: str,
 
 
 def probe_setup(name: str, seed: int) -> list[float]:
-    """Time fresh processes from spawn to their first simulated event."""
+    """Time fresh processes from spawn to their first simulated event.
+
+    Each reading is in reference seconds, like the CPU metrics: the
+    wall time divided by the host slowdown sampled before and after it.
+    """
+    from perfbench import hostspeed
+
     cmd = [sys.executable, str(HERE / "probe.py"), "--workload", name,
            "--seed", str(seed)]
     samples = []
+    before = hostspeed.sample()
     for _ in range(SETUP_PROBES):
         start = time.perf_counter()
         done = subprocess.run(cmd, capture_output=True, text=True,
                               timeout=120, check=True)
-        samples.append(float(done.stdout.split()[-1]) - start)
+        wall = float(done.stdout.split()[-1]) - start
+        after = hostspeed.sample(wall)
+        samples.append(wall / hostspeed.slowdown(before, after))
+        before = after
     return samples
 
 
