@@ -4,10 +4,10 @@ On a small shared virtual machine the same work takes up to twice the
 CPU time from one minute to the next, because neighbours compete for
 the physical core and its caches; CPU time alone does not hide that.
 The benchmark therefore runs a fixed reference job, independent of the
-program, between every two simulations (and every two set-up probes),
-and reports program time in *reference seconds*: the seconds a
-simulation or probe took, divided by how much slower than nominal the
-reference job ran around it.
+program, between every two simulations, and reports program time in
+*reference seconds*: the CPU seconds a simulation took, divided by how
+much slower than nominal the reference job ran around it.  Set-up
+probes get a reference of their own (:func:`bare_start`).
 
 A slower program moves the program's time and not the reference's, so
 every regression still shows (``selfcheck.py`` plants some and checks);
@@ -26,6 +26,8 @@ wider run-to-run spread.
 from __future__ import annotations
 
 import heapq
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -35,6 +37,9 @@ import numpy as np
 REF_CHUNK_S = 0.02
 #: Share of the measured time spent on the reference job.
 SHARE = 0.08
+#: CPU seconds a fresh interpreter takes to start and import numpy at
+#: nominal speed on the same host (the set-up reference).
+BARE_START_S = 0.14
 
 
 def _chunk() -> None:
@@ -66,3 +71,23 @@ def sample(follows_cpu: float = 0.0) -> tuple[float, int]:
 def slowdown(before: tuple[float, int], after: tuple[float, int]) -> float:
     """How much slower than nominal the host ran between two samples."""
     return (before[0] + after[0]) / ((before[1] + after[1]) * REF_CHUNK_S)
+
+
+def bare_start() -> float:
+    """CPU seconds a fresh interpreter takes to start and import numpy.
+
+    The reference for set-up probes.  Process start-up is mostly exec,
+    dynamic loading, unmarshalling and page faults, whose cost drifts
+    with the host differently from the in-process reference job; a
+    bare interpreter that loads the program's compiled dependency and
+    none of the program's code drifts the same way.  Over eight runs of
+    eleven probes each on the 2-core host, scaling by it cut the spread
+    of the runs' set-up medians (interquartile range over median) from
+    about 0.15 to about 0.06; the in-process reference job left it at
+    about 0.12.
+    """
+    done = subprocess.run(
+        [sys.executable, "-c", "import time, numpy; print(time.process_time())"],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return float(done.stdout.split()[-1])

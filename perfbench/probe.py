@@ -1,11 +1,10 @@
 """Set-up probe: start a fresh process and stop it at the first event.
 
-Prints the ``perf_counter`` reading (system-wide ``CLOCK_MONOTONIC`` on
-Linux) taken just before the first simulated event of the workload's
-first simulation fires.  The parent takes the same clock before it
-starts this process, so the difference is the set-up time a user pays:
-interpreter start, imports, input generation, the first config and
-policy construction, and the simulator assembly.
+Prints the process's CPU time (``time.process_time``, which counts from
+the start of the process) taken just before the first simulated event
+of the workload's first simulation fires: the set-up a user pays for in
+CPU seconds, covering interpreter start, imports, input generation, the
+first config and policy construction, and the simulator assembly.
 
     python3 perfbench/probe.py --workload paper_flowcon --seed 0
 """
@@ -23,7 +22,7 @@ class _FirstEvent(Exception):
 
 
 def _stop_at_first_event(_sim):
-    raise _FirstEvent(time.perf_counter())
+    raise _FirstEvent(time.process_time())
 
 
 def main(argv=None) -> int:

@@ -8,13 +8,15 @@ simulation's outputs, and prints as its last line one JSON object with
 ``correct``, ``attempted``, ``failed`` and ``metrics``.
 
 ``--trace 0`` reports the end-to-end metrics, all measured on the host:
-set-up time (median of fresh processes timed to their first event, see
-``probe.py``), CPU time per round, events and jobs per CPU second, CPU
-time per simulation (median and 90th percentile) and peak RSS.  Times
-are in *reference seconds*: scaled by the speed of a fixed reference
-job timed between simulations and between set-up probes
-(``hostspeed.py``), which cancels the host's drift and leaves the
-program's own cost.  Round metrics are medians over the run's rounds.
+set-up time (median CPU time of fresh processes to their first event,
+see ``probe.py``), CPU time per round, events and jobs per CPU second,
+CPU time per simulation (median and 90th percentile) and peak RSS.
+Times are in *reference seconds*: scaled by the speed of a fixed
+reference job timed between simulations, and of a bare interpreter
+timed between set-up probes (``hostspeed.py``), which cancels the
+host's drift and leaves the program's own cost.  Round metrics are
+medians over the run's rounds.  The set-up probes count towards
+``--seconds``.
 
 ``--trace 1`` runs a few untraced rounds, then traced rounds with every
 layer boundary wrapped (``spans.py``), and reports per-layer calls and
@@ -43,7 +45,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 
 #: Fresh processes timed to their first event per ``setup_s`` reading.
-SETUP_PROBES = 5
+SETUP_PROBES = 11
 
 
 def cpu_now() -> float:
@@ -190,36 +192,39 @@ def _metric(metrics: dict, name: str, value: float, unit: str,
     _show("metric", name, value, unit, samples)
 
 
-def probe_setup(name: str, seed: int) -> list[float]:
-    """Time fresh processes from spawn to their first simulated event.
+def probe_setup(name: str, seed: int) -> tuple[list[float], list[float]]:
+    """CPU time of fresh processes from their start to their first event.
 
-    Each reading is in reference seconds, like the CPU metrics: the
-    wall time divided by the host slowdown sampled before and after it.
+    Returns the readings in reference seconds and the raw CPU seconds.
+    Probes alternate with reference processes (``hostspeed.bare_start``)
+    and each reading is divided by how much slower than nominal the two
+    references around it ran.
     """
     from perfbench import hostspeed
 
     cmd = [sys.executable, str(HERE / "probe.py"), "--workload", name,
            "--seed", str(seed)]
-    samples = []
-    before = hostspeed.sample()
+    samples, raw = [], []
+    before = hostspeed.bare_start()
     for _ in range(SETUP_PROBES):
-        start = time.perf_counter()
         done = subprocess.run(cmd, capture_output=True, text=True,
                               timeout=120, check=True)
-        wall = float(done.stdout.split()[-1]) - start
-        after = hostspeed.sample(wall)
-        samples.append(wall / hostspeed.slowdown(before, after))
+        cpu = float(done.stdout.split()[-1])
+        after = hostspeed.bare_start()
+        samples.append(cpu * 2.0 * hostspeed.BARE_START_S / (before + after))
+        raw.append(cpu)
         before = after
-    return samples
+    return samples, raw
 
 
 def end_to_end(name: str, seed: int, seconds: float) -> dict:
     from perfbench.workloads import WORKLOADS
 
     workload = WORKLOADS[name]
-    setup = probe_setup(name, seed)
+    start = time.perf_counter()
+    setup, setup_raw = probe_setup(name, seed)
     ops = workload.make_ops(seed)
-    rounds = run_rounds(workload, ops, seconds)
+    rounds = run_rounds(workload, ops, seconds - (time.perf_counter() - start))
     failed, notes = check_rounds(name, seed, rounds)
     for note in notes:
         print(f"check {note}")
@@ -245,7 +250,8 @@ def end_to_end(name: str, seed: int, seconds: float) -> dict:
         _metric(metrics, "op_p50_ref_s", statistics.median(op_ref), "s")
         _metric(metrics, "op_p90_ref_s", p90, "s")
         _metric(metrics, "peak_rss_mib", peak_rss_mib(), "MiB")
-        for label, values in (("cpu_s", [r.cpu for r in ok]),
+        for label, values in (("setup_cpu_s", setup_raw),
+                              ("cpu_s", [r.cpu for r in ok]),
                               ("run_s", [r.wall for r in ok]),
                               ("host_slowdown", [r.cpu / r.ref for r in ok])):
             _show("raw", label, statistics.median(values), "", values)

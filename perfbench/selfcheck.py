@@ -1,28 +1,33 @@
 """The benchmark's own tests: pins, traced-run coverage, planted slowdowns.
 
-    python3 perfbench/selfcheck.py [--seconds 10] [--repeats 3]
+    python3 perfbench/selfcheck.py
 
 1. **Pins.**  Every workload reproduces ``pins.json`` on the default
    seed (0) and on the held-out seed, with zero failed simulations.
 2. **Coverage.**  Every workload's traced run is correct (its outputs
-   equal the untraced rounds'), and the named layers' self times cover
-   at least 80 % of its host time (``runner.unattributed_share`` <= 0.2).
+   equal the untraced rounds'), the named layers' self times cover at
+   least 80 % of its host time (``runner.unattributed_share`` <= 0.2),
+   and the per-layer metric names it prints are exactly those listed in
+   ``BENCHMARK.json`` and in ``meta.json``.
 3. **Planted slowdowns.**  For each plant in ``planted.py`` a fixed cost
    is added to one public function.  The workload that leans on that
    layer must move past the metric's bound from ``BENCHMARK.json``; the
    workload that bypasses it must stay inside the bound; and the traced
-   run's self time for the planted function must account for the move
-   (its growth within a factor of two of the growth in ``cpu_ref_s``).
+   run's self time for the planted function must account for the move:
+   its growth must be within a factor of two of the growth in the
+   traced ``runner.run_s`` (both wall seconds per round, each taken
+   from a planted traced run and the traced baseline run next to it).
 
-Untraced runs are repeated ``--repeats`` times, baseline and planted
-interleaved, and compared by their medians, because host time on a
-small shared machine drifts by several percent over a minute.
-Exits 0 when every check passes, 1 otherwise.
+Every run whose times are compared lasts ``run_seconds`` from
+``BENCHMARK.json``, the length the bounds were set on (the held-out pin
+check times nothing and runs one round).  Every comparison is repeated
+``REPEATS`` times, baseline and planted interleaved, and made between
+medians, because host time on a small shared machine drifts by several
+percent over a minute.  Exits 0 when every check passes, 1 otherwise.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 import subprocess
@@ -34,6 +39,8 @@ ROOT = HERE.parent
 
 DEFAULT_SEED = 0
 HELD_OUT_SEED = 7919
+#: Runs per configuration in the planted comparisons.
+REPEATS = 3
 MIN_COVERAGE = 0.80
 
 #: plant -> (cost in seconds per call, leaning workload, its metric,
@@ -76,17 +83,15 @@ class Checks:
         self.failures += not ok
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(usage=__doc__)
-    parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--repeats", type=int, default=3)
-    args = parser.parse_args(argv)
+def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    per_layer = json.loads((HERE / "meta.json").read_text())["per_layer"]
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]
     checks = Checks()
 
-    def argv_for(workload, seed=DEFAULT_SEED, trace=0, seconds=args.seconds):
+    def argv_for(workload, seed=DEFAULT_SEED, trace=0,
+                 seconds=spec["run_seconds"]):
         return ["--workload", workload, "--seed", str(seed),
                 "--seconds", repr(seconds), "--trace", str(trace)]
 
@@ -97,29 +102,49 @@ def main(argv=None) -> int:
         checks.expect(res["correct"] and res["failed"] == 0,
                       f"{w}: seed {HELD_OUT_SEED} matches pins.json")
 
-    # 2. traced baselines and coverage.
-    traced = {}
+    # 2. traced runs: coverage and the per-layer metric names.
+    listed = [m["name"] for m in spec["per_layer"]]
     for w in workloads:
         res = bench(argv_for(w, trace=1))
-        traced[w] = res
         share = res["metrics"]["runner.unattributed_share"]["value"]
         checks.expect(res["correct"] and res["failed"] == 0,
                       f"{w}: traced run reproduces the untraced outputs "
                       f"and pins.json")
         checks.expect(share <= 1.0 - MIN_COVERAGE,
                       f"{w}: layers cover {1.0 - share:.1%} of traced time")
+        checks.expect(list(res["metrics"]) == listed == list(per_layer),
+                      f"{w}: traced metric names equal BENCHMARK.json "
+                      f"per_layer and meta.json per_layer")
 
-    # 3. planted slowdowns, untraced runs interleaved with baselines.
+    # 3. planted slowdowns.  Untraced runs are interleaved with their
+    #    baselines.  Each planted traced run is paired with a traced
+    #    baseline run next to it, in alternating order, so that the
+    #    host's drift between the two (raw wall seconds) stays small.
     configs = [(w, None) for w in workloads]
     for name, (cost, lean, _, bypass, _, _) in PLANTS.items():
         configs += [(lean, (name, cost)), (bypass, (name, cost))]
     runs: dict = {c: [] for c in configs}
-    for _ in range(args.repeats):
+    growth: dict = {name: [] for name in PLANTS}
+    for repeat in range(REPEATS):
         for workload, plant in configs:
             res = bench(argv_for(workload), plant)
             checks.expect(res["correct"] and res["failed"] == 0,
                           f"{workload} planted={plant}: correct, 0 failed")
             runs[(workload, plant)].append(res["metrics"])
+        for name, (cost, lean, _, _, _, self_m) in PLANTS.items():
+            pair = [None, (name, cost)]
+            got = {}
+            for plant in pair[::-1] if repeat % 2 else pair:
+                res = bench(argv_for(lean, trace=1), plant)
+                checks.expect(res["correct"] and res["failed"] == 0,
+                              f"{lean} traced planted={plant}: correct, "
+                              f"0 failed")
+                got[plant] = res["metrics"]
+            base, new = got[None], got[(name, cost)]
+            growth[name].append(
+                (new[self_m]["value"] - base[self_m]["value"],
+                 new["runner.run_s"]["value"] - base["runner.run_s"]["value"])
+            )
 
     def median(workload, plant, metric):
         return statistics.median(
@@ -138,14 +163,13 @@ def main(argv=None) -> int:
                          median(bypass, plant, bypass_m))
         checks.expect(moved <= bound, f"{name}: {bypass} {bypass_m} worse by "
                       f"{moved:+.1%} (bound {bound:.0%})")
-        res = bench(argv_for(lean, trace=1), plant)
-        grew = (res["metrics"][self_m]["value"]
-                - traced[lean]["metrics"][self_m]["value"])
-        cpu_grew = median(lean, plant, "cpu_ref_s") - median(lean, None, "cpu_ref_s")
-        share = grew / cpu_grew if cpu_grew > 0 else float("inf")
+        grew = statistics.median(g for g, _ in growth[name])
+        run_grew = statistics.median(g for _, g in growth[name])
+        share = grew / run_grew if run_grew > 0 else float("inf")
         checks.expect(0.5 <= share <= 2.0,
                       f"{name}: traced {self_m} grew {grew:.3f} s per round, "
-                      f"{share:.2f}x the {cpu_grew:.3f} s growth in cpu_ref_s")
+                      f"{share:.2f}x the {run_grew:.3f} s growth in "
+                      f"runner.run_s")
 
     print(f"{checks.failures} check(s) failed")
     return 1 if checks.failures else 0

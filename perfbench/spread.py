@@ -11,10 +11,15 @@ median) across the seeds, next to its bound from ``BENCHMARK.json``.
 With two roots (parent first, change second) each seed runs on both,
 alternating which side goes first, and every metric is reported per
 side with its median and quartiles, the pairs the change won, and the
-verdict: a gain needs at least 9 of 10 pairs won and a median
-difference larger than the parent's own interquartile range; a
-regression is a change median worse than the parent's by more than
-the bound.  ``--out`` saves every run's result line as JSON.
+verdict.  A metric whose spread on the parent (interquartile range over
+median) is wider than its bound cannot resolve a move of the bound's
+size, so its verdict is *unresolved*, unless every change run reads
+better than every parent run.  Otherwise a gain needs at least 9 of 10
+pairs won and a median difference larger than the parent's own
+interquartile range, and a regression is a change median worse than
+the parent's by more than the bound.  Every run lasts ``run_seconds``
+from ``BENCHMARK.json``.  ``--out`` saves every run's result line as
+JSON.
 """
 
 from __future__ import annotations
@@ -34,10 +39,10 @@ def seeds_arg(text: str) -> list[int]:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float,
+def run_once(root: Path, workload: str, seed: int, seconds: int,
              trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", repr(seconds),
+           "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
                           timeout=600, check=True)
@@ -56,7 +61,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(usage=__doc__)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=seeds_arg, default=seeds_arg("0-9"))
-    parser.add_argument("--seconds", type=float)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--root", type=Path, action="append")
     parser.add_argument("--out", type=Path)
@@ -65,7 +69,7 @@ def main(argv=None) -> int:
     if len(roots) > 2 or len(args.seeds) < 2:
         parser.error("give one or two --root and at least two seeds")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     bounds = {m["name"]: m for m in spec["end_to_end"]}
 
     results: list[list[dict]] = [[] for _ in roots]
@@ -101,11 +105,15 @@ def main(argv=None) -> int:
             wins = sum((h < b) if lower else (h > b) for b, h in zip(base, head))
             q1, base_med, q3 = summary(base)
             head_med = statistics.median(head)
+            bound = meta["bound"]
+            all_better = (max(head) < min(base)) if lower else (min(head) > max(base))
             gain = (wins * 10 >= 9 * len(base)
                     and abs(head_med - base_med) > q3 - q1)
             worse = (head_med / base_med - 1) if lower else (base_med / head_med - 1)
-            verdict = ("gain" if gain else
-                       "regression" if worse > meta.get("bound", 0) else
+            verdict = ("unresolved" if (q3 - q1) / base_med > bound
+                       and not all_better else
+                       "gain" if gain else
+                       "regression" if worse > bound else
                        "no change within bound")
             line += f" | change won {wins}/{len(base)} pairs: {verdict}"
         print(line)

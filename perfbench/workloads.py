@@ -31,9 +31,12 @@ from repro.simcore.rng import derive_seed
 from repro.workloads.generator import make_stream
 
 #: Seeded simulations per ``paper_flowcon`` round.  Ten-job inputs vary
-#: in size from seed to seed; forty of them average that out, so rounds
-#: for different ``--seed`` values cost about the same.
-PAPER_OPS = 40
+#: in size from seed to seed; twenty of them average most of that out,
+#: so rounds for different ``--seed`` values cost about the same, while
+#: rounds stay short enough that the time left after the set-up probes
+#: holds whole rounds of over a hundred simulations, ten of them beyond
+#: ``op_p90_ref_s``.
+PAPER_OPS = 20
 #: Simulations per ``fleet_day`` round, and arrivals in each (256
 #: workers).  Short simulations let the host-speed samples between them
 #: (``hostspeed.py``) follow the host closely.
