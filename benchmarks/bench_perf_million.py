@@ -50,14 +50,11 @@ _RSS_ALLOWANCE_MIB = 24.0
 
 
 def _rss_mib() -> float:
-    """Peak RSS in MiB (``ru_maxrss`` is KiB on Linux), pool-aware.
+    """Peak RSS in MiB (``ru_maxrss`` is KiB on Linux).
 
-    A sharded run (``SimulationConfig(shards=N)``) does its kernel
-    arithmetic in ProcessPoolExecutor children, whose memory never
-    shows up in ``RUSAGE_SELF`` — a parent-only reading would let a
-    per-job leak hide out of process.  ``RUSAGE_CHILDREN`` is the
-    reaped children's high-water mark, so the max of the two covers
-    both execution modes.
+    The max of ``RUSAGE_SELF`` and ``RUSAGE_CHILDREN`` (the reaped
+    children's high-water mark), so memory used by any child process
+    counts too.
     """
     return max(
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,

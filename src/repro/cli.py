@@ -255,7 +255,6 @@ def _cmd_compare(args) -> int:
         seed=args.seed, trace=False,
         streaming_metrics=args.streaming_metrics,
         fleet_mode=args.fleet_mode,
-        shards=args.shards,
     )
     fc_cfg = FlowConConfig(alpha=args.alpha, itval=args.itval)
     cluster = dict(
@@ -388,7 +387,7 @@ def _cmd_sweep(args) -> int:
         itvals=args.itvals,
         sim_config=SimulationConfig(
             seed=args.seed, trace=False,
-            fleet_mode=args.fleet_mode, shards=args.shards,
+            fleet_mode=args.fleet_mode,
         ),
         n_workers=args.workers,
         placement=args.placement,
@@ -483,12 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(diurnal, flash_crowd, pareto_mix, poisson)")
     p_cmp.add_argument("--fleet-mode", action="store_true",
                        help="fuse same-instant sampling ticks into one "
-                            "packed fleet pass (bit-identical; required "
-                            "by --shards > 1)")
-    p_cmp.add_argument("--shards", type=int, default=1, metavar="N",
-                       help="worker-shard count for single-run parallel "
-                            "execution between manager touchpoints "
-                            "(bit-identical; N > 1 requires --fleet-mode)")
+                            "packed fleet pass (bit-identical)")
     p_cmp.add_argument("--streaming-metrics", action="store_true",
                        help="record sketch-based bounded-memory aggregates "
                             "(p50/p95/p99, rolling throughput) instead of "
@@ -528,12 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "\"partition(30..90):retry(max=5,base=0.5)\")")
     p_sweep.add_argument("--fleet-mode", action="store_true",
                          help="fuse same-instant sampling ticks into one "
-                              "packed fleet pass (bit-identical; required "
-                              "by --shards > 1)")
-    p_sweep.add_argument("--shards", type=int, default=1, metavar="N",
-                         help="worker-shard count for single-run parallel "
-                              "execution (bit-identical; N > 1 requires "
-                              "--fleet-mode)")
+                              "packed fleet pass (bit-identical)")
     p_sweep.add_argument("--profile", action="store_true",
                          help="run under cProfile and dump the top 25 "
                               "cumulative-time functions to stderr")

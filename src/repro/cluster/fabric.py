@@ -2,8 +2,7 @@
 
 The paper's §3.1 manager/worker split is wired, in this reproduction, as
 direct method calls.  This module makes that interaction an explicit
-**message surface** (the refactor ROADMAP open item 1 names as the
-prerequisite for sharded single-run parallelism) and then lets it fail:
+**message surface** and then lets it fail:
 
 * Every manager↔worker interaction — place, exit notification, the
   detach/attach migration legs, provision/retire orders, fault/recovery

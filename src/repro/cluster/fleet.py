@@ -100,26 +100,25 @@ from repro.simcore.events import (
 
 __all__ = [
     "FleetTicker",
-    "alloc_kernel",
     "fleet_reallocate",
     "fleet_sample",
     "fleet_sample_streaming",
     "fleet_settle",
-    "settle_kernel",
 ]
 
 
-def _settle_collect(
-    workers: list[Worker],
-) -> tuple[float, list[tuple[Worker, list, tuple, float, float]]]:
-    """Gather the settle-eligible segments, running serial fallbacks.
+def fleet_settle(workers: list[Worker]) -> None:
+    """Settle every worker up to now in one packed numpy pass.
 
-    Returns ``(now, segments)`` where each segment is ``(worker, active
-    containers, footprint arrays, resident memory, dt)``.  Workers that
-    need no settlement are stamped in place; dynamic-footprint workers
-    settle serially here (identical to serial by definition) and do not
-    appear in the result.
+    Equivalent to ``for w in workers: w.settle()`` bit for bit: the
+    element-wise work/usage arithmetic is identical per element, only
+    batched over a packed arena instead of per-worker arrays.  Workers
+    whose footprints are not plain ``ResourceSpec`` objects (scalar
+    fallback) or that are alone in needing settlement just use their own
+    ``settle()``.
     """
+    if not workers:
+        return
     now = workers[0].sim.now
     segments: list[tuple[Worker, list, tuple, float, float]] = []
     for w in workers:
@@ -139,19 +138,14 @@ def _settle_collect(
         if mem is None:  # pragma: no cover - arrays imply cached memory
             mem = float(sum(c.job.footprint.memory for c in active))
         segments.append((w, active, arrays, mem, dt))
-    return now, segments
+    if not segments:
+        return
+    if len(segments) == 1:
+        segments[0][0].settle()
+        return
 
-
-def _settle_payload(
-    segments: list[tuple[Worker, list, tuple, float, float]],
-) -> tuple[np.ndarray, ...]:
-    """Pack the segments' numeric inputs into plain arrays.
-
-    The result contains only ``float64`` ndarrays — picklable, free of
-    object references — so a sharded executor can ship it to a worker
-    process and run :func:`settle_kernel` there.
-    """
     lens = [len(active) for _, active, _, _, _ in segments]
+    total = sum(lens)
     allocs_p = np.concatenate([w._allocs for w, _, _, _, _ in segments])
     demands_p = np.concatenate([a[0] for _, _, a, _, _ in segments])
     mems_p = np.concatenate([a[1] for _, _, a, _, _ in segments])
@@ -170,62 +164,17 @@ def _settle_payload(
     dts_p = np.repeat(
         np.array([dt for _, _, _, _, dt in segments], dtype=np.float64), lens
     )
-    return allocs_p, demands_p, mems_p, blkios_p, netios_p, effs_p, dts_p
-
-
-def settle_kernel(
-    payload: tuple[np.ndarray, ...],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pure numeric half of the fleet settle: arrays in, arrays out.
-
-    Same per-element IEEE ops, same order, as ``Worker.settle()``:
-    ``work = (alloc * eff) * dt``; contribution rows likewise.  No
-    simulation state is touched, so the kernel is process-safe — a
-    forked pool worker computes bit-identical results (same numpy, same
-    element-wise operations on the same inputs).
-    """
-    allocs_p, demands_p, mems_p, blkios_p, netios_p, effs_p, dts_p = payload
+    # Same per-element IEEE ops, same order, as Worker.settle():
+    # work = (alloc * eff) * dt; contrib rows likewise.
     work = allocs_p * effs_p * dts_p
     rates = np.minimum(allocs_p, demands_p)
     scales = rates / demands_p
-    contrib = np.empty((allocs_p.shape[0], 4), dtype=np.float64)
+    contrib = np.empty((total, 4), dtype=np.float64)
     contrib[:, 0] = rates * dts_p
     contrib[:, 1] = mems_p * dts_p
     contrib[:, 2] = blkios_p * scales * dts_p
     contrib[:, 3] = netios_p * scales * dts_p
-    return work, contrib
-
-
-def fleet_settle(workers: list[Worker]) -> None:
-    """Settle every worker up to now in one packed numpy pass.
-
-    Equivalent to ``for w in workers: w.settle()`` bit for bit: the
-    element-wise work/usage arithmetic is identical per element, only
-    batched over a packed arena instead of per-worker arrays.  Workers
-    whose footprints are not plain ``ResourceSpec`` objects (scalar
-    fallback) or that are alone in needing settlement just use their own
-    ``settle()``.
-    """
-    if not workers:
-        return
-    now, segments = _settle_collect(workers)
-    if not segments:
-        return
-    if len(segments) == 1:
-        segments[0][0].settle()
-        return
-    work, contrib = settle_kernel(_settle_payload(segments))
-    _settle_apply(now, segments, work.tolist(), contrib)
-
-
-def _settle_apply(
-    now: float,
-    segments: list[tuple[Worker, list, tuple, float, float]],
-    work_list: list[float],
-    contrib: np.ndarray,
-) -> None:
-    """Apply a settle kernel's rows per container, in segment order."""
-    lens = [len(active) for _, active, _, _, _ in segments]
+    work_list = work.tolist()
     off = 0
     for (w, active, _, _, dt), n in zip(segments, lens):
         end = off + n
@@ -257,15 +206,20 @@ def _settle_apply(
         off = end
 
 
-def _realloc_collect(
-    workers: list[Worker],
-) -> tuple[float, list[tuple[Worker, tuple]]]:
-    """Run each worker's ``_realloc_begin``, collecting allocator inputs.
+def fleet_reallocate(workers: list[Worker]) -> None:
+    """Reallocate every worker's pool via one segmented allocation.
 
-    Same-instant already-poked workers are skipped (poke coalescing);
-    jitter draws stay on the per-worker streams in the per-worker order
-    because ``_realloc_begin`` runs serially per worker here.
+    Equivalent to ``for w in workers: w.poke()``'s reallocation half:
+    same-instant already-poked workers are skipped (poke coalescing),
+    each participating worker runs its own ``_realloc_begin`` (so jitter
+    draws stay on the per-worker streams in the per-worker order), the
+    allocator inputs go through one
+    :meth:`~repro.containers.allocator.CpuAllocator.allocate_segmented`
+    call per allocation mode, and ``_realloc_finish`` applies shares and
+    reschedules exits per worker.
     """
+    if not workers:
+        return
     now = workers[0].sim.now
     pending: list[tuple[Worker, tuple]] = []
     for w in workers:
@@ -276,16 +230,8 @@ def _realloc_collect(
             w._last_poke = (now, w.version)
             continue
         pending.append((w, inputs))
-    return now, pending
-
-
-def _alloc_pending(pending: list[tuple[Worker, tuple]]) -> list:
-    """Allocate every pending worker's pool, grouped by allocation mode.
-
-    One :meth:`~repro.containers.allocator.CpuAllocator.allocate_segmented`
-    call per mode (singleton groups use plain :meth:`allocate`); results
-    come back in *pending* order.
-    """
+    if not pending:
+        return
     by_mode: dict = {}
     for idx, (w, _) in enumerate(pending):
         by_mode.setdefault(w.allocator.mode, []).append(idx)
@@ -307,80 +253,7 @@ def _alloc_pending(pending: list[tuple[Worker, tuple]]) -> list:
             )
             for i, alloc in zip(idxs, segmented):
                 allocs[i] = alloc
-    return allocs
-
-
-def _alloc_payload(pending: list[tuple[Worker, tuple]]):
-    """Plain-data form of the pending allocator inputs, or ``None``.
-
-    Only exact :class:`~repro.containers.allocator.CpuAllocator`
-    instances are representable — a subclass may carry state the child
-    process cannot see, so its presence forces the in-process path.
-    The payload mirrors exactly what :func:`_alloc_pending` reads:
-    ``(mode, capacity, limits, demands, weights)`` per pending worker.
-    """
-    from repro.containers.allocator import CpuAllocator
-
-    rows = []
-    for w, (limits, demands, weights, _) in pending:
-        if type(w.allocator) is not CpuAllocator:
-            return None
-        rows.append((w.allocator.mode, w.capacity, limits, demands, weights))
-    return rows
-
-
-def alloc_kernel(payload: list) -> list:
-    """Run the grouped allocation from a plain-data payload.
-
-    The exact logic of :func:`_alloc_pending` — group by mode, one
-    segmented call per group, singletons take ``allocate`` — against
-    fresh :class:`CpuAllocator` instances, whose behaviour is a pure
-    function of ``(mode, inputs)``.  Process-safe: equal inputs on a
-    forked worker yield equal bits.
-    """
-    from repro.containers.allocator import CpuAllocator
-
-    by_mode: dict = {}
-    for idx, (mode, _, _, _, _) in enumerate(payload):
-        by_mode.setdefault(mode, []).append(idx)
-    allocs: list = [None] * len(payload)
-    for mode, idxs in by_mode.items():
-        allocator = CpuAllocator(mode)
-        if len(idxs) == 1:
-            i = idxs[0]
-            _, capacity, limits, demands, weights = payload[i]
-            allocs[i] = allocator.allocate(capacity, limits, demands, weights)
-        else:
-            entries = [payload[i] for i in idxs]
-            segmented = allocator.allocate_segmented(
-                [row[1] for row in entries],
-                [row[2] for row in entries],
-                [row[3] for row in entries],
-                [row[4] for row in entries],
-            )
-            for i, alloc in zip(idxs, segmented):
-                allocs[i] = alloc
-    return allocs
-
-
-def fleet_reallocate(workers: list[Worker]) -> None:
-    """Reallocate every worker's pool via one segmented allocation.
-
-    Equivalent to ``for w in workers: w.poke()``'s reallocation half:
-    same-instant already-poked workers are skipped (poke coalescing),
-    each participating worker runs its own ``_realloc_begin`` (so jitter
-    draws stay on the per-worker streams in the per-worker order), the
-    allocator inputs go through one
-    :meth:`~repro.containers.allocator.CpuAllocator.allocate_segmented`
-    call per allocation mode, and ``_realloc_finish`` applies shares and
-    reschedules exits per worker.
-    """
-    if not workers:
-        return
-    now, pending = _realloc_collect(workers)
-    if not pending:
-        return
-    _finish_packed(now, pending, _alloc_pending(pending))
+    _finish_packed(now, pending, allocs)
 
 
 def _finish_packed(now: float, pending: list, allocs: list) -> None:

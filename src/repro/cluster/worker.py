@@ -39,6 +39,8 @@ modes execute the same code objects on the same per-worker state.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.cluster.contention import ContentionModel
@@ -103,11 +105,15 @@ class Worker:
         reschedule_tolerance: float = 0.0,
         max_containers: int | None = None,
     ) -> None:
-        if capacity <= 0:
-            raise CapacityError(f"capacity must be positive, got {capacity!r}")
-        if reschedule_tolerance < 0:
+        # isfinite first: NaN compares false with everything.
+        if not math.isfinite(capacity) or capacity <= 0:
             raise CapacityError(
-                f"reschedule_tolerance must be >= 0, got {reschedule_tolerance!r}"
+                f"capacity must be positive and finite, got {capacity!r}"
+            )
+        if not math.isfinite(reschedule_tolerance) or reschedule_tolerance < 0:
+            raise CapacityError(
+                f"reschedule_tolerance must be finite and >= 0, "
+                f"got {reschedule_tolerance!r}"
             )
         if max_containers is not None and max_containers < 1:
             raise CapacityError(
@@ -354,9 +360,9 @@ class Worker:
         now, then reallocates — every resident container's share and
         projected exit move to the new rate.
         """
-        if capacity <= 0:
+        if not math.isfinite(capacity) or capacity <= 0:
             raise CapacityError(
-                f"capacity must be positive, got {capacity!r}"
+                f"capacity must be positive and finite, got {capacity!r}"
             )
         self.settle()
         self.capacity = float(capacity)

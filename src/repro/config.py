@@ -16,6 +16,7 @@ at construction, not halfway through a 2000-second simulation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.cluster.contention import ContentionModel
@@ -186,15 +187,6 @@ class SimulationConfig:
         packed sampling pass.  Bit-identical to the serial per-worker
         path (pinned by the golden fixtures and the invariant harness);
         ``False`` (default) keeps the serial path as the oracle.
-    shards:
-        Worker-shard count for single-run parallel execution
-        (:mod:`repro.cluster.shards`).  ``shards > 1`` arms a
-        :class:`~repro.cluster.shards.ShardedExecutor` that advances
-        contiguous worker shards concurrently between manager
-        touchpoints — bit-identical to serial and fused runs — and
-        **requires** ``fleet_mode=True``: the shards are slices of the
-        fused fleet arena, and the serial sampling path has no arena to
-        slice.  ``1`` (default) keeps whatever ``fleet_mode`` selects.
     streaming_metrics:
         When ``True`` the runner records in bounded memory: recorders
         keep no per-container step series or completion lists, the
@@ -220,29 +212,33 @@ class SimulationConfig:
     failures: str = "none"
     fabric: str = "ideal"
     fleet_mode: bool = False
-    shards: int = 1
     streaming_metrics: bool = False
 
     def __post_init__(self) -> None:
-        if self.capacity <= 0:
-            raise ConfigError(f"capacity must be positive, got {self.capacity!r}")
-        if self.sample_interval <= 0:
-            raise ConfigError("sample_interval must be positive")
-        if self.shards < 1:
-            raise ConfigError(f"shards must be >= 1, got {self.shards!r}")
-        if self.shards > 1 and not self.fleet_mode:
+        # isfinite first: every comparison with NaN is false, so a bare
+        # ``<= 0`` guard would let NaN through.
+        if not math.isfinite(self.capacity) or self.capacity <= 0:
             raise ConfigError(
-                f"shards={self.shards!r} requires fleet_mode=True: worker "
-                "shards are contiguous slices of the fused fleet arena "
-                "(repro.cluster.shards), and the serial sampling path has "
-                "no arena to slice — pass fleet_mode=True (CLI: "
-                "--fleet-mode) or drop to shards=1"
+                f"capacity must be positive and finite, got {self.capacity!r}"
             )
-        if self.horizon is not None and self.horizon <= 0:
-            raise ConfigError("horizon must be positive or None")
-        if self.reschedule_tolerance < 0:
+        if not math.isfinite(self.sample_interval) or self.sample_interval <= 0:
             raise ConfigError(
-                f"reschedule_tolerance must be >= 0, "
+                f"sample_interval must be positive and finite, "
+                f"got {self.sample_interval!r}"
+            )
+        if self.horizon is not None and (
+            not math.isfinite(self.horizon) or self.horizon <= 0
+        ):
+            raise ConfigError(
+                f"horizon must be positive and finite or None, "
+                f"got {self.horizon!r}"
+            )
+        if (
+            not math.isfinite(self.reschedule_tolerance)
+            or self.reschedule_tolerance < 0
+        ):
+            raise ConfigError(
+                f"reschedule_tolerance must be finite and >= 0, "
                 f"got {self.reschedule_tolerance!r}"
             )
         if self.max_containers is not None and self.max_containers < 1:

@@ -27,7 +27,6 @@ from repro.cluster.autoscale import AutoscalePolicy
 from repro.cluster.fabric import FabricPolicy
 from repro.cluster.failures import FailureInjector
 from repro.cluster.fleet import FleetTicker
-from repro.cluster.shards import ShardedExecutor
 from repro.cluster.manager import Manager
 from repro.cluster.placement import PlacementPolicy
 from repro.cluster.rebalance import RebalancePolicy
@@ -262,15 +261,7 @@ def run_cluster(
         policy_factory = policy
 
     sim = Simulator(seed=cfg.seed, trace=cfg.trace)
-    executor = None
-    if cfg.shards > 1:
-        # Sharded single-run execution: contiguous worker shards advance
-        # concurrently between manager touchpoints (see
-        # repro.cluster.shards); bit-identical to both the fused and the
-        # serial paths.  Config validation guarantees fleet_mode here.
-        executor = ShardedExecutor(sim, shards=cfg.shards, horizon=cfg.horizon)
-        executor.arm()
-    elif cfg.fleet_mode:
+    if cfg.fleet_mode:
         # Same-instant sampling ticks across workers coalesce into one
         # fused settle + segmented reallocate + shared observation pass
         # (see repro.cluster.fleet); bit-identical to the serial path.
@@ -393,35 +384,28 @@ def run_cluster(
     # those event kinds instead of every step (the per-step recount was
     # a measurable fraction of large-fleet run time).
     resolved = _resolved()
-    try:
-        while resolved < expected:
-            if cfg.horizon is not None and sim.now >= cfg.horizon:
-                break
-            event = sim.step()
-            if event is None:
-                done = sum(r.n_completions for r in recorders.values())
-                raise ExperimentError(
-                    f"simulation stalled at t={sim.now:.1f}s with "
-                    f"{done}/{expected} jobs complete"
-                    + (
-                        f" ({len(manager.failed)} failed)"
-                        if manager.failed else ""
-                    )
+    while resolved < expected:
+        if cfg.horizon is not None and sim.now >= cfg.horizon:
+            break
+        event = sim.step()
+        if event is None:
+            done = sum(r.n_completions for r in recorders.values())
+            raise ExperimentError(
+                f"simulation stalled at t={sim.now:.1f}s with "
+                f"{done}/{expected} jobs complete"
+                + (
+                    f" ({len(manager.failed)} failed)"
+                    if manager.failed else ""
                 )
-            if (
-                event.kind is EventKind.CONTAINER_EXIT
-                or event.kind is EventKind.WORKER_FAIL
-                or event.kind is EventKind.MESSAGE
-            ):
-                # MESSAGE events matter too: a fabric give-up fails a job
-                # without any container exit or worker crash.
-                resolved = _resolved()
-    finally:
-        if executor is not None:
-            # Release the shard pool's worker processes even when the
-            # run raises; the executor itself stays armed and usable
-            # (a later batch would lazily respawn the pool).
-            executor.close()
+            )
+        if (
+            event.kind is EventKind.CONTAINER_EXIT
+            or event.kind is EventKind.WORKER_FAIL
+            or event.kind is EventKind.MESSAGE
+        ):
+            # MESSAGE events matter too: a fabric give-up fails a job
+            # without any container exit or worker crash.
+            resolved = _resolved()
 
     for recorder in recorders.values():
         recorder.stop()

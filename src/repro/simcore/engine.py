@@ -144,19 +144,6 @@ class Simulator:
         """Remove the batcher for *kind* (idempotent)."""
         self._batchers.pop(kind, None)
 
-    def next_time_of(self, kinds) -> float | None:
-        """Earliest queued live event among *kinds*, or ``None``.
-
-        The window/barrier companion to :meth:`register_batcher`: a
-        batcher that wants to run batch-local work concurrently (the
-        sharded fleet executor) asks how far it can look ahead before
-        the next event of a *coupling* kind — for the cluster, any
-        manager-bound event — and treats ``min(next_time_of(...),
-        horizon)`` as its conservative window boundary.  Purely an
-        inspection: nothing is popped or reordered.
-        """
-        return self.queue.next_time_of(kinds)
-
     # -- execution ---------------------------------------------------------
 
     def step(self) -> Event | None:

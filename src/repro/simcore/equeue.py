@@ -161,26 +161,6 @@ class EventQueue:
             heapq.heappop(heap)
             self._dead -= 1
 
-    def next_time_of(self, kinds) -> float | None:
-        """Time of the earliest live event whose kind is in *kinds*.
-
-        A linear scan over the heap (the heap property only orders the
-        root, and dead entries are interleaved), so the cost is O(n) per
-        call — callers that poll it every step should expect the queue
-        to stay small relative to their batch width.  The sharded
-        executor uses it once per fused batch to locate the conservative
-        lookahead boundary: the next manager-bound event anywhere in the
-        queue.  Returns ``None`` when no live event matches.
-        """
-        best: float | None = None
-        for key, handle in self._heap:
-            if handle.cancelled or handle.event.kind not in kinds:
-                continue
-            t = key[0]
-            if best is None or t < best:
-                best = t
-        return best
-
     def __len__(self) -> int:
         """Number of *live* events."""
         return self._live

@@ -192,9 +192,17 @@ class TestEngineBatching:
 
 class TestFleetSettleParity:
     @pytest.mark.parametrize("contention", [ContentionModel.ideal, None])
-    def test_matches_per_worker_settle_bitwise(self, contention):
-        serial_sim, serial_workers = _build_fleet(3, contention=contention)
-        fused_sim, fused_workers = _build_fleet(3, contention=contention)
+    # (0, 2) leaves one settle segment: the singleton path calls settle().
+    @pytest.mark.parametrize("jobs_per_worker", [(2, 1, 3), (0, 2)])
+    def test_matches_per_worker_settle_bitwise(
+        self, contention, jobs_per_worker
+    ):
+        serial_sim, serial_workers = _build_fleet(
+            3, jobs_per_worker, contention=contention
+        )
+        fused_sim, fused_workers = _build_fleet(
+            3, jobs_per_worker, contention=contention
+        )
         for t in (2.5, 7.0, 7.0):  # repeat: second settle at 7.0 is a no-op
             serial_sim.clock.advance_to(t)
             fused_sim.clock.advance_to(t)
@@ -330,6 +338,8 @@ def _ticked_fleet(
     fleet: bool = True,
     sample_interval: float = 5.0,
     total_work: float = 10_000.0,
+    jobs_per_worker: int = 1,
+    streaming: bool = False,
 ):
     sim = Simulator(seed=0, trace=False)
     workers = [
@@ -342,9 +352,15 @@ def _ticked_fleet(
         for i in range(n_workers)
     ]
     for i, w in enumerate(workers):
-        w.launch(make_linear_job(f"w{i}-j", total_work=total_work, demand=0.8))
+        for k in range(jobs_per_worker):
+            w.launch(
+                make_linear_job(
+                    f"w{i}-j{k}", total_work=total_work, demand=0.8 - 0.1 * k
+                )
+            )
     recorders = [
-        MetricsRecorder(w, sample_interval=sample_interval) for w in workers
+        MetricsRecorder(w, sample_interval=sample_interval, streaming=streaming)
+        for w in workers
     ]
     for r in recorders:
         r.start()
@@ -419,9 +435,18 @@ class TestFleetTicker:
         for r in recorders:
             r.stop()
 
-    def test_fused_sampling_matches_serial_bitwise(self):
-        serial = _ticked_fleet(3, fleet=False)
-        fused = _ticked_fleet(3, fleet=True)
+    @pytest.mark.parametrize(
+        "jobs_per_worker, streaming", [(1, False), (2, False), (2, True)]
+    )
+    def test_fused_sampling_matches_serial_bitwise(
+        self, jobs_per_worker, streaming
+    ):
+        serial = _ticked_fleet(
+            3, False, jobs_per_worker=jobs_per_worker, streaming=streaming
+        )
+        fused = _ticked_fleet(
+            3, True, jobs_per_worker=jobs_per_worker, streaming=streaming
+        )
         for sim, *_ in (serial, fused):
             sim.run(until=200.0)
 
@@ -439,7 +464,10 @@ class TestFleetTicker:
             return out
 
         assert series(serial) == series(fused)
+        assert _settle_state(serial[1]) == _settle_state(fused[1])
+        assert _alloc_state(serial[1]) == _alloc_state(fused[1])
         assert serial[0].events_processed == fused[0].events_processed
+        assert fused[3].fused_samples > 0
         for run in (serial, fused):
             for r in run[2]:
                 r.stop()

@@ -129,11 +129,14 @@ class TestRapidReallocation:
         assert c.exited
         assert sim.now == pytest.approx(90.0)
 
-    def test_negative_tolerance_rejected(self, sim):
+    @pytest.mark.parametrize(
+        "tolerance", [-1.0, float("nan"), float("inf")]
+    )
+    def test_negative_tolerance_rejected(self, sim, tolerance):
         from repro.errors import CapacityError
 
         with pytest.raises(CapacityError):
-            Worker(sim, reschedule_tolerance=-1.0)
+            Worker(sim, reschedule_tolerance=tolerance)
 
 
 class TestStarvation:

@@ -143,8 +143,18 @@ class TestHooks:
 
 
 class TestValidation:
-    def test_nonpositive_capacity_rejected(self, sim):
+    @pytest.mark.parametrize("capacity", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+    def test_nonpositive_capacity_rejected(self, sim, capacity):
         from repro.errors import CapacityError
 
         with pytest.raises(CapacityError):
-            Worker(sim, capacity=0.0)
+            Worker(sim, capacity=capacity)
+
+    @pytest.mark.parametrize("capacity", [0.0, float("nan"), float("inf"), float("-inf")])
+    def test_set_capacity_rejects_invalid(self, sim, capacity):
+        from repro.errors import CapacityError
+
+        worker = Worker(sim)
+        with pytest.raises(CapacityError):
+            worker.set_capacity(capacity)
+        assert worker.capacity == 1.0

@@ -84,17 +84,13 @@ class TestParser:
         )
         assert args.fabric == "drop(0.05)+delay(exp,0.2)"
 
-    def test_shards_and_fleet_mode_parse(self):
+    def test_fleet_mode_parse(self):
         args = build_parser().parse_args(["compare"])
-        assert args.shards == 1 and args.fleet_mode is False
-        args = build_parser().parse_args(
-            ["compare", "--fleet-mode", "--shards", "4"]
-        )
-        assert args.shards == 4 and args.fleet_mode is True
-        args = build_parser().parse_args(
-            ["sweep", "--fleet-mode", "--shards", "2"]
-        )
-        assert args.shards == 2 and args.fleet_mode is True
+        assert args.fleet_mode is False
+        args = build_parser().parse_args(["compare", "--fleet-mode"])
+        assert args.fleet_mode is True
+        args = build_parser().parse_args(["sweep", "--fleet-mode"])
+        assert args.fleet_mode is True
 
     def test_bench_report_flags_parse(self):
         args = build_parser().parse_args(["bench-report"])
@@ -246,36 +242,18 @@ class TestCommands:
         assert "itval=20" in captured.out
         assert "cumulative" in captured.err
 
-    def test_compare_sharded_matches_serial(self, capsys):
-        # The sharded run is pinned bit-identical, so the rendered
+    def test_compare_fleet_mode_matches_serial(self, capsys):
+        # The fused run is pinned bit-identical, so the rendered
         # comparison must be byte-for-byte the serial one.
         assert main(["compare", "--jobs", "3", "--seed", "1",
                      "--workers", "2"]) == 0
         serial = capsys.readouterr().out
         assert main([
             "compare", "--jobs", "3", "--seed", "1", "--workers", "2",
-            "--fleet-mode", "--shards", "2",
+            "--fleet-mode",
         ]) == 0
         assert capsys.readouterr().out == serial
         assert "wins" in serial
-
-    def test_nonpositive_shards_is_a_clean_cli_error(self, capsys):
-        assert main([
-            "compare", "--jobs", "3", "--seed", "1", "--shards", "0",
-        ]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "shards" in err
-
-    def test_shards_without_fleet_mode_is_a_clean_cli_error(self, capsys):
-        # --shards > 1 slices the fused arena; composing it with the
-        # serial sampling path must fail loudly, not silently degrade.
-        assert main([
-            "sweep", "--alphas", "0.05", "--itvals", "20", "--seed", "1",
-            "--shards", "4",
-        ]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "fleet_mode" in err and "--fleet-mode" in err
 
     def test_bench_report_renders_trajectory(self, tmp_path, capsys):
         import json

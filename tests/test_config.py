@@ -57,41 +57,34 @@ class TestSimulationConfig:
         cfg = SimulationConfig()
         assert cfg.capacity == 1.0
 
-    def test_capacity_positive(self):
+    # NaN compares false with everything, so each guard must also
+    # reject it (and the infinities) explicitly.
+    @pytest.mark.parametrize("capacity", [0.0, float("nan"), float("inf"), float("-inf")])
+    def test_capacity_positive(self, capacity):
         with pytest.raises(ConfigError):
-            SimulationConfig(capacity=0.0)
+            SimulationConfig(capacity=capacity)
 
-    def test_sample_interval_positive(self):
+    @pytest.mark.parametrize("interval", [-1.0, float("nan"), float("inf"), float("-inf")])
+    def test_sample_interval_positive(self, interval):
         with pytest.raises(ConfigError):
-            SimulationConfig(sample_interval=-1.0)
+            SimulationConfig(sample_interval=interval)
 
-    def test_horizon_positive_or_none(self):
+    @pytest.mark.parametrize("horizon", [0.0, float("nan"), float("inf"), float("-inf")])
+    def test_horizon_positive_or_none(self, horizon):
         SimulationConfig(horizon=None)
         with pytest.raises(ConfigError):
-            SimulationConfig(horizon=0.0)
+            SimulationConfig(horizon=horizon)
+
+    @pytest.mark.parametrize("tolerance", [-1.0, float("nan"), float("inf"), float("-inf")])
+    def test_reschedule_tolerance_nonnegative(self, tolerance):
+        SimulationConfig(reschedule_tolerance=0.5)
+        with pytest.raises(ConfigError):
+            SimulationConfig(reschedule_tolerance=tolerance)
 
     def test_with_params(self):
         cfg = SimulationConfig().with_params(seed=9)
         assert cfg.seed == 9
 
-    def test_shards_default_and_validation(self):
-        assert SimulationConfig().shards == 1
-        cfg = SimulationConfig(fleet_mode=True, shards=4)
-        assert cfg.shards == 4
-        with pytest.raises(ConfigError):
-            SimulationConfig(shards=0)
-        with pytest.raises(ConfigError):
-            SimulationConfig(fleet_mode=True, shards=-2)
-
-    def test_shards_require_fleet_mode(self):
-        """Shards slice the fused arena, so the arena must exist."""
-        with pytest.raises(ConfigError, match="fleet_mode"):
-            SimulationConfig(shards=2)
-        cfg = SimulationConfig(shards=1)  # default composes with anything
-        assert not cfg.fleet_mode
-        with pytest.raises(ConfigError):
-            cfg.with_params(shards=2)  # still enforced through with_params
-        assert cfg.with_params(fleet_mode=True, shards=2).shards == 2
 
 
 class TestSchedulingPolicyFields:
