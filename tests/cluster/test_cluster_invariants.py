@@ -507,7 +507,9 @@ class TestFleetModeParity:
     summaries match bit-for-bit: completion times, failure/retry
     records and a sha256 over every recorded metric series.  Together
     the tests sweep all five policy axes (placement, rebalance,
-    admission, autoscale, failures) and every network fault plan.
+    admission, autoscale, failures), their pairwise crossings where
+    workers join, leave or move containers, and every network fault
+    plan under every placement and together with crash/recover.
     """
 
     @pytest.mark.parametrize("placement", sorted(PLACEMENTS))
@@ -548,6 +550,25 @@ class TestFleetModeParity:
 
         assert run(False) == run(True)
 
+    @pytest.mark.parametrize("admission", sorted(ADMISSIONS))
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_autoscale_by_admission(self, admission, seed):
+        """Provisioned workers join the fused arena while each queue
+        discipline decides who starts on them."""
+        def run(fleet_mode):
+            return _run_checked(
+                seed,
+                "spread",
+                "none",
+                admission=admission,
+                autoscale=QueueDepthAutoscale(
+                    up_threshold=2, provision_delay=5.0, cooldown=0.0
+                ),
+                fleet_mode=fleet_mode,
+            )
+
+        assert run(False) == run(True)
+
     @pytest.mark.parametrize(
         "failures", ["random", "random:checkpoint(20)"]
     )
@@ -563,33 +584,89 @@ class TestFleetModeParity:
         )
         assert serial == fused
 
+    @pytest.mark.parametrize(
+        "failures", ["random", "random:checkpoint(20)"]
+    )
+    @pytest.mark.parametrize("placement", sorted(PLACEMENTS))
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_failures_by_placement(self, failures, placement, seed):
+        """Crash/recover under every placement: restarted containers
+        land on different workers, reshaping the arena differently."""
+        serial = _run_checked(
+            seed, placement, "none", failures=failures, fleet_mode=False
+        )
+        fused = _run_checked(
+            seed, placement, "none", failures=failures, fleet_mode=True
+        )
+        assert serial == fused
+
+    @staticmethod
+    def _composed(seed, admission, fleet_mode):
+        return _run_checked(
+            seed,
+            "binpack",
+            MigrateOnExit(migration_delay=3.0),
+            admission=admission,
+            autoscale=QueueDepthAutoscale(
+                up_threshold=2, provision_delay=5.0, cooldown=0.0
+            ),
+            fleet_mode=fleet_mode,
+        )
+
     @pytest.mark.parametrize("seed", [2, 3])
     def test_composed_axes(self, seed):
         """Migration + autoscale + non-fifo admission, fused vs serial."""
-        def run(fleet_mode):
-            return _run_checked(
-                seed,
-                "binpack",
-                MigrateOnExit(migration_delay=3.0),
-                admission="sjf",
-                autoscale=QueueDepthAutoscale(
-                    up_threshold=2, provision_delay=5.0, cooldown=0.0
-                ),
-                fleet_mode=fleet_mode,
-            )
+        assert self._composed(seed, "sjf", False) == self._composed(
+            seed, "sjf", True
+        )
 
-        assert run(False) == run(True)
+    @pytest.mark.parametrize(
+        "admission", sorted(set(ADMISSIONS) - {"sjf"})
+    )
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_composed_by_admission(self, admission, seed):
+        """The composed case under the remaining queue disciplines."""
+        assert self._composed(seed, admission, False) == self._composed(
+            seed, admission, True
+        )
 
     @pytest.mark.parametrize("plan", _FABRIC_PLANS)
-    def test_fabric_fault_plans(self, plan):
+    @pytest.mark.parametrize("placement", sorted(PLACEMENTS))
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_fabric_fault_plans(self, plan, placement, seed):
         """Lossy control-plane MESSAGE traffic interleaved with fused
         ticks; the digests compare fabric delivery counters too."""
-        seed = 4
         serial = _run_checked(
-            seed, "spread", "none", fabric=plan, fleet_mode=False
+            seed, placement, "none", fabric=plan, fleet_mode=False
         )
         fused = _run_checked(
-            seed, "spread", "none", fabric=plan, fleet_mode=True
+            seed, placement, "none", fabric=plan, fleet_mode=True
+        )
+        assert serial == fused
+
+    @pytest.mark.parametrize(
+        "failures", ["random", "random:checkpoint(20)"]
+    )
+    @pytest.mark.parametrize("plan", _FABRIC_PLANS)
+    def test_fabric_with_failures(self, plan, failures):
+        """Workers crash while control messages to them are in flight
+        or being retried; fused and serial must still agree."""
+        seed = 1
+        serial = _run_checked(
+            seed,
+            "spread",
+            "none",
+            failures=failures,
+            fabric=plan,
+            fleet_mode=False,
+        )
+        fused = _run_checked(
+            seed,
+            "spread",
+            "none",
+            failures=failures,
+            fabric=plan,
+            fleet_mode=True,
         )
         assert serial == fused
 
