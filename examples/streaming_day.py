@@ -50,11 +50,10 @@ def run(streaming: bool):
     return run_cluster(
         scenario.workload,
         NAPolicy,
-        SimulationConfig(seed=42, trace=False),
+        SimulationConfig(seed=42, trace=False, streaming_metrics=streaming),
         capacities=scenario.capacities,
         max_containers=scenario.max_containers,
         admission=scenario.admission,
-        streaming_metrics=streaming,
     ).summary
 
 

@@ -67,8 +67,7 @@ def seed_study(
     flowcon: FlowConConfig | None = None,
     sim_template: SimulationConfig | None = None,
     workers: int = 1,
-    n_workers: int = 1,
-    placement: str = "spread",
+    **cluster,
 ) -> SeedStudyResult:
     """Run ``FlowCon vs NA`` over many seeds of one scenario family.
 
@@ -87,9 +86,9 @@ def seed_study(
         Process count for the batch runner; the 2×len(seeds) runs are
         independent, so the study scales across processes with
         identical aggregates.
-    n_workers / placement:
-        Simulated cluster shape shared by every run (both the NA and
-        FlowCon arms), forwarded to the unified runner.
+    **cluster:
+        :func:`~repro.experiments.runner.run_cluster` keywords shared by
+        every run (both the NA and FlowCon arms).
     """
     if seeds is None:
         seeds = list(range(10))
@@ -115,8 +114,7 @@ def seed_study(
         template,
         workers=workers,
         seeds=run_seeds,
-        n_workers=n_workers,
-        placement=placement,
+        **cluster,
     )
 
     win_rates, makespans, bests, worsts = [], [], [], []

@@ -66,14 +66,7 @@ def sweep_grid(
     sim_config: SimulationConfig | None = None,
     base_config: FlowConConfig | None = None,
     workers: int = 1,
-    n_workers: int = 1,
-    placement: str = "spread",
-    rebalance: str | None = None,
-    admission: str | None = None,
-    autoscale: str | None = None,
-    failures: str | None = None,
-    fabric: str | None = None,
-    max_containers: int | None = None,
+    **cluster,
 ) -> SweepGrid:
     """Run FlowCon over an (α × itval) grid against one shared NA run.
 
@@ -92,12 +85,11 @@ def sweep_grid(
         Process count for the batch runner; cells (and the NA reference)
         are independent runs, so ``workers=N`` executes the grid N-wide
         with identical results.
-    n_workers / placement / rebalance / admission / autoscale /
-    failures / fabric / max_containers:
-        Simulated cluster shape shared by every cell (and the NA
-        reference), forwarded to the unified runner.  Admission and
-        autoscale policies only act when ``max_containers`` bounds the
-        workers — unbounded clusters never queue.
+    **cluster:
+        :func:`~repro.experiments.runner.run_cluster` keywords shared by
+        every cell (and the NA reference).  Admission and autoscale
+        policies only act when ``max_containers`` bounds the workers —
+        unbounded clusters never queue.
     """
     if not alphas or not itvals:
         raise ExperimentError("sweep needs non-empty alpha and itval axes")
@@ -118,14 +110,7 @@ def sweep_grid(
         cfg,
         workers=workers,
         labels=["NA"] + [fc_cfg.describe() for fc_cfg in grid_cfgs],
-        n_workers=n_workers,
-        placement=placement,
-        rebalance=rebalance,
-        admission=admission,
-        autoscale=autoscale,
-        failures=failures,
-        fabric=fabric,
-        max_containers=max_containers,
+        **cluster,
     )
     na_summary = records[0].summary()
     cells = [

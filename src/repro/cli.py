@@ -230,6 +230,29 @@ def _assign_tenants(specs, weights: dict[str, float]):
     ]
 
 
+def _cluster_setup(args, **sim_fields):
+    """The substrate config and ``run_cluster`` keywords of the shared
+    cluster options.
+
+    ``--slots`` sets ``SimulationConfig.max_containers``, which both the
+    initial fleet and autoscaled workers read.
+    """
+    sim_cfg = SimulationConfig(
+        seed=args.seed, trace=False, fleet_mode=args.fleet_mode,
+        max_containers=args.slots, **sim_fields,
+    )
+    cluster = dict(
+        n_workers=args.workers,
+        placement=args.placement,
+        rebalance=args.rebalance,
+        admission=args.admission,
+        autoscale=args.autoscale,
+        failures=args.failures,
+        fabric=args.fabric,
+    )
+    return sim_cfg, cluster
+
+
 def _cmd_compare(args) -> int:
     if args.workload != "random":
         tenants = None
@@ -251,22 +274,10 @@ def _cmd_compare(args) -> int:
         specs = _assign_tenants(
             specs, _parse_tenant_weights(args.tenant_weights)
         )
-    sim_cfg = SimulationConfig(
-        seed=args.seed, trace=False,
-        streaming_metrics=args.streaming_metrics,
-        fleet_mode=args.fleet_mode,
+    sim_cfg, cluster = _cluster_setup(
+        args, streaming_metrics=args.streaming_metrics
     )
     fc_cfg = FlowConConfig(alpha=args.alpha, itval=args.itval)
-    cluster = dict(
-        n_workers=args.workers,
-        placement=args.placement,
-        rebalance=args.rebalance,
-        admission=args.admission,
-        autoscale=args.autoscale,
-        failures=args.failures,
-        fabric=args.fabric,
-        max_containers=args.slots,
-    )
     na = run_cluster(specs, NAPolicy, sim_cfg, **cluster)
     fc = run_cluster(specs, partial(FlowConPolicy, fc_cfg), sim_cfg, **cluster)
     if args.streaming_metrics:
@@ -381,22 +392,13 @@ def _print_streaming_compare(args, fc_cfg, na, fc) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    sim_cfg, cluster = _cluster_setup(args)
     grid = sweep_grid(
         fixed_three_job(),
         alphas=args.alphas,
         itvals=args.itvals,
-        sim_config=SimulationConfig(
-            seed=args.seed, trace=False,
-            fleet_mode=args.fleet_mode,
-        ),
-        n_workers=args.workers,
-        placement=args.placement,
-        rebalance=args.rebalance,
-        admission=args.admission,
-        autoscale=args.autoscale,
-        failures=args.failures,
-        fabric=args.fabric,
-        max_containers=args.slots,
+        sim_config=sim_cfg,
+        **cluster,
     )
     suffix = (
         f" — {args.workers} workers ({args.placement}, "
@@ -438,36 +440,47 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("zoo", help="print the model zoo")
 
-    p_cmp = sub.add_parser("compare", help="FlowCon vs NA on a workload")
+    # Cluster shape and policy options shared by compare and sweep.
+    cluster = argparse.ArgumentParser(add_help=False)
+    cluster.add_argument("--workers", type=int, default=1,
+                         help="simulated cluster size")
+    cluster.add_argument("--placement", choices=sorted(PLACEMENTS),
+                         default="spread", help="container placement policy")
+    cluster.add_argument("--rebalance", choices=sorted(REBALANCERS),
+                         default="none", help="container rebalance policy")
+    cluster.add_argument("--slots", type=int, default=None,
+                         help="admission slots per worker, autoscaled "
+                              "workers included (default unbounded; a "
+                              "bound makes --admission/--autoscale matter)")
+    cluster.add_argument("--admission", choices=sorted(ADMISSIONS),
+                         default="fifo",
+                         help="admission-queue drain policy (who waits "
+                              "least when the cluster is full)")
+    cluster.add_argument("--autoscale", choices=sorted(AUTOSCALERS),
+                         default="none",
+                         help="worker-fleet autoscaling from queue "
+                              "depth/backlog signals")
+    cluster.add_argument("--failures", default="none", metavar="SPEC",
+                         help="failure-injector spec, optionally with a "
+                              "durability suffix (e.g. none, random, "
+                              "rolling:checkpoint(60))")
+    cluster.add_argument("--fabric", default="ideal", metavar="SPEC",
+                         help="control-plane fabric spec, optionally with a "
+                              "retry suffix (e.g. ideal, drop(0.05), "
+                              "\"partition(30..90):retry(max=5,base=0.5)\")")
+    cluster.add_argument("--fleet-mode", action="store_true",
+                         help="fuse same-instant sampling ticks into one "
+                              "packed fleet pass (bit-identical)")
+    cluster.add_argument("--profile", action="store_true",
+                         help="run under cProfile and dump the top 25 "
+                              "cumulative-time functions to stderr")
+
+    p_cmp = sub.add_parser("compare", parents=[cluster],
+                           help="FlowCon vs NA on a workload")
     p_cmp.add_argument("--jobs", type=int, default=10)
     p_cmp.add_argument("--alpha", type=float, default=0.10)
     p_cmp.add_argument("--itval", type=float, default=20.0)
     p_cmp.add_argument("--seed", type=int, default=42)
-    p_cmp.add_argument("--workers", type=int, default=1,
-                       help="simulated cluster size")
-    p_cmp.add_argument("--placement", choices=sorted(PLACEMENTS),
-                       default="spread", help="container placement policy")
-    p_cmp.add_argument("--rebalance", choices=sorted(REBALANCERS),
-                       default="none", help="container rebalance policy")
-    p_cmp.add_argument("--slots", type=int, default=None,
-                       help="admission slots per worker (default unbounded; "
-                            "a bound makes --admission/--autoscale matter)")
-    p_cmp.add_argument("--admission", choices=sorted(ADMISSIONS),
-                       default="fifo",
-                       help="admission-queue drain policy (who waits least "
-                            "when the cluster is full)")
-    p_cmp.add_argument("--autoscale", choices=sorted(AUTOSCALERS),
-                       default="none",
-                       help="worker-fleet autoscaling from queue "
-                            "depth/backlog signals")
-    p_cmp.add_argument("--failures", default="none", metavar="SPEC",
-                       help="failure-injector spec, optionally with a "
-                            "durability suffix (e.g. none, random, "
-                            "rolling:checkpoint(60))")
-    p_cmp.add_argument("--fabric", default="ideal", metavar="SPEC",
-                       help="control-plane fabric spec, optionally with a "
-                            "retry suffix (e.g. ideal, drop(0.05), "
-                            "\"partition(30..90):retry(max=5,base=0.5)\")")
     p_cmp.add_argument("--tenant-weights", nargs="+", metavar="NAME=W",
                        default=None,
                        help="assign jobs round-robin to weighted tenants "
@@ -480,52 +493,19 @@ def build_parser() -> argparse.ArgumentParser:
                             "random mix; any other choice builds a lazy "
                             "arrival stream from the generator family "
                             "(diurnal, flash_crowd, pareto_mix, poisson)")
-    p_cmp.add_argument("--fleet-mode", action="store_true",
-                       help="fuse same-instant sampling ticks into one "
-                            "packed fleet pass (bit-identical)")
     p_cmp.add_argument("--streaming-metrics", action="store_true",
                        help="record sketch-based bounded-memory aggregates "
                             "(p50/p95/p99, rolling throughput) instead of "
                             "per-job records; memory stays O(1) per "
                             "container regardless of --jobs")
-    p_cmp.add_argument("--profile", action="store_true",
-                       help="run under cProfile and dump the top 25 "
-                            "cumulative-time functions to stderr")
 
-    p_sweep = sub.add_parser("sweep", help="alpha x itval grid")
+    p_sweep = sub.add_parser("sweep", parents=[cluster],
+                             help="alpha x itval grid")
     p_sweep.add_argument("--alphas", type=float, nargs="+",
                          default=[0.01, 0.05, 0.10])
     p_sweep.add_argument("--itvals", type=float, nargs="+",
                          default=[20.0, 40.0])
     p_sweep.add_argument("--seed", type=int, default=1)
-    p_sweep.add_argument("--workers", type=int, default=1,
-                         help="simulated cluster size")
-    p_sweep.add_argument("--placement", choices=sorted(PLACEMENTS),
-                         default="spread", help="container placement policy")
-    p_sweep.add_argument("--rebalance", choices=sorted(REBALANCERS),
-                         default="none", help="container rebalance policy")
-    p_sweep.add_argument("--slots", type=int, default=None,
-                         help="admission slots per worker (default "
-                              "unbounded; a bound makes "
-                              "--admission/--autoscale matter)")
-    p_sweep.add_argument("--admission", choices=sorted(ADMISSIONS),
-                         default="fifo",
-                         help="admission-queue drain policy")
-    p_sweep.add_argument("--autoscale", choices=sorted(AUTOSCALERS),
-                         default="none",
-                         help="worker-fleet autoscaling policy")
-    p_sweep.add_argument("--failures", default="none", metavar="SPEC",
-                         help="failure-injector spec (e.g. none, random, "
-                              "rolling:checkpoint(60))")
-    p_sweep.add_argument("--fabric", default="ideal", metavar="SPEC",
-                         help="control-plane fabric spec (e.g. ideal, "
-                              "\"partition(30..90):retry(max=5,base=0.5)\")")
-    p_sweep.add_argument("--fleet-mode", action="store_true",
-                         help="fuse same-instant sampling ticks into one "
-                              "packed fleet pass (bit-identical)")
-    p_sweep.add_argument("--profile", action="store_true",
-                         help="run under cProfile and dump the top 25 "
-                              "cumulative-time functions to stderr")
 
     sub.add_parser(
         "validate",

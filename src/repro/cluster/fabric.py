@@ -21,9 +21,9 @@ direct method calls.  This module makes that interaction an explicit
   slow ``reconcile`` audit delay, and never while a delivery is still
   in flight.
 
-Specs are strings on every surface (``SimulationConfig.fabric``,
-``run_cluster(fabric=)``, batch ``RunTask``, CLI ``--fabric``) sharing
-one grammar::
+Specs are strings on every surface (``run_cluster(fabric=)``, which
+the batch and sweep entry points forward unchanged, and CLI
+``--fabric``) sharing one grammar::
 
     "ideal"
     "<fault>[+<fault>...][:retry(k=v,...)|:noretry]"

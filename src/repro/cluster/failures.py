@@ -17,8 +17,8 @@ admission, placement, rebalancing and autoscaling:
 
 Both are pluggable through string specs — ``"rolling"``,
 ``"rolling:checkpoint"``, ``"az_outage:checkpoint(60)"`` — so every entry
-point (``SimulationConfig.failures``, ``run_cluster(failures=)``, batch
-``RunTask``, CLI ``--failures``) shares one grammar.  ``"none"`` is
+point (``run_cluster(failures=)``, which the batch and sweep entry
+points forward unchanged, and CLI ``--failures``) shares one grammar.  ``"none"`` is
 short-circuited by the manager exactly like the other axes, keeping the
 no-failure path bit-identical to a build without this module.
 """

@@ -148,38 +148,6 @@ class SimulationConfig:
         workers.  ``None`` (historical behaviour) is unbounded; a bound
         makes the manager queue open arrivals instead of
         over-subscribing nodes.
-    rebalance:
-        Default rebalance-policy registry name for runner-constructed
-        managers (``"none"``, ``"migrate"``, ``"progress"``; see
-        :mod:`repro.cluster.rebalance`).  ``"none"`` (historical
-        behaviour) never migrates and is bit-identical to the
-        pre-rebalancing manager.
-    admission:
-        Default admission-policy registry name (``"fifo"``,
-        ``"backfill"``, ``"priority"``, ``"wfq"``, ``"sjf"``; see
-        :mod:`repro.cluster.admission`).  ``"fifo"`` (historical
-        behaviour) drains in strict arrival order and is bit-identical
-        to the pre-extraction hardcoded queue.
-    autoscale:
-        Default autoscale-policy registry name (``"none"``,
-        ``"queue_depth"``, ``"progress"``; see
-        :mod:`repro.cluster.autoscale`).  ``"none"`` (historical
-        behaviour) keeps the fleet fixed and is bit-identical to the
-        pre-autoscaling manager.
-    failures:
-        Default failure-injector spec (``"none"``, ``"random"``,
-        ``"rolling"``, ``"az_outage"``, ``"slow"``, optionally with a
-        durability suffix like ``"rolling:checkpoint(60)"``; see
-        :mod:`repro.cluster.failures`).  ``"none"`` (historical
-        behaviour) injects nothing and is bit-identical to the
-        failure-free manager.
-    fabric:
-        Default control-plane fabric spec (``"ideal"``, or a network
-        fault plan like ``"partition(25..55):retry(max=8,base=0.5)"``,
-        ``"drop(0.05)+delay(exp,0.2)"``; see
-        :mod:`repro.cluster.fabric`).  ``"ideal"`` (historical
-        behaviour) delivers every manager↔worker message inline and is
-        bit-identical to the direct-call manager.
     fleet_mode:
         When ``True`` the runner arms the fused fleet-tick engine
         (:mod:`repro.cluster.fleet`): same-instant sampling ticks across
@@ -206,11 +174,6 @@ class SimulationConfig:
     trace: bool = True
     reschedule_tolerance: float = 0.0
     max_containers: int | None = None
-    rebalance: str = "none"
-    admission: str = "fifo"
-    autoscale: str = "none"
-    failures: str = "none"
-    fabric: str = "ideal"
     fleet_mode: bool = False
     streaming_metrics: bool = False
 
@@ -246,42 +209,6 @@ class SimulationConfig:
                 f"max_containers must be >= 1 or None, "
                 f"got {self.max_containers!r}"
             )
-        # Imported lazily: the policy registries live above this module
-        # in the layering (cluster policies import config-adjacent code).
-        from repro.cluster.admission import ADMISSIONS
-        from repro.cluster.autoscale import AUTOSCALERS
-        from repro.cluster.rebalance import REBALANCERS
-
-        if self.rebalance not in REBALANCERS:
-            raise ConfigError(
-                f"unknown rebalance {self.rebalance!r}; "
-                f"choose from {sorted(REBALANCERS)}"
-            )
-        if self.admission not in ADMISSIONS:
-            raise ConfigError(
-                f"unknown admission {self.admission!r}; "
-                f"choose from {sorted(ADMISSIONS)}"
-            )
-        if self.autoscale not in AUTOSCALERS:
-            raise ConfigError(
-                f"unknown autoscale {self.autoscale!r}; "
-                f"choose from {sorted(AUTOSCALERS)}"
-            )
-        from repro.cluster.failures import make_failures
-
-        try:
-            # Full spec-string validation ("rolling:checkpoint(60)"
-            # carries arguments, so membership alone is not enough).
-            make_failures(self.failures)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        from repro.cluster.fabric import make_fabric
-
-        try:
-            # Same deal: fabric specs are fault-plan expressions.
-            make_fabric(self.fabric)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
 
     def with_params(self, **kwargs) -> "SimulationConfig":
         """Functional update."""

@@ -35,7 +35,7 @@ import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.config import SimulationConfig
 from repro.core.policy import SchedulingPolicy
@@ -69,42 +69,12 @@ class RunTask:
         Zero-argument, picklable builder of a fresh policy instance.
     sim_config:
         Substrate parameters *including the seed* for this run.
-    n_workers:
-        Simulated cluster size for the unified
-        :func:`~repro.experiments.runner.run_cluster` runner.
-    placement:
-        Placement-policy registry name (see
-        :mod:`repro.cluster.placement`); carried by name so tasks stay
-        picklable across the process pool.
-    rebalance:
-        Rebalance-policy registry name (see
-        :mod:`repro.cluster.rebalance`); carried by name for the same
-        picklability reason.  ``None`` defers to
-        ``sim_config.rebalance``.
-    admission:
-        Admission-policy registry name (see
-        :mod:`repro.cluster.admission`); carried by name (tenant
-        weights ride the workload specs).  ``None`` defers to
-        ``sim_config.admission``.
-    autoscale:
-        Autoscale-policy registry name (see
-        :mod:`repro.cluster.autoscale`); carried by name.  ``None``
-        defers to ``sim_config.autoscale``.
-    failures:
-        Failure-injector spec string (see
-        :mod:`repro.cluster.failures`); carried by spec for the same
-        picklability reason.  ``None`` defers to
-        ``sim_config.failures``.
-    fabric:
-        Control-plane fabric spec string (see
-        :mod:`repro.cluster.fabric`); carried by spec for the same
-        picklability reason.  ``None`` defers to
-        ``sim_config.fabric``.
-    capacities:
-        Optional per-worker CPU capacities (heterogeneous clusters).
-    max_containers:
-        Optional per-worker admission-slot bound (scalar applies to all
-        workers); ``None`` defers to ``sim_config.max_containers``.
+    cluster:
+        Keyword arguments for
+        :func:`~repro.experiments.runner.run_cluster` — cluster shape
+        and policy axes, passed through unchanged.  Policies travel by
+        registry name or spec string so tasks stay picklable across the
+        process pool.
     label:
         Free-form tag carried through to the record (grid coordinates,
         scenario name, ...).
@@ -114,15 +84,7 @@ class RunTask:
     specs: tuple[WorkloadSpec, ...] | WorkloadStream
     policy_factory: PolicyFactory
     sim_config: SimulationConfig
-    n_workers: int = 1
-    placement: str = "spread"
-    rebalance: str | None = None
-    admission: str | None = None
-    autoscale: str | None = None
-    failures: str | None = None
-    fabric: str | None = None
-    capacities: tuple[float, ...] | None = None
-    max_containers: int | tuple[int | None, ...] | None = None
+    cluster: Mapping[str, Any] = field(default_factory=dict)
     label: str = ""
 
 
@@ -130,6 +92,7 @@ class RunTask:
 class RunRecord:
     """Compact, pickle-friendly result of one batch run.
 
+    ``n_workers`` is the fleet size the run started with.
     ``queue_delays``/``peak_queue_len`` carry the manager's admission-
     queue observations (empty/zero for unbounded clusters);
     ``migrations``/``migration_delays`` carry the rebalancer's (empty
@@ -222,18 +185,7 @@ def _execute_task(task: RunTask) -> RunRecord:
         else list(task.specs)
     )
     result = run_cluster(
-        workload,
-        task.policy_factory,
-        task.sim_config,
-        n_workers=task.n_workers,
-        placement=task.placement,
-        rebalance=task.rebalance,
-        admission=task.admission,
-        autoscale=task.autoscale,
-        failures=task.failures,
-        fabric=task.fabric,
-        capacities=task.capacities,
-        max_containers=task.max_containers,
+        workload, task.policy_factory, task.sim_config, **task.cluster
     )
     summary = result.summary
     return RunRecord(
@@ -241,7 +193,7 @@ def _execute_task(task: RunTask) -> RunRecord:
         label=task.label,
         policy_name=result.policy_name,
         seed=task.sim_config.seed,
-        n_workers=task.n_workers,
+        n_workers=summary.fleet_timeline[0][1],
         completions=tuple(summary.completions),
         events_processed=result.sim.events_processed,
         wall_time=time.perf_counter() - t0,
@@ -312,15 +264,7 @@ def run_many(
     workers: int = 1,
     seeds: Sequence[int] | None = None,
     labels: Sequence[str] | None = None,
-    n_workers: int = 1,
-    placement: str = "spread",
-    rebalance: str | None = None,
-    admission: str | None = None,
-    autoscale: str | None = None,
-    failures: str | None = None,
-    fabric: str | None = None,
-    capacities: Sequence[float] | None = None,
-    max_containers: int | Sequence[int | None] | None = None,
+    **cluster,
 ) -> list[RunRecord]:
     """Run many scenarios under a policy, serially or in parallel.
 
@@ -344,11 +288,11 @@ def run_many(
         run uses ``sim_config.seed`` — deterministic either way.
     labels:
         Optional per-run labels carried into the records.
-    n_workers / placement / rebalance / admission / autoscale /
-    failures / fabric / capacities / max_containers:
-        Simulated-cluster shape shared by every run, forwarded to
-        :func:`~repro.experiments.runner.run_cluster` (policies by
-        registry name, to keep tasks picklable).
+    **cluster:
+        :func:`~repro.experiments.runner.run_cluster` keywords shared by
+        every run (policies by registry name or spec string, to keep
+        tasks picklable); a misspelt keyword raises :class:`TypeError`
+        from ``run_cluster``.
 
     Returns
     -------
@@ -386,19 +330,7 @@ def run_many(
             sim_config=(
                 cfg if seeds is None else cfg.with_params(seed=int(seeds[i]))
             ),
-            n_workers=n_workers,
-            placement=placement,
-            rebalance=rebalance,
-            admission=admission,
-            autoscale=autoscale,
-            failures=failures,
-            fabric=fabric,
-            capacities=None if capacities is None else tuple(capacities),
-            max_containers=(
-                max_containers
-                if max_containers is None or isinstance(max_containers, int)
-                else tuple(max_containers)
-            ),
+            cluster=cluster,
             label="" if labels is None else str(labels[i]),
         )
         for i in range(n)

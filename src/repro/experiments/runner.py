@@ -139,7 +139,6 @@ def run_cluster(
     fabric: FabricPolicy | str | None = None,
     capacities: Sequence[float] | None = None,
     max_containers: int | Sequence[int | None] | None = None,
-    streaming_metrics: bool | None = None,
 ) -> RunResult:
     """Run one workload on an ``n_workers`` cluster to completion.
 
@@ -160,7 +159,8 @@ def run_cluster(
         Substrate parameters; defaults to :class:`SimulationConfig()`.
         ``capacity``, ``max_containers`` and ``reschedule_tolerance``
         apply to every runner-constructed worker unless overridden by
-        the per-worker arguments below.
+        the per-worker arguments below; ``streaming_metrics`` folds
+        every aggregate into one bounded-memory ``summary.stream``.
     n_workers:
         Cluster size (≥ 1); inferred from ``capacities`` when that is
         given and ``n_workers`` is left at 1.
@@ -170,40 +170,34 @@ def run_cluster(
         default spread.
     rebalance:
         Rebalance policy instance or registry name (``"none"``,
-        ``"migrate"``, ``"progress"``); ``None`` falls back to
-        ``sim_config.rebalance`` (default ``"none"``, the historical
-        never-migrate behaviour).
+        ``"migrate"``, ``"progress"``); default ``"none"``, the
+        historical never-migrate behaviour.
     admission:
         Admission policy instance or registry name (``"fifo"``,
-        ``"backfill"``, ``"priority"``, ``"wfq"``, ``"sjf"``); ``None``
-        falls back to
-        ``sim_config.admission`` (default ``"fifo"``, the historical
-        strict-arrival-order behaviour).
+        ``"backfill"``, ``"priority"``, ``"wfq"``, ``"sjf"``); default
+        ``"fifo"``, the historical strict-arrival-order behaviour.
     autoscale:
         Autoscale policy instance or registry name (``"none"``,
-        ``"queue_depth"``, ``"progress"``); ``None`` falls back to
-        ``sim_config.autoscale`` (default ``"none"``, the historical
-        fixed fleet).  Provisioned workers clone the *config* shape
-        (``cfg.capacity``/``cfg.max_containers``); each gets its own
-        recorder and a fresh policy instance from the factory, exactly
-        like the initial fleet.
+        ``"queue_depth"``, ``"progress"``); default ``"none"``, the
+        historical fixed fleet.  Provisioned workers clone the *config*
+        shape (``cfg.capacity``/``cfg.max_containers``); each gets its
+        own recorder and a fresh policy instance from the factory,
+        exactly like the initial fleet.
     failures:
         Failure-injector instance or spec string (``"none"``,
         ``"random"``, ``"rolling"``, ``"az_outage"``, ``"slow"``, with an
         optional durability suffix like ``"rolling:checkpoint(60)"``);
-        ``None`` falls back to ``sim_config.failures`` (default
-        ``"none"``, the historical fair-weather behaviour).  Jobs whose
-        retry budget a crash plan exhausts land in
+        default ``"none"``, the historical fair-weather behaviour.  Jobs
+        whose retry budget a crash plan exhausts land in
         ``summary.failed_jobs`` instead of the completions.
     fabric:
         Control-plane fabric instance or spec string (``"ideal"``, or a
         network fault plan like
         ``"partition(25..55):retry(max=8,base=0.5)"`` or
         ``"drop(0.05)+delay(exp,0.2)"``; see
-        :mod:`repro.cluster.fabric`); ``None`` falls back to
-        ``sim_config.fabric`` (default ``"ideal"``, the historical
+        :mod:`repro.cluster.fabric`); default ``"ideal"``, the historical
         inline-delivery behaviour, bit-identical to the direct-call
-        manager).  Jobs whose placement messages exhaust both the
+        manager.  Jobs whose placement messages exhaust both the
         fabric's retries and their own retry budget land in
         ``summary.failed_jobs``; per-message counters surface on
         ``summary.fabric_stats``.
@@ -213,13 +207,11 @@ def run_cluster(
         Optional per-worker admission slots: a scalar for all workers or
         one value per worker; ``None`` falls back to
         ``sim_config.max_containers``.
-    streaming_metrics:
-        When ``True``, record in bounded memory: recorders keep no
-        per-container series or completion lists, the manager keeps no
-        per-label maps, and every aggregate folds into one shared
-        :class:`~repro.metrics.sketch.StreamMetrics` carried by
-        ``summary.stream``.  ``None`` falls back to
-        ``sim_config.streaming_metrics`` (default dense).
+
+    Bad policy names and specs raise
+    :class:`~repro.errors.UnknownPolicyError` or
+    :class:`~repro.errors.ConfigError` while the manager is built,
+    before the first event.
 
     Returns
     -------
@@ -234,11 +226,7 @@ def run_cluster(
     if not len(specs):
         raise ExperimentError("run_cluster needs at least one workload spec")
     cfg = sim_config if sim_config is not None else SimulationConfig()
-    streaming = (
-        streaming_metrics
-        if streaming_metrics is not None
-        else cfg.streaming_metrics
-    )
+    streaming = cfg.streaming_metrics
     sink = StreamMetrics() if streaming else None
     if capacities is not None and n_workers == 1:
         n_workers = len(capacities)
@@ -296,11 +284,11 @@ def run_cluster(
         sim,
         workers,
         placement=placement,
-        rebalance=rebalance if rebalance is not None else cfg.rebalance,
-        admission=admission if admission is not None else cfg.admission,
-        autoscale=autoscale if autoscale is not None else cfg.autoscale,
-        failures=failures if failures is not None else cfg.failures,
-        fabric=fabric if fabric is not None else cfg.fabric,
+        rebalance=rebalance,
+        admission=admission,
+        autoscale=autoscale,
+        failures=failures,
+        fabric=fabric,
         worker_factory=provisioned_worker,
         stream_sink=sink,
     )
@@ -482,13 +470,8 @@ def scaling_study(
     cluster_sizes: list[int],
     *,
     sim_config: SimulationConfig | None = None,
-    placement: str = "spread",
-    rebalance: str | None = None,
-    admission: str | None = None,
-    autoscale: str | None = None,
-    failures: str | None = None,
-    fabric: str | None = None,
     workers: int = 1,
+    **cluster,
 ):
     """Run one workload across several cluster sizes, optionally in parallel.
 
@@ -508,18 +491,13 @@ def scaling_study(
         Simulated worker counts to evaluate (each ≥ 1).
     sim_config:
         Substrate parameters shared by every run.
-    placement:
-        Placement-policy registry name shared by every run.
-    rebalance:
-        Rebalance-policy registry name shared by every run; ``None``
-        defers to ``sim_config.rebalance``.
-    admission / autoscale / failures / fabric:
-        Admission-/autoscale-policy registry names, failure-injector
-        spec and control-plane fabric spec shared by every run;
-        ``None`` defers to the config defaults.
     workers:
         *Host* process count for the batch runner (unrelated to the
         simulated cluster sizes).
+    **cluster:
+        :func:`run_cluster` keywords shared by every run (policies by
+        registry name or spec string, to keep tasks picklable);
+        ``n_workers`` comes from ``cluster_sizes``.
 
     Returns
     -------
@@ -537,13 +515,7 @@ def scaling_study(
             specs=tuple(specs),
             policy_factory=policy_factory,
             sim_config=cfg,
-            n_workers=n,
-            placement=placement,
-            rebalance=rebalance,
-            admission=admission,
-            autoscale=autoscale,
-            failures=failures,
-            fabric=fabric,
+            cluster=dict(n_workers=n, **cluster),
             label=f"{n}-worker",
         )
         for i, n in enumerate(cluster_sizes)

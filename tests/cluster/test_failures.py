@@ -192,12 +192,6 @@ class TestUnknownPolicyNames:
             with pytest.raises(ValueError):
                 resolver("definitely-not-a-policy")
 
-    def test_config_validates_failures_spec(self):
-        with pytest.raises(ConfigError):
-            SimulationConfig(failures="definitely-not-a-policy")
-        with pytest.raises(ConfigError):
-            SimulationConfig(failures="rolling:checkpoint(soon)")
-
 
 # ---------------------------------------------------------------------------
 # Fault plans

@@ -7,6 +7,7 @@ from functools import partial
 
 import pytest
 
+from repro.analysis.compare import compare_runs
 from repro.analysis.robustness import seed_study
 from repro.analysis.sweeps import sweep_grid
 from repro.baselines.na import NAPolicy
@@ -15,10 +16,20 @@ from repro.core.policy import FlowConPolicy
 from repro.errors import ExperimentError
 from repro.experiments.batch import RunRecord, RunTask, run_many, run_tasks
 from repro.experiments.runner import run_cluster, run_scenario, scaling_study
-from repro.experiments.scenarios import fixed_three_job, random_five_job
+from repro.experiments.scenarios import (
+    fixed_three_job,
+    heterogeneous_cluster,
+    random_five_job,
+)
 
 _CFG = SimulationConfig(trace=False)
 _FC = FlowConConfig(alpha=0.10, itval=20.0)
+#: A non-default cluster the batch entry points must forward unchanged:
+#: one-slot workers, so jobs queue and the admission order matters.
+_SJF = {"max_containers": 1, "admission": "sjf"}
+_BOUNDED_SJF = {"n_workers": 2, **_SJF}
+_IDS = ["default", "bounded-sjf"]
+_HET = heterogeneous_cluster(seed=0, n_jobs=16)
 
 
 class TestRunMany:
@@ -88,6 +99,8 @@ class TestRunMany:
             run_many([specs], NAPolicy(), _CFG)  # instance, not factory
         with pytest.raises(ExperimentError):
             run_tasks([], workers=0)
+        with pytest.raises(TypeError, match="admision"):
+            run_many([specs], NAPolicy, _CFG, admision="wfq")  # misspelt
 
     def test_unpicklable_factory_gets_actionable_error(self):
         specs = fixed_three_job()
@@ -123,8 +136,13 @@ class TestRunRecord:
 
 
 class TestMultiWorkerTasks:
-    def test_task_with_n_workers_matches_run_cluster(self):
-        specs = random_five_job(seed=1)
+    @pytest.mark.parametrize("specs, cluster, fleet", [
+        (random_five_job(seed=1), {"n_workers": 2}, 2),
+        (_HET.workload, {"capacities": _HET.capacities}, 8),
+    ], ids=["n_workers", "capacities"])
+    def test_task_with_n_workers_matches_run_cluster(
+        self, specs, cluster, fleet
+    ):
         [record] = run_tasks(
             [
                 RunTask(
@@ -132,26 +150,30 @@ class TestMultiWorkerTasks:
                     specs=tuple(specs),
                     policy_factory=NAPolicy,
                     sim_config=_CFG.with_params(seed=1),
-                    n_workers=2,
+                    cluster=cluster,
                 )
             ]
         )
         direct = run_cluster(
-            specs, NAPolicy, _CFG.with_params(seed=1), n_workers=2,
+            specs, NAPolicy, _CFG.with_params(seed=1), **cluster
         )
         assert record.completion_times() == direct.completion_times()
-        assert record.n_workers == 2
+        assert record.n_workers == len(direct.workers) == fleet
 
-    def test_scaling_study_orders_and_labels(self):
+    @pytest.mark.parametrize("cluster", [{}, _SJF], ids=_IDS)
+    def test_scaling_study_orders_and_labels(self, cluster):
+        specs = random_five_job(seed=3)
+        cfg = _CFG.with_params(seed=3)
         records = scaling_study(
-            random_five_job(seed=3),
-            NAPolicy,
-            [1, 2],
-            sim_config=_CFG.with_params(seed=3),
+            specs, NAPolicy, [1, 2], sim_config=cfg, **cluster
         )
         assert [r.label for r in records] == ["1-worker", "2-worker"]
         # More simulated capacity cannot lengthen the makespan.
         assert records[1].makespan <= records[0].makespan
+        for n, record in zip([1, 2], records):
+            direct = run_cluster(specs, NAPolicy, cfg, n_workers=n, **cluster)
+            assert record.completion_times() == direct.completion_times()
+            assert record.n_workers == n
 
     def test_scaling_study_needs_sizes(self):
         with pytest.raises(ExperimentError):
@@ -159,12 +181,13 @@ class TestMultiWorkerTasks:
 
 
 class TestPortedStudies:
-    def test_sweep_grid_workers_parity(self):
+    @pytest.mark.parametrize("cluster", [{}, _BOUNDED_SJF], ids=_IDS)
+    def test_sweep_grid_workers_parity(self, cluster):
+        specs = fixed_three_job()
+        cfg = SimulationConfig(seed=1, trace=False)
         kwargs = dict(
-            specs=fixed_three_job(),
-            alphas=[0.05, 0.10],
-            itvals=[20.0],
-            sim_config=SimulationConfig(seed=1, trace=False),
+            specs=specs, alphas=[0.05, 0.10], itvals=[20.0], sim_config=cfg,
+            **cluster,
         )
         serial = sweep_grid(**kwargs)
         parallel = sweep_grid(**kwargs, workers=2)
@@ -172,10 +195,26 @@ class TestPortedStudies:
             c.report.reductions for c in parallel.cells
         ]
         assert serial.makespan_range() == parallel.makespan_range()
+        na = run_cluster(specs, NAPolicy, cfg, **cluster).summary
+        for cell in serial.cells:
+            fc_cfg = FlowConConfig(alpha=cell.alpha, itval=cell.itval)
+            fc = run_cluster(
+                specs, partial(FlowConPolicy, fc_cfg), cfg, **cluster
+            ).summary
+            assert cell.report.reductions == compare_runs(na, fc).reductions
 
-    def test_seed_study_workers_parity(self):
-        kwargs = dict(seeds=[0, 1], sim_template=_CFG)
+    @pytest.mark.parametrize("cluster", [{}, _BOUNDED_SJF], ids=_IDS)
+    def test_seed_study_workers_parity(self, cluster):
+        kwargs = dict(seeds=[0, 1], sim_template=_CFG, **cluster)
         serial = seed_study(random_five_job, **kwargs)
         parallel = seed_study(random_five_job, **kwargs, workers=2)
         assert serial.summary() == parallel.summary()
         assert list(serial.win_rates) == list(parallel.win_rates)
+        for seed, makespan in zip([0, 1], serial.makespan_reductions):
+            cfg = _CFG.with_params(seed=seed)
+            specs = random_five_job(seed=seed)
+            na = run_cluster(specs, NAPolicy, cfg, **cluster).summary
+            fc = run_cluster(
+                specs, partial(FlowConPolicy, _FC), cfg, **cluster
+            ).summary
+            assert makespan == compare_runs(na, fc).makespan_reduction

@@ -27,7 +27,7 @@ import pytest
 from repro.baselines.na import NAPolicy
 from repro.config import FlowConConfig, SimulationConfig
 from repro.core.policy import FlowConPolicy
-from repro.errors import ExperimentError
+from repro.errors import ConfigError, ExperimentError, UnknownPolicyError
 from repro.experiments.batch import run_many
 from repro.experiments.runner import run_cluster, run_scenario
 from repro.experiments.scenarios import (
@@ -290,6 +290,20 @@ class TestClusterShapes:
         )
         assert all(w.reschedule_tolerance == 1e-6 for w in result.workers)
 
+    @pytest.mark.parametrize("axis, spec", [
+        ("placement", "roundrobin"),
+        ("rebalance", "gandiva"),
+        ("admission", "lifo"),
+        ("autoscale", "manual"),
+        ("failures", "meteor-strike"),
+        ("failures", "rolling:checkpoint(soon)"),
+        ("fabric", "carrier-pigeon"),
+        ("fabric", "drop(1.5)"),
+    ])
+    def test_bad_policy_spec_fails_before_the_run(self, axis, spec):
+        with pytest.raises((UnknownPolicyError, ConfigError)):
+            run_cluster(random_ten_job(0), NAPolicy, **{axis: spec})
+
     def test_max_containers_default_from_config(self):
         result = run_cluster(
             random_ten_job(0),
@@ -304,7 +318,7 @@ class TestClusterShapes:
 
 
 class TestRebalancePlumbing:
-    """`rebalance` flows through config, runner, batch and records."""
+    """`rebalance` flows through runner, batch and records."""
 
     def _run(self, cfg, **kwargs):
         sc = imbalanced_cluster(seed=42, n_jobs=8)
@@ -316,23 +330,6 @@ class TestRebalancePlumbing:
             max_containers=sc.max_containers,
             **kwargs,
         )
-
-    def test_config_default_is_used(self):
-        cfg = SimulationConfig(seed=0, trace=False, rebalance="progress")
-        _, result = self._run(cfg)
-        assert result.manager.rebalance.name == "progress"
-        assert result.summary.total_migrations() > 0
-        for label in result.summary.migrated_labels():
-            placement = result.manager.placement_of(label)
-            assert placement.migrations == result.summary.migration_count(
-                label
-            )
-
-    def test_explicit_argument_overrides_config(self):
-        cfg = SimulationConfig(seed=0, trace=False, rebalance="progress")
-        _, result = self._run(cfg, rebalance="none")
-        assert result.manager.rebalance.name == "none"
-        assert result.summary.migrations == {}
 
     def test_rebalancing_beats_none_on_the_straggler(self):
         cfg = SimulationConfig(seed=0, trace=False)
@@ -362,19 +359,6 @@ class TestRebalancePlumbing:
             serial.summary().total_migrations()
             == direct.summary.total_migrations()
         )
-
-    def test_batch_honors_config_rebalance_default(self):
-        """run_many defers to SimulationConfig.rebalance, like run_cluster."""
-        sc = imbalanced_cluster(seed=42, n_jobs=8)
-        cfg = SimulationConfig(seed=0, trace=False, rebalance="progress")
-        _, direct = self._run(cfg)
-        assert direct.summary.total_migrations() > 0
-        [record] = run_many(
-            [list(sc.specs)], NAPolicy, cfg, workers=1, seeds=[0],
-            capacities=sc.capacities, max_containers=sc.max_containers,
-        )
-        assert record.completion_times() == direct.completion_times()
-        assert dict(record.migrations) == direct.summary.migrations
 
     def test_batch_per_worker_slots_bind_and_match_direct(self):
         """run_many carries per-worker slot tuples, and they really bind."""
@@ -470,30 +454,19 @@ class TestOpenArrivalCluster:
 
 
 class TestAdmissionPlumbing:
-    """`admission` flows through config, runner, batch and records."""
+    """`admission` flows through runner, batch and records."""
 
-    def _mt_run(self, admission=None, cfg=None, **kwargs):
+    def _mt_run(self, admission=None, **kwargs):
         sc = multi_tenant(seed=0, n_jobs=24)
-        cfg = cfg if cfg is not None else SimulationConfig(seed=0, trace=False)
         return sc, run_cluster(
             list(sc.specs),
             NAPolicy,
-            cfg,
+            SimulationConfig(seed=0, trace=False),
             capacities=sc.capacities,
             max_containers=sc.max_containers,
             admission=admission,
             **kwargs,
         )
-
-    def test_config_default_is_used(self):
-        cfg = SimulationConfig(seed=0, trace=False, admission="wfq")
-        _, result = self._mt_run(cfg=cfg)
-        assert result.manager.admission.name == "wfq"
-
-    def test_explicit_argument_overrides_config(self):
-        cfg = SimulationConfig(seed=0, trace=False, admission="wfq")
-        _, result = self._mt_run(admission="fifo", cfg=cfg)
-        assert result.manager.admission.name == "fifo"
 
     def test_tenants_ride_summary_and_placements(self):
         sc, result = self._mt_run(admission="wfq")
@@ -540,37 +513,18 @@ class TestAdmissionPlumbing:
 
 
 class TestAutoscalePlumbing:
-    """`autoscale` flows through config, runner, batch and records."""
+    """`autoscale` flows through runner, batch and records."""
 
-    def _elastic_run(self, autoscale=None, cfg=None):
+    def _elastic_run(self, autoscale=None):
         sc = elastic_cluster(seed=0, n_jobs=24)
-        cfg = cfg if cfg is not None else SimulationConfig(
-            seed=0, trace=False, max_containers=3
-        )
         return sc, run_cluster(
             list(sc.specs),
             NAPolicy,
-            cfg,
+            SimulationConfig(seed=0, trace=False, max_containers=3),
             capacities=sc.capacities,
             max_containers=sc.max_containers,
             autoscale=autoscale,
         )
-
-    def test_config_default_is_used(self):
-        cfg = SimulationConfig(
-            seed=0, trace=False, max_containers=3, autoscale="queue_depth"
-        )
-        _, result = self._elastic_run(cfg=cfg)
-        assert result.manager.autoscale.name == "queue_depth"
-        assert result.summary.peak_fleet() > 2
-
-    def test_explicit_argument_overrides_config(self):
-        cfg = SimulationConfig(
-            seed=0, trace=False, max_containers=3, autoscale="queue_depth"
-        )
-        _, result = self._elastic_run(autoscale="none", cfg=cfg)
-        assert result.manager.autoscale.name == "none"
-        assert result.summary.fleet_timeline == ((0.0, 2),)
 
     def test_elastic_fleet_beats_fixed_on_the_burst(self):
         _, fixed = self._elastic_run(autoscale="none")

@@ -64,8 +64,9 @@ def _run(workload, *, streaming=False, policy=NAPolicy, seed=7, **kw):
     kw.setdefault("max_containers", 2)
     kw.setdefault("admission", "wfq")
     return run_cluster(
-        workload, policy, SimulationConfig(seed=seed, trace=False),
-        streaming_metrics=streaming, **kw,
+        workload, policy,
+        SimulationConfig(seed=seed, trace=False, streaming_metrics=streaming),
+        **kw,
     )
 
 
@@ -207,9 +208,11 @@ class TestStreamingGolden:
 
         streaming = run_cluster(
             sc.workload, NAPolicy,
-            SimulationConfig(seed=golden["seed"], trace=False),
+            SimulationConfig(
+                seed=golden["seed"], trace=False, streaming_metrics=True
+            ),
             capacities=sc.capacities, max_containers=sc.max_containers,
-            admission=sc.admission, streaming_metrics=True,
+            admission=sc.admission,
         ).summary
         assert repr(streaming.makespan) == golden["makespan"]
         assert repr(streaming.total_queue_delay()) == (

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.cluster.worker import Worker
+from repro.experiments import runner
 
 
 class TestParser:
@@ -183,29 +185,37 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "itval=20" in out
 
-    def test_unknown_failures_spec_is_a_clean_cli_error(self, capsys):
-        # --failures is a free-form spec (durability suffixes make
-        # choices= impossible), so validation happens in the run path
-        # and must surface as a clean exit-2 error, not a traceback.
-        assert main([
-            "compare", "--jobs", "3", "--seed", "1",
-            "--failures", "meteor-strike",
-        ]) == 2
+    @pytest.mark.parametrize("flags, names", [
+        # --failures and --fabric are free-form specs (durability and
+        # retry suffixes make choices= impossible), so validation
+        # happens in the run path; the error names the registries.
+        (["--failures", "meteor-strike"], ["meteor-strike", "'rolling'"]),
+        (["--fabric", "carrier-pigeon"], ["carrier-pigeon", "'partition'"]),
+        (["--slots", "0"], ["max_containers"]),
+    ], ids=["failures", "fabric", "slots"])
+    def test_bad_cluster_option_is_a_clean_cli_error(
+        self, capsys, flags, names
+    ):
+        assert main(["compare", "--jobs", "3", "--seed", "1", *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        assert "meteor-strike" in err and "'rolling'" in err
+        for name in names:
+            assert name in err
 
-    def test_unknown_fabric_spec_is_a_clean_cli_error(self, capsys):
-        # --fabric is a free-form fault-plan expression, so validation
-        # happens in the run path and must surface as a clean exit-2
-        # error naming the registries, not a traceback.
+    def test_slots_bound_autoscaled_workers(self, capsys, monkeypatch):
+        made = []
+
+        def recording_worker(*args, **kwargs):
+            made.append(Worker(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(runner, "Worker", recording_worker)
         assert main([
-            "compare", "--jobs", "3", "--seed", "1",
-            "--fabric", "carrier-pigeon",
-        ]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "carrier-pigeon" in err and "'partition'" in err
+            "compare", "--jobs", "10", "--seed", "42", "--workers", "2",
+            "--slots", "2", "--autoscale", "queue_depth",
+        ]) == 0
+        assert len(made) > 2 * 2  # the NA and FlowCon runs both scaled up
+        assert all(worker.max_containers == 2 for worker in made)
 
     def test_compare_with_fabric(self, capsys):
         assert main([

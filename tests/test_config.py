@@ -86,25 +86,16 @@ class TestSimulationConfig:
         assert cfg.seed == 9
 
 
+class TestNoPolicyFields:
+    """Policy axes are run_cluster keywords, never config fields."""
 
-class TestSchedulingPolicyFields:
-    def test_admission_default_and_validation(self):
-        assert SimulationConfig().admission == "fifo"
-        SimulationConfig(admission="wfq")
-        with pytest.raises(ConfigError):
-            SimulationConfig(admission="lifo")
-
-    def test_autoscale_default_and_validation(self):
-        assert SimulationConfig().autoscale == "none"
-        SimulationConfig(autoscale="queue_depth")
-        with pytest.raises(ConfigError):
-            SimulationConfig(autoscale="manual")
-
-    def test_fabric_default_and_validation(self):
-        assert SimulationConfig().fabric == "ideal"
-        SimulationConfig(fabric="partition(25..55):retry(max=8,base=0.5)")
-        SimulationConfig(fabric="drop(0.05)+delay(exp,0.2):noretry")
-        with pytest.raises(ConfigError):
-            SimulationConfig(fabric="carrier-pigeon")
-        with pytest.raises(ConfigError):
-            SimulationConfig(fabric="drop(1.5)")
+    @pytest.mark.parametrize("axis, spec", [
+        ("rebalance", "progress"),
+        ("admission", "wfq"),
+        ("autoscale", "queue_depth"),
+        ("failures", "rolling"),
+        ("fabric", "drop(0.05)"),
+    ])
+    def test_axis_field_is_rejected(self, axis, spec):
+        with pytest.raises(TypeError):
+            SimulationConfig(**{axis: spec})
