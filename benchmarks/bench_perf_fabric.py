@@ -8,7 +8,9 @@ Three contracts of the message-fabric subsystem:
   200-job Poisson cluster stress an explicit ``fabric="ideal"`` run is
   bit-identical to the default-constructed run (completion times and
   ``events_processed`` included) and within noise of its throughput
-  (asserted relatively at ≥ 95 %).
+  (asserted relatively at ≥ 95 % on the median CPU-time ratio of ten
+  interleaved pairs; skipped with the measured scatter on a host too
+  noisy to resolve 5 %).
 * **Retry earns its keep** — on the
   :func:`~repro.experiments.scenarios.network_partition` scenario (a
   30 s clean split that swallows exit notifications and placements to
@@ -23,7 +25,11 @@ Three contracts of the message-fabric subsystem:
 
 from __future__ import annotations
 
+import gc
+import statistics
 import time
+
+import pytest
 
 from _render import run_once
 
@@ -67,17 +73,30 @@ def test_perf_fabric_ideal_parity(benchmark):
             fabric=fabric,
         )
 
-    def _best_wall(fn, repeats=3):
-        result, best = None, float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
+    def _cpu(fn):
+        # A collection of the previous run's garbage would land on
+        # whichever side happened to trigger it.
+        gc.collect()
+        gc.disable()
+        try:
+            t0 = time.process_time()
             result = fn()
-            best = min(best, time.perf_counter() - t0)
-        return result, best
+            return result, time.process_time() - t0
+        finally:
+            gc.enable()
 
     _cluster(None)  # warm caches off the clock
-    default, default_wall = _best_wall(lambda: _cluster(None))
-    explicit, explicit_wall = _best_wall(lambda: _cluster("ideal"))
+    # Interleaved pairs (alternating which side goes first), timed in
+    # process CPU time with the cyclic collector held off: the two runs
+    # of a pair share the host's state of the moment, so the pair's
+    # ratio cancels host drift that a best-of comparison cannot.
+    runs, ratios = {}, []
+    for i in range(10):
+        cpu = {}
+        for fabric in ((None, "ideal") if i % 2 == 0 else ("ideal", None)):
+            runs[fabric], cpu[fabric] = _cpu(lambda: _cluster(fabric))
+        ratios.append(cpu["ideal"] / cpu[None])
+    default, explicit = runs[None], runs["ideal"]
     run_once(benchmark, lambda: _cluster("ideal"))
 
     assert explicit.completion_times() == default.completion_times()
@@ -87,12 +106,21 @@ def test_perf_fabric_ideal_parity(benchmark):
     # exit crossed the fabric.
     assert explicit.summary.messages_sent() >= 400
 
-    default_rate = default.sim.events_processed / default_wall
-    explicit_rate = explicit.sim.events_processed / explicit_wall
-    print(f"\nfabric='ideal': {explicit_rate:,.0f} events/s explicit vs "
-          f"{default_rate:,.0f} default")
+    q1, median, q3 = statistics.quantiles(ratios, n=4)
+    print(f"\nfabric='ideal': explicit/default CPU time, median of "
+          f"{len(ratios)} pairs {median:.3f} (quartiles {q1:.3f}, {q3:.3f})")
+    # Both sides build the same IdealFabric, so the ratios scatter only
+    # with host noise unless the ideal path regressed.  Three standard
+    # errors of the median (estimated from the quartiles) must fit in
+    # the 5 % bound, or this host cannot resolve it: skip, naming the
+    # scatter.
+    stderr = 1.2533 * (q3 - q1) / 1.349 / len(ratios) ** 0.5
+    if 3 * stderr > 0.05:
+        pytest.skip(f"host too noisy to resolve 5 %: pair ratios' "
+                    f"quartiles {q1:.3f}-{q3:.3f}, three standard errors "
+                    f"of the median {3 * stderr:.1%}")
     # Inline delivery may not cost > 5 % against the default path.
-    assert explicit_rate >= 0.95 * default_rate
+    assert 1.0 / median >= 0.95
 
 
 def test_perf_fabric_retry_beats_noretry(benchmark):

@@ -15,8 +15,13 @@ elastic-resource logic stays worker-side.
 Admission queue
 ---------------
 Workers may advertise a bounded number of admission slots
-(``Worker(max_containers=...)``).  An arrival that finds no worker with
-headroom joins the pending queue owned by the admission policy; every
+(``Worker(max_containers=...)``).  The manager keeps the workers with
+headroom in an :class:`~repro.cluster.placement.EligibleWorkers` view,
+updated from each worker's slot hook at the events that change it
+(launch, exit, detach, attach, crash, reservations, draining) and at
+the sites where workers join or leave the fleet — no placement scans
+the fleet.  An arrival that finds the view empty joins the pending
+queue owned by the admission policy; every
 container exit (and every provisioned worker) triggers a drain pass that
 places queued jobs in the *policy's* order — FIFO (the historical
 default, bit-identical to the old hardcoded deque), strict priority
@@ -100,7 +105,7 @@ reservation ever leaks.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.cluster.admission import (
     AdmissionPolicy,
@@ -123,7 +128,11 @@ from repro.cluster.failures import (
     WorkerFault,
     make_failures,
 )
-from repro.cluster.placement import PlacementPolicy, make_placement
+from repro.cluster.placement import (
+    EligibleWorkers,
+    PlacementPolicy,
+    make_placement,
+)
 from repro.cluster.rebalance import (
     Migration,
     NoRebalance,
@@ -311,9 +320,10 @@ class Manager:
         #: Template for the default worker factory, captured up front so
         #: provisioning survives even a whole-fleet outage.
         self._worker_template = self.workers[0]
+        #: The workers with admission headroom, in fleet order.
+        self._eligible = EligibleWorkers((), fleet=self.workers)
         for worker in self.workers:
-            worker.exit_hooks.append(self._on_worker_exit)
-            worker.reap_exited = self._streaming
+            self._join(worker)
         self._failures_armed = not isinstance(self.failures, NoFailures)
         self._fabric_ideal = isinstance(self.fabric, IdealFabric)
         #: Original submissions are tracked whenever anything can orphan
@@ -404,10 +414,31 @@ class Manager:
 
     # -- placement and admission ---------------------------------------------------
 
-    def _eligible_workers(self) -> list[Worker]:
-        return [w for w in self.workers if w.has_headroom()]
+    def _join(self, worker: Worker) -> None:
+        """Wire a worker that has just entered :attr:`workers`."""
+        worker.exit_hooks.append(self._on_worker_exit)
+        worker.reap_exited = self._streaming
+        worker.slot_hook = self._eligible.update
+        self._eligible.update(
+            worker, worker.has_headroom(), worker.running_count
+        )
 
-    def _place(self, submission: JobSubmission, eligible: list[Worker]) -> None:
+    def _leave(self, worker: Worker) -> None:
+        """Unwire a worker that is leaving :attr:`workers` (retire, crash)."""
+        worker.exit_hooks.remove(self._on_worker_exit)
+        worker.slot_hook = None
+        self.workers.remove(worker)
+        self._eligible.update(worker, False, 0)
+        self.fleet_timeline.append((self.sim.now, len(self.workers)))
+
+    @property
+    def eligible(self) -> EligibleWorkers:
+        """Read-only view of the workers with admission headroom."""
+        return self._eligible
+
+    def _place(
+        self, submission: JobSubmission, eligible: Sequence[Worker]
+    ) -> None:
         """Send a place order for *submission* to a chosen worker.
 
         The admission slot is reserved *before* the order is sent and
@@ -517,8 +548,8 @@ class Manager:
             )
         self._admit(submission)
 
-    def _rearm_draining(self) -> list[Worker]:
-        """Un-drain one worker with free slots; return the new eligibles.
+    def _rearm_draining(self) -> None:
+        """Un-drain one worker with free slots.
 
         An arrival that would queue while a draining worker still has
         admission slots is proof the fleet is too small to be
@@ -527,27 +558,22 @@ class Manager:
         in fleet order — deterministic, and enough for this job.
         """
         for worker in self.workers:
-            if worker.draining and (
-                worker.max_containers is None
-                or len(worker.running_containers()) + worker.reserved
-                < worker.max_containers
-            ):
+            if worker.draining and worker.has_free_slot():
                 worker.draining = False
                 self.sim.trace(
                     "manager.scale",
                     f"re-armed draining {worker.name} for a queued arrival",
                 )
-                return self._eligible_workers()
-        return []
+                return
 
     def _on_arrival(self, event: Event) -> None:
         self._admit(event.payload)
 
     def _admit(self, submission: JobSubmission) -> None:
         """Place an accepted submission now, or queue it under pressure."""
-        eligible = self._eligible_workers()
+        eligible = self._eligible
         if not eligible and not isinstance(self.autoscale, NoAutoscale):
-            eligible = self._rearm_draining()
+            self._rearm_draining()
         if not eligible:
             self.admission.push(submission)
             depth = len(self.admission)
@@ -563,7 +589,7 @@ class Manager:
         self._place(submission, eligible)
 
     def _fitting_workers(
-        self, submission: JobSubmission, eligible: list[Worker]
+        self, submission: JobSubmission, eligible: Sequence[Worker]
     ) -> list[Worker]:
         """Eligible workers that can host *submission* without memory
         overcommit.
@@ -597,8 +623,8 @@ class Manager:
         out of order, and their releases are placed on the workers the
         probe accepted.
         """
+        eligible = self._eligible
         while len(self.admission):
-            eligible = self._eligible_workers()
             if not eligible:
                 return False
             fit_cache: dict[int, list[Worker]] = {}
@@ -842,9 +868,8 @@ class Manager:
         self._next_worker_idx += 1
         factory = self.worker_factory or self._default_worker_factory
         worker = factory(name)
-        worker.exit_hooks.append(self._on_worker_exit)
-        worker.reap_exited = self._streaming
         self.workers.append(worker)
+        self._join(worker)
         self.fleet_timeline.append((self.sim.now, len(self.workers)))
         self.sim.trace(
             "manager.scale",
@@ -923,9 +948,7 @@ class Manager:
             # pass re-plans from live state.
             return
         worker.draining = False
-        worker.exit_hooks.remove(self._on_worker_exit)
-        self.workers.remove(worker)
-        self.fleet_timeline.append((self.sim.now, len(self.workers)))
+        self._leave(worker)
         self.sim.trace(
             "manager.scale",
             f"retired {worker.name} (fleet size {len(self.workers)})",
@@ -1027,10 +1050,8 @@ class Manager:
                 self._in_flight -= 1
                 stranded.append(container)
         orphans = worker.crash() + stranded
-        worker.exit_hooks.remove(self._on_worker_exit)
-        self.workers.remove(worker)
+        self._leave(worker)
         self.crashed_workers.add(worker.name)
-        self.fleet_timeline.append((self.sim.now, len(self.workers)))
         if self.sim.trace_enabled:
             self.sim.trace(
                 "manager.fault",
@@ -1113,9 +1134,8 @@ class Manager:
         """A crashed worker rejoins the fleet, empty and at full health."""
         if any(w.name == worker.name for w in self.workers):
             return  # pragma: no cover - defensive (double recovery)
-        worker.exit_hooks.append(self._on_worker_exit)
-        worker.reap_exited = self._streaming
         self.workers.append(worker)
+        self._join(worker)
         self.fleet_timeline.append((self.sim.now, len(self.workers)))
         self.sim.trace(
             "manager.fault",

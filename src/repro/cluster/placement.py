@@ -4,10 +4,14 @@
 placement decisions across a cluster; which worker a job lands on is
 therefore an orthogonal, swappable decision.  A
 :class:`PlacementPolicy` picks one worker for each arriving (or
-queue-drained) submission from the set of workers that currently have
-admission headroom — capacity filtering itself stays in
-:class:`~repro.cluster.manager.Manager`, so every policy sees only
-*eligible* workers and cannot over-subscribe a node.
+queue-drained) submission from an :class:`EligibleWorkers` view: a
+read-only sequence, in fleet order, of the workers with admission
+headroom.  The manager keeps that view up to date from its workers'
+slot hooks instead of scanning the fleet per placement, so every policy
+sees only *eligible* workers and cannot over-subscribe a node.  The
+view also buckets its workers by running count, which lets ``spread``
+and ``binpack`` read one bucket instead of the whole view; a plain list
+handed to :meth:`PlacementPolicy.select` is wrapped in the same view.
 
 All policies are deterministic under a fixed simulation seed:
 :class:`RandomPlacement` draws from a named stream of the simulator's
@@ -27,7 +31,8 @@ each worker process materializes the policy.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Sequence
+from bisect import bisect_left, insort
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.cluster.signals import ProgressObserver
 from repro.errors import ClusterError, UnknownPolicyError
@@ -38,6 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (worker ← manager)
     from repro.simcore.engine import Simulator
 
 __all__ = [
+    "EligibleWorkers",
     "PlacementPolicy",
     "SpreadPlacement",
     "BinPackPlacement",
@@ -49,13 +55,131 @@ __all__ = [
 ]
 
 
+class EligibleWorkers(Sequence["Worker"]):
+    """Read-only view of the workers with admission headroom, in fleet order.
+
+    Indexing and iteration follow *fleet* order (the manager's
+    ``workers`` list), which is what ``random``'s seeded index and every
+    scanning policy depend on; the ordered list is rebuilt only after
+    membership changes.  Members are also kept in buckets by running
+    count: :meth:`least_loaded` and :meth:`most_loaded` read only the
+    lowest or highest non-empty bucket.  Idle workers (bucket 0) all
+    have ``load() == 0.0``, so that bucket is a list of names in
+    ``str`` order and its pick is its first name; a busy bucket is
+    scanned by ``(load, name)``.  Worker names are unique.
+
+    Built from *members* (all of them, in that order) when *fleet* is
+    omitted — how a plain list passed to a policy is wrapped; the
+    manager passes its fleet and keeps membership with :meth:`update`.
+    """
+
+    def __init__(
+        self,
+        members: Iterable["Worker"],
+        fleet: Sequence["Worker"] | None = None,
+    ) -> None:
+        members = list(members)
+        self._fleet = members if fleet is None else fleet
+        self._counts: dict["Worker", int] = {}
+        self._busy: dict[int, dict["Worker", None]] = {}
+        self._idle: dict[str, "Worker"] = {}
+        self._idle_names: list[str] = []
+        self._ordered: list["Worker"] | None = None
+        for worker in members:
+            self.update(worker, True, worker.running_count)
+
+    def update(self, worker: "Worker", headroom: bool, running: int) -> None:
+        """Re-file *worker* after its headroom bit or running count moved.
+
+        The signature of :attr:`Worker.slot_hook
+        <repro.cluster.worker.Worker.slot_hook>`; ``headroom=False``
+        removes the worker from the view.
+        """
+        old = self._counts.pop(worker, None)
+        if old == 0:
+            del self._idle[worker.name]
+            del self._idle_names[bisect_left(self._idle_names, worker.name)]
+        elif old is not None:
+            bucket = self._busy[old]
+            del bucket[worker]
+            if not bucket:
+                del self._busy[old]
+        if headroom:
+            self._counts[worker] = running
+            if running == 0:
+                self._idle[worker.name] = worker
+                insort(self._idle_names, worker.name)
+            else:
+                self._busy.setdefault(running, {})[worker] = None
+        if headroom != (old is not None):
+            self._ordered = None
+
+    def least_loaded(self) -> "Worker":
+        """The ``min`` by ``(running count, load, name)``."""
+        if self._idle_names:
+            return self._idle[self._idle_names[0]]
+        if not self._busy:
+            raise ClusterError("no eligible worker to place on")
+        return min(self._busy[min(self._busy)], key=_load_name)
+
+    def most_loaded(self) -> "Worker":
+        """The ``min`` by ``(-running count, -load, name)``."""
+        if self._busy:
+            return min(
+                self._busy[max(self._busy)],
+                key=lambda w: (-w.load(), w.name),
+            )
+        if not self._idle_names:
+            raise ClusterError("no eligible worker to place on")
+        return self._idle[self._idle_names[0]]
+
+    def buckets(self) -> dict[int, list["Worker"]]:
+        """Running count → members with that count (for audits)."""
+        out = {0: list(self._idle.values())} if self._idle else {}
+        out.update((n, list(b)) for n, b in self._busy.items())
+        return out
+
+    def _list(self) -> list["Worker"]:
+        if self._ordered is None:
+            counts = self._counts
+            self._ordered = [w for w in self._fleet if w in counts]
+        return self._ordered
+
+    def __len__(self) -> int:
+        return len(self._counts)
+
+    def __contains__(self, worker: object) -> bool:
+        return worker in self._counts
+
+    def __iter__(self):
+        return iter(self._list())
+
+    def __getitem__(self, index):
+        return self._list()[index]
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"EligibleWorkers({[w.name for w in self]})"
+
+
+def _view(workers: Sequence["Worker"]) -> EligibleWorkers:
+    """*workers* as an :class:`EligibleWorkers` view (wrapping a list)."""
+    if isinstance(workers, EligibleWorkers):
+        return workers
+    return EligibleWorkers(workers)
+
+
+def _load_name(worker: "Worker") -> tuple:
+    return (worker.load(), worker.name)
+
+
 class PlacementPolicy(abc.ABC):
     """Picks a worker for each arriving submission.
 
     The manager calls :meth:`bind` once at construction (giving seeded
     policies access to the run's RNG registry) and :meth:`select` once
-    per placement with the non-empty list of workers that have admission
-    headroom.
+    per placement with a non-empty :class:`EligibleWorkers` view (or,
+    under a fit-aware admission policy, the list of eligible workers
+    the job fits on).
     """
 
     #: Registry/display name ("spread", "binpack", ...).
@@ -85,14 +209,15 @@ class PlacementPolicy(abc.ABC):
 
 
 def _spread_key(worker: "Worker") -> tuple:
-    return (len(worker.running_containers()), worker.load(), worker.name)
+    return (worker.running_count, worker.load(), worker.name)
 
 
 class SpreadPlacement(PlacementPolicy):
     """Least-loaded spread — Swarm's default, the historical behaviour.
 
     Exactly the old ``Manager._select_worker``: fewest running
-    containers, then lowest summed allocation, then worker name.
+    containers, then lowest summed allocation, then worker name — read
+    from the lowest running-count bucket of the view.
     """
 
     name = "spread"
@@ -100,7 +225,7 @@ class SpreadPlacement(PlacementPolicy):
     def select(
         self, workers: Sequence["Worker"], submission: "JobSubmission"
     ) -> "Worker":
-        return min(workers, key=_spread_key)
+        return _view(workers).least_loaded()
 
 
 class BinPackPlacement(PlacementPolicy):
@@ -108,7 +233,9 @@ class BinPackPlacement(PlacementPolicy):
 
     Fills the busiest eligible worker before spilling onto idle ones,
     keeping nodes free for large future arrivals at the cost of more
-    interference on the packed node.
+    interference on the packed node: most running containers, then
+    highest summed allocation, then worker name — read from the highest
+    running-count bucket of the view.
     """
 
     name = "binpack"
@@ -116,10 +243,7 @@ class BinPackPlacement(PlacementPolicy):
     def select(
         self, workers: Sequence["Worker"], submission: "JobSubmission"
     ) -> "Worker":
-        return min(
-            workers,
-            key=lambda w: (-len(w.running_containers()), -w.load(), w.name),
-        )
+        return _view(workers).most_loaded()
 
 
 class RandomPlacement(PlacementPolicy):

@@ -91,7 +91,8 @@ class Worker:
         containers this worker accepts.  ``None`` (default, the
         historical behaviour) is unbounded.  :meth:`launch` enforces the
         bound; the manager consults :meth:`has_headroom` and queues
-        arrivals instead of over-subscribing.
+        arrivals instead of over-subscribing.  Read-only after
+        construction.
     """
 
     def __init__(
@@ -127,7 +128,7 @@ class Worker:
         self.runtime = ContainerRuntime(clock=lambda: sim.now)
         self.pool = ContainerPool()
         self.reschedule_tolerance = float(reschedule_tolerance)
-        self.max_containers = max_containers
+        self._max_containers = max_containers
         self._rng = sim.rngs.stream(f"{name}.jitter")
 
         self._last_settle = sim.now
@@ -137,10 +138,17 @@ class Worker:
         #: message with the epoch it reserved under and releases only if
         #: the epoch is unchanged when the message resolves.
         self.epoch = 0
-        #: Draining workers accept no new placements or migration
-        #: targets; the autoscaler retires them at the first moment they
-        #: are empty (see :mod:`repro.cluster.autoscale`).
-        self.draining = False
+        self._draining = False
+        #: Cached ``(headroom bit, running count)``, recomputed by
+        #: :meth:`_refresh_slots` wherever its inputs change.  One
+        #: tuple, not two attributes: past 29 attributes CPython 3.11
+        #: stops sharing instance-dict keys, and every worker's dict
+        #: grows fivefold.
+        self._slots = (True, 0)
+        #: Called as ``f(worker, headroom, running)`` whenever the
+        #: headroom bit or the running count changes; the manager keeps
+        #: its eligible set with it.
+        self.slot_hook = None
         self._active: list[Container] = []
         self._allocs = np.zeros(0, dtype=np.float64)
         self._exit_handles: dict[int, EventHandle] = {}
@@ -193,6 +201,7 @@ class Worker:
         if name is None:
             name = getattr(job, "name", None)
         container = self.runtime.run(job, name=name, image=image)
+        self._refresh_slots()
         self.pool.add(container, self.sim.now)
         if self.sim.trace_enabled:
             self.sim.trace(
@@ -274,6 +283,7 @@ class Worker:
         if handle is not None:
             self.sim.cancel(handle)
         self.runtime.release(cid)
+        self._refresh_slots()
         self.pool.discard(cid, self.sim.now)
         if self.sim.trace_enabled:
             self.sim.trace(
@@ -304,6 +314,7 @@ class Worker:
             )
         self.settle()
         self.runtime.adopt(container)
+        self._refresh_slots()
         self.pool.add(container, self.sim.now)
         # This node's existing subscribers start their windows at the
         # attach instant rather than reaching back to the container's
@@ -342,7 +353,8 @@ class Worker:
             self.runtime.release(container.cid)
             self.pool.discard(container.cid, self.sim.now)
         self._reserved = 0
-        self.draining = False
+        self._draining = False
+        self._refresh_slots()
         self.epoch += 1
         if self.sim.trace_enabled:
             self.sim.trace(
@@ -380,17 +392,59 @@ class Worker:
                 f"{self.name} has no admission slot to reserve"
             )
         self._reserved += 1
+        self._refresh_slots()
 
     def release_reservation(self) -> None:
         """Give back a slot held by :meth:`reserve_slot`."""
         if self._reserved <= 0:
             raise CapacityError(f"{self.name} has no reservation to release")
         self._reserved -= 1
+        self._refresh_slots()
 
     @property
     def reserved(self) -> int:
         """Admission slots held for in-flight migrations."""
         return self._reserved
+
+    @property
+    def max_containers(self) -> int | None:
+        """Admission slots (``None``: unbounded), fixed at construction."""
+        return self._max_containers
+
+    @property
+    def draining(self) -> bool:
+        """Whether the worker is on its way out of the fleet.
+
+        Draining workers accept no new placements or migration targets;
+        the autoscaler retires them at the first moment they are empty
+        (see :mod:`repro.cluster.autoscale`).
+        """
+        return self._draining
+
+    @draining.setter
+    def draining(self, value: bool) -> None:
+        self._draining = bool(value)
+        self._refresh_slots()
+
+    def _refresh_slots(self) -> None:
+        """Recompute the cached slot state; tell :attr:`slot_hook` on change.
+
+        With :meth:`_free_slot`, the one place the headroom rule lives:
+        a draining worker has no headroom.
+        """
+        running = len(self.runtime.running())
+        headroom = not self._draining and self._free_slot(running)
+        if (headroom, running) == self._slots:
+            return
+        self._slots = (headroom, running)
+        if self.slot_hook is not None:
+            self.slot_hook(self, headroom, running)
+
+    def _free_slot(self, running: int) -> bool:
+        """A slot is free while *running* containers plus in-flight
+        reservations stay below :attr:`max_containers`."""
+        limit = self._max_containers
+        return limit is None or running + self._reserved < limit
 
     # -- settlement -----------------------------------------------------------------
 
@@ -652,6 +706,7 @@ class Worker:
         exited = job.finished
         if exited:
             self.runtime.mark_exited(cid)
+            self._refresh_slots()
             self.pool.discard(cid, self.sim.now)
             if self.sim.trace_enabled:
                 self.sim.trace(
@@ -688,19 +743,23 @@ class Worker:
 
         Slots reserved for in-flight migrations count as occupied, and
         a draining worker advertises no headroom at all — it is on its
-        way out of the fleet.
+        way out of the fleet.  Reads the bit :meth:`_refresh_slots`
+        keeps.
         """
-        if self.draining:
-            return False
-        return (
-            self.max_containers is None
-            or len(self.runtime.running()) + self._reserved
-            < self.max_containers
-        )
+        return self._slots[0]
+
+    def has_free_slot(self) -> bool:
+        """Whether an admission slot is free, draining or not."""
+        return self._free_slot(self._slots[1])
+
+    @property
+    def running_count(self) -> int:
+        """Number of running containers (``len(running_containers())``)."""
+        return self._slots[1]
 
     def is_empty(self) -> bool:
         """No running containers and no in-flight migration reservations."""
-        return not self.runtime.running() and self._reserved == 0
+        return self._slots[1] == 0 and self._reserved == 0
 
     def allocations(self) -> dict[int, float]:
         """Current CPU allocation per running container id."""

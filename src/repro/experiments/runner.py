@@ -294,6 +294,13 @@ def run_cluster(
     )
     recorders: dict[str, MetricsRecorder] = {}
     policies: dict[str, SchedulingPolicy] = {}
+    # Jobs completed so far: installed next to each worker's recorder,
+    # this exit hook fires on exactly the exits the recorders record.
+    completed = 0
+
+    def count_completion(_container) -> None:
+        nonlocal completed
+        completed += 1
 
     def instrument(worker: Worker) -> None:
         recorder = MetricsRecorder(
@@ -303,6 +310,7 @@ def run_cluster(
             sink=sink,
         )
         recorder.start()
+        worker.exit_hooks.append(count_completion)
         recorders[worker.name] = recorder
         pol = policy_factory()
         pol.attach(worker)
@@ -360,27 +368,21 @@ def run_cluster(
 
     expected = len(specs)
 
-    def _resolved() -> int:
-        return sum(r.n_completions for r in recorders.values()) + len(
-            manager.failed
-        )
-
     # Step until every job completes or permanently fails; periodic
     # recorder/scheduler events would keep an unconditional run() alive
     # forever.  Completions only grow on container exits and permanent
     # failures only on worker crashes, so the count is recomputed on
     # those event kinds instead of every step (the per-step recount was
     # a measurable fraction of large-fleet run time).
-    resolved = _resolved()
+    resolved = completed + len(manager.failed)
     while resolved < expected:
         if cfg.horizon is not None and sim.now >= cfg.horizon:
             break
         event = sim.step()
         if event is None:
-            done = sum(r.n_completions for r in recorders.values())
             raise ExperimentError(
                 f"simulation stalled at t={sim.now:.1f}s with "
-                f"{done}/{expected} jobs complete"
+                f"{completed}/{expected} jobs complete"
                 + (
                     f" ({len(manager.failed)} failed)"
                     if manager.failed else ""
@@ -393,7 +395,7 @@ def run_cluster(
         ):
             # MESSAGE events matter too: a fabric give-up fails a job
             # without any container exit or worker crash.
-            resolved = _resolved()
+            resolved = completed + len(manager.failed)
 
     for recorder in recorders.values():
         recorder.stop()

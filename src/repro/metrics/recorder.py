@@ -93,7 +93,6 @@ class MetricsRecorder:
         self.sink = sink
         self.traces: dict[int, ContainerTrace] = {}
         self.completions: list[CompletionRecord] = []
-        self._n_completed = 0
         self._tracker = GrowthTracker(resource)
         self._sampler = worker.obsbus.sampler()
         self._labels: dict[str, int] = {}
@@ -193,7 +192,6 @@ class MetricsRecorder:
         self._trace_for(container)
 
     def _on_exit(self, container: Container) -> None:
-        self._n_completed += 1
         if self.streaming:
             if self.sink is not None:
                 self.sink.observe_completion(
@@ -233,11 +231,6 @@ class MetricsRecorder:
         return trace
 
     # -- results -----------------------------------------------------------------------
-
-    @property
-    def n_completions(self) -> int:
-        """Completions observed by this recorder (both modes)."""
-        return self._n_completed
 
     def trace_by_label(self, label: str) -> ContainerTrace:
         """Trace for a job label (container name), via the label index."""

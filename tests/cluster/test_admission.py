@@ -87,6 +87,28 @@ class TestWorkerAdmission:
         with pytest.raises(CapacityError):
             Worker(sim, max_containers=0)
 
+    def test_max_containers_is_read_only(self, sim):
+        worker = Worker(sim, max_containers=1)
+        with pytest.raises(AttributeError):
+            worker.max_containers = 0
+        assert worker.max_containers == 1
+        assert worker.has_headroom()
+
+    def test_slot_is_free_when_exit_hooks_fire(self, sim):
+        # The manager drains its queue from the exit hook, so the freed
+        # slot must already show when the hooks run.
+        worker = Worker(
+            sim, contention=ContentionModel.ideal(), max_containers=1
+        )
+        seen = []
+        worker.exit_hooks.append(
+            lambda c: seen.append((worker.has_headroom(), worker.running_count))
+        )
+        worker.launch(make_linear_job("a", 5.0))
+        assert not worker.has_headroom() and worker.running_count == 1
+        sim.run_until_empty()
+        assert seen == [(True, 0)]
+
 
 class TestAdmissionQueue:
     def test_no_over_capacity_launch(self):

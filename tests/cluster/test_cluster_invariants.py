@@ -13,6 +13,10 @@ invariants that must hold for any of them:
 * a job is recorded completed *or* retry-exhausted, never both;
 * no worker ever exceeds its admission slots (in-flight migration
   reservations included), checked after *every* simulation event;
+* the manager's maintained eligible view equals a full fleet scan
+  after every event — same workers, same order, each in the bucket of
+  its running count — and its spread/binpack picks equal the ``min``
+  over that scan;
 * the admission queue fully drains — under ``wfq`` this doubles as the
   no-starvation witness: every tenant with positive weight finishes;
 * repeating a run with the same seed is bit-identical;
@@ -80,6 +84,40 @@ def _random_shape(seed: int):
         for i in range(1, n_jobs + 1)
     ]
     return capacities, slots, jobs
+
+
+def _scan_headroom(worker) -> bool:
+    """The headroom rule, recomputed from scratch."""
+    occupied = len(worker.running_containers()) + worker.reserved
+    return not worker.draining and (
+        worker.max_containers is None or occupied < worker.max_containers
+    )
+
+
+def _check_eligible(manager, event) -> None:
+    """The manager's eligible view equals a full scan of its fleet."""
+    scan = [w for w in manager.workers if _scan_headroom(w)]
+    view = manager.eligible
+    assert list(view) == scan, f"eligible view stale after {event!r}"
+    assert len(view) == len(scan)
+    expected: dict[int, set[str]] = {}
+    for w in scan:
+        expected.setdefault(len(w.running_containers()), set()).add(w.name)
+    buckets = {
+        n: {w.name for w in members} for n, members in view.buckets().items()
+    }
+    assert buckets == expected, f"buckets stale after {event!r}"
+    if scan:
+        spread = min(
+            scan,
+            key=lambda w: (len(w.running_containers()), w.load(), w.name),
+        )
+        binpack = min(
+            scan,
+            key=lambda w: (-len(w.running_containers()), -w.load(), w.name),
+        )
+        assert view.least_loaded() is spread
+        assert view.most_loaded() is binpack
 
 
 def _run_checked(
@@ -177,6 +215,7 @@ def _run_checked(
             assert worker.max_containers is None or (
                 occupied <= worker.max_containers
             ), f"{worker.name} over capacity after {event!r}"
+        _check_eligible(manager, event)
 
     if recorders:
         # Recorders reschedule themselves forever; step until every job
@@ -816,6 +855,7 @@ def _run_streaming_checked(
             assert worker.max_containers is None or (
                 occupied <= worker.max_containers
             ), f"{worker.name} over capacity after {event!r}"
+        _check_eligible(manager, event)
 
     def live_slots():
         return sum(w.max_containers or 16 for w in manager.workers)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cluster.contention import ContentionModel
@@ -9,6 +10,7 @@ from repro.cluster.manager import Manager
 from repro.cluster.placement import (
     PLACEMENTS,
     AffinityPlacement,
+    EligibleWorkers,
     BinPackPlacement,
     ProgressPlacement,
     RandomPlacement,
@@ -208,3 +210,157 @@ class TestProgress:
             return [_worker_of(manager, f"Job-{i}") for i in range(1, 9)]
 
         assert placements(5) == placements(5)
+
+
+def _scan_spread_key(w):
+    return (len(w.running_containers()), w.load(), w.name)
+
+
+def _scan_binpack_key(w):
+    return (-len(w.running_containers()), -w.load(), w.name)
+
+
+def _hand_fleet(seed):
+    """A managed fleet with mixed running counts, loads, reservations and
+    draining workers, named so that ``str`` order differs from numeric
+    order ("worker-10" < "worker-2")."""
+    rng = np.random.default_rng(seed)
+    sim = Simulator(seed=seed, trace=False)
+    numbers = rng.permutation(np.arange(1, 13))[: int(rng.integers(3, 9))]
+    workers = [
+        Worker(
+            sim,
+            name=f"worker-{n}",
+            capacity=float(rng.choice([0.5, 1.0, 2.0])),
+            contention=ContentionModel.ideal(),
+            max_containers=(
+                None if rng.random() < 0.25 else int(rng.integers(1, 5))
+            ),
+        )
+        for n in numbers
+    ]
+    manager = Manager(sim, workers)
+    for w in workers:
+        bound = w.max_containers if w.max_containers is not None else 4
+        for j in range(int(rng.integers(0, bound + 1))):
+            if not w.has_headroom():
+                break
+            w.launch(
+                make_linear_job(
+                    f"{w.name}-j{j}", 100.0,
+                    demand=float(rng.choice([0.25, 0.5, 1.0])),
+                )
+            )
+        if w.has_headroom() and rng.random() < 0.3:
+            w.reserve_slot()
+        if rng.random() < 0.2:
+            w.draining = True
+    scan = [
+        w for w in manager.workers
+        if not w.draining and (
+            w.max_containers is None
+            or len(w.running_containers()) + w.reserved < w.max_containers
+        )
+    ]
+    return manager, scan
+
+
+class TestBucketPicks:
+    """Spread and binpack read one running-count bucket of the view; their
+    picks equal a full-scan ``min`` over every eligible worker."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_view_picks_equal_full_min(self, seed):
+        manager, scan = _hand_fleet(seed)
+        view = manager.eligible
+        assert list(view) == scan
+        if not scan:
+            return
+        sub = _submission("probe", 0.0)
+        assert SpreadPlacement().select(view, sub) is min(
+            scan, key=_scan_spread_key
+        )
+        assert BinPackPlacement().select(view, sub) is min(
+            scan, key=_scan_binpack_key
+        )
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_plain_list_is_wrapped_in_the_same_view(self, seed):
+        manager, _ = _hand_fleet(seed)
+        fleet = list(manager.workers)  # every worker, eligible or not
+        sub = _submission("probe", 0.0)
+        assert SpreadPlacement().select(fleet, sub) is min(
+            fleet, key=_scan_spread_key
+        )
+        assert BinPackPlacement().select(fleet, sub) is min(
+            fleet, key=_scan_binpack_key
+        )
+
+    def test_idle_bucket_is_in_str_order(self):
+        # Numerically worker-2 < worker-10; the spread key compares names as
+        # strings, so "worker-10" wins.  A bucket 0 ordered by number
+        # would pick worker-2.
+        sim = Simulator(seed=0, trace=False)
+        workers = [
+            Worker(sim, name=name, contention=ContentionModel.ideal())
+            for name in ("worker-2", "worker-10", "worker-9")
+        ]
+        manager = Manager(sim, workers)
+        for policy in (SpreadPlacement(), BinPackPlacement()):
+            chosen = policy.select(manager.eligible, _submission("p", 0.0))
+            assert chosen.name == "worker-10"
+            assert chosen is min(workers, key=_scan_spread_key)
+
+    def test_busy_bucket_ties_on_load_break_by_str_name(self):
+        sim = Simulator(seed=0, trace=False)
+        workers = [
+            Worker(sim, name=name, contention=ContentionModel.ideal())
+            for name in ("worker-2", "worker-10")
+        ]
+        manager = Manager(sim, workers)
+        for w in workers:
+            w.launch(make_linear_job(f"{w.name}-j", 100.0))
+        assert workers[0].load() == workers[1].load()
+        sub = _submission("p", 0.0)
+        assert SpreadPlacement().select(manager.eligible, sub).name == (
+            "worker-10"
+        )
+        assert BinPackPlacement().select(manager.eligible, sub).name == (
+            "worker-10"
+        )
+
+    def test_view_follows_slot_changes(self):
+        sim = Simulator(seed=0, trace=False)
+        workers = [
+            Worker(
+                sim, name=f"w{i}", contention=ContentionModel.ideal(),
+                max_containers=1,
+            )
+            for i in range(3)
+        ]
+        manager = Manager(sim, workers)
+        view = manager.eligible
+        assert list(view) == workers
+        workers[1].reserve_slot()
+        assert list(view) == [workers[0], workers[2]]
+        workers[0].draining = True
+        assert list(view) == [workers[2]]
+        workers[1].release_reservation()
+        workers[0].draining = False
+        assert list(view) == workers
+        container = workers[2].launch(make_linear_job("j", 100.0))
+        assert list(view) == workers[:2]
+        workers[2].detach(container.cid)
+        assert list(view) == workers
+        assert {n: set(ws) for n, ws in view.buckets().items()} == {
+            0: set(workers)
+        }
+
+    def test_view_is_read_only_sequence(self):
+        sim, workers, manager = _cluster(n=3)
+        view = manager.eligible
+        assert isinstance(view, EligibleWorkers)
+        assert len(view) == 3 and view[0] is workers[0]
+        assert view[-1] is workers[2] and workers[1] in view
+        with pytest.raises(TypeError):
+            view[0] = workers[1]
