@@ -1,8 +1,9 @@
-"""Shared rendering helpers for the figure/table benchmarks.
+"""Shared rendering helpers for the benchmarks.
 
-Each benchmark regenerates one figure or table of the paper and prints it
-in ASCII next to the paper's reported shape, so ``pytest benchmarks/
---benchmark-only -s`` produces a full side-by-side reproduction report.
+``bench_claims.py`` regenerates each figure and table of the paper and
+prints it in ASCII next to the paper's reported shape, so ``pytest
+benchmarks/bench_claims.py -s`` produces a full side-by-side
+reproduction report.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.experiments.report import (
     render_sparkline,
     render_table,
 )
+from repro.experiments.tables import Table1Row, Table2Data
 
 __all__ = [
     "print_fig1",
@@ -29,6 +31,8 @@ __all__ = [
     "print_scale",
     "print_traces",
     "print_growth_compare",
+    "print_table1",
+    "print_table2",
     "run_once",
 ]
 
@@ -38,7 +42,7 @@ def run_once(benchmark, fn):
     return benchmark.pedantic(fn, rounds=1, iterations=1)
 
 
-def print_fig1(title: str, data: Fig1Data) -> None:
+def print_fig1(title: str, data: Fig1Data, paper_note: str) -> None:
     print("\n" + render_header(title))
     for name, (t, v) in data.curves.items():
         line = render_sparkline(v, width=60, vmin=0.0, vmax=1.0)
@@ -47,6 +51,7 @@ def print_fig1(title: str, data: Fig1Data) -> None:
         print(f"{name:<36} |{line}|")
         print(f"{'':<36}  15% time → {at15:5.1%} of improvement; "
               f"50% → {at50:5.1%}")
+    print(f"\npaper shape: {paper_note}")
 
 
 def print_sweep(title: str, data: SweepData, paper_note: str) -> None:
@@ -124,4 +129,42 @@ def print_growth_compare(
         f"FlowCon {data.flowcon_completion:.1f}s "
         f"({(data.na_completion - data.flowcon_completion) / data.na_completion:+.1%})"
     )
+    print(f"\npaper shape: {paper_note}")
+
+
+def print_table1(
+    title: str, data: tuple[list[Table1Row], list[str]], paper_note: str
+) -> None:
+    rows, _unfinished = data
+    print("\n" + render_header(title))
+    print(render_table(
+        ["Model", "Eval. Function", "Plat.", "work (cpu·s)", "cpu demand"],
+        [
+            [r.model, r.eval_function, r.platform, r.base_work, r.cpu_demand]
+            for r in rows
+        ],
+    ))
+    print(f"\npaper shape: {paper_note}")
+
+
+def print_table2(title: str, data: Table2Data, paper_note: str) -> None:
+    print("\n" + render_header(title))
+    itvals, alphas = list(data.by_itval), list(data.by_alpha)
+    rows = []
+    for i in range(max(len(itvals), len(alphas))):
+        row = []
+        if i < len(itvals):
+            row += [f"10%, {itvals[i]}", round(data.by_itval[itvals[i]], 1)]
+        else:
+            row += ["", ""]
+        if i < len(alphas):
+            row += [f"{alphas[i]}, 20", round(data.by_alpha[alphas[i]], 1)]
+        else:
+            row += ["", ""]
+        rows.append(row)
+    print(render_table(
+        ["α, itval (Fig. 4)", "Reduction %", "α, itval (Fig. 5)",
+         "Reduction %"],
+        rows,
+    ))
     print(f"\npaper shape: {paper_note}")

@@ -6,7 +6,7 @@ per-list occupancy step series from the transition journal a
 :class:`~repro.core.lists.ContainerLists` keeps, and
 :func:`dwell_times` aggregates how long containers spend in each list —
 the quantity that explains who gets throttled for how much of their
-life (EXPERIMENTS.md note N3).
+life (the ``ext.list_dynamics`` claim row).
 """
 
 from __future__ import annotations

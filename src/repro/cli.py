@@ -509,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser(
         "validate",
-        help="re-check every EXPERIMENTS.md shape claim",
+        help="re-check every paper claim in the CLAIMS table",
     )
 
     p_rep = sub.add_parser(
@@ -533,11 +533,12 @@ def _cmd_validate(_args) -> int:
     from repro.experiments.validate import validate_reproduction
 
     checks = validate_reproduction()
-    print(render_header("Reproduction scorecard (EXPERIMENTS.md in code)"))
+    print(render_header("Reproduction scorecard (one row per paper claim)"))
     print(render_table(
-        ["exp", "claim", "status", "detail"],
+        ["exp", "paper", "claim", "status", "detail"],
         [
-            [c.exp, c.claim, "PASS" if c.passed else "FAIL", c.detail]
+            [c.claim.figure, c.claim.paper, c.claim.label,
+             "PASS" if c.passed else "FAIL", c.detail]
             for c in checks
         ],
     ))

@@ -14,7 +14,7 @@ limit update, exit, poke) first *settles* — delivers ``A · efficiency ·
 (now − _last_settle)`` CPU-seconds of work to each running job and
 advances the cgroup counters — then mutates state, then *reallocates* and
 reschedules exits.  Because allocations are piecewise constant this is
-exact, with no time-stepping error (see DESIGN.md §6).
+exact, with no time-stepping error.
 
 Hot-path notes
 --------------
@@ -246,7 +246,7 @@ class Worker:
         """Settle and re-balance without any state change.
 
         Called by metric samplers; under non-zero jitter this is also the
-        point where OS-scheduler noise is re-sampled (DESIGN.md §2).
+        point where OS-scheduler noise is re-sampled.
         Same-instant pokes are **coalesced**: a second poke at the same
         timestamp with no intervening state change is a no-op, so stacked
         samplers re-balance (and re-draw jitter) once per instant, not

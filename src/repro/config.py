@@ -1,7 +1,8 @@
 """Configuration objects for FlowCon and the simulation harness.
 
 Two dataclasses cover every knob the paper discusses plus the ablation
-switches DESIGN.md §5 adds:
+switches the reproduction adds (the ``ablation.*`` rows of
+:data:`repro.experiments.claims.CLAIMS` check what they change):
 
 * :class:`FlowConConfig` — the scheduler parameters: the classification
   threshold ``α`` and the algorithm interval ``itval`` (§5.2 calls these
@@ -35,7 +36,7 @@ class FlowConConfig:
     ----------
     alpha:
         Classification threshold on *peak-relative* growth efficiency
-        (DESIGN.md §2 interpretation note 1).  The paper sweeps
+        (see :mod:`repro.core.efficiency`).  The paper sweeps
         1 %–15 %; default 5 % (§5.3's headline setting).
     itval:
         Initial interval, in seconds, between Algorithm 1 executions.
@@ -61,7 +62,7 @@ class FlowConConfig:
         and Fig. 7's observed behaviour.  ``False`` applies Algorithm 1
         line 26's literal ``G/ΣG`` share to NL members (ablation; it
         systematically starves young jobs whose metric scale is small —
-        see DESIGN.md §2 note 1).
+        the ``ablation.nl_literal`` claim row).
     listeners_enabled:
         Algorithm 2's background listeners.  Disabled ⇒ purely periodic
         Algorithm 1 (ablation quantifying arrival-reaction latency).

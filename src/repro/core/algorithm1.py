@@ -15,7 +15,7 @@ Lines  Here
 18–26  share assignment ``G_i / Σ G`` with WL freeze and CL floor
 =====  =======================================================
 
-Interpretation notes (DESIGN.md §2): the α comparison uses peak-relative
+Interpretation notes: the α comparison uses peak-relative
 growth; fresh containers (fewer than ``min_samples`` samples) stay in NL
 at limit 1; the share denominator sums raw ``G`` over all measured
 containers.
@@ -139,7 +139,7 @@ def run_algorithm1(
     # behaviour the paper describes and plots (Fig. 7: converged VAE at
     # 0.25, young MNIST near 1).  Peak-relative G preserves the formula's
     # intent — shares proportional to how much useful growth each job
-    # still shows — on a scale-free footing.  See DESIGN.md §2 note 1.
+    # still shows — on a scale-free footing.  See repro.core.efficiency.
     classified = [m for m in measurements if m.n_samples >= config.min_samples]
     total_growth = sum(m.relative_growth for m in classified)
     n = len(measurements)

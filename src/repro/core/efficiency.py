@@ -12,8 +12,8 @@ Threshold normalization
 -----------------------
 The paper compares ``G`` against percentages (``α ∈ 1%…15%``) although
 ``G`` carries model-dependent units (the raw traces in Figs. 13 and 14
-differ by an order of magnitude).  Following DESIGN.md interpretation
-note 1, classification uses the **peak-relative** value
+differ by an order of magnitude).  This reproduction's
+interpretation: classification uses the **peak-relative** value
 ``G(t_i) / max_{s ≤ t_i} G(s)``: every job starts at its efficiency peak
 and decays, so "below α of peak" is a scale-free convergence signal.
 Raw ``G`` keeps feeding the share formula ``G_i / Σ G`` of Algorithm 1.

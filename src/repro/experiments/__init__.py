@@ -1,7 +1,8 @@
 """Experiment harness: scenario runners and figure/table generators.
 
-Every table and figure in the paper's §5 has a generator here (see the
-per-experiment index in DESIGN.md §4).  The layering is:
+Every table and figure in the paper's §5 has a generator here, and
+:mod:`~repro.experiments.claims` holds each as a ``CLAIMS`` row that
+:mod:`~repro.experiments.validate` checks.  The layering is:
 
 * :mod:`~repro.experiments.runner` — the unified cluster runner: one
   policy-agnostic "run this workload on this cluster" engine covering

@@ -1,178 +1,56 @@
 """Executable reproduction validation.
 
-:func:`validate_reproduction` re-checks every shape claim of
-EXPERIMENTS.md in code and returns a structured scorecard — the
-one-command answer to "does this reproduction still hold?".  It is wired
-to ``python -m repro validate`` and used by the release checklist.
+:func:`validate_reproduction` applies every row of
+:data:`~repro.experiments.claims.CLAIMS` and returns a structured
+scorecard — the one-command answer to "does this reproduction still
+hold?".  It is wired to ``python -m repro validate``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
-import numpy as np
-
-from repro.experiments import figures as F
-from repro.experiments import tables as T
+from repro.experiments.claims import CLAIMS, EXPERIMENTS, Claim
 
 __all__ = ["Check", "validate_reproduction"]
 
 
 @dataclass(frozen=True)
 class Check:
-    """One validated claim."""
+    """One claim row's outcome."""
 
-    exp: str
-    claim: str
+    name: str
+    claim: Claim
     passed: bool
     detail: str
 
 
-def _check(exp: str, claim: str, fn: Callable[[], tuple[bool, str]]) -> Check:
+def _guarded(fn: Callable, *args) -> tuple[Any, str | None]:
+    """``(fn(*args), None)``, or ``(None, reason)`` if it raised.
+
+    A crash is a failed check, not a crashed scorecard.
+    """
     try:
-        passed, detail = fn()
-    except Exception as err:  # a crash is a failed check, not a crash
-        return Check(exp, claim, False, f"raised {type(err).__name__}: {err}")
-    return Check(exp, claim, passed, detail)
+        return fn(*args), None
+    except Exception as err:
+        return None, f"raised {type(err).__name__}: {err}"
 
 
-def validate_reproduction(
-    seed_fixed: int = 1, seed_random: int = 42
-) -> list[Check]:
-    """Run every EXPERIMENTS.md shape check; returns the scorecard."""
+def validate_reproduction() -> list[Check]:
+    """Run each experiment once and apply every claim row to its data."""
+    outcomes: dict[str, tuple[Any, str | None]] = {}
     checks: list[Check] = []
-
-    # --- Fig. 1 -----------------------------------------------------------
-    def fig1():
-        data = F.fig1_training_progress()
-        worst = min(data.fraction_at(n, 0.5) for n in data.curves)
-        vae = data.fraction_at("VAE (Pytorch)", 0.15)
-        return (worst > 0.5 and vae > 0.99,
-                f"min improvement@50%={worst:.0%}, VAE@15%={vae:.0%}")
-
-    checks.append(_check("Fig.1", "concave curves; VAE extreme riser", fig1))
-
-    # --- Figs. 3–6 / Table 2 ----------------------------------------------
-    fig3 = F.fig3_fixed_alpha5(seed_fixed)
-
-    def fig3_makespan():
-        na = fig3.makespan["NA"]
-        worst = max(v for k, v in fig3.makespan.items() if k != "NA")
-        return worst <= na * 1.01, f"worst FlowCon {worst:.1f} vs NA {na:.1f}"
-
-    checks.append(
-        _check("Fig.3", "makespan never sacrificed (α=5%)", fig3_makespan)
-    )
-
-    def fig3_reductions():
-        vals = [
-            fig3.reduction_vs_na(k, "Job-3")
-            for k in fig3.completion if k != "NA"
-        ]
-        return min(vals) > 5.0, f"MNIST-TF reductions {min(vals):.1f}–{max(vals):.1f}%"
-
-    checks.append(_check("Fig.3", "MNIST-TF double-digit-ish cuts", fig3_reductions))
-
-    def table2():
-        t2 = T.table2_mnist_reduction(seed_fixed)
-        itv = [t2.by_itval[k] for k in ("20", "30", "40", "50", "60")]
-        ok = all(v > 0 for v in itv) and itv[0] >= itv[-1] and all(
-            v > 0 for v in t2.by_alpha.values()
-        )
-        return ok, f"itval col {itv[0]:.1f}→{itv[-1]:.1f}%"
-
-    checks.append(
-        _check("Tab.2", "positive, decreasing with itval", table2)
-    )
-
-    # --- Fig. 7/8 -----------------------------------------------------------
-    def fig7():
-        data = F.fig7_cpu_flowcon_3job(seed_fixed)
-        times, limits = data.limits["Job-1"]
-        late = limits[times > 150.0]
-        return late.size > 0 and late.min() <= 0.26, (
-            f"VAE limit floor {late.min():.3f}"
-        )
-
-    checks.append(_check("Fig.7", "converged VAE pinned near 0.25", fig7))
-
-    def fig8():
-        data = F.fig8_cpu_na_3job(seed_fixed)
-        t1, u1 = data.usage["Job-1"]
-        med = float(np.median(u1[(t1 > 90) & (t1 < 140)]))
-        return abs(med - 1 / 3) < 0.08, f"3-job median share {med:.2f}"
-
-    checks.append(_check("Fig.8", "NA equal sharing", fig8))
-
-    # --- Fig. 9 ---------------------------------------------------------------
-    def fig9():
-        data = F.fig9_random_five(seed_random)
-        wins = [data.wins(k) for k in data.completion if k != "NA"]
-        return min(wins) >= 3, f"wins per config {wins}"
-
-    checks.append(_check("Fig.9", "≥4/5-ish wins per config", fig9))
-
-    # --- Fig. 12 -----------------------------------------------------------------
-    fig12 = F.fig12_ten_jobs(seed_random)
-    (cfg12,) = [k for k in fig12.completion if k != "NA"]
-
-    def fig12_wins():
-        return fig12.wins(cfg12) >= 9, f"{fig12.wins(cfg12)}/10 wins"
-
-    checks.append(_check("Fig.12", "≈9/10 jobs faster", fig12_wins))
-
-    def fig12_makespan():
-        ok = fig12.makespan[cfg12] <= fig12.makespan["NA"] * 1.01
-        return ok, (
-            f"{fig12.makespan[cfg12]:.1f} vs NA {fig12.makespan['NA']:.1f}"
-        )
-
-    checks.append(_check("Fig.12", "makespan preserved", fig12_makespan))
-
-    # --- Figs. 13/14 ----------------------------------------------------------------
-    def fig13():
-        data = F.fig13_growth_comparison(seed_random)
-        delta = (
-            data.flowcon_completion - data.na_completion
-        ) / data.na_completion
-        return delta < 0.10, f"worst job delta {delta:+.1%} ({data.job_name})"
-
-    checks.append(_check("Fig.13", "worst job loses only mildly", fig13))
-
-    def fig14():
-        data = F.fig14_growth_comparison(seed_random)
-        return data.flowcon_completion < data.na_completion, (
-            f"{data.na_completion:.0f}→{data.flowcon_completion:.0f}s "
-            f"({data.job_name})"
-        )
-
-    checks.append(_check("Fig.14", "best job wins clearly", fig14))
-
-    # --- Figs. 15/16 -------------------------------------------------------------------
-    def fig1516():
-        fc = F.fig15_cpu_flowcon_10job(seed_random)
-        na = F.fig16_cpu_na_10job(seed_random)
-        fc_j = float(np.mean(list(fc.jitter.values())))
-        na_j = float(np.mean(list(na.jitter.values())))
-        return fc_j < na_j, f"jitter {fc_j:.4f} < {na_j:.4f}"
-
-    checks.append(_check("Fig.15/16", "FlowCon smoother than NA", fig1516))
-
-    # --- Fig. 17 ----------------------------------------------------------------------
-    def fig17():
-        data = F.fig17_fifteen_jobs(seed_random)
-        (cfg,) = [k for k in data.completion if k != "NA"]
-        reductions = data.reductions(cfg)
-        ok = (
-            data.wins(cfg) >= 10
-            and min(reductions.values()) > -10.0
-            and data.makespan[cfg] <= data.makespan["NA"] * 1.01
-        )
-        return ok, (
-            f"{data.wins(cfg)}/15 wins, worst {min(reductions.values()):.1f}%"
-        )
-
-    checks.append(_check("Fig.17", "11/15-ish wins, small losses", fig17))
-
+    for name, claim in CLAIMS.items():
+        if claim.experiment not in outcomes:
+            run = EXPERIMENTS[claim.experiment]
+            outcomes[claim.experiment] = _guarded(run)
+        data, error = outcomes[claim.experiment]
+        if error is None:
+            result, error = _guarded(claim.check, data)
+        if error is None:
+            passed, detail = result
+            checks.append(Check(name, claim, bool(passed), detail))
+        else:
+            checks.append(Check(name, claim, False, error))
     return checks

@@ -10,7 +10,7 @@ FlowCon and NA").
 
 The recorder's sampling deliberately calls :meth:`Worker.poke`, which also
 re-samples contention jitter; the sampling grid therefore doubles as the
-OS-noise granularity (see DESIGN.md §2).
+OS-noise granularity.
 
 Streaming mode
 --------------

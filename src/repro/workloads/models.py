@@ -2,7 +2,8 @@
 
 Each :class:`ModelProfile` bundles a network architecture + framework with
 its evaluation function, convergence-curve shape, job size and resource
-footprint.  Calibration anchors (see DESIGN.md §2 and EXPERIMENTS.md):
+footprint.  Calibration anchors (each checked by a row of
+:data:`repro.experiments.claims.CLAIMS`):
 
 * Fig. 1 — training curves are concave: a large share of each metric's
   improvement lands early.  The VAE's reconstruction loss is the extreme
@@ -27,7 +28,7 @@ footprint.  Calibration anchors (see DESIGN.md §2 and EXPERIMENTS.md):
   finishes first, the VAE dominates the makespan.
 
 Absolute solo durations need not match a 2012 Xeon E5-2450; the shapes and
-orderings are what the reproduction preserves (see EXPERIMENTS.md).
+orderings are what the reproduction preserves.
 """
 
 from __future__ import annotations

@@ -1,37 +1,18 @@
-"""Integration tests for the figure generators (shape assertions).
+"""Structural tests for the figure generators.
 
-These tests run the real scenarios and assert the *shapes* the paper
-reports — they are the executable form of EXPERIMENTS.md.
+The paper's claims about each figure are rows of
+:data:`repro.experiments.claims.CLAIMS`, checked in ``test_validate.py``;
+these tests pin only the shape of the data the generators return.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.experiments import figures as F
-from repro.experiments import tables as T
-
-
-@pytest.fixture(scope="module")
-def fig3():
-    return F.fig3_fixed_alpha5(seed=1)
-
-
-@pytest.fixture(scope="module")
-def fig12():
-    return F.fig12_ten_jobs(seed=42)
 
 
 class TestFig1:
-    def test_curves_are_concave_early(self):
-        data = F.fig1_training_progress()
-        # Every model achieves clearly more than "linear" progress early;
-        # the VAE is the extreme case per our calibration.
-        for name, (t, v) in data.curves.items():
-            assert data.fraction_at(name, 0.5) > 0.5
-        assert data.fraction_at("VAE (Pytorch)", 0.15) > 0.99
-
     def test_five_models_present(self):
         data = F.fig1_training_progress()
         assert len(data.curves) == 5
@@ -42,123 +23,3 @@ class TestFig1:
             assert t[0] == 0.0 and t[-1] == 1.0
             assert v[0] == pytest.approx(0.0, abs=1e-6)
             assert v[-1] == pytest.approx(1.0, abs=1e-6)
-
-
-class TestFixedSweeps:
-    def test_fig3_flowcon_never_hurts_makespan_much(self, fig3):
-        na = fig3.makespan["NA"]
-        for label, ms in fig3.makespan.items():
-            if label == "NA":
-                continue
-            # Paper: FlowCon improves makespan 1–5 %; we accept ±1 %.
-            assert ms <= na * 1.01
-
-    def test_fig3_mnist_tf_speeds_up_across_intervals(self, fig3):
-        for label in fig3.completion:
-            if label == "NA":
-                continue
-            assert fig3.reduction_vs_na(label, "Job-3") > 5.0
-
-    def test_fig4_reductions_positive(self):
-        data = F.fig4_fixed_alpha10(seed=1)
-        for label in data.completion:
-            if label != "NA":
-                assert data.reduction_vs_na(label, "Job-3") > 0.0
-
-    def test_fig5_all_alphas_beat_na(self):
-        data = F.fig5_fixed_itval20(seed=1)
-        for label in data.completion:
-            if label != "NA":
-                assert data.reduction_vs_na(label, "Job-3") > 0.0
-
-
-class TestTable2:
-    def test_reduction_decreases_with_interval(self):
-        table = T.table2_mnist_reduction(seed=1)
-        values = [table.by_itval[k] for k in ("20", "30", "40", "50", "60")]
-        # Paper trend: larger itval ⇒ smaller reduction (monotone-ish).
-        assert values[0] >= values[-1]
-        assert all(v > 0 for v in values)
-
-    def test_all_alpha_entries_positive(self):
-        table = T.table2_mnist_reduction(seed=1)
-        assert all(v > 0 for v in table.by_alpha.values())
-
-
-class TestTraceFigures:
-    def test_fig7_converged_vae_near_floor(self):
-        data = F.fig7_cpu_flowcon_3job(seed=1)
-        times, limits = data.limits["Job-1"]
-        # By late run the VAE's limit sits at the CL floor (≤ 1/(β·n)=0.25
-        # for n=2; 1/6≈0.17 for n=3).
-        late = limits[times > 150.0]
-        assert late.size > 0
-        assert late.min() <= 0.26
-
-    def test_fig8_na_equal_shares(self):
-        data = F.fig8_cpu_na_3job(seed=1)
-        t1, u1 = data.usage["Job-1"]
-        # In the 3-job overlap window VAE's usage sits near 1/3.
-        window = u1[(t1 > 90) & (t1 < 140)]
-        assert np.median(window) == pytest.approx(1 / 3, abs=0.08)
-
-    def test_fig15_smoother_than_fig16(self):
-        fc = F.fig15_cpu_flowcon_10job(seed=42)
-        na = F.fig16_cpu_na_10job(seed=42)
-        fc_jitter = np.mean(list(fc.jitter.values()))
-        na_jitter = np.mean(list(na.jitter.values()))
-        assert fc_jitter < na_jitter
-
-    def test_fig11_demand_limited_job_below_cap(self):
-        data = F.fig11_cpu_na_5job(seed=42)
-        labels = [
-            label for label, name in
-            (("%s" % k, v) for k, v in data.run.manager.placements.items())
-        ]
-        # The LSTM-CFC cannot exceed its 0.35 demand even under NA.
-        cfc_label = next(
-            lab for lab, name in
-            ((t.label, t.image) for t in data.run.recorder.traces.values())
-            if "lstm_cfc" in name
-        )
-        _, usage = data.usage[cfc_label]
-        assert usage.max() <= 0.40
-
-
-class TestScaleFigures:
-    def test_fig9_flowcon_wins_majority(self):
-        data = F.fig9_random_five(seed=42)
-        for label in data.completion:
-            if label == "NA":
-                continue
-            assert data.wins(label) >= 3  # paper: 4–5 of 5
-
-    def test_fig12_wins_at_least_nine(self, fig12):
-        (config,) = [k for k in fig12.completion if k != "NA"]
-        assert fig12.wins(config) >= 9  # paper: 9/10
-
-    def test_fig12_makespan_preserved(self, fig12):
-        (config,) = [k for k in fig12.completion if k != "NA"]
-        assert fig12.makespan[config] <= fig12.makespan["NA"] * 1.01
-
-    def test_fig17_wins_majority_and_small_losses(self):
-        data = F.fig17_fifteen_jobs(seed=42)
-        (config,) = [k for k in data.completion if k != "NA"]
-        reductions = data.reductions(config)
-        assert data.wins(config) >= 10  # paper: 11/15
-        assert min(reductions.values()) > -10.0  # paper: worst loss 5.7 %
-
-
-class TestGrowthFigures:
-    def test_fig13_loser_identified(self):
-        data = F.fig13_growth_comparison(seed=42)
-        assert data.flowcon_completion >= data.na_completion * 0.99
-
-    def test_fig14_winner_identified(self):
-        data = F.fig14_growth_comparison(seed=42)
-        assert data.flowcon_completion < data.na_completion
-
-    def test_growth_traces_nonempty(self):
-        data = F.fig14_growth_comparison(seed=42)
-        assert data.flowcon[0].size > 3
-        assert data.na[0].size > 3

@@ -1,4 +1,4 @@
-"""Ablation tests: each DESIGN.md §5 switch changes behaviour as claimed."""
+"""Ablation tests: each ablation switch changes behaviour as claimed."""
 
 from __future__ import annotations
 
@@ -122,7 +122,7 @@ class TestNlLiteralAblation:
         default = _run(FlowConConfig(nl_full_limit=True))
         literal = _run(FlowConConfig(nl_full_limit=False))
         # The literal G/ΣG reading hands the node to the VAE's huge loss
-        # scale early on; MNIST-TF (Job-3) fares worse (DESIGN.md note 1/2).
+        # scale early on; MNIST-TF (Job-3) fares worse.
         assert (
             literal.completion_times()["Job-3"]
             >= default.completion_times()["Job-3"] * 0.98
