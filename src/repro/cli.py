@@ -238,8 +238,8 @@ def _cluster_setup(args, **sim_fields):
     initial fleet and autoscaled workers read.
     """
     sim_cfg = SimulationConfig(
-        seed=args.seed, trace=False, fleet_mode=args.fleet_mode,
-        max_containers=args.slots, **sim_fields,
+        seed=args.seed, trace=False, max_containers=args.slots,
+        **sim_fields,
     )
     cluster = dict(
         n_workers=args.workers,
@@ -468,9 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="control-plane fabric spec, optionally with a "
                               "retry suffix (e.g. ideal, drop(0.05), "
                               "\"partition(30..90):retry(max=5,base=0.5)\")")
-    cluster.add_argument("--fleet-mode", action="store_true",
-                         help="fuse same-instant sampling ticks into one "
-                              "packed fleet pass (bit-identical)")
     cluster.add_argument("--profile", action="store_true",
                          help="run under cProfile and dump the top 25 "
                               "cumulative-time functions to stderr")

@@ -231,23 +231,22 @@ class ObservationBus:
         """
         worker = self.worker
         worker.settle()
-        key = (worker.sim.now, worker.version)
-        cache_key = self._cache_key
-        if key == cache_key:
-            return self._cache
-        now = key[0]
+        prev_key, prev = self._cache_key, self._cache
+        if (worker.sim.now, worker.version) == prev_key:
+            return prev
+        containers = worker.running_containers()
+        self.begin_pass(containers)
+        now = worker.sim.now
         # A running container's E(t) is a pure function of job state,
         # which only moves when time does — so when only the worker's
         # state-version changed (e.g. a reallocation between two
         # observers at one instant), the previous pass's evaluations are
         # still exact and the curve is not re-evaluated.
-        same_instant = cache_key is not None and cache_key[0] == now
-        prev_evals = (
-            {o.cid: o.eval_value for o in self._cache} if same_instant else {}
-        )
+        same_instant = prev_key is not None and prev_key[0] == now
+        prev_evals = {o.cid: o.eval_value for o in prev} if same_instant else {}
         observations: list[ContainerObservation] = []
         append = observations.append
-        for container in worker.running_containers():
+        for container in containers:
             cid = container.cid
             if same_instant and cid in prev_evals:
                 eval_value = prev_evals[cid]
@@ -270,18 +269,36 @@ class ObservationBus:
                     container.cgroup,
                 )
             )
-        self._cache_key = key
         self._cache = observations
+        return observations
+
+    def begin_pass(self, containers: list[Container]) -> None:
+        """Open the shared pass for the current ``(time, state-version)``.
+
+        A no-op when that pass is already open.  Otherwise advances the
+        cache key, empties the per-instant cache, counts the pass and,
+        on every 16th pass, prunes *containers*' checkpoint history —
+        before any subscriber window of the pass is read.  Pass-count
+        fidelity matters: a post-migration window clamp reads
+        ``history_floor``, whose value depends on when pruning last ran.
+        :meth:`observe` and the fused fleet sampling passes
+        (:mod:`repro.cluster.fleet`) both open their passes here.
+        """
+        worker = self.worker
+        key = (worker.sim.now, worker.version)
+        if key == self._cache_key:
+            return
+        self._cache_key = key
+        self._cache = []
         self.passes += 1
         # Pruning is amortized: the memory bound only needs to keep up
         # with history growth, not run on every pass.
         if self.prune and self._samplers and self.passes % 16 == 0:
-            self._prune(observations)
-        return observations
+            self._prune(containers, key[0])
 
     # -- memory bound ------------------------------------------------------
 
-    def _prune(self, observations: list[ContainerObservation]) -> None:
+    def _prune(self, containers: list[Container], now: float) -> None:
         """Drop checkpoint history no subscriber window can reach.
 
         The floor for a container is the oldest window start across all
@@ -296,9 +313,9 @@ class ObservationBus:
         historical keep-everything behaviour (see ROADMAP open item).
         """
         samplers = self._samplers
-        for obs in observations:
-            cid, created = obs.cid, obs.created_at
-            floor = obs.time
+        for container in containers:
+            cid, created = container.cid, container.created_at
+            floor = now
             for s in samplers:
                 t = s._last_sample.get(cid, created)
                 if t < floor:
@@ -306,4 +323,4 @@ class ObservationBus:
                     if floor <= created:
                         break
             if floor > created:
-                obs.account.prune_before(floor)
+                container.cgroup.prune_before(floor)

@@ -27,14 +27,18 @@ bit-identical to the historical per-container loop.  Exit rescheduling is
 reused whenever the recomputed finish time is unchanged, instead of
 tearing down every exit event on each reallocation.
 
-Fleet mode (``SimulationConfig.fleet_mode``) runs settlement and the
-allocator input/output halves of reallocation across *many* workers in one
-packed pass (:mod:`repro.cluster.fleet`).  To keep that pass bit-identical,
-reallocation is split into :meth:`Worker._realloc_begin` (version bump,
-active set, jitter draws → allocator inputs) and
-:meth:`Worker._realloc_finish` (apply shares, reschedule exits); the serial
-:meth:`Worker._reallocate` is exactly ``begin → allocate → finish``, so both
-modes execute the same code objects on the same per-worker state.
+Every recorder sampling tick runs through the fused fleet pass
+(:mod:`repro.cluster.fleet`), which settles and reallocates all workers
+sampling at one instant together — a single worker is a one-segment
+pass.  The pass reuses this class's pieces rather than copying them:
+:func:`settle_rows` is the settlement arithmetic (per-worker scalars or
+packed per-row arrays give the same per-element IEEE ops) and
+:meth:`Worker._apply_settle` its per-container apply loop; reallocation
+is split into :meth:`Worker._realloc_begin` (version bump, active set,
+jitter draws → allocator inputs) and :meth:`Worker._realloc_finish`
+(apply shares, reschedule exits through :meth:`Worker._schedule_exits`,
+optionally with a projection the fleet pass computed packed).  The plain
+:meth:`Worker._reallocate` is exactly ``begin → allocate → finish``.
 """
 
 from __future__ import annotations
@@ -55,10 +59,37 @@ from repro.simcore.engine import Simulator
 from repro.simcore.equeue import EventHandle
 from repro.simcore.events import PRIORITY_EXIT, Event, EventKind
 
-__all__ = ["Worker"]
+__all__ = ["Worker", "settle_rows"]
 
 #: Work residue below which a job counts as finished (float hygiene).
 _FINISH_EPS = 1e-6
+
+
+def settle_rows(
+    allocs: np.ndarray,
+    arrays: tuple[np.ndarray, ...],
+    eff: float | np.ndarray,
+    dt: float | np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Settlement's ``(work, cgroup contribution)`` rows for one interval.
+
+    *arrays* are the footprint ``(demands, mems, blkios, netios)``
+    arrays aligned with *allocs*; *eff* and *dt* are one worker's
+    scalars, or per-row arrays when several workers are packed together
+    — either way the same per-element IEEE ops in the same order:
+    ``work = (alloc · eff) · dt`` and ``contrib = usage · dt`` with
+    ``usage = (min(alloc, demand), mem, blkio·scale, netio·scale)``.
+    """
+    demands, mems, blkios, netios = arrays
+    work = allocs * eff * dt
+    rates = np.minimum(allocs, demands)
+    scales = rates / demands
+    contrib = np.empty((len(allocs), 4), dtype=np.float64)
+    contrib[:, 0] = rates * dt
+    contrib[:, 1] = mems * dt
+    contrib[:, 2] = blkios * scales * dt
+    contrib[:, 3] = netios * scales * dt
+    return work, contrib
 
 
 class Worker:
@@ -457,38 +488,30 @@ class Worker:
         active = self._active
         if active:
             arrays, mem = self._footprint_state()
-            if mem is None:  # dynamic footprints: re-read every settle
-                mem = float(
-                    sum(c.job.footprint.memory for c in active)
-                )
-            eff = self.contention.efficiency(len(active), mem)
-            if arrays is not None:
-                demands, mems, blkios, netios = arrays
-                allocs = self._allocs
-                # Same per-element IEEE ops as the scalar formulation:
-                # work   = (alloc * eff) * dt
-                # usage  = (min(alloc, demand), mem, blkio·scale, netio·scale)
-                # contrib = usage * dt
-                work = self._allocs * eff * dt
-                rates = np.minimum(allocs, demands)
-                scales = rates / demands
-                contrib = np.empty((len(active), 4), dtype=np.float64)
-                contrib[:, 0] = rates * dt
-                contrib[:, 1] = mems * dt
-                contrib[:, 2] = blkios * scales * dt
-                contrib[:, 3] = netios * scales * dt
-                for container, w, row in zip(active, work.tolist(), contrib):
-                    container.job.advance(w)
-                    container.cgroup.settle_add(dt, row)
-            else:
+            if arrays is None:
                 # Fallback for exotic Workload implementations whose
                 # footprint is not a plain ResourceSpec (it may override
                 # usage_at); identical arithmetic, container at a time.
+                eff = self.contention.efficiency(
+                    len(active), self.memory_used()
+                )
                 for container, alloc in zip(active, self._allocs):
                     container.job.advance(alloc * eff * dt)
                     container.cgroup.accumulate(dt, container.usage_at(alloc))
                     container.cgroup.checkpoint()
+            else:
+                eff = self.contention.efficiency(len(active), mem)
+                work, contrib = settle_rows(self._allocs, arrays, eff, dt)
+                self._apply_settle(work.tolist(), contrib, dt)
         self._last_settle = now
+
+    def _apply_settle(
+        self, work: list[float], contrib: np.ndarray, dt: float
+    ) -> None:
+        """Deliver one settlement's rows to the active containers."""
+        for container, delivered, row in zip(self._active, work, contrib):
+            container.job.advance(delivered)
+            container.cgroup.settle_add(dt, row)
 
     def _footprint_state(
         self,
@@ -614,12 +637,25 @@ class Worker:
             weights = None
         return limits, demands, weights, mem
 
-    def _realloc_finish(self, alloc: np.ndarray, mem: float | None) -> None:
-        """Second half of a reallocation: apply *alloc* + reschedule exits."""
+    def _realloc_finish(
+        self,
+        alloc: np.ndarray,
+        mem: float | None,
+        projection: tuple[list[float], list[float]] | None = None,
+    ) -> None:
+        """Second half of a reallocation: apply *alloc* + reschedule exits.
+
+        *projection* is ``(rates, finish times)`` for the active set when
+        the caller already computed it (the fused fleet pass projects
+        every worker in one packed numpy pass); ``None`` projects here.
+        """
         self._allocs = alloc
         for container, share in zip(self._active, alloc.tolist()):
             container.current_alloc = share
-        self._reschedule_exits(mem)
+        if projection is None:
+            self._reschedule_exits(mem)
+        else:
+            self._schedule_exits(*projection)
 
     def _cancel_all_exits(self) -> None:
         if self._exit_handles:
@@ -631,15 +667,11 @@ class Worker:
     def _reschedule_exits(self, mem: float | None = None) -> None:
         """Project each running job's finish time and (re)schedule its exit.
 
-        Incremental: projections are keyed by cid and an outstanding exit
-        event is kept whenever the recomputed finish time matches it
-        (within :attr:`reschedule_tolerance`, default exact), so a
-        reallocation that leaves some containers' rates unchanged touches
-        only the projections that actually moved.  ``mem`` lets the
-        caller pass an already-verified resident-memory total.
+        ``rate = alloc · eff`` and ``t_finish = now + remaining / rate``
+        per container; ``mem`` lets the caller pass an already-verified
+        resident-memory total.
         """
         active = self._active
-        handles = self._exit_handles
         if not active:
             self._cancel_all_exits()
             return
@@ -647,8 +679,27 @@ class Worker:
             mem = self.memory_used()
         eff = self.contention.efficiency(len(active), mem)
         now = self.sim.now
+        rates = [alloc * eff for alloc in self._allocs.tolist()]
+        finishes = [
+            now + container.job.remaining_work() / rate if rate > 0 else now
+            for container, rate in zip(active, rates)
+        ]
+        self._schedule_exits(rates, finishes)
+
+    def _schedule_exits(self, rates: list[float], finishes: list[float]) -> None:
+        """(Re)schedule the active set's exits from projected rates/times.
+
+        Incremental: projections are keyed by cid and an outstanding exit
+        event is kept whenever the recomputed finish time matches it
+        (within :attr:`reschedule_tolerance`, default exact), so a
+        reallocation that leaves some containers' rates unchanged touches
+        only the projections that actually moved.  Starved containers
+        (``rate <= 0``) lose their projection until the next allocation
+        change.  Events are pushed in active-set order, so queue sequence
+        numbers — the heap tie-break — do not depend on who projected.
+        """
+        handles = self._exit_handles
         tol = self.reschedule_tolerance
-        allocs = self._allocs.tolist()
         # Hot path: exits are (re)scheduled on every reallocation of a
         # jittered pool, so events are pushed straight onto the queue —
         # a projected finish ``now + remaining/rate`` can never lie in
@@ -657,17 +708,14 @@ class Worker:
         on_exit = self._on_exit_event
         cancel = self.sim.cancel
         seen: set[int] = set()
-        for i, container in enumerate(active):
+        for container, rate, t_finish in zip(self._active, rates, finishes):
             cid = container.cid
-            rate = allocs[i] * eff
             if rate <= 0:
-                # Starved: no projection until the next allocation change.
                 old = handles.pop(cid, None)
                 if old is not None:
                     cancel(old)
                 continue
             seen.add(cid)
-            t_finish = now + container.job.remaining_work() / rate
             old = handles.get(cid)
             if old is not None and old.alive:
                 delta = t_finish - old.event.time

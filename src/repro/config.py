@@ -150,12 +150,10 @@ class SimulationConfig:
         makes the manager queue open arrivals instead of
         over-subscribing nodes.
     fleet_mode:
-        When ``True`` the runner arms the fused fleet-tick engine
-        (:mod:`repro.cluster.fleet`): same-instant sampling ticks across
-        workers coalesce into one packed settle + segmented reallocate +
-        packed sampling pass.  Bit-identical to the serial per-worker
-        path (pinned by the golden fixtures and the invariant harness);
-        ``False`` (default) keeps the serial path as the oracle.
+        Accepted and ignored.  The runner always arms the fused
+        fleet-tick engine (:mod:`repro.cluster.fleet`); the field stays
+        so that configs written when it chose between two engines keep
+        working.
     streaming_metrics:
         When ``True`` the runner records in bounded memory: recorders
         keep no per-container step series or completion lists, the

@@ -225,6 +225,21 @@ class CgroupAccount:
         computation.  Returns the raw 4-vector; callers wrap it in a
         :class:`~repro.containers.spec.ResourceVector` as needed.
         """
+        start, end = self.window_snapshots(t_start, t_end)
+        return (end - start) / (t_end - t_start)
+
+    def window_snapshots(
+        self, t_start: float, t_end: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Memoized integral snapshots at both ends of a window.
+
+        What :meth:`window_mean_cached` divides; the fused fleet sampling
+        pass reads them here and divides packed across containers.  All
+        observers must share this memo for more than speed: a migrated
+        account's checkpoint clock lags by the migration's flight time,
+        so a snapshot recomputed later by interpolation can differ from
+        the one memoized live.
+        """
         if t_end <= t_start:
             raise ContainerError(
                 f"empty usage window [{t_start!r}, {t_end!r}]"
@@ -246,7 +261,7 @@ class CgroupAccount:
             end = self._integral_at(t_end)
             end.flags.writeable = False
             memo[t_end] = end
-        return (end - start) / (t_end - t_start)
+        return start, end
 
     def _integral_at(self, t: float) -> np.ndarray:
         """Counter values at time *t* (interpolating between checkpoints).

@@ -128,6 +128,14 @@ class EfficiencyHistory:
         sample (Eq. 1 needs two points).  Readings at a non-increasing
         time are ignored.
         """
+        return self.observe_usage(
+            time, eval_value, getattr(mean_usage, self._res_name)
+        )
+
+    def observe_usage(
+        self, time: float, eval_value: float, usage: float
+    ) -> EfficiencySample | None:
+        """:meth:`observe` given the tracked resource's mean usage alone."""
         last_time = self._last_time
         if last_time is None:
             self._last_time = time
@@ -140,7 +148,6 @@ class EfficiencyHistory:
         # hold by construction.
         dt = time - last_time
         p = abs(eval_value - self._last_eval) / dt
-        usage = getattr(mean_usage, self._res_name)
         g = p / usage if usage >= _USAGE_EPS else 0.0
         sample = EfficiencySample(time, eval_value, usage, p, g)
         self.samples.append(sample)

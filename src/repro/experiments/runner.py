@@ -249,11 +249,10 @@ def run_cluster(
         policy_factory = policy
 
     sim = Simulator(seed=cfg.seed, trace=cfg.trace)
-    if cfg.fleet_mode:
-        # Same-instant sampling ticks across workers coalesce into one
-        # fused settle + segmented reallocate + shared observation pass
-        # (see repro.cluster.fleet); bit-identical to the serial path.
-        FleetTicker(sim).arm()
+    # Every recorder tick — and every set of same-instant ticks across
+    # workers — runs as one fused settle + segmented reallocate + packed
+    # sampling pass (see repro.cluster.fleet).
+    FleetTicker(sim).arm()
     workers = [
         Worker(
             sim,

@@ -132,9 +132,7 @@ def two_thousand_job(
     dedicated-node shape large training jobs actually get — keeps the
     admission queue live for the whole stream and makes fleet *width*
     (not per-node colocation depth, which is :func:`two_hundred_job`'s
-    axis) the thing being measured.  Pair with ``trace=False`` configs;
-    ``fleet_mode=True`` is what the scenario exists to measure
-    (``benchmarks/bench_perf_fleet.py``).
+    axis) the thing being measured.  Pair with ``trace=False`` configs.
     """
     gen = WorkloadGenerator(_rng(seed, "poisson2000"))
     return ClusterScenario(
@@ -205,8 +203,7 @@ def million_job_day(
     independent of the arrival count.
     ``benchmarks/bench_perf_million.py`` runs the CI-sized shape
     (``n_jobs=100_000``) and asserts bounded RSS against a 10× smaller
-    run.  Pair with ``trace=False, fleet_mode=True,
-    streaming_metrics=True`` configs.
+    run.  Pair with ``trace=False, streaming_metrics=True`` configs.
     """
     mean_gap = 0.08 * (256.0 / n_workers)
     stream = make_stream(

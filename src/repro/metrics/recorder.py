@@ -10,7 +10,9 @@ FlowCon and NA").
 
 The recorder's sampling deliberately calls :meth:`Worker.poke`, which also
 re-samples contention jitter; the sampling grid therefore doubles as the
-OS-noise granularity.
+OS-noise granularity.  Runs built by the runner take each tick through
+the fused fleet pass (:mod:`repro.cluster.fleet`); :meth:`sample_now` is
+the reference it reproduces bit for bit, and the public one-shot sample.
 
 Streaming mode
 --------------
@@ -129,13 +131,18 @@ class MetricsRecorder:
 
     def _schedule_sample(self) -> None:
         # ``payload=self`` identifies the owning recorder to the fleet
-        # ticker's batched sampling pass; the serial path ignores it.
-        self._handle = self.worker.sim.schedule_in(
-            self.sample_interval,
-            self._on_sample,
-            kind=EventKind.METRIC_SAMPLE,
-            priority=PRIORITY_SAMPLE,
-            payload=self,
+        # ticker's fused sampling pass; without an armed ticker the event
+        # fires ``_on_sample`` directly.  Pushed straight onto the queue:
+        # the interval is positive, so the next tick is never in the past.
+        sim = self.worker.sim
+        self._handle = sim.queue.push(
+            Event(
+                sim.now + self.sample_interval,
+                EventKind.METRIC_SAMPLE,
+                self._on_sample,
+                PRIORITY_SAMPLE,
+                self,
+            )
         )
 
     def _on_sample(self, _event: Event) -> None:

@@ -16,13 +16,14 @@ Design notes
   simulation of this system needs O(jobs × reconfigurations) events, so an
   enormous count always indicates a bug, not a big workload).
 * A *batcher* (:meth:`Simulator.register_batcher`) widens ``step()`` into a
-  same-instant batching window for one event kind: every consecutive queued
-  event sharing the popped event's ``(time, kind, priority)`` is popped into
-  a single list and handed to the batcher in pop order.  The batcher is
-  responsible for firing each event (the engine only collects); the fleet
-  ticker uses this to coalesce per-worker sampling ticks into one fused
-  fleet pass.  ``events_processed`` counts every batched event, so batched
-  and unbatched runs agree on the event count exactly.
+  same-instant batching window for one event kind: the popped event and
+  every consecutive queued event sharing its ``(time, kind, priority)``
+  are handed to the batcher as one list in pop order — a lone event is a
+  batch of one.  The batcher is responsible for firing each event (the
+  engine only collects); the fleet ticker uses this to run every
+  recorder's sampling tick through one fused fleet pass.
+  ``events_processed`` counts every batched event, so batched and
+  unbatched runs agree on the event count exactly.
 """
 
 from __future__ import annotations
@@ -133,16 +134,10 @@ class Simulator:
         queued event with the same ``(time, kind, priority)`` is popped
         along with it and the whole batch (in pop order) is passed to
         *handler*, which must fire each event itself.  A lone event of
-        *kind* fires directly without involving the handler — batchers
-        only ever see genuine same-instant batches (size ≥ 2), so the
-        serial path pays one queue peek and nothing else.  One handler
-        per kind; re-registering replaces the previous handler.
+        *kind* reaches the handler as a batch of one.  One handler per
+        kind; re-registering replaces the previous handler.
         """
         self._batchers[kind] = handler
-
-    def unregister_batcher(self, kind: EventKind) -> None:
-        """Remove the batcher for *kind* (idempotent)."""
-        self._batchers.pop(kind, None)
 
     # -- execution ---------------------------------------------------------
 
@@ -155,53 +150,35 @@ class Simulator:
         :meth:`register_batcher`).  The returned event is the first of
         the batch; ``events_processed`` advances by the batch size.
         """
-        if not self.queue:
+        queue = self.queue
+        if not queue:
             return None
-        event = self.queue.pop()
+        event = queue.pop()
         self.clock.advance_to(event.time)
-        self.events_processed += 1
+        batcher = self._batchers.get(event.kind) if self._batchers else None
+        batch = [event]
+        if batcher is not None:
+            time, kind, priority = event.time, event.kind, event.priority
+            while True:
+                nxt = queue.peek_event()
+                if (
+                    nxt is None
+                    or nxt.time != time
+                    or nxt.kind is not kind
+                    or nxt.priority != priority
+                ):
+                    break
+                batch.append(queue.pop())
+        self.events_processed += len(batch)
         if self.events_processed > self.max_events:
             raise SimulationError(
                 f"exceeded max_events={self.max_events}; "
                 "likely a runaway scheduling loop"
             )
-        batcher = self._batchers.get(event.kind) if self._batchers else None
         if batcher is None:
             event.fire()
-            return event
-        queue = self.queue
-        time, kind, priority = event.time, event.kind, event.priority
-        nxt = queue.peek_event()
-        if (
-            nxt is None
-            or nxt.time != time
-            or nxt.kind is not kind
-            or nxt.priority != priority
-        ):
-            # Lone event of a batched kind: fire it directly — handlers
-            # only ever see genuine same-instant batches (size ≥ 2), so
-            # a registered batcher costs one queue peek on the serial
-            # path, nothing more.
-            event.fire()
-            return event
-        batch = [event]
-        while True:
-            batch.append(queue.pop())
-            self.events_processed += 1
-            if self.events_processed > self.max_events:
-                raise SimulationError(
-                    f"exceeded max_events={self.max_events}; "
-                    "likely a runaway scheduling loop"
-                )
-            nxt = queue.peek_event()
-            if (
-                nxt is None
-                or nxt.time != time
-                or nxt.kind is not kind
-                or nxt.priority != priority
-            ):
-                break
-        batcher(batch)
+        else:
+            batcher(batch)
         return event
 
     def run(self, until: float | None = None) -> float:

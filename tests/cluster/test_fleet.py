@@ -2,18 +2,19 @@
 
 The contracts under test, each against the serial path as the oracle:
 
-* **Engine batching** — a registered batcher only ever receives genuine
-  same-instant batches (size ≥ 2, same ``(time, kind, priority)``, pop
-  order); lone events of a batched kind fire directly, and
+* **Engine batching** — a registered batcher receives every event of its
+  kind, grouped into same-instant batches (same ``(time, kind,
+  priority)``, pop order; a lone event is a batch of one), and
   ``events_processed`` counts every batched event.
 * **Phase parity** — :func:`fleet_settle` / :func:`fleet_reallocate` /
   the segmented allocator reproduce ``settle()`` / ``poke()`` /
   per-worker ``allocate()`` bit for bit, including the scalar fallbacks
   for dynamic footprints and the validation errors of the serial path.
-* **Ticker lifecycle** — recorders discovered from event payloads,
-  foreign and stopped-recorder events fire normally, caches invalidate
-  on pool changes, and the fused prune keeps history bounded on the
-  serial cadence.
+* **Ticker lifecycle** — recorders discovered from event payloads, every
+  tick of a lone worker reaches the ticker, stopped recorders drop out,
+  caches invalidate on pool changes, the fused prune keeps history
+  bounded on the serial cadence, and a migrated container's windows read
+  the shared snapshot memo.
 """
 
 from __future__ import annotations
@@ -29,13 +30,14 @@ from repro.cluster.fleet import (
     fleet_sample,
     fleet_settle,
 )
+from repro.cluster.obsbus import BusSampler
 from repro.cluster.worker import Worker
 from repro.containers.allocator import AllocationMode, CpuAllocator
 from repro.containers.spec import ResourceSpec
 from repro.errors import AllocationError
 from repro.metrics.recorder import MetricsRecorder
 from repro.simcore.engine import Simulator
-from repro.simcore.events import PRIORITY_SAMPLE, EventKind
+from repro.simcore.events import EventKind
 from repro.workloads.curves import PiecewiseLinearCurve
 from repro.workloads.evalfn import EvalFunction, EvalKind
 from repro.workloads.job import TrainingJob
@@ -128,7 +130,7 @@ class TestEngineBatching:
         sim.register_batcher(EventKind.GENERIC, batcher)
         return sim, fired, batches
 
-    def test_lone_event_fires_directly(self):
+    def test_lone_event_is_a_batch_of_one(self):
         sim, fired, batches = self._sim()
         sim.schedule(
             1.0, lambda ev: fired.append(ev.payload), kind=EventKind.GENERIC,
@@ -136,7 +138,7 @@ class TestEngineBatching:
         )
         sim.run_until_empty()
         assert fired == ["solo"]
-        assert batches == []  # never saw a size-1 batch
+        assert batches == [["solo"]]
         assert sim.events_processed == 1
 
     def test_same_instant_events_batch_in_pop_order(self):
@@ -163,8 +165,8 @@ class TestEngineBatching:
             kind=EventKind.GENERIC, priority=1, payload="p1",
         )
         sim.run_until_empty()
-        assert batches == [["p0-0", "p0-1"]]
-        assert fired == ["p0-0", "p0-1", "p1"]  # lone p1 fired directly
+        assert batches == [["p0-0", "p0-1"], ["p1"]]
+        assert fired == ["p0-0", "p0-1", "p1"]
 
     def test_other_kinds_pass_through_untouched(self):
         sim, fired, batches = self._sim()
@@ -172,18 +174,6 @@ class TestEngineBatching:
             sim.schedule(
                 4.0, lambda ev: fired.append(ev.payload),
                 kind=EventKind.METRIC_SAMPLE, payload=i,
-            )
-        sim.run_until_empty()
-        assert batches == []
-        assert fired == [0, 1]
-
-    def test_unregister_restores_serial_dispatch(self):
-        sim, fired, batches = self._sim()
-        sim.unregister_batcher(EventKind.GENERIC)
-        for i in range(2):
-            sim.schedule(
-                5.0, lambda ev: fired.append(ev.payload),
-                kind=EventKind.GENERIC, payload=i,
             )
         sim.run_until_empty()
         assert batches == []
@@ -380,32 +370,23 @@ class TestFleetTicker:
         for r in recorders:
             r.stop()
 
-    def test_single_worker_never_reaches_the_batcher(self):
+    def test_single_worker_ticks_through_the_ticker(self, monkeypatch):
         sim, workers, recorders, ticker = _ticked_fleet(1)
-        sim.run(until=30.0)
-        assert ticker.batched_events == 0  # lone ticks fire directly
-        assert ticker.fused_batches == 0
-        [r] = recorders
-        assert len(r.traces) == 1  # serial sampling still ran
-        for trace in r.traces.values():
-            assert len(trace.cpu_usage) == 6
-        r.stop()
 
-    def test_foreign_payload_fires_normally(self):
-        sim, workers, recorders, ticker = _ticked_fleet(2)
-        fired = []
-        sim.schedule(
-            5.0,
-            lambda ev: fired.append(ev.payload),
-            kind=EventKind.METRIC_SAMPLE,
-            priority=PRIORITY_SAMPLE,
-            payload="foreign",
-        )
-        sim.run(until=10.0)
-        assert fired == ["foreign"]
-        assert ticker.fused_batches == 2  # both ticks still fused
-        for r in recorders:
-            r.stop()
+        def unexpected(self):
+            raise AssertionError("a lone tick bypassed the fused pass")
+
+        monkeypatch.setattr(MetricsRecorder, "sample_now", unexpected)
+        sim.run(until=30.0)
+        assert ticker.batched_events == 6  # every tick, each alone
+        assert ticker.fused_batches == 6
+        assert ticker.fused_samples == 6
+        [r] = recorders
+        [trace] = r.traces.values()
+        assert trace.cpu_usage.arrays()[0].tolist() == [
+            5.0, 10.0, 15.0, 20.0, 25.0, 30.0
+        ]
+        r.stop()
 
     def test_stopped_recorder_drops_out_of_the_fused_pass(self):
         sim, workers, recorders, ticker = _ticked_fleet(3)
@@ -503,6 +484,36 @@ class TestFleetTicker:
             for r in run[2]:
                 r.stop()
 
+    def test_migrated_container_reads_the_shared_memo(self):
+        """A migration's flight leaves the account clock lagging, so the
+        snapshot a cross-worker observer memoized live at the attach
+        instant differs from one interpolated later; the fused window
+        must start from the memo, as ``sample_now``'s does."""
+
+        def run(fleet: bool):
+            sim, workers, recorders, _ = _ticked_fleet(2, fleet)
+            source, target = workers
+            [moving] = source.running_containers()
+            probe = BusSampler()
+
+            def attach(_event):
+                target.attach(moving)
+                target.obsbus.register(probe)
+                for obs in target.obsbus.observe():
+                    probe.sample(obs)
+
+            sim.schedule(6.0, lambda _event: source.detach(moving.cid))
+            sim.schedule(7.0, attach)
+            sim.run(until=15.0)
+            for r in recorders:
+                r.stop()
+            trace = recorders[1].traces[moving.cid]
+            return [a.tolist() for a in trace.cpu_usage.arrays()]
+
+        serial, fused = run(False), run(True)
+        assert fused == serial
+        assert fused[0] == [10.0, 15.0]
+
     def test_fleet_sample_without_static_cache(self):
         """``static_cache=None`` (ad-hoc callers) builds entries in place."""
         sim, workers, recorders, ticker = _ticked_fleet(2, fleet=False)
@@ -510,7 +521,7 @@ class TestFleetTicker:
         sim.clock.advance_to(8.0)
         fleet_settle(workers)
         fleet_reallocate(workers)
-        n = fleet_sample(recorders, {})
+        n = fleet_sample(recorders)
         assert n == 2  # one window mean per (recorder, container)
         for r in recorders:
             for trace in r.traces.values():

@@ -176,6 +176,24 @@ class TestPruning:
         assert pruned.cgroup.checkpoint_count <= 32  # bounded by window
         assert means_pruned == means_full  # pruning never changes a reading
 
+    def test_begin_pass_counts_once_per_instant_and_prunes_every_16th(self):
+        sim = Simulator(seed=11, trace=False)
+        worker = Worker(sim, contention=ContentionModel.ideal())
+        c = worker.launch(make_linear_job(total_work=10_000.0))
+        bus = worker.obsbus
+        sampler = bus.sampler()
+        for step in range(1, 17):
+            sim.clock.advance_to(2.0 * step)
+            worker.poke()
+            [obs] = bus.observe()
+            sampler.sample(obs)
+            bus.begin_pass([c])  # already open at this (time, version)
+            assert bus.passes == step
+            # Fifteen passes prune nothing; the 16th opens below the
+            # window sampled at step 15, not before it.
+            floor = 30.0 if step == 16 else c.created_at
+            assert c.cgroup.history_floor == floor
+
     def test_query_below_pruned_floor_raises(self):
         c, _ = self._drive(prune=True)
         with pytest.raises(ContainerError):

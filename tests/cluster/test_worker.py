@@ -6,9 +6,10 @@ times can be asserted analytically.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.cluster.worker import Worker
+from repro.cluster.worker import Worker, settle_rows
 from repro.containers.allocator import AllocationMode
 from repro.cluster.contention import ContentionModel
 from repro.simcore.engine import Simulator
@@ -158,3 +159,19 @@ class TestValidation:
         with pytest.raises(CapacityError):
             worker.set_capacity(capacity)
         assert worker.capacity == 1.0
+
+
+class TestSettleRows:
+    def test_scalar_eff_dt_match_repeated_arrays_bitwise(self):
+        """One worker's scalars and a packed pass's per-row arrays give
+        the same bits — why the fused settle can share the arithmetic."""
+        rng = np.random.default_rng(5)
+        allocs = rng.uniform(0.0, 1.0, 7)
+        arrays = tuple(rng.uniform(0.05, 1.0, 7) for _ in range(4))
+        eff, dt = 0.9137, 2.718
+        scalar = settle_rows(allocs, arrays, eff, dt)
+        packed = settle_rows(
+            allocs, arrays, np.repeat(eff, 7), np.repeat(dt, 7)
+        )
+        for a, b in zip(scalar, packed):
+            assert a.tobytes() == b.tobytes()

@@ -25,6 +25,8 @@ from pathlib import Path
 import pytest
 
 from repro.baselines.na import NAPolicy
+from repro.baselines.slaq import SlaqLikePolicy
+from repro.cluster.fleet import FleetTicker
 from repro.config import FlowConConfig, SimulationConfig
 from repro.core.policy import FlowConPolicy
 from repro.errors import ConfigError, ExperimentError, UnknownPolicyError
@@ -39,6 +41,7 @@ from repro.experiments.scenarios import (
     two_hundred_job,
     two_thousand_job,
 )
+from repro.workloads.generator import make_stream
 
 _GOLDEN = Path(__file__).parent / "data" / "run_scenario_golden.json"
 _CLUSTER_GOLDEN = Path(__file__).parent / "data" / "cluster_golden.json"
@@ -176,73 +179,135 @@ _FLEET_GOLDEN = Path(__file__).parent / "data" / "fleet_golden.json"
 
 
 class TestFleetGolden:
-    """The fused fleet-tick engine is pinned bit-for-bit against serial.
+    """The 64-worker one-slot fleet is pinned bit-for-bit.
 
-    ``data/fleet_golden.json`` holds serial-mode digests of a reduced
+    ``data/fleet_golden.json`` holds digests of a reduced
     ``two_thousand_job`` stream (400 jobs, 64 workers × 1 slot, default
-    contention, seeds 0–2).  The fused path (``fleet_mode=True``) must
-    reproduce every digest, makespan ``repr`` and queue peak exactly —
-    the fused engine is an optimization, never a semantic fork.
+    contention, seeds 0–2), generated by the serial per-worker sampling
+    path before every tick ran through the fused fleet pass.
     """
 
-    def _run(self, seed: int, fleet_mode: bool):
+    @pytest.mark.parametrize("seed", range(3))
+    def test_two_thousand_job_digest(self, seed):
+        golden = json.loads(_FLEET_GOLDEN.read_text())[str(seed)]
         sc = two_thousand_job(seed=seed, n_jobs=400)
-        return run_cluster(
+        result = run_cluster(
             list(sc.specs),
             NAPolicy,
-            SimulationConfig(seed=seed, trace=False, fleet_mode=fleet_mode),
+            SimulationConfig(seed=seed, trace=False),
             capacities=sc.capacities,
             max_containers=sc.max_containers,
             placement="spread",
         )
-
-    @pytest.mark.parametrize("fleet_mode", [False, True])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_two_thousand_job_digest(self, seed, fleet_mode):
-        golden = json.loads(_FLEET_GOLDEN.read_text())[str(seed)]
-        result = self._run(seed, fleet_mode)
         assert len(result.completion_times()) == golden["n_jobs"]
         assert _digest(result.completion_times()) == golden["digest"]
         assert repr(result.makespan) == golden["makespan"]
         assert result.summary.peak_queue_len == golden["peak_queue_len"]
+
+
+def _outcome(result) -> dict:
+    """Everything a run observed: completions, failures, fabric counters,
+    event count and a digest of every recorded series."""
+    series = hashlib.sha256()
+    for name in sorted(result.recorders):
+        recorder = result.recorders[name]
+        for cid in sorted(recorder.traces):
+            trace = recorder.traces[cid]
+            for field in ("cpu_usage", "cpu_limit", "eval_value", "growth"):
+                times, values = getattr(trace, field).arrays()
+                series.update(times.tobytes())
+                series.update(values.tobytes())
+    return {
+        "completions": {
+            k: repr(v) for k, v in result.completion_times().items()
+        },
+        "failed": sorted(result.summary.failed_jobs),
+        "fabric": result.summary.fabric_stats,
+        "events": result.sim.events_processed,
+        "series": series.hexdigest(),
+    }
+
+
+_POLICIES = {
+    "FlowCon": partial(FlowConPolicy, _FC),
+    "NA": NAPolicy,
+    "SlaqLike": SlaqLikePolicy,
+}
+
+
+class TestTickerParity:
+    """The fused fleet pass reproduces ``MetricsRecorder.sample_now``.
+
+    ``run_cluster`` always arms the :class:`FleetTicker`; the reference
+    runs the same call with ``FleetTicker.arm`` patched to a no-op, so
+    every recorder tick fires ``sample_now`` instead.
+    """
+
+    @staticmethod
+    def _both(monkeypatch, *args, **kwargs) -> tuple[dict, dict]:
+        fused = _outcome(run_cluster(*args, **kwargs))
+        with monkeypatch.context() as m:
+            m.setattr(FleetTicker, "arm", lambda self: None)
+            reference = _outcome(run_cluster(*args, **kwargs))
+        return fused, reference
 
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("policy", ["NA", "FlowCon"])
-    def test_fleet_mode_reproduces_single_worker_golden(self, seed, policy):
-        """fleet_mode on the historical single-worker fixture: the fused
-        batcher only engages on multi-worker same-instant ticks, so a
-        one-worker run must stay byte-identical to the original runner."""
-        golden = json.loads(_GOLDEN.read_text())[str(seed)][policy]
-        factory = (
-            NAPolicy if policy == "NA" else partial(FlowConPolicy, _FC)
-        )
-        result = run_cluster(
+    @pytest.mark.parametrize("policy", sorted(_POLICIES))
+    def test_single_worker_batches_of_one(self, monkeypatch, policy, seed):
+        fused, reference = self._both(
+            monkeypatch,
             random_ten_job(seed),
-            factory,
-            SimulationConfig(seed=seed, trace=False, fleet_mode=True),
+            _POLICIES[policy],
+            SimulationConfig(seed=seed, trace=False),
         )
-        got = {k: repr(v) for k, v in result.completion_times().items()}
-        assert got == golden
+        assert fused == reference
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_fleet_mode_reproduces_cluster_golden(self, seed):
-        """fleet_mode on the 8-worker Poisson fixture (4 slots/node, so
-        the packed arena sees real colocation depth, unlike the one-slot
-        fleet scenario)."""
-        golden = json.loads(_CLUSTER_GOLDEN.read_text())[str(seed)]
-        result = run_cluster(
-            two_hundred_job(seed=seed),
-            NAPolicy,
-            SimulationConfig(seed=seed, trace=False, fleet_mode=True),
-            n_workers=8,
-            max_containers=4,
-            placement="spread",
-            rebalance="none",
+    def test_chaos_mix_shape(self, monkeypatch, seed):
+        """Crash-recovered recorders leave the shared sampling grid, so
+        lone and fused ticks mix; migrations put lagging account clocks
+        under the shared snapshot memo."""
+        stream = make_stream(
+            "diurnal",
+            n_jobs=120,
+            seed=seed,
+            mean_gap=0.75,
+            period=45.0,
+            peak_to_trough=3.0,
+            work_scale=0.05,
+            tenants=(("batch", 3.0, 1.0), ("interactive", 1.0, 4.0)),
         )
-        assert len(result.completion_times()) == golden["n_jobs"]
-        assert _digest(result.completion_times()) == golden["digest"]
-        assert repr(result.makespan) == golden["makespan"]
-        assert result.summary.peak_queue_len == golden["peak_queue_len"]
+        fused, reference = self._both(
+            monkeypatch,
+            stream,
+            NAPolicy,
+            SimulationConfig(seed=seed, trace=False),
+            n_workers=16,
+            max_containers=2,
+            admission="wfq",
+            placement="progress",
+            rebalance="progress",
+            failures="rolling:checkpoint(60)",
+            fabric="drop(0.05)+delay(exp,0.2):retry(max=5,base=0.5)",
+        )
+        assert fused == reference
+        assert reference["fabric"]["messages_dropped"] > 0
+
+    def test_fleet_mode_is_ignored(self):
+        specs = two_hundred_job(seed=1)[:60]
+        on, off = (
+            _outcome(
+                run_cluster(
+                    specs,
+                    NAPolicy,
+                    SimulationConfig(seed=1, trace=False, fleet_mode=mode),
+                    n_workers=4,
+                    max_containers=2,
+                )
+            )
+            for mode in (True, False)
+        )
+        assert on == off
 
 
 class TestClusterShapes:

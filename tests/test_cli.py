@@ -86,14 +86,6 @@ class TestParser:
         )
         assert args.fabric == "drop(0.05)+delay(exp,0.2)"
 
-    def test_fleet_mode_parse(self):
-        args = build_parser().parse_args(["compare"])
-        assert args.fleet_mode is False
-        args = build_parser().parse_args(["compare", "--fleet-mode"])
-        assert args.fleet_mode is True
-        args = build_parser().parse_args(["sweep", "--fleet-mode"])
-        assert args.fleet_mode is True
-
     def test_bench_report_flags_parse(self):
         args = build_parser().parse_args(["bench-report"])
         assert args.dir == "benchmarks"
@@ -251,19 +243,6 @@ class TestCommands:
         captured = capsys.readouterr()
         assert "itval=20" in captured.out
         assert "cumulative" in captured.err
-
-    def test_compare_fleet_mode_matches_serial(self, capsys):
-        # The fused run is pinned bit-identical, so the rendered
-        # comparison must be byte-for-byte the serial one.
-        assert main(["compare", "--jobs", "3", "--seed", "1",
-                     "--workers", "2"]) == 0
-        serial = capsys.readouterr().out
-        assert main([
-            "compare", "--jobs", "3", "--seed", "1", "--workers", "2",
-            "--fleet-mode",
-        ]) == 0
-        assert capsys.readouterr().out == serial
-        assert "wins" in serial
 
     def test_bench_report_renders_trajectory(self, tmp_path, capsys):
         import json
