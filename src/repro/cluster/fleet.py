@@ -11,7 +11,9 @@ instant — runs the shared pre-work as one pass over a packed
 ``sample_now``.  The runner always arms it.
 
 The pass has three phases, mirroring exactly what each recorder's
-``Worker.poke()`` + bus observation would have done:
+``Worker.poke()`` + bus observation would have done.  Workers admit only
+plain ``ResourceSpec`` footprints, so every worker's footprint arrays
+and resident memory pack without a per-worker fallback:
 
 * **Settle** — pack every stale worker's active-container arrays into
   contiguous arrays with per-worker segment offsets, compute the rows
@@ -86,9 +88,8 @@ def fleet_settle(workers: list[Worker]) -> None:
     Equivalent to ``for w in workers: w.settle()`` bit for bit: the
     rows are :func:`settle_rows` over the packed arena with per-row
     ``eff``/``dt``, and each worker applies its own segment.  Empty pools
-    just advance their clock; workers whose footprints are not plain
-    ``ResourceSpec`` objects (scalar fallback), or a lone worker left to
-    settle, use their own ``settle()``.
+    just advance their clock; a lone worker left to settle uses its own
+    ``settle()``.
     """
     if not workers:
         return
@@ -102,9 +103,6 @@ def fleet_settle(workers: list[Worker]) -> None:
             w._last_settle = now
             continue
         arrays, mem = w._footprint_state()
-        if arrays is None:
-            w.settle()
-            continue
         segments.append((w, arrays, mem, dt))
     if len(segments) <= 1:
         for w, _, _, _ in segments:
@@ -198,36 +196,29 @@ def _finish_packed(now: float, pending: list, allocs: list) -> None:
     ``t_finish = now + remaining / rate``) is two element-wise IEEE ops,
     so it broadcasts over the packed fleet bit-identically; each worker
     then schedules its exits itself, in pending order, so queue sequence
-    numbers — the heap tie-break — match.  Workers whose resident memory
-    is unknown (dynamic footprints), or a lone worker, project for
-    themselves.
+    numbers — the heap tie-break — match.  A lone worker projects for
+    itself.
     """
-    pk = [
-        (i, w, alloc, mem)
-        for i, ((w, (_, _, _, mem)), alloc) in enumerate(zip(pending, allocs))
-        if mem is not None
-    ]
-    projections: dict[int, tuple[list[float], list[float]]] = {}
-    if len(pk) > 1:
-        lens = [alloc.shape[0] for _, _, alloc, _ in pk]
-        allocs_p = np.concatenate([alloc for _, _, alloc, _ in pk])
+    projections: list = [None] * len(pending)
+    if len(pending) > 1:
+        lens = [alloc.shape[0] for alloc in allocs]
         effs_p = np.repeat(
             np.array(
                 [
                     w.contention.efficiency(n, mem)
-                    for (_, w, _, mem), n in zip(pk, lens)
+                    for (w, (_, _, _, mem)), n in zip(pending, lens)
                 ],
                 dtype=np.float64,
             ),
             lens,
         )
         rem_p = np.array(
-            [c.job.remaining_work() for _, w, _, _ in pk for c in w._active],
+            [c.job.remaining_work() for w, _ in pending for c in w._active],
             dtype=np.float64,
         )
         # Same two ops per element as the per-worker projection: the
         # product first, then one division folded into the finish sum.
-        rates_p = allocs_p * effs_p
+        rates_p = np.concatenate(allocs) * effs_p
         if rates_p.min() > 0.0:
             tfin_p = now + rem_p / rates_p
         else:
@@ -237,12 +228,14 @@ def _finish_packed(now: float, pending: list, allocs: list) -> None:
         rates_l = rates_p.tolist()
         tfin_l = tfin_p.tolist()
         off = 0
-        for (i, _, _, _), n in zip(pk, lens):
+        for i, n in enumerate(lens):
             end = off + n
             projections[i] = (rates_l[off:end], tfin_l[off:end])
             off = end
-    for i, ((w, (_, _, _, mem)), alloc) in enumerate(zip(pending, allocs)):
-        w._realloc_finish(alloc, mem, projections.get(i))
+    for (w, (_, _, _, mem)), alloc, projection in zip(
+        pending, allocs, projections
+    ):
+        w._realloc_finish(alloc, mem, projection)
         w._last_poke = (now, w.version)
 
 

@@ -890,7 +890,6 @@ class Manager:
             capacity=template.capacity,
             contention=template.contention,
             allocation_mode=template.allocator.mode,
-            reschedule_tolerance=template.reschedule_tolerance,
             max_containers=template.max_containers,
         )
 

@@ -310,7 +310,7 @@ class ObservationBus:
         deliberate cost: a subscriber that stops sampling (e.g. a
         ``progress`` placement observer after the last arrival) freezes
         pruning at its last windows, degrading gracefully to the
-        historical keep-everything behaviour (see ROADMAP open item).
+        historical keep-everything behaviour.
         """
         samplers = self._samplers
         for container in containers:

@@ -18,6 +18,7 @@ consumes them reduces towards plain FIFO behaviour.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.workloads.job import TrainingJob
@@ -67,10 +68,16 @@ class JobSubmission:
     retry_budget: int = 3
 
     def __post_init__(self) -> None:
-        if self.submit_time < 0:
-            raise ValueError(f"negative submit_time {self.submit_time!r}")
-        if self.weight <= 0:
-            raise ValueError(f"weight must be positive, got {self.weight!r}")
+        # isfinite first: NaN compares false with everything.
+        if not math.isfinite(self.submit_time) or self.submit_time < 0:
+            raise ValueError(
+                f"submit_time must be finite and >= 0, "
+                f"got {self.submit_time!r}"
+            )
+        if not math.isfinite(self.weight) or self.weight <= 0:
+            raise ValueError(
+                f"weight must be positive and finite, got {self.weight!r}"
+            )
         if self.retry_budget < 0:
             raise ValueError(
                 f"retry_budget must be >= 0, got {self.retry_budget!r}"

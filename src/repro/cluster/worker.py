@@ -18,14 +18,15 @@ exact, with no time-stepping error.
 
 Hot-path notes
 --------------
-Settlement is vectorized: per-container work and cgroup usage rows are
-computed with numpy over the active-container arrays and applied in bulk.
-The element-wise operations are exactly those of the scalar formulation
-(same IEEE-754 ops in the same order per element), so results are
-bit-identical to the historical per-container loop.  Exit rescheduling is
-*incremental*: projections are keyed by cid and the scheduled event is
-reused whenever the recomputed finish time is unchanged, instead of
-tearing down every exit event on each reallocation.
+Footprints must be plain :class:`ResourceSpec` objects (:meth:`launch
+<Worker.launch>` and :meth:`attach <Worker.attach>` raise
+:class:`ConfigError` otherwise), so settlement, reallocation and exit
+projection all read them as one set of per-resource numpy arrays.
+Settlement computes per-container work and cgroup usage rows over those
+arrays and applies them in bulk.  Exit rescheduling is *incremental*:
+projections are keyed by cid and the scheduled event is reused whenever
+the recomputed finish time is exactly unchanged, instead of tearing down
+every exit event on each reallocation.
 
 Every recorder sampling tick runs through the fused fleet pass
 (:mod:`repro.cluster.fleet`), which settles and reallocates all workers
@@ -54,7 +55,7 @@ from repro.containers.allocator import AllocationMode, CpuAllocator
 from repro.containers.container import Container, Workload
 from repro.containers.runtime import ContainerRuntime
 from repro.containers.spec import ResourceSpec
-from repro.errors import CapacityError, ContainerStateError
+from repro.errors import CapacityError, ConfigError, ContainerStateError
 from repro.simcore.engine import Simulator
 from repro.simcore.equeue import EventHandle
 from repro.simcore.events import PRIORITY_EXIT, Event, EventKind
@@ -92,6 +93,17 @@ def settle_rows(
     return work, contrib
 
 
+def _require_plain_footprint(job: Workload) -> None:
+    """Reject a footprint that is not a plain :class:`ResourceSpec`:
+    the worker reads footprints as packed arrays, so a subclass's
+    overrides would be silently ignored."""
+    if type(job.footprint) is not ResourceSpec:
+        raise ConfigError(
+            f"footprint must be a plain ResourceSpec, "
+            f"got {type(job.footprint).__name__}"
+        )
+
+
 class Worker:
     """One compute node hosting a pool of containerized training jobs.
 
@@ -110,13 +122,6 @@ class Worker:
         pure work-conserving behaviour.
     allocation_mode:
         Soft (paper semantics) or hard limits.
-    reschedule_tolerance:
-        Absolute tolerance (seconds) under which a container's projected
-        exit is considered unchanged and its scheduled event is kept.
-        The default ``0.0`` keeps only bit-identical projections, which
-        preserves exact replay parity; a small positive value (e.g.
-        ``1e-6``) further reduces event-queue churn for reschedule-heavy
-        workloads at the cost of up-to-tolerance completion-time drift.
     max_containers:
         Admission slots: the maximum number of concurrently running
         containers this worker accepts.  ``None`` (default, the
@@ -134,18 +139,12 @@ class Worker:
         capacity: float = 1.0,
         contention: ContentionModel | None = None,
         allocation_mode: AllocationMode = AllocationMode.SOFT,
-        reschedule_tolerance: float = 0.0,
         max_containers: int | None = None,
     ) -> None:
         # isfinite first: NaN compares false with everything.
         if not math.isfinite(capacity) or capacity <= 0:
             raise CapacityError(
                 f"capacity must be positive and finite, got {capacity!r}"
-            )
-        if not math.isfinite(reschedule_tolerance) or reschedule_tolerance < 0:
-            raise CapacityError(
-                f"reschedule_tolerance must be finite and >= 0, "
-                f"got {reschedule_tolerance!r}"
             )
         if max_containers is not None and max_containers < 1:
             raise CapacityError(
@@ -158,7 +157,6 @@ class Worker:
         self.allocator = CpuAllocator(allocation_mode)
         self.runtime = ContainerRuntime(clock=lambda: sim.now)
         self.pool = ContainerPool()
-        self.reschedule_tolerance = float(reschedule_tolerance)
         self._max_containers = max_containers
         self._rng = sim.rngs.stream(f"{name}.jitter")
 
@@ -222,7 +220,10 @@ class Worker:
 
         The container name defaults to the job's own name, so traces and
         summaries line up with workload labels without extra plumbing.
+        The job's footprint must be a plain :class:`ResourceSpec`
+        (:class:`ConfigError` otherwise).
         """
+        _require_plain_footprint(job)
         if not self.has_headroom():
             raise CapacityError(
                 f"{self.name} is at its admission limit "
@@ -338,6 +339,7 @@ class Worker:
             raise ContainerStateError(
                 f"cannot attach non-running container {container.name}"
             )
+        _require_plain_footprint(container.job)
         if not self.has_headroom():
             raise CapacityError(
                 f"{self.name} is at its admission limit "
@@ -485,24 +487,11 @@ class Worker:
         dt = now - self._last_settle
         if dt <= 0:
             return
-        active = self._active
-        if active:
+        if self._active:
             arrays, mem = self._footprint_state()
-            if arrays is None:
-                # Fallback for exotic Workload implementations whose
-                # footprint is not a plain ResourceSpec (it may override
-                # usage_at); identical arithmetic, container at a time.
-                eff = self.contention.efficiency(
-                    len(active), self.memory_used()
-                )
-                for container, alloc in zip(active, self._allocs):
-                    container.job.advance(alloc * eff * dt)
-                    container.cgroup.accumulate(dt, container.usage_at(alloc))
-                    container.cgroup.checkpoint()
-            else:
-                eff = self.contention.efficiency(len(active), mem)
-                work, contrib = settle_rows(self._allocs, arrays, eff, dt)
-                self._apply_settle(work.tolist(), contrib, dt)
+            eff = self.contention.efficiency(len(self._active), mem)
+            work, contrib = settle_rows(self._allocs, arrays, eff, dt)
+            self._apply_settle(work.tolist(), contrib, dt)
         self._last_settle = now
 
     def _apply_settle(
@@ -513,19 +502,15 @@ class Worker:
             container.job.advance(delivered)
             container.cgroup.settle_add(dt, row)
 
-    def _footprint_state(
-        self,
-    ) -> tuple[tuple[np.ndarray, ...] | None, float | None]:
+    def _footprint_state(self) -> tuple[tuple[np.ndarray, ...], float]:
         """``(per-resource arrays, resident memory)`` for the active set.
 
-        Arrays are ``None`` when any footprint is not a plain
-        :class:`ResourceSpec` (settlement then uses the scalar fallback,
-        which re-reads each footprint on every settle; memory is also
-        ``None`` and recomputed fresh, so dynamic footprints stay
-        supported).  Cached per runtime table version *and* re-verified
-        against footprint object identity on every hit, preserving the
-        historical contract that a workload swapping its footprint
-        between settles is picked up immediately.
+        The arrays are ``(demands, mems, blkios, netios)`` read from the
+        plain :class:`ResourceSpec` footprints :meth:`launch` and
+        :meth:`attach` admit.  Cached per runtime table version *and*
+        re-verified against footprint object identity on every hit, so a
+        workload swapping its footprint between settles is picked up
+        immediately.
         """
         active = self._active
         rv = self.runtime.version
@@ -541,10 +526,6 @@ class Worker:
             else:
                 return cached[2], cached[3]
         footprints = [c.job.footprint for c in active]
-        for fp in footprints:
-            if type(fp) is not ResourceSpec:
-                self._fp_cache = (rv, footprints, None, None)
-                return None, None
         arrays = (
             np.array([fp.cpu_demand for fp in footprints], dtype=np.float64),
             np.array([fp.memory for fp in footprints], dtype=np.float64),
@@ -568,7 +549,7 @@ class Worker:
 
     def _realloc_begin(
         self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, float | None] | None:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, float] | None:
         """First half of a reallocation: version bump + allocator inputs.
 
         Bumps the state-version, refreshes the active set, and draws this
@@ -602,10 +583,7 @@ class Worker:
             amp_weight = self.contention.weight_amplitude(limits)
             self._limits_cache = (rv, limits, amp_demand, amp_weight)
         arrays, mem = self._footprint_state()
-        if arrays is not None:
-            demands = arrays[0]
-        else:
-            demands = np.array([c.demand() for c in running], dtype=np.float64)
+        demands = arrays[0]
         # Two jitter channels, both limit-sensitive (free competition is
         # noisier): demand noise models throughput wobble of the training
         # loop; weight noise models the kernel's imperfect instantaneous
@@ -640,7 +618,7 @@ class Worker:
     def _realloc_finish(
         self,
         alloc: np.ndarray,
-        mem: float | None,
+        mem: float,
         projection: tuple[list[float], list[float]] | None = None,
     ) -> None:
         """Second half of a reallocation: apply *alloc* + reschedule exits.
@@ -664,19 +642,16 @@ class Worker:
                 cancel(handle)
             self._exit_handles.clear()
 
-    def _reschedule_exits(self, mem: float | None = None) -> None:
+    def _reschedule_exits(self, mem: float) -> None:
         """Project each running job's finish time and (re)schedule its exit.
 
         ``rate = alloc · eff`` and ``t_finish = now + remaining / rate``
-        per container; ``mem`` lets the caller pass an already-verified
-        resident-memory total.
+        per container, with ``eff`` from the resident-memory total *mem*.
         """
         active = self._active
         if not active:
             self._cancel_all_exits()
             return
-        if mem is None:
-            mem = self.memory_used()
         eff = self.contention.efficiency(len(active), mem)
         now = self.sim.now
         rates = [alloc * eff for alloc in self._allocs.tolist()]
@@ -691,15 +666,13 @@ class Worker:
 
         Incremental: projections are keyed by cid and an outstanding exit
         event is kept whenever the recomputed finish time matches it
-        (within :attr:`reschedule_tolerance`, default exact), so a
-        reallocation that leaves some containers' rates unchanged touches
-        only the projections that actually moved.  Starved containers
+        exactly, so a reallocation that leaves some containers' rates
+        unchanged touches only the projections that actually moved.  Starved containers
         (``rate <= 0``) lose their projection until the next allocation
         change.  Events are pushed in active-set order, so queue sequence
         numbers — the heap tie-break — do not depend on who projected.
         """
         handles = self._exit_handles
-        tol = self.reschedule_tolerance
         # Hot path: exits are (re)scheduled on every reallocation of a
         # jittered pool, so events are pushed straight onto the queue —
         # a projected finish ``now + remaining/rate`` can never lie in
@@ -718,8 +691,7 @@ class Worker:
             seen.add(cid)
             old = handles.get(cid)
             if old is not None and old.alive:
-                delta = t_finish - old.event.time
-                if delta == 0.0 or (tol > 0.0 and abs(delta) <= tol):
+                if t_finish == old.event.time:
                     continue  # projection unchanged: keep the event
                 cancel(old)
             handles[cid] = push(
@@ -824,10 +796,7 @@ class Worker:
         model converts the overcommit into a thrashing penalty when
         ``swap_penalty`` is enabled.
         """
-        _, mem = self._footprint_state()
-        if mem is None:  # dynamic (non-ResourceSpec) footprints: re-read
-            return float(sum(c.job.footprint.memory for c in self._active))
-        return mem
+        return self._footprint_state()[1]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

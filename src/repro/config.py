@@ -138,12 +138,6 @@ class SimulationConfig:
         all jobs complete.
     trace:
         Keep a structured trace (disable for large sweeps).
-    reschedule_tolerance:
-        Worker exit-reschedule tolerance in seconds (see
-        :class:`~repro.cluster.worker.Worker`).  The default ``0.0``
-        preserves exact replay parity; a small positive value trades
-        up-to-tolerance completion-time drift for less event-queue churn
-        on reschedule-heavy workloads.
     max_containers:
         Default per-worker admission slots for runner-constructed
         workers.  ``None`` (historical behaviour) is unbounded; a bound
@@ -171,7 +165,6 @@ class SimulationConfig:
     sample_interval: float = 5.0
     horizon: float | None = None
     trace: bool = True
-    reschedule_tolerance: float = 0.0
     max_containers: int | None = None
     fleet_mode: bool = False
     streaming_metrics: bool = False
@@ -194,14 +187,6 @@ class SimulationConfig:
             raise ConfigError(
                 f"horizon must be positive and finite or None, "
                 f"got {self.horizon!r}"
-            )
-        if (
-            not math.isfinite(self.reschedule_tolerance)
-            or self.reschedule_tolerance < 0
-        ):
-            raise ConfigError(
-                f"reschedule_tolerance must be finite and >= 0, "
-                f"got {self.reschedule_tolerance!r}"
             )
         if self.max_containers is not None and self.max_containers < 1:
             raise ConfigError(

@@ -33,7 +33,12 @@ class Workload(Protocol):
 
     @property
     def footprint(self) -> ResourceSpec:
-        """Static resource footprint (demand ceiling, memory, I/O)."""
+        """Static resource footprint (demand ceiling, memory, I/O).
+
+        Must be a plain :class:`ResourceSpec`, not a subclass: workers
+        read footprints as packed per-resource arrays and reject any
+        other type at launch and attach with :class:`ConfigError`.
+        """
         ...
 
     @property

@@ -8,8 +8,7 @@ history as a single throughput-over-PRs table: one row per benchmark,
 one column per snapshot (in timestamp order), each cell the benchmark's
 mean throughput in runs per second (``1 / stats.mean``).  Reading along
 a row shows a benchmark speeding up (or regressing) as PRs land; the
-``repro bench-report`` CLI subcommand is the first slice of ROADMAP
-item 4's regression dashboard.
+``repro bench-report`` CLI subcommand prints the table.
 """
 
 from __future__ import annotations

@@ -157,9 +157,9 @@ def run_cluster(
         ``partial(FlowConPolicy, cfg)``).
     sim_config:
         Substrate parameters; defaults to :class:`SimulationConfig()`.
-        ``capacity``, ``max_containers`` and ``reschedule_tolerance``
-        apply to every runner-constructed worker unless overridden by
-        the per-worker arguments below; ``streaming_metrics`` folds
+        ``capacity`` and ``max_containers`` apply to every
+        runner-constructed worker unless overridden by the per-worker
+        arguments below; ``streaming_metrics`` folds
         every aggregate into one bounded-memory ``summary.stream``.
     n_workers:
         Cluster size (≥ 1); inferred from ``capacities`` when that is
@@ -260,7 +260,6 @@ def run_cluster(
             capacity=caps[i],
             contention=cfg.contention,
             allocation_mode=cfg.allocation_mode,
-            reschedule_tolerance=cfg.reschedule_tolerance,
             max_containers=slots[i],
         )
         for i in range(n_workers)
@@ -275,7 +274,6 @@ def run_cluster(
             capacity=cfg.capacity,
             contention=cfg.contention,
             allocation_mode=cfg.allocation_mode,
-            reschedule_tolerance=cfg.reschedule_tolerance,
             max_containers=cfg.max_containers,
         )
 

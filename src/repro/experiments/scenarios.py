@@ -188,11 +188,10 @@ def million_job_day(
 ) -> ClusterScenario:
     """A production day: ~10⁶ short jobs against a 256-worker fleet.
 
-    The ROADMAP's million-job north star, runnable only because nothing
-    scales with the job count: the stream yields one arrival at a time
-    (never a list), ``streaming_metrics`` folds every delay and
-    completion into sketches, and the one-slot-per-worker fleet keeps
-    the admission queue live all day.  Jobs are short (work_scale 0.05,
+    Runnable only because nothing scales with the job count: the stream
+    yields one arrival at a time (never a list), ``streaming_metrics``
+    folds every delay and completion into sketches, and the
+    one-slot-per-worker fleet keeps the admission queue live all day.  Jobs are short (work_scale 0.05,
     ~9 CPU-s — the CI-build/ETL shape of a high-volume day) and the
     diurnal period spans the stream in two cycles, with the peak rate
     riding right at the fleet's measured completion ceiling (~19 jobs/s

@@ -29,6 +29,7 @@ default dense mode is untouched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.cluster.worker import Worker
@@ -64,7 +65,7 @@ class MetricsRecorder:
     worker:
         The worker to observe.
     sample_interval:
-        Sampling cadence in seconds.
+        Sampling cadence in seconds (positive and finite).
     resource:
         Resource dimension for the recorded growth efficiency.
     streaming:
@@ -87,8 +88,12 @@ class MetricsRecorder:
         streaming: bool = False,
         sink=None,
     ) -> None:
-        if sample_interval <= 0:
-            raise MetricsError("sample_interval must be positive")
+        # isfinite first: NaN compares false with everything.
+        if not math.isfinite(sample_interval) or sample_interval <= 0:
+            raise MetricsError(
+                f"sample_interval must be positive and finite, "
+                f"got {sample_interval!r}"
+            )
         self.worker = worker
         self.sample_interval = float(sample_interval)
         self.streaming = bool(streaming)

@@ -1,8 +1,8 @@
 """Bounded-memory streaming metrics: quantile sketch + rolling aggregates.
 
 A million-job day cannot keep a list of every queue delay just to report
-a p95 at the end — the ROADMAP's production-scale north star needs run
-metrics whose memory is independent of run length.  This module provides
+a p95 at the end: a run that long needs metrics whose memory is
+independent of run length.  This module provides
 the three pieces the streaming metrics mode is built from:
 
 * :class:`QuantileSketch` — a mergeable KLL-style quantile sketch over

@@ -28,6 +28,7 @@ Design notes
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable
 
 from repro.errors import SimulationError
@@ -87,9 +88,14 @@ class Simulator:
         """Schedule *callback* at absolute simulation *time*.
 
         Scheduling in the past raises :class:`SimulationError` — the system
-        being modelled cannot react before it observes.
+        being modelled cannot react before it observes — and so does a
+        non-finite *time*, which would otherwise fire at now (NaN) or
+        never (inf).
         """
         now = self.clock.now
+        # isfinite first: NaN compares false with everything.
+        if not math.isfinite(time):
+            raise SimulationError(f"cannot schedule at non-finite t={time!r}")
         if time < now - 1e-9:
             raise SimulationError(
                 f"cannot schedule at t={time!r} before now={now!r}"
@@ -108,9 +114,11 @@ class Simulator:
         priority: int = 0,
         payload: Any = None,
     ) -> EventHandle:
-        """Schedule *callback* ``delay`` seconds from now (delay >= 0)."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
+        """Schedule *callback* ``delay`` seconds from now (finite, >= 0)."""
+        if not math.isfinite(delay) or delay < 0:
+            raise SimulationError(
+                f"delay must be finite and >= 0, got {delay!r}"
+            )
         return self.schedule(
             self.clock.now + delay,
             callback,

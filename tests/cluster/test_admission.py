@@ -663,8 +663,15 @@ class TestDescribe:
             == "wfq (a=2.5, b=1)"
         )
 
-    def test_submission_validation(self):
+    @pytest.mark.parametrize("t, weight", [
+        (0.0, 0.0),
+        (-1.0, 1.0),
+        (float("nan"), 1.0),
+        (float("inf"), 1.0),
+        (float("-inf"), 1.0),
+        (0.0, float("nan")),
+        (0.0, float("inf")),
+    ])
+    def test_submission_validation(self, t, weight):
         with pytest.raises(ValueError):
-            _submission("bad", 0.0, weight=0.0)
-        with pytest.raises(ValueError):
-            _submission("bad", -1.0)
+            _submission("bad", t, weight=weight)

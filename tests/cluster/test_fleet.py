@@ -8,8 +8,8 @@ The contracts under test, each against the serial path as the oracle:
   ``events_processed`` counts every batched event.
 * **Phase parity** — :func:`fleet_settle` / :func:`fleet_reallocate` /
   the segmented allocator reproduce ``settle()`` / ``poke()`` /
-  per-worker ``allocate()`` bit for bit, including the scalar fallbacks
-  for dynamic footprints and the validation errors of the serial path.
+  per-worker ``allocate()`` bit for bit, including the validation errors
+  of the serial path.
 * **Ticker lifecycle** — recorders discovered from event payloads, every
   tick of a lone worker reaches the ticker, stopped recorders drop out,
   caches invalidate on pool changes, the fused prune keeps history
@@ -33,19 +33,11 @@ from repro.cluster.fleet import (
 from repro.cluster.obsbus import BusSampler
 from repro.cluster.worker import Worker
 from repro.containers.allocator import AllocationMode, CpuAllocator
-from repro.containers.spec import ResourceSpec
 from repro.errors import AllocationError
 from repro.metrics.recorder import MetricsRecorder
 from repro.simcore.engine import Simulator
 from repro.simcore.events import EventKind
-from repro.workloads.curves import PiecewiseLinearCurve
-from repro.workloads.evalfn import EvalFunction, EvalKind
-from repro.workloads.job import TrainingJob
 from tests.conftest import make_linear_job
-
-
-class _DynamicSpec(ResourceSpec):
-    """A non-plain footprint: forces the scalar settle/finish fallbacks."""
 
 
 def _build_fleet(
@@ -53,7 +45,6 @@ def _build_fleet(
     jobs_per_worker: tuple[int, ...] = (2, 1, 3),
     contention=None,
     total_work: float = 300.0,
-    dynamic: frozenset[int] = frozenset(),
 ):
     """A small fleet with a deterministic mix of pool sizes."""
     sim = Simulator(seed=seed, trace=False)
@@ -67,22 +58,11 @@ def _build_fleet(
         )
         for k in range(n_jobs):
             demand = 0.5 + 0.1 * ((i + k) % 5)
-            if i in dynamic:
-                job = TrainingJob(
-                    name=f"w{i}-j{k}",
-                    total_work=total_work,
-                    curve=PiecewiseLinearCurve([(0.0, 1.0), (1.0, 0.0)]),
-                    evalfn=EvalFunction(
-                        kind=EvalKind.SQUARED_LOSS, start=1.0, converged=0.0
-                    ),
-                    footprint=_DynamicSpec(cpu_demand=demand, memory=0.1),
-                    total_iterations=1000,
-                )
-            else:
-                job = make_linear_job(
+            w.launch(
+                make_linear_job(
                     f"w{i}-j{k}", total_work=total_work, demand=demand
                 )
-            w.launch(job)
+            )
         workers.append(w)
     return sim, workers
 
@@ -201,16 +181,6 @@ class TestFleetSettleParity:
             fleet_settle(fused_workers)
         assert _settle_state(serial_workers) == _settle_state(fused_workers)
 
-    def test_dynamic_footprints_take_scalar_fallback_identically(self):
-        serial_sim, serial_workers = _build_fleet(5, dynamic=frozenset({1}))
-        fused_sim, fused_workers = _build_fleet(5, dynamic=frozenset({1}))
-        serial_sim.clock.advance_to(4.0)
-        fused_sim.clock.advance_to(4.0)
-        for w in serial_workers:
-            w.settle()
-        fleet_settle(fused_workers)
-        assert _settle_state(serial_workers) == _settle_state(fused_workers)
-
     def test_empty_worker_just_advances_its_clock(self):
         sim, workers = _build_fleet(0, jobs_per_worker=(2, 0, 1))
         sim.clock.advance_to(3.0)
@@ -233,18 +203,6 @@ class TestFleetReallocateParity:
             fleet_reallocate(fused_workers)
         assert _alloc_state(serial_workers) == _alloc_state(fused_workers)
         assert _settle_state(serial_workers) == _settle_state(fused_workers)
-
-    def test_dynamic_memory_takes_serial_finish_identically(self):
-        """mem=None workers run ``_realloc_finish`` in place, same bits."""
-        serial_sim, serial_workers = _build_fleet(2, dynamic=frozenset({0}))
-        fused_sim, fused_workers = _build_fleet(2, dynamic=frozenset({0}))
-        serial_sim.clock.advance_to(5.0)
-        fused_sim.clock.advance_to(5.0)
-        for w in serial_workers:
-            w.poke()
-        fleet_settle(fused_workers)
-        fleet_reallocate(fused_workers)
-        assert _alloc_state(serial_workers) == _alloc_state(fused_workers)
 
     def test_already_poked_worker_is_skipped(self):
         sim, workers = _build_fleet(4)

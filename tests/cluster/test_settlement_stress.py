@@ -17,6 +17,7 @@ from repro.cluster.contention import ContentionModel
 from repro.cluster.worker import Worker
 from repro.containers.spec import ResourceSpec
 from repro.simcore.engine import Simulator
+from repro.simcore.events import PRIORITY_EXIT, Event, EventKind
 from tests.conftest import make_linear_job
 
 
@@ -106,38 +107,6 @@ class TestRapidReallocation:
         assert c.exited
         assert sim.now == pytest.approx(112.0)
 
-    def test_reschedule_tolerance_keeps_stale_projection(self):
-        from repro.containers.allocator import AllocationMode
-
-        sim = Simulator(seed=11, trace=False)
-        worker = Worker(
-            sim,
-            contention=ContentionModel.ideal(),
-            allocation_mode=AllocationMode.HARD,
-            reschedule_tolerance=1e6,
-        )
-        c = worker.launch(make_linear_job(total_work=50.0))
-        handle = worker._exit_handles[c.cid]
-        # The hard-capped rate drop moves the true finish from 50 to 90,
-        # but the delta sits inside the huge tolerance: event kept.
-        sim.schedule(10.0, lambda e: worker.update_limit(c.cid, 0.5))
-        sim.run(until=10.0)
-        assert worker._exit_handles[c.cid] is handle
-        sim.run_until_empty()
-        # The stale event fires at t=50, re-projects, and the job still
-        # completes at the analytically correct time.
-        assert c.exited
-        assert sim.now == pytest.approx(90.0)
-
-    @pytest.mark.parametrize(
-        "tolerance", [-1.0, float("nan"), float("inf")]
-    )
-    def test_negative_tolerance_rejected(self, sim, tolerance):
-        from repro.errors import CapacityError
-
-        with pytest.raises(CapacityError):
-            Worker(sim, reschedule_tolerance=tolerance)
-
 
 class TestStarvation:
     def test_zero_allocation_schedules_no_exit(self, sim, ideal_worker):
@@ -173,35 +142,7 @@ class TestStarvation:
         assert c.cgroup.cpu_seconds() == pytest.approx(0.0)
 
 
-class _CustomSpec(ResourceSpec):
-    """A ResourceSpec subclass — forces the scalar settlement fallback."""
-
-
-class TestVectorizedScalarParity:
-    def test_fallback_path_matches_vectorized(self):
-        def run(spec_cls) -> tuple[float, float, float]:
-            sim = Simulator(seed=5, trace=False)
-            worker = Worker(sim)  # default (jittered) contention
-            jobs = []
-            for i, work in enumerate((40.0, 70.0, 25.0)):
-                job = make_linear_job(f"j{i}", total_work=work)
-                job._footprint = spec_cls(
-                    cpu_demand=1.0, memory=0.1 + 0.05 * i, blkio=0.01
-                )
-                jobs.append(worker.launch(job))
-            for t in range(1, 60):
-                sim.schedule(float(t), lambda e: worker.poke())
-            sim.run_until_empty()
-            return (
-                sim.now,
-                sum(c.cgroup.cpu_seconds() for c in jobs),
-                sum(c.job.work_done for c in jobs),
-            )
-
-        fast = run(ResourceSpec)
-        slow = run(_CustomSpec)
-        assert fast == slow
-
+class TestVectorizedSettle:
     def test_vectorized_settle_accumulates_all_resources(self, sim, ideal_worker):
         job = make_linear_job(total_work=20.0)
         job._footprint = ResourceSpec(
@@ -228,12 +169,23 @@ class TestExitEventSingleReallocation:
             sim,
             contention=ContentionModel.ideal(),
             allocation_mode=AllocationMode.HARD,
-            reschedule_tolerance=1e6,
         )
         c = worker.launch(make_linear_job(total_work=50.0))
-        # The hard cap halves the rate but the projection is kept (huge
-        # tolerance), so the exit event at t=50 fires stale.
+        # The hard cap halves the rate at t=10 and moves the projected
+        # exit from 50 to 90.  Swap that event for one at the old t=50,
+        # so the exit event fires stale.
         sim.schedule(10.0, lambda e: worker.update_limit(c.cid, 0.5))
+        sim.run(until=10.0)
+        sim.cancel(worker._exit_handles[c.cid])
+        worker._exit_handles[c.cid] = sim.queue.push(
+            Event(
+                50.0,
+                EventKind.CONTAINER_EXIT,
+                worker._on_exit_event,
+                PRIORITY_EXIT,
+                c.cid,
+            )
+        )
         sim.run(until=49.0)
         calls = []
         original = worker._reallocate

@@ -12,8 +12,25 @@ import pytest
 from repro.cluster.worker import Worker, settle_rows
 from repro.containers.allocator import AllocationMode
 from repro.cluster.contention import ContentionModel
+from repro.containers.spec import ResourceSpec
+from repro.errors import ConfigError
 from repro.simcore.engine import Simulator
 from tests.conftest import make_linear_job
+
+
+class _SubclassSpec(ResourceSpec):
+    """A footprint that is not a plain ResourceSpec."""
+
+
+def _slot_state(worker):
+    """What a rejected launch or attach must leave untouched."""
+    return (
+        worker.runtime.version,
+        [c.cid for c in worker.runtime.all_containers()],
+        sorted(worker.pool.cids()),
+        worker.pool.total_arrivals(),
+        worker.running_count,
+    )
 
 
 class TestSoloJob:
@@ -159,6 +176,50 @@ class TestValidation:
         with pytest.raises(CapacityError):
             worker.set_capacity(capacity)
         assert worker.capacity == 1.0
+
+    def test_non_plain_footprint_rejected_at_launch(self, sim, ideal_worker):
+        ideal_worker.launch(make_linear_job("resident"))
+        before = _slot_state(ideal_worker)
+        job = make_linear_job("custom")
+        job._footprint = _SubclassSpec(cpu_demand=1.0, memory=0.1)
+        with pytest.raises(ConfigError, match="plain ResourceSpec"):
+            ideal_worker.launch(job)
+        assert _slot_state(ideal_worker) == before
+
+    def test_non_plain_footprint_rejected_at_attach(self, sim):
+        source = Worker(sim, name="src", contention=ContentionModel.ideal())
+        target = Worker(sim, name="dst", contention=ContentionModel.ideal())
+        target.launch(make_linear_job("resident"))
+        moving = source.launch(make_linear_job("moving"))
+        source.detach(moving.cid)
+        moving.job._footprint = _SubclassSpec(cpu_demand=1.0, memory=0.1)
+        before = _slot_state(target)
+        with pytest.raises(ConfigError, match="plain ResourceSpec"):
+            target.attach(moving)
+        assert _slot_state(target) == before
+
+
+class TestAttributeBudget:
+    def test_instance_attributes_stay_within_shared_key_limit(self, sim):
+        """CPython 3.11 shares one instance-dict key table across a
+        class's instances only up to 29 attributes.  Measured on
+        ``fleet_day``: one attribute more took each worker's
+        ``__dict__`` from 296 to 1 584 bytes and added about 1.2 MiB to
+        ``peak_rss_mib``.  Walk a worker through every lifecycle path
+        that touches its state, then count."""
+        source = Worker(sim, name="src", max_containers=3)
+        target = Worker(sim, name="dst", max_containers=3)
+        short = source.launch(make_linear_job("short", total_work=5.0))
+        moving = source.launch(make_linear_job("moving", total_work=50.0))
+        target.launch(make_linear_job("resident", total_work=50.0))
+        sim.run(until=12.0)
+        assert short.exited
+        target.reserve_slot()
+        target.release_reservation()
+        target.attach(source.detach(moving.cid))
+        target.crash()
+        for worker in (source, target):
+            assert len(vars(worker)) <= 29, sorted(vars(worker))
 
 
 class TestSettleRows:

@@ -346,15 +346,6 @@ class TestClusterShapes:
         for worker, slots in zip(result.workers, sc.max_containers):
             assert worker.max_containers == slots
 
-    def test_reschedule_tolerance_plumbed_to_workers(self):
-        result = run_cluster(
-            random_ten_job(0),
-            NAPolicy,
-            SimulationConfig(seed=0, trace=False, reschedule_tolerance=1e-6),
-            n_workers=2,
-        )
-        assert all(w.reschedule_tolerance == 1e-6 for w in result.workers)
-
     @pytest.mark.parametrize("axis, spec", [
         ("placement", "roundrobin"),
         ("rebalance", "gandiva"),

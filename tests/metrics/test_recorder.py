@@ -66,9 +66,12 @@ class TestRecorder:
         sim.run(until=50.0)
         assert len(recorder.trace_by_label("Job-1").cpu_usage) == n
 
-    def test_invalid_interval_rejected(self, sim, ideal_worker):
+    @pytest.mark.parametrize(
+        "interval", [0.0, -1.0, float("nan"), float("inf")]
+    )
+    def test_invalid_interval_rejected(self, sim, ideal_worker, interval):
         with pytest.raises(MetricsError):
-            MetricsRecorder(ideal_worker, sample_interval=0.0)
+            MetricsRecorder(ideal_worker, sample_interval=interval)
 
     def test_multiple_containers_tracked_separately(self, sim, ideal_worker):
         recorder = MetricsRecorder(ideal_worker, sample_interval=5.0)

@@ -37,9 +37,19 @@ class TestScheduling:
         sim.run_until_empty()
         assert seen == [5.0]
 
-    def test_negative_delay_raises(self, sim: Simulator):
+    @pytest.mark.parametrize("method, value", [
+        ("schedule_in", -1.0),
+        ("schedule_in", float("nan")),
+        ("schedule_in", float("inf")),
+        ("schedule", float("nan")),
+        ("schedule", float("inf")),
+    ])
+    def test_negative_delay_raises(self, sim: Simulator, method, value):
+        # NaN used to fire silently at now: every comparison with it is
+        # false, so the past-time guard let it through.
         with pytest.raises(SimulationError):
-            sim.schedule_in(-1.0, lambda e: None)
+            getattr(sim, method)(value, lambda e: None)
+        assert len(sim.queue) == 0
 
     def test_cancel_prevents_firing(self, sim: Simulator):
         fired = []

@@ -75,12 +75,6 @@ class TestSimulationConfig:
         with pytest.raises(ConfigError):
             SimulationConfig(horizon=horizon)
 
-    @pytest.mark.parametrize("tolerance", [-1.0, float("nan"), float("inf"), float("-inf")])
-    def test_reschedule_tolerance_nonnegative(self, tolerance):
-        SimulationConfig(reschedule_tolerance=0.5)
-        with pytest.raises(ConfigError):
-            SimulationConfig(reschedule_tolerance=tolerance)
-
     def test_with_params(self):
         cfg = SimulationConfig().with_params(seed=9)
         assert cfg.seed == 9
