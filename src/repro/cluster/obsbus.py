@@ -20,6 +20,12 @@ are bit-identical — while the underlying integral snapshots are shared
 through :meth:`CgroupAccount.window_mean_cached`: N subscribers cost one
 uncached window query per container per tick instead of N.
 
+The window rule — where a subscriber's next window starts, and when a
+read is skipped — is written once, in :meth:`BusSampler.read`.
+:meth:`BusSampler.sample` and the fused fleet sampling passes
+(:mod:`repro.cluster.fleet`), which read containers without building
+observations, all go through it.
+
 Checkpoint pruning
 ------------------
 After each pass the bus prunes every observed container's checkpoint
@@ -37,7 +43,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.containers.cgroup import CgroupAccount
+import numpy as np
+
 from repro.containers.container import Container, ContainerState
 from repro.containers.spec import ResourceVector
 from repro.containers.stats import ContainerStats
@@ -76,7 +83,6 @@ class ContainerObservation:
         "cpu_alloc",
         "cpu_limit",
         "container",
-        "account",
     )
 
     def __init__(
@@ -90,7 +96,6 @@ class ContainerObservation:
         cpu_alloc: float,
         cpu_limit: float,
         container: Container,
-        account: CgroupAccount,
     ) -> None:
         self.time = time
         self.cid = cid
@@ -101,7 +106,6 @@ class ContainerObservation:
         self.cpu_alloc = cpu_alloc
         self.cpu_limit = cpu_limit
         self.container = container
-        self.account = account
 
 
 class BusSampler:
@@ -120,32 +124,50 @@ class BusSampler:
     def __init__(self) -> None:
         self._last_sample: dict[int, float] = {}
 
+    def read(self, container: Container, now: float) -> np.ndarray | None:
+        """This subscriber's mean-usage row for *container* up to *now*.
+
+        The one place the window rule lives.  The window starts at this
+        subscriber's previous sample of the container, clamped up to
+        the account's ``history_floor``: a first sample starts at the
+        floor (creation, or the pruned floor for a subscriber that
+        registered after pruning began), and a held-over window can fall
+        below the floor when a cross-worker subscriber follows a
+        container that migrated and the new bus pruned first — on an
+        unpruned account the floor still sits at creation, so the clamp
+        changes nothing there.  A zero-length window (two samples at the
+        same instant) returns ``None`` and leaves the window where it
+        was, as a real monitor skips a duplicate poll.  Otherwise the
+        row comes through :meth:`CgroupAccount.window_mean_cached`, so
+        every subscriber shares one snapshot memo, and the window
+        advances to *now*.
+        """
+        cid = container.cid
+        account = container.cgroup
+        floor = account.history_floor
+        t_prev = self._last_sample.get(cid, floor)
+        if t_prev < floor:
+            t_prev = floor
+        if now <= t_prev:
+            return None
+        row = account.window_mean_cached(t_prev, now)
+        self._last_sample[cid] = now
+        return row
+
     def sample(self, obs: ContainerObservation) -> ContainerStats | None:
         """Fold one shared observation into this subscriber's window.
 
-        Returns ``None`` for a zero-length window (two samples at the
-        same instant), mirroring how a real monitor skips a duplicate
-        poll.
+        :meth:`read` over the observed container, wrapped as this
+        subscriber's :class:`~repro.containers.stats.ContainerStats`;
+        ``None`` for a zero-length window.
         """
-        cid = obs.cid
-        t_prev = self._last_sample.get(cid)
-        if t_prev is None or t_prev < obs.account.history_floor:
-            # First sample: window from creation — or from the pruned
-            # floor for a subscriber that registered after pruning began.
-            # A held-over window can also fall below the floor when a
-            # cross-worker subscriber re-registers after the container
-            # migrated and the new bus pruned first; clamping to the
-            # floor is identical on unpruned accounts, where the floor
-            # still sits at creation time.
-            t_prev = obs.account.history_floor
         time = obs.time
-        if time <= t_prev:
+        mean_row = self.read(obs.container, time)
+        if mean_row is None:
             return None
-        mean_row = obs.account.window_mean_cached(t_prev, time)
-        self._last_sample[cid] = time
         return ContainerStats(
             time,
-            cid,
+            obs.cid,
             obs.name,
             obs.state,
             ResourceVector.from_array(mean_row),
@@ -266,7 +288,6 @@ class ObservationBus:
                     container.current_alloc,
                     container.limits.cpu,
                     container,
-                    container.cgroup,
                 )
             )
         self._cache = observations

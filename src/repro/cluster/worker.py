@@ -37,9 +37,10 @@ packed per-row arrays give the same per-element IEEE ops) and
 :meth:`Worker._apply_settle` its per-container apply loop; reallocation
 is split into :meth:`Worker._realloc_begin` (version bump, active set,
 jitter draws → allocator inputs) and :meth:`Worker._realloc_finish`
-(apply shares, reschedule exits through :meth:`Worker._schedule_exits`,
-optionally with a projection the fleet pass computed packed).  The plain
-:meth:`Worker._reallocate` is exactly ``begin → allocate → finish``.
+(apply shares, then project and reschedule exits through
+:meth:`Worker._reschedule_exits`, the one exit projection).  The plain
+:meth:`Worker._reallocate` is exactly ``begin → allocate → finish``; the
+fleet pass swaps only the middle step for one segmented allocation.
 """
 
 from __future__ import annotations
@@ -615,25 +616,12 @@ class Worker:
             weights = None
         return limits, demands, weights, mem
 
-    def _realloc_finish(
-        self,
-        alloc: np.ndarray,
-        mem: float,
-        projection: tuple[list[float], list[float]] | None = None,
-    ) -> None:
-        """Second half of a reallocation: apply *alloc* + reschedule exits.
-
-        *projection* is ``(rates, finish times)`` for the active set when
-        the caller already computed it (the fused fleet pass projects
-        every worker in one packed numpy pass); ``None`` projects here.
-        """
+    def _realloc_finish(self, alloc: np.ndarray, mem: float) -> None:
+        """Second half of a reallocation: apply *alloc* + reschedule exits."""
         self._allocs = alloc
         for container, share in zip(self._active, alloc.tolist()):
             container.current_alloc = share
-        if projection is None:
-            self._reschedule_exits(mem)
-        else:
-            self._schedule_exits(*projection)
+        self._reschedule_exits(mem)
 
     def _cancel_all_exits(self) -> None:
         if self._exit_handles:
@@ -647,6 +635,14 @@ class Worker:
 
         ``rate = alloc · eff`` and ``t_finish = now + remaining / rate``
         per container, with ``eff`` from the resident-memory total *mem*.
+        Incremental: projections are keyed by cid and an outstanding exit
+        event is kept whenever the recomputed finish time matches it
+        exactly, so a reallocation that leaves some containers' rates
+        unchanged touches only the projections that actually moved.
+        Starved containers (``rate <= 0``) lose their projection until
+        the next allocation change.  Events are pushed in active-set
+        order, so queue sequence numbers — the heap tie-break — follow
+        the active set.
         """
         active = self._active
         if not active:
@@ -654,24 +650,6 @@ class Worker:
             return
         eff = self.contention.efficiency(len(active), mem)
         now = self.sim.now
-        rates = [alloc * eff for alloc in self._allocs.tolist()]
-        finishes = [
-            now + container.job.remaining_work() / rate if rate > 0 else now
-            for container, rate in zip(active, rates)
-        ]
-        self._schedule_exits(rates, finishes)
-
-    def _schedule_exits(self, rates: list[float], finishes: list[float]) -> None:
-        """(Re)schedule the active set's exits from projected rates/times.
-
-        Incremental: projections are keyed by cid and an outstanding exit
-        event is kept whenever the recomputed finish time matches it
-        exactly, so a reallocation that leaves some containers' rates
-        unchanged touches only the projections that actually moved.  Starved containers
-        (``rate <= 0``) lose their projection until the next allocation
-        change.  Events are pushed in active-set order, so queue sequence
-        numbers — the heap tie-break — do not depend on who projected.
-        """
         handles = self._exit_handles
         # Hot path: exits are (re)scheduled on every reallocation of a
         # jittered pool, so events are pushed straight onto the queue —
@@ -681,13 +659,15 @@ class Worker:
         on_exit = self._on_exit_event
         cancel = self.sim.cancel
         seen: set[int] = set()
-        for container, rate, t_finish in zip(self._active, rates, finishes):
+        for container, alloc in zip(active, self._allocs.tolist()):
             cid = container.cid
+            rate = alloc * eff
             if rate <= 0:
                 old = handles.pop(cid, None)
                 if old is not None:
                     cancel(old)
                 continue
+            t_finish = now + container.job.remaining_work() / rate
             seen.add(cid)
             old = handles.get(cid)
             if old is not None and old.alive:

@@ -92,36 +92,17 @@ class CgroupAccount:
 
     # -- accumulation ------------------------------------------------------
 
-    def accumulate(self, dt: float, usage: ResourceVector) -> None:
-        """Integrate constant *usage* over an interval of length *dt*."""
-        if dt < 0:
-            raise ContainerError(f"negative accounting interval {dt!r}")
-        if dt == 0.0:
-            return
-        self._integral += usage.as_array() * dt
-        self.last_update += dt
-
     def settle_add(self, dt: float, contrib: np.ndarray) -> None:
         """Bulk settlement fast-path: add a precomputed ``usage · dt`` row.
 
         The worker's vectorized settlement computes every container's
-        contribution in one numpy pass and hands each account its row;
-        this is ``accumulate`` + ``checkpoint`` without re-deriving the
-        usage vector.  *dt* must be positive (the worker already
+        contribution in one numpy pass and hands each account its row,
+        which is added to the counters and recorded as a checkpoint for
+        later window queries.  *dt* must be positive (the worker already
         early-outs on empty intervals).
         """
         self._integral += contrib
         self.last_update += dt
-        n = self._n
-        if n == self._cp_t.shape[0]:
-            self._grow()
-            n = self._n
-        self._cp_t[n] = self.last_update
-        self._cp_v[n] = self._integral
-        self._n = n + 1
-
-    def checkpoint(self) -> None:
-        """Record the current counters for later window queries."""
         n = self._n
         if n == self._cp_t.shape[0]:
             self._grow()
@@ -224,21 +205,11 @@ class CgroupAccount:
         next window, whose start is this window's end) share one
         computation.  Returns the raw 4-vector; callers wrap it in a
         :class:`~repro.containers.spec.ResourceVector` as needed.
-        """
-        start, end = self.window_snapshots(t_start, t_end)
-        return (end - start) / (t_end - t_start)
 
-    def window_snapshots(
-        self, t_start: float, t_end: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Memoized integral snapshots at both ends of a window.
-
-        What :meth:`window_mean_cached` divides; the fused fleet sampling
-        pass reads them here and divides packed across containers.  All
-        observers must share this memo for more than speed: a migrated
-        account's checkpoint clock lags by the migration's flight time,
-        so a snapshot recomputed later by interpolation can differ from
-        the one memoized live.
+        All observers must share this memo for more than speed: a
+        migrated account's checkpoint clock lags by the migration's
+        flight time, so a snapshot recomputed later by interpolation can
+        differ from the one memoized live.
         """
         if t_end <= t_start:
             raise ContainerError(
@@ -261,7 +232,7 @@ class CgroupAccount:
             end = self._integral_at(t_end)
             end.flags.writeable = False
             memo[t_end] = end
-        return start, end
+        return (end - start) / (t_end - t_start)
 
     def _integral_at(self, t: float) -> np.ndarray:
         """Counter values at time *t* (interpolating between checkpoints).

@@ -15,7 +15,7 @@ from typing import Protocol, runtime_checkable
 
 from repro.containers.cgroup import CgroupAccount
 from repro.containers.limits import LimitSet
-from repro.containers.spec import ResourceSpec, ResourceVector
+from repro.containers.spec import ResourceSpec
 from repro.errors import ContainerStateError
 
 __all__ = ["Container", "ContainerState", "Workload"]
@@ -148,14 +148,6 @@ class Container:
                 f"container {self.name} has not exited yet"
             )
         return self.finished_at - self.created_at
-
-    def demand(self) -> float:
-        """Current CPU demand ceiling of the enclosed job."""
-        return self.job.footprint.cpu_demand
-
-    def usage_at(self, cpu_alloc: float) -> ResourceVector:
-        """Instantaneous resource usage if granted *cpu_alloc*."""
-        return self.job.footprint.usage_at(cpu_alloc)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -118,6 +118,11 @@ class ResourceSpec:
         Average block-I/O bandwidth fraction (dataset streaming).
     netio:
         Average network-I/O bandwidth fraction.
+
+    A grant of ``alloc`` CPU turns into usage ``min(alloc, cpu_demand)``
+    CPU, resident ``memory``, and I/O scaled by the achieved fraction of
+    ``cpu_demand`` (a faster training loop streams batches faster); the
+    worker applies that rule in :func:`repro.cluster.worker.settle_rows`.
     """
 
     cpu_demand: float = 1.0
@@ -134,18 +139,3 @@ class ResourceSpec:
                 )
         if self.cpu_demand <= 0.0:
             raise ConfigError("ResourceSpec.cpu_demand must be positive")
-
-    def usage_at(self, cpu_alloc: float) -> ResourceVector:
-        """Instantaneous usage when granted ``cpu_alloc`` CPU.
-
-        Memory is resident (independent of CPU); I/O scales with achieved
-        compute rate because a faster training loop streams batches faster.
-        """
-        rate = 0.0 if self.cpu_demand <= 0 else min(cpu_alloc, self.cpu_demand)
-        scale = rate / self.cpu_demand
-        return ResourceVector(
-            cpu=rate,
-            memory=self.memory,
-            blkio=self.blkio * scale,
-            netio=self.netio * scale,
-        )

@@ -28,6 +28,7 @@ job when ``tenants`` is given).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -79,6 +80,23 @@ class WorkloadSpec:
     weight: float = 1.0
     priority: int = 0
     retry_budget: int = 3
+
+    def __post_init__(self) -> None:
+        # isfinite first: NaN compares false with everything.
+        if not math.isfinite(self.submit_time) or self.submit_time < 0:
+            raise WorkloadError(
+                f"submit_time must be finite and >= 0, got {self.submit_time!r}"
+            )
+        for name in ("work_scale", "weight"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise WorkloadError(
+                    f"{name} must be positive and finite, got {value!r}"
+                )
+        if self.retry_budget < 0:
+            raise WorkloadError(
+                f"retry_budget must be >= 0, got {self.retry_budget!r}"
+            )
 
     def build_job(self, rng: np.random.Generator | None = None,
                   size_jitter: float = 0.0) -> TrainingJob:
@@ -291,8 +309,10 @@ def _spec(
 
 
 def _positive(name: str, value: float) -> float:
-    if value <= 0:
-        raise WorkloadError(f"{name} must be positive, got {value!r}")
+    if not math.isfinite(value) or value <= 0:
+        raise WorkloadError(
+            f"{name} must be positive and finite, got {value!r}"
+        )
     return float(value)
 
 

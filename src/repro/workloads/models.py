@@ -33,6 +33,7 @@ orderings are what the reproduction preserves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -252,9 +253,12 @@ def make_job(
         raise WorkloadError(
             f"unknown model key {key!r}; available: {sorted(MODEL_ZOO)}"
         )
-    if work_scale <= 0:
-        raise WorkloadError(f"work_scale must be positive, got {work_scale!r}")
-    if size_jitter < 0 or size_jitter >= 1:
+    # isfinite first: NaN compares false with everything.
+    if not math.isfinite(work_scale) or work_scale <= 0:
+        raise WorkloadError(
+            f"work_scale must be positive and finite, got {work_scale!r}"
+        )
+    if not math.isfinite(size_jitter) or size_jitter < 0 or size_jitter >= 1:
         raise WorkloadError("size_jitter must lie in [0, 1)")
     scale = work_scale
     if rng is not None and size_jitter > 0:

@@ -12,9 +12,9 @@ The contracts under test, each against the serial path as the oracle:
   of the serial path.
 * **Ticker lifecycle** — recorders discovered from event payloads, every
   tick of a lone worker reaches the ticker, stopped recorders drop out,
-  caches invalidate on pool changes, the fused prune keeps history
-  bounded on the serial cadence, and a migrated container's windows read
-  the shared snapshot memo.
+  a mid-run launch is sampled from its launch on, the fused prune keeps
+  history bounded on the serial cadence, and a migrated container's
+  windows read the shared snapshot memo.
 """
 
 from __future__ import annotations
@@ -360,8 +360,8 @@ class TestFleetTicker:
         for r in recorders[1:]:
             r.stop()
 
-    def test_static_cache_rebuilds_on_pool_change(self):
-        """A mid-run launch invalidates the version-keyed static entries."""
+    def test_mid_run_launch_is_sampled_from_its_launch_instant(self):
+        """A container launched between ticks joins the fused pass."""
         sim, workers, recorders, ticker = _ticked_fleet(2)
         sim.run(until=12.0)
         late = workers[0].launch(
@@ -472,8 +472,8 @@ class TestFleetTicker:
         assert fused == serial
         assert fused[0] == [10.0, 15.0]
 
-    def test_fleet_sample_without_static_cache(self):
-        """``static_cache=None`` (ad-hoc callers) builds entries in place."""
+    def test_fleet_sample_called_outside_the_ticker(self):
+        """An ad-hoc ``fleet_sample`` call samples like a ticker pass."""
         sim, workers, recorders, ticker = _ticked_fleet(2, fleet=False)
         sim.run(until=5.0)  # serial tick at 5.0 seeds the sampler windows
         sim.clock.advance_to(8.0)

@@ -6,6 +6,9 @@ The contracts under test:
   exactly one settle and one uncached cgroup window query per container.
 * **Bit parity** — a :class:`BusSampler` reproduces the historical
   private-:class:`StatsSampler` readings bit-for-bit, window for window.
+* **One window rule** — :meth:`BusSampler.read` opens a first window at
+  the history floor, clamps a held-over window up to it, skips a
+  zero-length window without advancing, and otherwise advances.
 * **Bounded memory** — checkpoint pruning keeps per-container history
   bounded by the longest live observation window without changing any
   reading, is disabled whenever migration is possible, and turns
@@ -23,12 +26,13 @@ from repro.cluster.manager import Manager
 from repro.cluster.obsbus import BusSampler
 from repro.cluster.worker import Worker
 from repro.config import SimulationConfig
+from repro.containers.container import Container
 from repro.containers.stats import StatsSampler
 from repro.errors import ContainerError
 from repro.experiments.runner import run_cluster
 from repro.experiments.scenarios import two_hundred_job
 from repro.simcore.engine import Simulator
-from tests.conftest import make_linear_job
+from tests.conftest import make_linear_job, settle_usage
 
 
 def _stats_fields(stats):
@@ -151,6 +155,50 @@ class TestBusSamplerParity:
         sampler.sample(obs)
         sampler.forget(c.cid)
         assert sampler.window_start(c.cid, c.created_at) == c.created_at
+
+
+class TestBusSamplerRead:
+    """``BusSampler.read`` holds the one window rule every sampling path
+    (``sample``, the fused dense and streaming passes) reads through."""
+
+    @pytest.mark.parametrize(
+        "created_at, phases, prior, prune_at, now, want_cpu, want_start",
+        [
+            # A first window opens at the history floor (creation).
+            (2.0, [(4.0, 0.5)], [], None, 6.0, 0.5, 6.0),
+            # A held-over window below a pruned floor clamps to the floor
+            # (unclamped, [2, 8] would reach below the pruned history).
+            (0.0, [(4.0, 0.25), (4.0, 1.0)], [2.0], 4.0, 8.0, 1.0, 8.0),
+            # A zero-length first window returns None and records nothing.
+            (4.0, [(4.0, 0.5)], [], None, 4.0, None, None),
+            # A window ending at or before its start returns None and
+            # leaves the window where it was.
+            (0.0, [(4.0, 0.5)], [4.0], None, 3.0, None, 4.0),
+            # A later read covers only the new window and advances it.
+            (0.0, [(4.0, 0.25), (4.0, 1.0)], [4.0], None, 8.0, 1.0, 8.0),
+        ],
+        ids=["first-at-floor", "held-over-clamps", "zero-first",
+             "zero-later", "later-advances"],
+    )
+    def test_window_rule(
+        self, created_at, phases, prior, prune_at, now, want_cpu, want_start
+    ):
+        c = Container(make_linear_job(), created_at=created_at)
+        c.start(created_at)
+        for dt, cpu in phases:
+            settle_usage(c.cgroup, dt, cpu=cpu)
+        sampler = BusSampler()
+        for t in prior:
+            assert sampler.read(c, t) is not None
+        if prune_at is not None:
+            c.cgroup.prune_before(prune_at)
+            assert c.cgroup.history_floor == prune_at
+        row = sampler.read(c, now)
+        if want_cpu is None:
+            assert row is None
+        else:
+            assert row[0] == want_cpu
+        assert sampler.window_start(c.cid, None) == want_start
 
 
 class TestPruning:

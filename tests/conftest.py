@@ -12,7 +12,8 @@ import pytest
 
 from repro.cluster.contention import ContentionModel
 from repro.cluster.worker import Worker
-from repro.containers.spec import ResourceSpec
+from repro.containers.cgroup import CgroupAccount
+from repro.containers.spec import ResourceSpec, ResourceVector
 from repro.simcore.engine import Simulator
 from repro.workloads.curves import PiecewiseLinearCurve
 from repro.workloads.evalfn import EvalFunction, EvalKind
@@ -41,6 +42,15 @@ def make_linear_job(
         warmup_work=warmup,
         total_iterations=1000,
     )
+
+
+def settle_usage(account: CgroupAccount, dt: float, **usage: float) -> None:
+    """Settle *dt* seconds of constant *usage* into *account*.
+
+    Builds the ``usage · dt`` row the worker's settlement hands
+    :meth:`CgroupAccount.settle_add`, which also records a checkpoint.
+    """
+    account.settle_add(dt, ResourceVector(**usage).as_array() * dt)
 
 
 @pytest.fixture

@@ -5,29 +5,20 @@ from __future__ import annotations
 import pytest
 
 from repro.containers.cgroup import CgroupAccount
-from repro.containers.spec import ResourceVector
 from repro.errors import ContainerError
+from tests.conftest import settle_usage
 
 
 class TestAccumulation:
     def test_cpu_seconds_integrate(self):
         acct = CgroupAccount()
-        acct.accumulate(10.0, ResourceVector(cpu=0.5))
-        acct.accumulate(10.0, ResourceVector(cpu=1.0))
+        settle_usage(acct, 10.0, cpu=0.5)
+        settle_usage(acct, 10.0, cpu=1.0)
         assert acct.cpu_seconds() == pytest.approx(15.0)
-
-    def test_zero_interval_is_noop(self):
-        acct = CgroupAccount()
-        acct.accumulate(0.0, ResourceVector(cpu=1.0))
-        assert acct.cpu_seconds() == 0.0
-
-    def test_negative_interval_raises(self):
-        with pytest.raises(ContainerError):
-            CgroupAccount().accumulate(-1.0, ResourceVector())
 
     def test_totals_cover_all_dimensions(self):
         acct = CgroupAccount()
-        acct.accumulate(4.0, ResourceVector(cpu=0.5, memory=0.25, blkio=0.1))
+        settle_usage(acct, 4.0, cpu=0.5, memory=0.25, blkio=0.1)
         totals = acct.totals
         assert totals.cpu == pytest.approx(2.0)
         assert totals.memory == pytest.approx(1.0)
@@ -37,33 +28,27 @@ class TestAccumulation:
 class TestWindows:
     def test_mean_usage_over_checkpointed_window(self):
         acct = CgroupAccount()
-        acct.accumulate(10.0, ResourceVector(cpu=0.2))
-        acct.checkpoint()
-        acct.accumulate(10.0, ResourceVector(cpu=0.8))
-        acct.checkpoint()
+        settle_usage(acct, 10.0, cpu=0.2)
+        settle_usage(acct, 10.0, cpu=0.8)
         mean = acct.mean_usage_since(10.0, 20.0)
         assert mean.cpu == pytest.approx(0.8)
 
     def test_mean_usage_across_phases(self):
         acct = CgroupAccount()
-        acct.accumulate(10.0, ResourceVector(cpu=0.2))
-        acct.checkpoint()
-        acct.accumulate(10.0, ResourceVector(cpu=0.8))
-        acct.checkpoint()
+        settle_usage(acct, 10.0, cpu=0.2)
+        settle_usage(acct, 10.0, cpu=0.8)
         mean = acct.mean_usage_since(0.0, 20.0)
         assert mean.cpu == pytest.approx(0.5)
 
     def test_interpolation_inside_phase(self):
         acct = CgroupAccount()
-        acct.accumulate(10.0, ResourceVector(cpu=1.0))
-        acct.checkpoint()
+        settle_usage(acct, 10.0, cpu=1.0)
         mean = acct.mean_usage_since(2.5, 7.5)
         assert mean.cpu == pytest.approx(1.0)
 
     def test_window_before_creation_clamps(self):
         acct = CgroupAccount(created_at=5.0)
-        acct.accumulate(5.0, ResourceVector(cpu=1.0))
-        acct.checkpoint()
+        settle_usage(acct, 5.0, cpu=1.0)
         # Window starting before creation sees zero usage there.
         mean = acct.mean_usage_since(0.0, 10.0)
         assert mean.cpu == pytest.approx(0.5)
@@ -74,8 +59,7 @@ class TestWindows:
 
     def test_window_between_returns_duration(self):
         acct = CgroupAccount()
-        acct.accumulate(8.0, ResourceVector(cpu=0.5))
-        acct.checkpoint()
+        settle_usage(acct, 8.0, cpu=0.5)
         window = acct.window_between(0.0, 8.0)
         assert window.duration == pytest.approx(8.0)
         assert window.mean.cpu == pytest.approx(0.5)
@@ -91,10 +75,8 @@ class TestIntegralAliasing:
 
     def _account(self) -> CgroupAccount:
         acct = CgroupAccount()
-        acct.accumulate(10.0, ResourceVector(cpu=0.5))
-        acct.checkpoint()
-        acct.accumulate(10.0, ResourceVector(cpu=1.0))
-        acct.checkpoint()
+        settle_usage(acct, 10.0, cpu=0.5)
+        settle_usage(acct, 10.0, cpu=1.0)
         return acct
 
     def test_mutating_before_creation_result_is_harmless(self):
@@ -128,8 +110,7 @@ class TestIntegralAliasing:
     def test_grow_preserves_history(self):
         acct = CgroupAccount()
         for _ in range(100):  # force several buffer growths
-            acct.accumulate(1.0, ResourceVector(cpu=0.25))
-            acct.checkpoint()
+            settle_usage(acct, 1.0, cpu=0.25)
         assert acct.checkpoint_count == 101
         assert acct.cpu_seconds() == pytest.approx(25.0)
         assert acct.mean_usage_since(10.0, 90.0).cpu == pytest.approx(0.25)
@@ -137,8 +118,7 @@ class TestIntegralAliasing:
     def test_prune_then_grow_compacts(self):
         acct = CgroupAccount()
         for i in range(200):
-            acct.accumulate(1.0, ResourceVector(cpu=0.5))
-            acct.checkpoint()
+            settle_usage(acct, 1.0, cpu=0.5)
             if i % 10 == 0:
                 acct.prune_before(acct.last_update - 5.0)
         assert acct.checkpoint_count < 32

@@ -60,14 +60,6 @@ class TestIdentity:
 
 
 class TestDerived:
-    def test_demand_comes_from_job_footprint(self):
-        c = Container(make_linear_job(demand=0.35))
-        assert c.demand() == pytest.approx(0.35)
-
-    def test_usage_at_delegates_to_footprint(self):
-        c = Container(make_linear_job(demand=0.5))
-        assert c.usage_at(0.9).cpu == pytest.approx(0.5)
-
     def test_fresh_limits_are_open(self):
         c = Container(make_linear_job())
         assert c.limits.cpu == 1.0

@@ -6,7 +6,7 @@ import pytest
 
 from repro.containers.runtime import ContainerRuntime
 from repro.errors import ContainerStateError, UnknownContainerError
-from tests.conftest import make_linear_job
+from tests.conftest import make_linear_job, settle_usage
 
 
 @pytest.fixture
@@ -69,11 +69,8 @@ class TestStatsAndRemove:
         assert runtime.stats(c.cid) is None  # same-instant sample
 
     def test_stats_after_accounting(self, runtime, clockbox):
-        from repro.containers.spec import ResourceVector
-
         c = runtime.run(make_linear_job())
-        c.cgroup.accumulate(10.0, ResourceVector(cpu=0.5))
-        c.cgroup.checkpoint()
+        settle_usage(c.cgroup, 10.0, cpu=0.5)
         clockbox["t"] = 10.0
         stats = runtime.stats(c.cid)
         assert stats is not None

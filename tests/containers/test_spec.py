@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cluster.worker import settle_rows
 from repro.containers.spec import ResourceSpec, ResourceType, ResourceVector
 from repro.errors import ConfigError
 
@@ -66,21 +67,29 @@ class TestResourceSpec:
         with pytest.raises(ConfigError):
             ResourceSpec(cpu_demand=0.0)
 
-    def test_usage_at_caps_cpu_at_demand(self):
-        spec = ResourceSpec(cpu_demand=0.35, memory=0.2, blkio=0.1)
-        usage = spec.usage_at(0.9)
+    def test_usage_caps_cpu_at_demand(self):
+        usage = _usage(ResourceSpec(cpu_demand=0.35, memory=0.2, blkio=0.1), 0.9)
         assert usage.cpu == pytest.approx(0.35)
         assert usage.memory == pytest.approx(0.2)  # resident regardless
         assert usage.blkio == pytest.approx(0.1)   # at full demand-rate
 
     def test_usage_io_scales_with_achieved_rate(self):
-        spec = ResourceSpec(cpu_demand=1.0, blkio=0.2)
-        usage = spec.usage_at(0.5)
+        usage = _usage(ResourceSpec(cpu_demand=1.0, blkio=0.2), 0.5)
         assert usage.cpu == pytest.approx(0.5)
         assert usage.blkio == pytest.approx(0.1)
 
     def test_usage_at_zero(self):
-        spec = ResourceSpec(cpu_demand=1.0, memory=0.3)
-        usage = spec.usage_at(0.0)
+        usage = _usage(ResourceSpec(cpu_demand=1.0, memory=0.3), 0.0)
         assert usage.cpu == 0.0
         assert usage.memory == pytest.approx(0.3)
+
+
+def _usage(spec: ResourceSpec, alloc: float) -> ResourceVector:
+    """Usage rate of *spec* granted *alloc* CPU, read off the worker's
+    settlement rows (one container, unit efficiency, unit interval)."""
+    arrays = tuple(
+        np.array([value])
+        for value in (spec.cpu_demand, spec.memory, spec.blkio, spec.netio)
+    )
+    _, contrib = settle_rows(np.array([alloc]), arrays, 1.0, 1.0)
+    return ResourceVector.from_array(contrib[0])

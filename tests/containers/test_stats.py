@@ -5,17 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.containers.container import Container
-from repro.containers.spec import ResourceVector
 from repro.containers.stats import StatsSampler
-from tests.conftest import make_linear_job
+from tests.conftest import make_linear_job, settle_usage
 
 
 class TestStatsSampler:
     def test_first_sample_spans_from_creation(self):
         c = Container(make_linear_job(), created_at=0.0)
         c.start(0.0)
-        c.cgroup.accumulate(10.0, ResourceVector(cpu=0.4))
-        c.cgroup.checkpoint()
+        settle_usage(c.cgroup, 10.0, cpu=0.4)
         sampler = StatsSampler()
         stats = sampler.sample(c, 10.0)
         assert stats.mean_usage.cpu == pytest.approx(0.4)
@@ -24,11 +22,9 @@ class TestStatsSampler:
         c = Container(make_linear_job(), created_at=0.0)
         c.start(0.0)
         sampler = StatsSampler()
-        c.cgroup.accumulate(10.0, ResourceVector(cpu=0.4))
-        c.cgroup.checkpoint()
+        settle_usage(c.cgroup, 10.0, cpu=0.4)
         sampler.sample(c, 10.0)
-        c.cgroup.accumulate(10.0, ResourceVector(cpu=0.8))
-        c.cgroup.checkpoint()
+        settle_usage(c.cgroup, 10.0, cpu=0.8)
         stats = sampler.sample(c, 20.0)
         assert stats.mean_usage.cpu == pytest.approx(0.8)
 
@@ -36,7 +32,7 @@ class TestStatsSampler:
         c = Container(make_linear_job(), created_at=0.0)
         c.start(0.0)
         sampler = StatsSampler()
-        c.cgroup.accumulate(5.0, ResourceVector(cpu=1.0))
+        settle_usage(c.cgroup, 5.0, cpu=1.0)
         sampler.sample(c, 5.0)
         assert sampler.sample(c, 5.0) is None
 
@@ -45,7 +41,7 @@ class TestStatsSampler:
         c = Container(job, created_at=0.0)
         c.start(0.0)
         job.advance(50.0)
-        c.cgroup.accumulate(5.0, ResourceVector(cpu=1.0))
+        settle_usage(c.cgroup, 5.0, cpu=1.0)
         sampler = StatsSampler()
         stats = sampler.sample(c, 5.0)
         assert stats.eval_value == pytest.approx(0.5)
@@ -55,7 +51,7 @@ class TestStatsSampler:
         c.start(0.0)
         c.current_alloc = 0.3
         c.limits.set_cpu(0.4)
-        c.cgroup.accumulate(5.0, ResourceVector(cpu=0.3))
+        settle_usage(c.cgroup, 5.0, cpu=0.3)
         stats = StatsSampler().sample(c, 5.0)
         assert stats.name == "Job-9"
         assert stats.cpu_alloc == pytest.approx(0.3)
@@ -66,8 +62,7 @@ class TestStatsSampler:
         c = Container(make_linear_job(), created_at=0.0)
         c.start(0.0)
         sampler = StatsSampler()
-        c.cgroup.accumulate(10.0, ResourceVector(cpu=1.0))
-        c.cgroup.checkpoint()
+        settle_usage(c.cgroup, 10.0, cpu=1.0)
         sampler.sample(c, 10.0)
         sampler.forget(c.cid)
         # After forgetting, the window restarts from creation again.

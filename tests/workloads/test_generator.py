@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workloads.generator import WorkloadGenerator
+from repro.workloads.generator import WorkloadGenerator, WorkloadSpec, make_stream
+from repro.workloads.models import make_job
 
 
 class TestFixedSchedules:
@@ -93,3 +94,38 @@ class TestRandomSchedules:
         gen = WorkloadGenerator(np.random.default_rng(0))
         with pytest.raises(WorkloadError):
             gen.random_mix(3, pool=["nope@nowhere"])
+
+
+class TestBadWorkloadInput:
+    """Bad workload input fails at construction, NaN included (NaN
+    compares false with everything, so plain ``<= 0`` guards pass it)."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: WorkloadSpec("mnist@tensorflow", float("nan"), "Job-1"),
+            lambda: WorkloadSpec("mnist@tensorflow", -5.0, "Job-1"),
+            lambda: WorkloadSpec(
+                "mnist@tensorflow", 0.0, "Job-1", work_scale=float("nan")
+            ),
+            lambda: WorkloadSpec(
+                "mnist@tensorflow", 0.0, "Job-1", weight=float("nan")
+            ),
+            lambda: WorkloadSpec(
+                "mnist@tensorflow", 0.0, "Job-1", retry_budget=-1
+            ),
+            lambda: make_job("mnist@tensorflow", work_scale=float("nan")),
+            lambda: make_job("mnist@tensorflow", size_jitter=float("nan")),
+            lambda: make_stream("poisson", n_jobs=3, mean_gap=float("nan")),
+            lambda: make_stream("poisson", n_jobs=3, work_scale=float("inf")),
+        ],
+        ids=[
+            "spec-submit-nan", "spec-submit-negative", "spec-work-scale-nan",
+            "spec-weight-nan", "spec-retry-negative", "job-work-scale-nan",
+            "job-size-jitter-nan", "stream-mean-gap-nan",
+            "stream-work-scale-inf",
+        ],
+    )
+    def test_rejected_at_construction(self, build):
+        with pytest.raises(WorkloadError):
+            build()
