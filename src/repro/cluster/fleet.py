@@ -26,9 +26,9 @@ everything else runs each worker's or recorder's own code:
   per-worker jitter draws, preserving every RNG stream's draw order),
   hand all allocator inputs to
   :meth:`repro.containers.allocator.CpuAllocator.allocate_segmented`
-  grouped by allocation mode, and finish with each worker's
-  ``_realloc_finish``, which projects and reschedules that worker's
-  exits.
+  grouped by allocation mode (one ``allocate`` per pool), and finish
+  with each worker's ``_realloc_finish``, which projects and
+  reschedules that worker's exits.
 * **Sample** — per recorder, open the worker's bus pass with
   :meth:`ObservationBus.begin_pass` (cache key, pass counter, and the
   every-16th-pass prune) *before* any window is read, exactly where
@@ -55,9 +55,9 @@ Bit-identity invariants
 * Every fused stage runs the same code objects as the per-worker path
   on identical inputs (``settle_rows`` — whose packed per-row arrays
   give the same per-element IEEE ops as per-worker scalars —
-  ``_apply_settle``, ``_realloc_begin``/``_realloc_finish``, the
-  per-segment water-fill, ``BusSampler.read``) — equal inputs ⇒ equal
-  bits.
+  ``_apply_settle``, ``_realloc_begin``/``_realloc_finish``,
+  ``CpuAllocator.allocate`` per pool, ``BusSampler.read``) — equal
+  inputs ⇒ equal bits.
 * Workers already settled or poked at this instant are skipped exactly
   as their own ``settle()``/``poke()`` would no-op.
 """
@@ -166,22 +166,15 @@ def fleet_reallocate(workers: list[Worker]) -> None:
         by_mode.setdefault(w.allocator.mode, []).append(idx)
     allocs: list = [None] * len(pending)
     for idxs in by_mode.values():
-        if len(idxs) == 1:
-            i = idxs[0]
-            w, (limits, demands, weights, _) = pending[i]
-            allocs[i] = w.allocator.allocate(
-                w.capacity, limits, demands, weights
-            )
-        else:
-            entries = [pending[i] for i in idxs]
-            segmented = entries[0][0].allocator.allocate_segmented(
-                [w.capacity for w, _ in entries],
-                [inp[0] for _, inp in entries],
-                [inp[1] for _, inp in entries],
-                [inp[2] for _, inp in entries],
-            )
-            for i, alloc in zip(idxs, segmented):
-                allocs[i] = alloc
+        entries = [pending[i] for i in idxs]
+        segmented = entries[0][0].allocator.allocate_segmented(
+            [w.capacity for w, _ in entries],
+            [inp[0] for _, inp in entries],
+            [inp[1] for _, inp in entries],
+            [inp[2] for _, inp in entries],
+        )
+        for i, alloc in zip(idxs, segmented):
+            allocs[i] = alloc
     for (w, (_, _, _, mem)), alloc in zip(pending, allocs):
         w._realloc_finish(alloc, mem)
         w._last_poke = (now, w.version)

@@ -19,6 +19,7 @@ consumes them reduces towards plain FIFO behaviour.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from repro.workloads.job import TrainingJob
@@ -78,6 +79,12 @@ class JobSubmission:
             raise ValueError(
                 f"weight must be positive and finite, got {self.weight!r}"
             )
+        # A NaN priority leaves the strict-class order undefined and a NaN
+        # budget never runs out: both must be whole numbers.
+        for name in ("priority", "retry_budget"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.retry_budget < 0:
             raise ValueError(
                 f"retry_budget must be >= 0, got {self.retry_budget!r}"

@@ -46,6 +46,7 @@ fleet pass swaps only the middle step for one segmented allocation.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -147,9 +148,13 @@ class Worker:
             raise CapacityError(
                 f"capacity must be positive and finite, got {capacity!r}"
             )
-        if max_containers is not None and max_containers < 1:
+        if max_containers is not None and (
+            not isinstance(max_containers, numbers.Integral)
+            or max_containers < 1
+        ):
             raise CapacityError(
-                f"max_containers must be >= 1 or None, got {max_containers!r}"
+                f"max_containers must be an integer >= 1 or None, "
+                f"got {max_containers!r}"
             )
         self.sim = sim
         self.name = name

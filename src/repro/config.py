@@ -18,6 +18,7 @@ at construction, not halfway through a 2000-second simulation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 from repro.cluster.contention import ContentionModel
@@ -188,9 +189,12 @@ class SimulationConfig:
                 f"horizon must be positive and finite or None, "
                 f"got {self.horizon!r}"
             )
-        if self.max_containers is not None and self.max_containers < 1:
+        if self.max_containers is not None and (
+            not isinstance(self.max_containers, numbers.Integral)
+            or self.max_containers < 1
+        ):
             raise ConfigError(
-                f"max_containers must be >= 1 or None, "
+                f"max_containers must be an integer >= 1 or None, "
                 f"got {self.max_containers!r}"
             )
 

@@ -25,21 +25,23 @@ will be utilized by others") and §5.4 technique (1).  ``HARD`` mode skips
 phase 2 and models ``--cpus``-style strict ceilings — used by the ablation
 benchmarks to show the capacity soft limits reclaim.
 
-Both phases run in vectorized numpy: the water-fill is the standard
-sort-then-progressive-fill algorithm, O(n log n) per call.  For the pool
-sizes one worker actually hosts (a handful to a few dozen containers)
-the ~25 numpy-call constant factor dominates the arithmetic, so a scalar
-fast path handles ``n <= _SCALAR_MAX`` with **the exact same operations
-in the same order** — element-wise IEEE arithmetic is reproduced
-literally, and the two reductions whose result feeds back into the
-arithmetic (``alloc.sum()``) are delegated to numpy on the assembled
-array so even pairwise-summation order matches.  A property test pins
-bit-identical equality of the two paths.
+Forms
+-----
+:func:`water_fill` (sort-then-progressive-fill, O(n log n)) and
+:meth:`CpuAllocator.allocate` (both phases) each run over Python floats
+for pools up to ``_SCALAR_MAX`` containers, where numpy's per-call
+constant would dominate, and as whole-array numpy steps beyond it.  The
+two forms run the same operations in the same order, with the scalar
+sums on ``ndarray.sum()`` (pairwise, not Python 3.12's compensated
+``sum()``), so they are bit-identical; the tests pin them at every pool
+size up to 1 000.  A one-container pool, the common fleet shape, takes
+the short scalar chain :meth:`CpuAllocator._allocate_one`.
 """
 
 from __future__ import annotations
 
 import enum
+from itertools import accumulate
 
 import numpy as np
 
@@ -48,8 +50,7 @@ from repro.errors import AllocationError
 __all__ = ["AllocationMode", "CpuAllocator", "water_fill"]
 
 
-#: Largest pool the scalar water-fill fast path handles; beyond it the
-#: vectorized numpy formulation wins.
+#: Largest pool the scalar forms handle; beyond it numpy is faster.
 _SCALAR_MAX = 64
 
 
@@ -81,7 +82,7 @@ def water_fill(
     capacity:
         Total divisible quantity (>= 0).
     ceilings:
-        Per-entity upper bounds (>= 0).  ``inf`` is allowed.
+        Per-entity upper bounds (>= 0), array-like.  ``inf`` is allowed.
     weights:
         Optional positive proportional-share weights (default: equal).
 
@@ -94,9 +95,10 @@ def water_fill(
 
     Notes
     -----
-    Implemented with the classic sort-by-normalized-ceiling progressive
-    fill, fully vectorized via cumulative sums (no Python-level loop over
-    entities), per the hpc-parallel guide's vectorization idiom.
+    Sort by level ``c_i / w_i``; after the ``k`` lowest-level entities
+    saturate, the candidate water level is the remaining capacity over
+    the remaining weight, and the first entity it does not saturate
+    fixes the level for the rest.
     """
     ceilings = np.asarray(ceilings, dtype=np.float64)
     n = ceilings.shape[0]
@@ -104,136 +106,42 @@ def water_fill(
         return np.zeros(0, dtype=np.float64)
     if capacity < 0:
         raise AllocationError(f"negative capacity {capacity!r}")
-    if ceilings.min() < -1e-12:
+    if n > _SCALAR_MAX:
+        return _water_fill_vector(capacity, ceilings, weights)
+    ceil = ceilings.tolist()
+    if min(ceil) < -1e-12:
         raise AllocationError("negative ceiling in water_fill")
-    ceilings = np.maximum(ceilings, 0.0)
+    ceil = [c if c > 0.0 else 0.0 for c in ceil]
 
     if weights is None:
-        weights = np.ones(n, dtype=np.float64)
+        wts = [1.0] * n
     else:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != ceilings.shape:
             raise AllocationError("weights and ceilings shape mismatch")
-        if weights.min() <= 0:
+        wts = weights.tolist()
+        if min(wts) <= 0:
             raise AllocationError("weights must be strictly positive")
 
     if capacity == 0.0:
         return np.zeros(n, dtype=np.float64)
 
-    # Normalized saturation level of entity i is ceilings[i] / weights[i]:
-    # at water level λ, entity i receives min(λ * w_i, c_i).  Find the
-    # level where total allocation equals capacity.
-    levels = ceilings / weights
-    order = np.argsort(levels, kind="stable")
-    c_sorted = ceilings[order]
-    w_sorted = weights[order]
-    lv_sorted = levels[order]
+    # At water level λ, entity i receives min(λ·w_i, c_i); it saturates
+    # at its level c_i / w_i.
+    levels = [c / w for c, w in zip(ceil, wts)]
+    order = sorted(range(n), key=levels.__getitem__)  # stable
+    c_sorted = [ceil[i] for i in order]
+    w_sorted = [wts[i] for i in order]
 
-    # After the k entities with smallest levels saturate, the remaining
-    # capacity is capacity - cumsum(c)[k-1] and the remaining weight is
-    # total_w - cumsum(w)[k-1].  Entity k saturates iff the candidate level
-    # (remaining capacity / remaining weight) exceeds its own level.
-    csum_c = np.concatenate(([0.0], np.cumsum(c_sorted)))
-    csum_w = np.concatenate(([0.0], np.cumsum(w_sorted)))
-    total_w = csum_w[-1]
-
-    remaining_cap = capacity - csum_c[:-1]          # before considering k
-    remaining_w = total_w - csum_w[:-1]
-    # Suffix weight sums are positive except for float round-off at the
-    # tail; masked division avoids the (costly) errstate guard.
-    positive = remaining_w > 0
-    candidate = np.full(n, np.inf, dtype=np.float64)
-    np.divide(remaining_cap, remaining_w, out=candidate, where=positive)
-    saturated = candidate >= lv_sorted - 1e-15
-
-    # `saturated` is a prefix (monotone) property; find the first index
-    # where the candidate level no longer saturates the entity.
-    not_sat = np.nonzero(~saturated)[0]
-    k = int(not_sat[0]) if not_sat.size else n
-
-    alloc_sorted = np.empty(n, dtype=np.float64)
-    alloc_sorted[:k] = c_sorted[:k]
-    if k < n:
-        lam = max(0.0, (capacity - csum_c[k]) / (total_w - csum_w[k]))
-        alloc_sorted[k:] = np.minimum(lam * w_sorted[k:], c_sorted[k:])
-
-    alloc = np.empty(n, dtype=np.float64)
-    alloc[order] = alloc_sorted
-    # Numeric hygiene: clamp and never exceed capacity.
-    alloc = np.minimum(np.maximum(alloc, 0.0), ceilings)
-    excess = alloc.sum() - capacity
-    if excess > 1e-9:
-        alloc *= capacity / alloc.sum()
-    return alloc
-
-
-def _water_fill_scalar(
-    capacity: float,
-    ceilings: list[float],
-    weights: list[float] | None,
-) -> list[float]:
-    """Scalar replica of :func:`water_fill` for small pools.
-
-    Every element-wise operation, comparison threshold and division is
-    performed in the same order as the vectorized formulation, and the
-    two whole-array sums whose values feed back into the arithmetic are
-    delegated to ``np.sum`` on the assembled array, so results are
-    **bit-identical** (pinned by a property test).  Callers guarantee
-    ``len(ceilings) >= 1`` and pre-validated inputs shapes.
-    """
-    n = len(ceilings)
-    if capacity < 0:
-        raise AllocationError(f"negative capacity {capacity!r}")
-    if min(ceilings) < -1e-12:
-        raise AllocationError("negative ceiling in water_fill")
-    ceilings = [c if c > 0.0 else 0.0 for c in ceilings]
-
-    if weights is None:
-        weights = [1.0] * n
-    else:
-        if len(weights) != n:
-            raise AllocationError("weights and ceilings shape mismatch")
-        if min(weights) <= 0:
-            raise AllocationError("weights must be strictly positive")
-
-    if capacity == 0.0:
-        return [0.0] * n
-
-    if n == 1:
-        # Single entity: the general path below collapses to a handful of
-        # scalar operations (prefix sums are zero, ``np.sum`` over one
-        # element is that element), replicated here in the same IEEE
-        # order — bit-identical, pinned by the same property test.
-        c = ceilings[0]
-        w = weights[0]
-        candidate = capacity / w
-        if candidate >= c / w - 1e-15:
-            a = c
-        else:
-            lam = max(0.0, candidate)
-            a = min(lam * w, c)
-        a = min(a if a > 0.0 else 0.0, c)
-        if a - capacity > 1e-9:
-            a = a * (capacity / a)
-        return [a]
-
-    levels = [c / w for c, w in zip(ceilings, weights)]
-    order = sorted(range(n), key=levels.__getitem__)  # stable, like argsort
-    c_sorted = [ceilings[i] for i in order]
-    w_sorted = [weights[i] for i in order]
-
-    # Sequential prefix sums — np.cumsum accumulates left to right, so a
-    # running Python sum reproduces it exactly.
-    csum_c = [0.0] * (n + 1)
-    csum_w = [0.0] * (n + 1)
-    acc_c = acc_w = 0.0
-    for i in range(n):
-        acc_c += c_sorted[i]
-        acc_w += w_sorted[i]
-        csum_c[i + 1] = acc_c
-        csum_w[i + 1] = acc_w
+    # Prefix sums, accumulated left to right as ``np.cumsum`` does.
+    csum_c = list(accumulate(c_sorted, initial=0.0))
+    csum_w = list(accumulate(w_sorted, initial=0.0))
     total_w = csum_w[n]
 
+    # Saturation is a prefix property: find the first entity the
+    # candidate level (remaining capacity / remaining weight) does not
+    # saturate.  A remaining weight that round-off left at zero makes the
+    # candidate infinite.
     k = n
     for i in range(n):
         remaining_w = total_w - csum_w[i]
@@ -250,19 +158,70 @@ def _water_fill_scalar(
         lam = max(0.0, (capacity - csum_c[k]) / (total_w - csum_w[k]))
         alloc_sorted += [min(lam * w, c) for w, c in zip(w_sorted[k:], c_sorted[k:])]
 
-    alloc = [0.0] * n
+    unsorted = [0.0] * n
     for i, a in zip(order, alloc_sorted):
-        alloc[i] = a
-    # Numeric hygiene: clamp and never exceed capacity (sum via numpy on
-    # the assembled array keeps pairwise-summation order identical).
-    alloc = [min(a if a > 0.0 else 0.0, c) for a, c in zip(alloc, ceilings)]
-    # ``np.sum`` delegates to ``ndarray.sum`` — calling the method directly
-    # skips the dispatch wrapper without changing the reduction.
-    total = float(np.array(alloc, dtype=np.float64).sum())
-    excess = total - capacity
-    if excess > 1e-9:
-        factor = capacity / total
-        alloc = [a * factor for a in alloc]
+        unsorted[i] = a
+    # Numeric hygiene: clamp and never exceed capacity.
+    alloc = np.array(
+        [min(a if a > 0.0 else 0.0, c) for a, c in zip(unsorted, ceil)],
+        dtype=np.float64,
+    )
+    total = alloc.sum()
+    if total - capacity > 1e-9:
+        alloc *= capacity / total
+    return alloc
+
+
+def _water_fill_vector(capacity: float, ceilings: np.ndarray, weights) -> np.ndarray:
+    """:func:`water_fill` as whole-array numpy steps, for large pools.
+
+    Callers have checked that ``ceilings`` is a non-empty float array and
+    ``capacity >= 0``.
+    """
+    if ceilings.min() < -1e-12:
+        raise AllocationError("negative ceiling in water_fill")
+    ceilings = np.maximum(ceilings, 0.0)
+    n = ceilings.shape[0]
+    if weights is None:
+        weights = np.ones(n, dtype=np.float64)
+    else:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != ceilings.shape:
+            raise AllocationError("weights and ceilings shape mismatch")
+        if weights.min() <= 0:
+            raise AllocationError("weights must be strictly positive")
+
+    if capacity == 0.0:
+        return np.zeros(n, dtype=np.float64)
+
+    levels = ceilings / weights
+    order = np.argsort(levels, kind="stable")
+    c_sorted = ceilings[order]
+    w_sorted = weights[order]
+
+    csum_c = np.concatenate(([0.0], np.cumsum(c_sorted)))
+    csum_w = np.concatenate(([0.0], np.cumsum(w_sorted)))
+    total_w = csum_w[-1]
+    # Masked division: a remaining weight that round-off left at zero
+    # keeps its candidate level infinite.
+    remaining_w = total_w - csum_w[:-1]
+    candidate = np.full(n, np.inf, dtype=np.float64)
+    np.divide(capacity - csum_c[:-1], remaining_w, out=candidate,
+              where=remaining_w > 0)
+    not_sat = np.nonzero(~(candidate >= levels[order] - 1e-15))[0]
+    k = int(not_sat[0]) if not_sat.size else n
+
+    alloc_sorted = np.empty(n, dtype=np.float64)
+    alloc_sorted[:k] = c_sorted[:k]
+    if k < n:
+        lam = max(0.0, (capacity - csum_c[k]) / (total_w - csum_w[k]))
+        alloc_sorted[k:] = np.minimum(lam * w_sorted[k:], c_sorted[k:])
+
+    alloc = np.empty(n, dtype=np.float64)
+    alloc[order] = alloc_sorted
+    alloc = np.minimum(np.maximum(alloc, 0.0), ceilings)
+    if alloc.sum() - capacity > 1e-9:
+        alloc *= capacity / alloc.sum()
     return alloc
 
 
@@ -316,16 +275,49 @@ class CpuAllocator:
         n = limits.shape[0]
         if n == 0:
             return np.zeros(0, dtype=np.float64)
-        if n <= _SCALAR_MAX:
-            return self._allocate_scalar(capacity, limits, demands, weights)
+        if n > _SCALAR_MAX:
+            return self._allocate_vector(capacity, limits, demands, weights)
+        lim = limits.tolist()
+        dem = demands.tolist()
+        if min(lim) <= 0 or max(lim) > 1.0 + 1e-12:
+            raise AllocationError(f"limits must lie in (0, 1]: {limits!r}")
+        if min(dem) < 0:
+            raise AllocationError("demands must be non-negative")
+        if n == 1:
+            return self._allocate_one(capacity, lim[0], dem[0], weights)
+
+        demand_abs = [min(d, 1.0) * capacity for d in dem]
+        ceil = [min(li * capacity, da) for li, da in zip(lim, demand_abs)]
+        alloc = water_fill(capacity, ceil, weights)
+
+        if self.mode is AllocationMode.SOFT:
+            spare = capacity - float(alloc.sum())
+            if spare > 1e-12:
+                residual = np.array(
+                    [
+                        r if (r := da - a) > 0.0 else 0.0
+                        for da, a in zip(demand_abs, alloc.tolist())
+                    ],
+                    dtype=np.float64,
+                )
+                if residual.sum() > 1e-12:
+                    alloc = alloc + water_fill(spare, residual)
+
+        return np.array(
+            [min(a, da) for a, da in zip(alloc.tolist(), demand_abs)],
+            dtype=np.float64,
+        )
+
+    def _allocate_vector(self, capacity, limits, demands, weights) -> np.ndarray:
+        """:meth:`allocate` as whole-array numpy steps, for large pools."""
         if limits.min() <= 0 or limits.max() > 1.0 + 1e-12:
             raise AllocationError(f"limits must lie in (0, 1]: {limits!r}")
         if demands.min() < 0:
             raise AllocationError("demands must be non-negative")
 
         demand_abs = np.minimum(demands, 1.0) * capacity
-        phase1_ceiling = np.minimum(limits * capacity, demand_abs)
-        alloc = water_fill(capacity, phase1_ceiling, weights)
+        ceil = np.minimum(limits * capacity, demand_abs)
+        alloc = water_fill(capacity, ceil, weights)
 
         if self.mode is AllocationMode.SOFT:
             spare = capacity - alloc.sum()
@@ -336,125 +328,40 @@ class CpuAllocator:
 
         return np.minimum(alloc, demand_abs)
 
-    def _allocate_scalar(
+    # -- the one-container pool -------------------------------------------
+    #
+    # With one container both phases collapse to a short chain of IEEE
+    # operations.  Rounding is monotone and the ceiling is at most the
+    # absolute demand, itself at most ``capacity``; so phase 1 grants the
+    # whole ceiling (its level check passes whatever the weight), and
+    # phase 2's spare is never below the residual, so it grants the whole
+    # residual once that exceeds 1e-12.  The general path's other checks
+    # never fire on one element.
+
+    def _allocate_one(
         self,
         capacity: float,
-        limits: np.ndarray,
-        demands: np.ndarray,
+        limit: float,
+        demand: float,
         weights: np.ndarray | None,
     ) -> np.ndarray:
-        """Scalar fast path of :meth:`allocate` (small pools).
-
-        Same operations in the same order as the vectorized formulation
-        — see :func:`_water_fill_scalar` — so allocations are
-        bit-identical; only the constant factor changes.
-        """
-        lim = limits.tolist()
-        dem = demands.tolist()
-        if min(lim) <= 0 or max(lim) > 1.0 + 1e-12:
-            raise AllocationError(f"limits must lie in (0, 1]: {limits!r}")
-        if min(dem) < 0:
-            raise AllocationError("demands must be non-negative")
-
-        demand_abs = [min(d, 1.0) * capacity for d in dem]
-        ceil = [min(li * capacity, da) for li, da in zip(lim, demand_abs)]
-        return self._finish_scalar(capacity, demand_abs, ceil, weights)
-
-    def _finish_scalar(
-        self,
-        capacity: float,
-        demand_abs: list[float],
-        ceil: list[float],
-        weights: np.ndarray | None,
-    ) -> np.ndarray:
-        """Water-fill + soft phase 2 given precomputed scalar ceilings.
-
-        Tail of :meth:`_allocate_scalar`, factored out so the segmented
-        fleet path can compute ``demand_abs``/``ceil`` for many workers in
-        one packed numpy pass and still finish each segment through the
-        exact scalar pipeline (bit-identical to the per-worker call).
-        """
-        wts = weights.tolist() if weights is not None else None
-        alloc = _water_fill_scalar(capacity, ceil, wts)
-
-        if len(demand_abs) == 1:
-            # Single container: both whole-array sums are the lone element
-            # itself (``np.sum`` over one element), so the phase-2 guard
-            # and the final demand clamp run as plain scalar ops — same
-            # values, same branches as the general path below.
-            a = alloc[0]
-            da = demand_abs[0]
-            if self.mode is AllocationMode.SOFT:
-                spare = capacity - a
-                if spare > 1e-12:
-                    residual = r if (r := da - a) > 0.0 else 0.0
-                    if residual > 1e-12:
-                        a = a + _water_fill_scalar(spare, [residual], None)[0]
-            return np.array([min(a, da)], dtype=np.float64)
-
+        """:meth:`allocate` of a one-container pool, as scalar operations."""
+        if capacity < 0:
+            raise AllocationError(f"negative capacity {capacity!r}")
+        if weights is not None:
+            weights = np.asarray(weights, dtype=np.float64)
+            if weights.shape != (1,):
+                raise AllocationError("weights and ceilings shape mismatch")
+            if weights[0] <= 0:
+                raise AllocationError("weights must be strictly positive")
+        dem_abs = min(demand, 1.0) * capacity
+        ceil = min(limit * capacity, dem_abs)
+        alloc = ceil if ceil > 0.0 else 0.0
         if self.mode is AllocationMode.SOFT:
-            spare = capacity - float(np.array(alloc, dtype=np.float64).sum())
-            if spare > 1e-12:
-                residual = [
-                    r if (r := da - a) > 0.0 else 0.0
-                    for da, a in zip(demand_abs, alloc)
-                ]
-                if float(np.array(residual, dtype=np.float64).sum()) > 1e-12:
-                    extra = _water_fill_scalar(spare, residual, None)
-                    alloc = [a + e for a, e in zip(alloc, extra)]
-
-        return np.array(
-            [min(a, da) for a, da in zip(alloc, demand_abs)],
-            dtype=np.float64,
-        )
-
-    def _finish_n1(
-        self,
-        caps: np.ndarray,
-        dem_abs: np.ndarray,
-        ceil: np.ndarray,
-        wts: np.ndarray,
-    ) -> np.ndarray:
-        """Single-container segments, all finished in one broadcast.
-
-        Element *j* reproduces :meth:`_finish_scalar` on the one-element
-        segment ``(caps[j], [dem_abs[j]], [ceil[j]], [wts[j]])`` exactly:
-        with ``n == 1`` every reduction is the lone element, so the
-        scalar pipeline is a fixed chain of element-wise IEEE ops and
-        comparisons that broadcasts across segments bit-identically.
-        Callers guarantee ``caps >= 0``, ``ceil >= 0`` and ``wts > 0``.
-
-        Two scalar-path checks are provably dead for ``n == 1`` and are
-        not mirrored: the phase-1 over-capacity rescale (both branches
-        bound the allocation by ``capacity + w·1e-15``) and the inner
-        phase-2 rescale (the refill is bounded by ``spare + 1e-15``).
-        A zero capacity yields a zero ceiling, so the scalar path's
-        ``capacity == 0`` early-out also lands on the same value.
-        """
-        candidate = caps / wts
-        # Phase 1: water-fill — level check, weighted share, clamp.
-        alloc = np.where(
-            candidate >= ceil / wts - 1e-15,
-            ceil,
-            np.minimum(candidate * wts, ceil),
-        )
-        alloc = np.minimum(np.where(alloc > 0.0, alloc, 0.0), ceil)
-        if self.mode is AllocationMode.SOFT:
-            # Phase 2: redistribute spare toward unmet demand (the inner
-            # water-fill runs unweighted, exactly like the scalar path).
-            spare = caps - alloc
             residual = dem_abs - alloc
-            residual = np.where(residual > 0.0, residual, 0.0)
-            refill = (spare > 1e-12) & (residual > 1e-12)
-            if refill.any():
-                extra = np.where(
-                    spare >= residual - 1e-15,
-                    residual,
-                    np.minimum(spare, residual),
-                )
-                extra = np.minimum(np.where(extra > 0.0, extra, 0.0), residual)
-                alloc = np.where(refill, alloc + extra, alloc)
-        return np.minimum(alloc, dem_abs)
+            if residual > 1e-12:
+                alloc = alloc + residual
+        return np.array([min(alloc, dem_abs)], dtype=np.float64)
 
     def allocate_segmented(
         self,
@@ -463,77 +370,14 @@ class CpuAllocator:
         demands_seq: list[np.ndarray],
         weights_seq: list[np.ndarray | None],
     ) -> list[np.ndarray]:
-        """Allocate many independent worker pools in one packed pass.
+        """Allocate many independent worker pools.
 
-        Each index describes one worker (segment): its capacity, limit and
-        demand vectors, and optional weights.  The per-segment results are
-        **bit-identical** to calling :meth:`allocate` per worker: the only
-        fused stage is the element-wise ceiling computation
-        (``min(d, 1) · C`` and ``min(L · C, d_abs)``), which is identical
-        IEEE arithmetic whether performed packed or per segment; the
-        water-fill and soft-limit redistribution — whose reductions feed
-        back into the arithmetic — still run per segment through
-        :meth:`_finish_scalar`.  Segments larger than the scalar fast-path
-        bound (or empty) delegate to :meth:`allocate` unchanged.  Invalid
-        inputs re-run per segment so the failing worker raises exactly the
-        error the serial path would.
+        Each index describes one worker's pool: its capacity, limit and
+        demand vectors, and optional weights.  Each pool runs through
+        its own :meth:`allocate` call, so results and errors are exactly
+        those of the per-pool calls.
         """
-        n_segs = len(limits_seq)
-        lens = [limits.shape[0] for limits in limits_seq]
-        results: list[np.ndarray] = [None] * n_segs  # type: ignore[list-item]
-        small: list[int] = []
-        for i, ln in enumerate(lens):
-            if 0 < ln <= _SCALAR_MAX:
-                small.append(i)
-            else:
-                results[i] = self.allocate(
-                    capacities[i], limits_seq[i], demands_seq[i], weights_seq[i]
-                )
-        if not small:
-            return results
-        lims_p = np.concatenate([limits_seq[i] for i in small])
-        dems_p = np.concatenate([demands_seq[i] for i in small])
-        if lims_p.min() <= 0 or lims_p.max() > 1.0 + 1e-12 or dems_p.min() < 0:
-            for i in small:
-                results[i] = self.allocate(
-                    capacities[i], limits_seq[i], demands_seq[i], weights_seq[i]
-                )
-            return results
-        caps_s = np.array([capacities[i] for i in small], dtype=np.float64)
-        caps_p = np.repeat(caps_s, [lens[i] for i in small])
-        dem_abs_p = np.minimum(dems_p, 1.0) * caps_p
-        ceil_p = np.minimum(lims_p * caps_p, dem_abs_p)
-        if dems_p.shape[0] == len(small) and caps_s.min() >= 0.0:
-            # Every small segment holds exactly one container — the
-            # dominant fleet shape (one training job per node).  The
-            # whole scalar pipeline is branch-free per segment, so it
-            # broadcasts across segments; invalid weights fall through
-            # to the per-segment loop, which raises for the offender.
-            wts_s = np.ones(len(small), dtype=np.float64)
-            valid = True
-            for j, i in enumerate(small):
-                wt = weights_seq[i]
-                if wt is None:
-                    continue
-                if wt.shape[0] != 1 or wt[0] <= 0:
-                    valid = False  # shape/positivity errors raise serially
-                    break
-                wts_s[j] = wt[0]
-            if valid:
-                alloc_s = self._finish_n1(caps_s, dem_abs_p, ceil_p, wts_s)
-                for j, i in enumerate(small):
-                    results[i] = alloc_s[j : j + 1]
-                return results
-        dem_abs_list = dem_abs_p.tolist()
-        ceil_list = ceil_p.tolist()
-        off = 0
-        for i in small:
-            end = off + lens[i]
-            results[i] = self._finish_scalar(
-                capacities[i],
-                dem_abs_list[off:end],
-                ceil_list[off:end],
-                weights_seq[i],
-            )
-            off = end
-        return results
+        return [
+            self.allocate(*pool)
+            for pool in zip(capacities, limits_seq, demands_seq, weights_seq)
+        ]

@@ -29,6 +29,7 @@ job when ``tenants`` is given).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -93,6 +94,10 @@ class WorkloadSpec:
                 raise WorkloadError(
                     f"{name} must be positive and finite, got {value!r}"
                 )
+        for name in ("priority", "retry_budget"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise WorkloadError(f"{name} must be an integer, got {value!r}")
         if self.retry_budget < 0:
             raise WorkloadError(
                 f"retry_budget must be >= 0, got {self.retry_budget!r}"

@@ -20,10 +20,11 @@ from repro.cluster.manager import Manager
 from repro.cluster.submission import JobSubmission
 from repro.cluster.worker import Worker
 from repro.containers.spec import ResourceSpec
-from repro.errors import CapacityError, ClusterError, ConfigError
+from repro.errors import CapacityError, ClusterError, ConfigError, WorkloadError
 from repro.simcore.engine import Simulator
 from repro.workloads.curves import PiecewiseLinearCurve
 from repro.workloads.evalfn import EvalFunction, EvalKind
+from repro.workloads.generator import WorkloadSpec
 from repro.workloads.job import TrainingJob
 from tests.conftest import make_linear_job
 
@@ -675,3 +676,19 @@ class TestDescribe:
     def test_submission_validation(self, t, weight):
         with pytest.raises(ValueError):
             _submission("bad", t, weight=weight)
+
+    # A NaN priority leaves the strict-class order undefined; a NaN
+    # budget never runs out (``used >= nan`` is always false).
+    @pytest.mark.parametrize("field", ["priority", "retry_budget"])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), 1.5, 2.0, float("inf")],
+        ids=["nan", "fraction", "float", "inf"],
+    )
+    def test_non_integer_priority_and_budget_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            JobSubmission(
+                label="bad", job=make_linear_job("bad", 50.0),
+                submit_time=0.0, **{field: value},
+            )
+        with pytest.raises(WorkloadError, match=f"{field} must be an integer"):
+            WorkloadSpec("mnist@tensorflow", 0.0, "Job-1", **{field: value})

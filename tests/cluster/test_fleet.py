@@ -239,7 +239,7 @@ class TestAllocateSegmented:
         for trial in range(8):
             sizes = [int(n) for n in rng.integers(1, 7, rng.integers(1, 6))]
             if trial == 0:
-                sizes.append(70)  # beyond the scalar bound: delegates
+                sizes.append(70)  # a large pool next to small ones
             if trial == 1:
                 sizes.append(0)  # empty segment
             caps, lims, dems, wts = self._random_segments(rng, sizes)
@@ -248,8 +248,8 @@ class TestAllocateSegmented:
                 want = allocator.allocate(c, li, d, w)
                 assert alloc.tolist() == want.tolist()
 
-    def test_all_singleton_segments_broadcast_identically(self):
-        """The n==1 broadcast pipeline vs the per-segment scalar path."""
+    def test_all_singleton_segments_match_per_pool_allocate(self):
+        """A batch of one-container pools, the common fleet shape."""
         rng = np.random.default_rng(3)
         allocator = CpuAllocator(AllocationMode.SOFT)
         sizes = [1] * 40
@@ -268,6 +268,31 @@ class TestAllocateSegmented:
             allocator.allocate_segmented(
                 [1.0, 1.0], [good, bad], [good, good], [None, None]
             )
+
+    @pytest.mark.parametrize("cap, lim, dem", [
+        (1.0, 0.0, 0.5), (1.0, 1.5, 0.5), (1.0, 0.5, -0.5), (-1.0, 0.5, 0.5),
+    ], ids=["zero-limit", "limit-above-one", "negative-demand", "negative-cap"])
+    def test_invalid_singleton_pool_raises_like_the_serial_path(
+        self, cap, lim, dem
+    ):
+        allocator = CpuAllocator(AllocationMode.SOFT)
+        one = np.array([0.8])
+        bad = (cap, np.array([lim]), np.array([dem]), None)
+        with pytest.raises(AllocationError):
+            allocator.allocate(*bad)
+        with pytest.raises(AllocationError):
+            allocator.allocate_segmented(
+                *zip((1.0, one, one, None), bad)
+            )
+
+    def test_mismatched_pool_shapes_raise_like_the_serial_path(self):
+        # Each pool's demands must stay with its own limits, so a count
+        # mismatch raises instead of shifting demands between pools.
+        allocator = CpuAllocator(AllocationMode.SOFT)
+        lims = [np.array([0.5, 0.5]), np.array([0.5])]
+        dems = [np.array([0.3]), np.array([0.4, 0.6])]
+        with pytest.raises(AllocationError, match="shape mismatch"):
+            allocator.allocate_segmented([1.0, 1.0], lims, dems, [None, None])
 
     def test_invalid_singleton_weights_raise_like_the_serial_path(self):
         allocator = CpuAllocator(AllocationMode.SOFT)

@@ -168,6 +168,16 @@ class TestValidation:
         with pytest.raises(CapacityError):
             Worker(sim, capacity=capacity)
 
+    # A fractional slot count would round up in admission, and NaN would
+    # raise CapacityError only mid-run, at the first full-looking launch.
+    @pytest.mark.parametrize("slots", [0, float("nan"), 1.5, 2.0, float("inf")])
+    def test_non_integer_max_containers_rejected(self, sim, slots):
+        from repro.errors import CapacityError
+
+        Worker(sim, max_containers=np.int64(2))
+        with pytest.raises(CapacityError, match="max_containers"):
+            Worker(sim, max_containers=slots)
+
     @pytest.mark.parametrize("capacity", [0.0, float("nan"), float("inf"), float("-inf")])
     def test_set_capacity_rejects_invalid(self, sim, capacity):
         from repro.errors import CapacityError

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro.containers.allocator as alloc_mod
 from repro.containers.allocator import AllocationMode, CpuAllocator, water_fill
 from repro.errors import AllocationError
 
@@ -189,17 +190,34 @@ class TestCpuAllocator:
             assert alloc.sum() == pytest.approx(expected, abs=1e-6)
 
 
-class TestScalarPathBitParity:
-    """The small-pool scalar fast path must be *bit-identical* to numpy.
+def _both_forms(monkeypatch, call):
+    """``call()`` in the scalar forms, then in the numpy forms, as lists."""
+    out = []
+    for bound in (10**9, 0):
+        with monkeypatch.context() as m:
+            m.setattr(alloc_mod, "_SCALAR_MAX", bound)
+            out.append(call().tolist())
+    return out
 
-    Replay exactness of the whole simulator rests on this: the scalar
-    path is reached on every reallocation of every worker with at most
-    ``_SCALAR_MAX`` containers, i.e. essentially always.
+
+def _random_pool(rng, n, trial):
+    limits = rng.uniform(0.01, 1.0, n)
+    if trial % 4 == 0:
+        limits[:] = 1.0
+    demands = np.minimum(np.maximum(rng.uniform(0, 1.2, n), 1e-3), 1.0)
+    weights = None if trial % 3 == 0 else rng.uniform(0.5, 1.5, n)
+    return limits, demands, weights
+
+
+class TestScalarPathBitParity:
+    """The scalar forms must be *bit-identical* to the numpy forms.
+
+    Replay exactness of the whole simulator rests on this: every
+    reallocation of a worker with at most ``_SCALAR_MAX`` containers runs
+    the scalar forms, any larger pool the numpy forms.
     """
 
-    def test_water_fill_scalar_matches_vectorized_fuzz(self):
-        from repro.containers.allocator import _water_fill_scalar, water_fill
-
+    def test_water_fill_scalar_matches_vectorized_fuzz(self, monkeypatch):
         rng = np.random.default_rng(7)
         for trial in range(3000):
             n = int(rng.integers(1, 12))
@@ -217,43 +235,77 @@ class TestScalarPathBitParity:
             capacity = [0.0, 1.0, 0.25, 3.0, float(rng.uniform(0, 2))][
                 trial % 5
             ]
-            ref = water_fill(capacity, ceilings, weights)
-            got = _water_fill_scalar(
-                capacity,
-                list(ceilings),
-                list(weights) if weights is not None else None,
+            got, ref = _both_forms(
+                monkeypatch, lambda: water_fill(capacity, ceilings, weights)
             )
-            assert ref.tolist() == got  # exact, not approx
+            assert ref == got  # exact, not approx
 
     def test_allocate_scalar_matches_vectorized_fuzz(self, monkeypatch):
-        import repro.containers.allocator as alloc_mod
-
         rng = np.random.default_rng(13)
         for mode in (AllocationMode.SOFT, AllocationMode.HARD):
-            scalar = CpuAllocator(mode)
-            vector = CpuAllocator(mode)
+            allocator = CpuAllocator(mode)
             for trial in range(1500):
                 n = int(rng.integers(1, 12))
-                limits = rng.uniform(0.01, 1.0, n)
-                if trial % 4 == 0:
-                    limits[:] = 1.0
-                demands = np.minimum(
-                    np.maximum(rng.uniform(0, 1.2, n), 1e-3), 1.0
-                )
-                weights = (
-                    None if trial % 3 == 0 else rng.uniform(0.5, 1.5, n)
-                )
+                limits, demands, weights = _random_pool(rng, n, trial)
                 capacity = [1.0, 0.25, 4.0][trial % 3]
-                got = scalar.allocate(capacity, limits, demands, weights)
-                with monkeypatch.context() as m:
-                    m.setattr(alloc_mod, "_SCALAR_MAX", 0)
-                    ref = vector.allocate(capacity, limits, demands, weights)
-                assert ref.tolist() == got.tolist()  # exact, not approx
+                got, ref = _both_forms(monkeypatch, lambda: allocator.allocate(
+                    capacity, limits, demands, weights
+                ))
+                assert ref == got  # exact, not approx
 
-    def test_scalar_path_validations_match(self):
+    def test_water_fill_scalar_matches_vectorized_at_every_size(
+        self, monkeypatch
+    ):
+        rng = np.random.default_rng(21)
+        for n in range(1, 1001):
+            ceilings = rng.uniform(0, 1.2 / n, n)
+            if n % 5 == 0:
+                ceilings = np.round(ceilings, 3)  # force level ties
+            weights = None if n % 2 else rng.uniform(0.01, 2.0, n)
+            capacity = [0.0, 1.0, 0.25, float(rng.uniform(0, 2))][n % 4]
+            got, ref = _both_forms(
+                monkeypatch, lambda: water_fill(capacity, ceilings, weights)
+            )
+            assert ref == got, n
+
+    @pytest.mark.parametrize("mode", [AllocationMode.SOFT, AllocationMode.HARD])
+    def test_allocate_scalar_matches_vectorized_at_every_size(
+        self, mode, monkeypatch
+    ):
+        rng = np.random.default_rng(23)
+        allocator = CpuAllocator(mode)
+        for n in range(1, 1001):
+            limits, demands, weights = _random_pool(rng, n, n)
+            # Odd sizes leave spare capacity after phase 1.
+            limits *= min(1.0, (4.0, 0.5)[n % 2] / n)
+            capacity = [0.0, 1.0, 0.25, 4.0][n % 4]
+            got, ref = _both_forms(monkeypatch, lambda: allocator.allocate(
+                capacity, limits, demands, weights
+            ))
+            assert ref == got, n
+
+    @pytest.mark.parametrize("mode", [AllocationMode.SOFT, AllocationMode.HARD])
+    def test_one_container_chain_matches_general_path(self, mode, monkeypatch):
+        """``_allocate_one`` vs the general two-phase water-fill."""
+        rng = np.random.default_rng(29)
+        allocator = CpuAllocator(mode)
+        caps = rng.choice([0.0, 0.25, 1.0, 2.0], 400)
+        for i in range(400):
+            limit = rng.uniform(0.01, 1.0, 1) if i % 5 else np.ones(1)
+            demand = rng.uniform(0.0, 1.2, 1) if i % 7 else np.zeros(1)
+            weights = rng.uniform(0.5, 1.5, 1) if i % 3 else None
+            got, ref = _both_forms(monkeypatch, lambda: allocator.allocate(
+                float(caps[i]), limit, demand, weights
+            ))
+            assert ref == got, i
+
+    @pytest.mark.parametrize("bound", [64, 0], ids=["scalar", "vectorized"])
+    @pytest.mark.parametrize("args", [
+        (1.0, [0.0], [0.5]), (1.0, [1.5], [0.5]), (1.0, [1.0], [-0.5]),
+        (-1.0, [1.0], [0.5]), (1.0, [1.0], [0.5], [1.0, 1.0]),
+        (1.0, [1.0], [0.5], [0.0]),
+    ])
+    def test_scalar_path_validations_match(self, args, bound, monkeypatch):
+        monkeypatch.setattr(alloc_mod, "_SCALAR_MAX", bound)
         with pytest.raises(AllocationError):
-            CpuAllocator().allocate(1.0, np.array([0.0]), np.array([0.5]))
-        with pytest.raises(AllocationError):
-            CpuAllocator().allocate(1.0, np.array([1.5]), np.array([0.5]))
-        with pytest.raises(AllocationError):
-            CpuAllocator().allocate(1.0, np.array([1.0]), np.array([-0.5]))
+            CpuAllocator().allocate(*args)

@@ -75,6 +75,15 @@ class TestSimulationConfig:
         with pytest.raises(ConfigError):
             SimulationConfig(horizon=horizon)
 
+    # A fractional slot count would round up in admission, and NaN
+    # would fail only mid-run.
+    @pytest.mark.parametrize("slots", [0, float("nan"), 1.5, 2.0, float("inf")])
+    def test_max_containers_integer_or_none(self, slots):
+        SimulationConfig(max_containers=None)
+        SimulationConfig(max_containers=2)
+        with pytest.raises(ConfigError):
+            SimulationConfig(max_containers=slots)
+
     def test_with_params(self):
         cfg = SimulationConfig().with_params(seed=9)
         assert cfg.seed == 9
