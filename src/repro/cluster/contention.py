@@ -23,6 +23,7 @@ idealized work-conserving analysis used in several unit tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,16 +63,17 @@ class ContentionModel:
     swap_penalty: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.overhead < 0:
-            raise ConfigError("overhead must be non-negative")
+        # isfinite first: NaN compares false with everything.
+        for name in ("overhead", "swap_penalty"):
+            v = getattr(self, name)
+            if not math.isfinite(v) or v < 0:
+                raise ConfigError(f"{name} must be finite and >= 0, got {v!r}")
         for name in ("jitter_free", "jitter_limited"):
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1), got {v!r}")
         if not 0.0 < self.limit_threshold <= 1.0:
             raise ConfigError("limit_threshold must lie in (0, 1]")
-        if self.swap_penalty < 0:
-            raise ConfigError("swap_penalty must be non-negative")
 
     @classmethod
     def ideal(cls) -> "ContentionModel":

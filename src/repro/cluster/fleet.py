@@ -127,10 +127,11 @@ def fleet_settle(workers: list[Worker]) -> None:
     allocs = np.concatenate([w._allocs for w, _, _, _ in segments])
     work, contrib = settle_rows(allocs, packed, effs, dts)
     work_l = work.tolist()
+    contrib_l = contrib.tolist()
     off = 0
     for (w, _, _, dt), n in zip(segments, lens):
         end = off + n
-        w._apply_settle(work_l[off:end], contrib[off:end], dt)
+        w._apply_settle(work_l[off:end], contrib_l[off:end], dt)
         w._last_settle = now
         off = end
 
@@ -220,7 +221,6 @@ def fleet_sample(recorders: list[MetricsRecorder]) -> int:
             if row is None:
                 continue  # zero-length window: duplicate poll, skip
             total += 1
-            row = row.tolist()
             trace.cpu_usage.append(now, row[0])
             trace.cpu_limit.append(now, container.limits.cpu)
             try:

@@ -43,8 +43,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.containers.container import Container, ContainerState
 from repro.containers.spec import ResourceVector
 from repro.containers.stats import ContainerStats
@@ -124,8 +122,9 @@ class BusSampler:
     def __init__(self) -> None:
         self._last_sample: dict[int, float] = {}
 
-    def read(self, container: Container, now: float) -> np.ndarray | None:
-        """This subscriber's mean-usage row for *container* up to *now*.
+    def read(self, container: Container, now: float) -> tuple[float, ...] | None:
+        """This subscriber's mean usage of *container* up to *now*: four
+        floats in :meth:`ResourceType.ordered` order.
 
         The one place the window rule lives.  The window starts at this
         subscriber's previous sample of the container, clamped up to
@@ -170,7 +169,7 @@ class BusSampler:
             obs.cid,
             obs.name,
             obs.state,
-            ResourceVector.from_array(mean_row),
+            ResourceVector.from_row(mean_row),
             obs.cpu_alloc,
             obs.cpu_limit,
             obs.eval_value,

@@ -497,13 +497,13 @@ class Worker:
             arrays, mem = self._footprint_state()
             eff = self.contention.efficiency(len(self._active), mem)
             work, contrib = settle_rows(self._allocs, arrays, eff, dt)
-            self._apply_settle(work.tolist(), contrib, dt)
+            self._apply_settle(work.tolist(), contrib.tolist(), dt)
         self._last_settle = now
 
     def _apply_settle(
-        self, work: list[float], contrib: np.ndarray, dt: float
+        self, work: list[float], contrib: list[list[float]], dt: float
     ) -> None:
-        """Deliver one settlement's rows to the active containers."""
+        """Deliver one settlement's Python-float rows to the active containers."""
         for container, delivered, row in zip(self._active, work, contrib):
             container.job.advance(delivered)
             container.cgroup.settle_add(dt, row)

@@ -92,6 +92,12 @@ class FlowConConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        # NaN compares false with everything, so reject it (and inf) first.
+        for name in ("itval", "beta", "backoff_factor", "max_itval",
+                     "listener_poll_interval"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.itval <= 0:
             raise ConfigError(f"itval must be positive, got {self.itval!r}")
         if self.beta is not None and self.beta <= 0:

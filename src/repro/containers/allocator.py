@@ -41,6 +41,7 @@ the short scalar chain :meth:`CpuAllocator._allocate_one`.
 from __future__ import annotations
 
 import enum
+import math
 from itertools import accumulate
 
 import numpy as np
@@ -52,6 +53,13 @@ __all__ = ["AllocationMode", "CpuAllocator", "water_fill"]
 
 #: Largest pool the scalar forms handle; beyond it numpy is faster.
 _SCALAR_MAX = 64
+
+
+def _has_nan(values: list[float]) -> bool:
+    """Whether *values* hold a NaN (read off ``sum()``'s NaN-ness only;
+    ``inf`` plus ``-inf`` also reads NaN, which range checks reject)."""
+    total = sum(values)
+    return total != total
 
 
 class AllocationMode(enum.Enum):
@@ -80,9 +88,9 @@ def water_fill(
     Parameters
     ----------
     capacity:
-        Total divisible quantity (>= 0).
+        Total divisible quantity (finite, >= 0).
     ceilings:
-        Per-entity upper bounds (>= 0), array-like.  ``inf`` is allowed.
+        Per-entity upper bounds (>= 0, not NaN), array-like; ``inf`` is ok.
     weights:
         Optional positive proportional-share weights (default: equal).
 
@@ -104,13 +112,13 @@ def water_fill(
     n = ceilings.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.float64)
-    if capacity < 0:
-        raise AllocationError(f"negative capacity {capacity!r}")
+    if not 0.0 <= capacity < math.inf:
+        raise AllocationError(f"capacity must be finite and >= 0: {capacity!r}")
     if n > _SCALAR_MAX:
         return _water_fill_vector(capacity, ceilings, weights)
     ceil = ceilings.tolist()
-    if min(ceil) < -1e-12:
-        raise AllocationError("negative ceiling in water_fill")
+    if min(ceil) < -1e-12 or _has_nan(ceil):
+        raise AllocationError("negative or NaN ceiling in water_fill")
     ceil = [c if c > 0.0 else 0.0 for c in ceil]
 
     if weights is None:
@@ -120,7 +128,7 @@ def water_fill(
         if weights.shape != ceilings.shape:
             raise AllocationError("weights and ceilings shape mismatch")
         wts = weights.tolist()
-        if min(wts) <= 0:
+        if min(wts) <= 0 or _has_nan(wts):
             raise AllocationError("weights must be strictly positive")
 
     if capacity == 0.0:
@@ -176,10 +184,10 @@ def _water_fill_vector(capacity: float, ceilings: np.ndarray, weights) -> np.nda
     """:func:`water_fill` as whole-array numpy steps, for large pools.
 
     Callers have checked that ``ceilings`` is a non-empty float array and
-    ``capacity >= 0``.
+    ``capacity`` is finite and non-negative.
     """
-    if ceilings.min() < -1e-12:
-        raise AllocationError("negative ceiling in water_fill")
+    if not ceilings.min() >= -1e-12:  # NaN-safe: min propagates NaN
+        raise AllocationError("negative or NaN ceiling in water_fill")
     ceilings = np.maximum(ceilings, 0.0)
     n = ceilings.shape[0]
     if weights is None:
@@ -188,7 +196,7 @@ def _water_fill_vector(capacity: float, ceilings: np.ndarray, weights) -> np.nda
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != ceilings.shape:
             raise AllocationError("weights and ceilings shape mismatch")
-        if weights.min() <= 0:
+        if not weights.min() > 0:  # NaN-safe: min propagates NaN
             raise AllocationError("weights must be strictly positive")
 
     if capacity == 0.0:
@@ -267,6 +275,8 @@ class CpuAllocator:
             Allocations satisfying ``alloc <= demands`` always,
             ``alloc <= limits·capacity`` in hard mode, and work conservation
             (``sum == min(capacity, demands.sum())``) in soft mode.
+            Out-of-range or NaN inputs and a non-finite capacity raise
+            :class:`AllocationError`.
         """
         limits = np.asarray(limits, dtype=np.float64)
         demands = np.asarray(demands, dtype=np.float64)
@@ -279,10 +289,10 @@ class CpuAllocator:
             return self._allocate_vector(capacity, limits, demands, weights)
         lim = limits.tolist()
         dem = demands.tolist()
-        if min(lim) <= 0 or max(lim) > 1.0 + 1e-12:
+        if min(lim) <= 0 or max(lim) > 1.0 + 1e-12 or _has_nan(lim):
             raise AllocationError(f"limits must lie in (0, 1]: {limits!r}")
-        if min(dem) < 0:
-            raise AllocationError("demands must be non-negative")
+        if min(dem) < 0 or _has_nan(dem):
+            raise AllocationError("demands must be non-negative, not NaN")
         if n == 1:
             return self._allocate_one(capacity, lim[0], dem[0], weights)
 
@@ -310,10 +320,11 @@ class CpuAllocator:
 
     def _allocate_vector(self, capacity, limits, demands, weights) -> np.ndarray:
         """:meth:`allocate` as whole-array numpy steps, for large pools."""
-        if limits.min() <= 0 or limits.max() > 1.0 + 1e-12:
+        # NaN-safe comparisons: min and max propagate NaN.
+        if not (limits.min() > 0 and limits.max() <= 1.0 + 1e-12):
             raise AllocationError(f"limits must lie in (0, 1]: {limits!r}")
-        if demands.min() < 0:
-            raise AllocationError("demands must be non-negative")
+        if not demands.min() >= 0:
+            raise AllocationError("demands must be non-negative, not NaN")
 
         demand_abs = np.minimum(demands, 1.0) * capacity
         ceil = np.minimum(limits * capacity, demand_abs)
@@ -346,13 +357,13 @@ class CpuAllocator:
         weights: np.ndarray | None,
     ) -> np.ndarray:
         """:meth:`allocate` of a one-container pool, as scalar operations."""
-        if capacity < 0:
-            raise AllocationError(f"negative capacity {capacity!r}")
+        if not 0.0 <= capacity < math.inf:
+            raise AllocationError(f"capacity must be finite and >= 0: {capacity!r}")
         if weights is not None:
             weights = np.asarray(weights, dtype=np.float64)
             if weights.shape != (1,):
                 raise AllocationError("weights and ceilings shape mismatch")
-            if weights[0] <= 0:
+            if not weights[0] > 0:  # NaN-safe
                 raise AllocationError("weights must be strictly positive")
         dem_abs = min(demand, 1.0) * capacity
         ceil = min(limit * capacity, dem_abs)

@@ -9,14 +9,14 @@ allocation.
 
 Storage layout
 --------------
-Checkpoint history lives in two growable **contiguous numpy buffers** —
-``times`` (shape ``(cap,)``) and ``values`` (shape ``(cap, 4)``) — with a
-live window ``[lo, n)``.  Appends are amortized O(1) (capacity doubling),
-lookups are ``np.searchsorted`` on the contiguous times slice, and
-**pruning** (:meth:`prune_before`) just advances ``lo``; dead rows are
-reclaimed on the next grow.  The per-element arithmetic of
-:meth:`_integral_at` is unchanged from the historical parallel-list
-implementation, so interpolated window queries are bit-identical.
+The counters are one immutable 4-tuple of Python floats, replaced on
+every settlement; the checkpoint history is two Python lists (times and
+counter tuples).  Lookups are :func:`bisect.bisect_right`, and
+**pruning** (:meth:`prune_before`) deletes the dead prefix of both
+lists.  Snapshots are tuples, so no caller can write through one into the
+account.  Each element gets the IEEE operations of the historical numpy
+form in the same order (``a + x``, ``v0 + (v1 - v0) · frac``,
+``(e - s) / Δt``), so readings are bit-identical to it.
 
 Observation cache
 -----------------
@@ -32,21 +32,29 @@ evicted with the checkpoints they summarize.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.containers.spec import ResourceType, ResourceVector
 from repro.errors import ContainerError
 
 __all__ = ["CgroupAccount", "UsageWindow"]
 
-#: Initial checkpoint-buffer capacity (doubles as needed).
-_INITIAL_CAP = 16
-
 #: Snapshot-memo entries beyond which :meth:`window_mean_cached` resets
 #: the memo (pruning normally evicts; this bounds unpruned runs).
 _MEMO_CAP = 512
+
+#: Four counters, in :meth:`ResourceType.ordered` order.
+Row = tuple[float, float, float, float]
+
+
+def _window_mean(start: Row, end: Row, t_start: float, t_end: float) -> Row:
+    """``(end − start) / (t_end − t_start)``, element by element."""
+    span = t_end - t_start
+    s0, s1, s2, s3 = start
+    e0, e1, e2, e3 = end
+    return ((e0 - s0) / span, (e1 - s1) / span, (e2 - s2) / span, (e3 - s3) / span)
 
 
 @dataclass(frozen=True)
@@ -76,71 +84,50 @@ class CgroupAccount:
         self.created_at = float(created_at)
         self.last_update = float(created_at)
         # Integral of usage dt per resource, ResourceType.ordered() order.
-        self._integral = np.zeros(4, dtype=np.float64)
-        # Contiguous checkpoint buffers; live entries are [lo, n).
-        self._cp_t = np.empty(_INITIAL_CAP, dtype=np.float64)
-        self._cp_v = np.empty((_INITIAL_CAP, 4), dtype=np.float64)
-        self._cp_t[0] = self.last_update
-        self._cp_v[0] = 0.0
-        self._lo = 0
-        self._n = 1
+        self._integral: Row = (0.0, 0.0, 0.0, 0.0)
+        # Checkpoint history.  The last checkpoint is always
+        # (last_update, _integral).
+        self._cp_t: list[float] = [self.last_update]
+        self._cp_v: list[Row] = [self._integral]
         self._pruned = False
-        # time → immutable integral snapshot, shared by all observers.
-        self._memo: dict[float, np.ndarray] = {}
+        # time → integral snapshot, shared by all observers.
+        self._memo: dict[float, Row] = {}
         #: Uncached integral computations (test/bench instrumentation).
         self.window_queries = 0
 
     # -- accumulation ------------------------------------------------------
 
-    def settle_add(self, dt: float, contrib: np.ndarray) -> None:
-        """Bulk settlement fast-path: add a precomputed ``usage · dt`` row.
+    def settle_add(self, dt: float, row: Sequence[float]) -> None:
+        """Add one settled interval's ``usage · dt`` row (four floats).
 
         The worker's vectorized settlement computes every container's
         contribution in one numpy pass and hands each account its row,
-        which is added to the counters and recorded as a checkpoint for
-        later window queries.  *dt* must be positive (the worker already
-        early-outs on empty intervals).
+        which is added to the counters and recorded as a checkpoint at
+        ``last_update + dt`` for later window queries.  *dt* must be
+        positive: a zero, negative or NaN step would break the ordered
+        history every lookup bisects.
         """
-        self._integral += contrib
+        if not dt > 0:
+            raise ContainerError(f"settle step must be positive, got {dt!r}")
+        a0, a1, a2, a3 = self._integral
+        x0, x1, x2, x3 = row
+        integral = (a0 + x0, a1 + x1, a2 + x2, a3 + x3)
+        self._integral = integral
         self.last_update += dt
-        n = self._n
-        if n == self._cp_t.shape[0]:
-            self._grow()
-            n = self._n
-        self._cp_t[n] = self.last_update
-        self._cp_v[n] = self._integral
-        self._n = n + 1
-
-    def _grow(self) -> None:
-        """Make room for one more checkpoint (compact or double)."""
-        lo, n = self._lo, self._n
-        live = n - lo
-        if lo >= live and lo >= _INITIAL_CAP:
-            # More dead rows than live ones: compact in place.
-            self._cp_t[:live] = self._cp_t[lo:n]
-            self._cp_v[:live] = self._cp_v[lo:n]
-        else:
-            cap = max(_INITIAL_CAP, 2 * live)
-            new_t = np.empty(cap, dtype=np.float64)
-            new_v = np.empty((cap, 4), dtype=np.float64)
-            new_t[:live] = self._cp_t[lo:n]
-            new_v[:live] = self._cp_v[lo:n]
-            self._cp_t = new_t
-            self._cp_v = new_v
-        self._lo = 0
-        self._n = live
+        self._cp_t.append(self.last_update)
+        self._cp_v.append(integral)
 
     # -- pruning -----------------------------------------------------------
 
     @property
     def checkpoint_count(self) -> int:
         """Live checkpoints currently retained."""
-        return self._n - self._lo
+        return len(self._cp_t)
 
     @property
     def history_floor(self) -> float:
         """Earliest time still answerable by :meth:`_integral_at`."""
-        return float(self._cp_t[self._lo])
+        return self._cp_t[0]
 
     def prune_before(self, t: float) -> int:
         """Drop checkpoints no window query will ever need again.
@@ -151,29 +138,30 @@ class CgroupAccount:
         afterwards — better a loud error than silently interpolating
         from truncated history.  Returns the number of rows pruned.
         """
-        lo, n = self._lo, self._n
-        if t <= self._cp_t[lo]:
+        times = self._cp_t
+        if t <= times[0]:
             return 0
-        idx = lo + int(np.searchsorted(self._cp_t[lo:n], t, side="right")) - 1
-        if idx <= lo:
+        idx = bisect_right(times, t) - 1
+        if idx <= 0:
             return 0
-        self._lo = idx
+        del times[:idx]
+        del self._cp_v[:idx]
         self._pruned = True
         if self._memo:
-            floor = self._cp_t[idx]
+            floor = times[0]
             self._memo = {k: v for k, v in self._memo.items() if k >= floor}
-        return idx - lo
+        return idx
 
     # -- queries -----------------------------------------------------------
 
     @property
     def totals(self) -> ResourceVector:
         """Cumulative usage integrals (e.g. CPU-seconds) since creation."""
-        return ResourceVector.from_array(self._integral)
+        return ResourceVector.from_row(self._integral)
 
     def cpu_seconds(self) -> float:
         """Total CPU-seconds consumed (the ``cpuacct.usage`` analogue)."""
-        return float(self._integral[ResourceType.CPU.index])
+        return self._integral[ResourceType.CPU.index]
 
     def mean_usage_since(self, t_start: float, t_end: float) -> ResourceVector:
         """Average usage over ``[t_start, t_end]``.
@@ -183,35 +171,35 @@ class CgroupAccount:
         align.  Falls back to linear interpolation between the two nearest
         checkpoints for robustness.
         """
-        if t_end <= t_start:
+        if not t_end > t_start:
             raise ContainerError(
                 f"empty usage window [{t_start!r}, {t_end!r}]"
             )
-        start_integral = self._integral_at(t_start)
-        end_integral = self._integral_at(t_end)
-        mean = (end_integral - start_integral) / (t_end - t_start)
-        return ResourceVector.from_array(mean)
+        start = self._integral_at(t_start)
+        end = self._integral_at(t_end)
+        return ResourceVector.from_row(_window_mean(start, end, t_start, t_end))
 
     def window_between(self, t_start: float, t_end: float) -> UsageWindow:
         """Convenience wrapper returning a :class:`UsageWindow`."""
         return UsageWindow(t_start, t_end, self.mean_usage_since(t_start, t_end))
 
-    def window_mean_cached(self, t_start: float, t_end: float) -> np.ndarray:
-        """Mean-usage row over ``[t_start, t_end]`` via the snapshot memo.
+    def window_mean_cached(self, t_start: float, t_end: float) -> Row:
+        """Mean usage over ``[t_start, t_end]`` via the snapshot memo.
 
         The observation-bus hot path: identical arithmetic to
         :meth:`mean_usage_since`, but integral snapshots are memoized by
         exact query time so concurrent observers (and each observer's
         next window, whose start is this window's end) share one
-        computation.  Returns the raw 4-vector; callers wrap it in a
-        :class:`~repro.containers.spec.ResourceVector` as needed.
+        computation.  Returns the four mean-usage floats; callers wrap
+        them in a :class:`~repro.containers.spec.ResourceVector` as
+        needed.
 
         All observers must share this memo for more than speed: a
         migrated account's checkpoint clock lags by the migration's
         flight time, so a snapshot recomputed later by interpolation can
         differ from the one memoized live.
         """
-        if t_end <= t_start:
+        if not t_end > t_start:
             raise ContainerError(
                 f"empty usage window [{t_start!r}, {t_end!r}]"
             )
@@ -224,45 +212,38 @@ class CgroupAccount:
             memo.clear()
         start = memo.get(t_start)
         if start is None:
-            start = self._integral_at(t_start)
-            start.flags.writeable = False
-            memo[t_start] = start
+            start = memo[t_start] = self._integral_at(t_start)
         end = memo.get(t_end)
         if end is None:
-            end = self._integral_at(t_end)
-            end.flags.writeable = False
-            memo[t_end] = end
-        return (end - start) / (t_end - t_start)
+            end = memo[t_end] = self._integral_at(t_end)
+        return _window_mean(start, end, t_start, t_end)
 
-    def _integral_at(self, t: float) -> np.ndarray:
-        """Counter values at time *t* (interpolating between checkpoints).
+    def _integral_at(self, t: float) -> Row:
+        """Counter tuple at time *t* (interpolating between checkpoints).
 
-        Always returns a **fresh array** the caller owns — never a view
-        of the live counters or the checkpoint buffers, so mutating the
-        result cannot corrupt accounting.
+        A time at or before the floor reads the floor checkpoint (below
+        a pruned floor it raises), a time at or after ``last_update``
+        reads the live counters, and a time in between interpolates
+        between the checkpoints around it.  *t* must not be NaN.
         """
         self.window_queries += 1
-        lo, n = self._lo, self._n
         times = self._cp_t
-        if t <= times[lo]:
-            if self._pruned and t < times[lo]:
+        if t <= times[0]:
+            if self._pruned and t < times[0]:
                 raise ContainerError(
                     f"window start {t!r} predates pruned history "
-                    f"(floor {float(times[lo])!r})"
+                    f"(floor {times[0]!r})"
                 )
-            return self._cp_v[lo].copy()
+            return self._cp_v[0]
         if t >= self.last_update:
-            return self._integral.copy()
-        idx = lo + int(np.searchsorted(times[lo:n], t, side="right")) - 1
-        t0, v0 = times[idx], self._cp_v[idx]
-        if idx + 1 < n:
-            t1, v1 = times[idx + 1], self._cp_v[idx + 1]
-        else:
-            t1, v1 = self.last_update, self._integral
-        if t1 <= t0:
-            return v1.copy()
-        frac = (t - t0) / (t1 - t0)
-        return v0 + (v1 - v0) * frac
+            return self._integral
+        # times[0] < t < last_update == times[-1], so
+        # times[idx] <= t < times[idx + 1].
+        idx = bisect_right(times, t) - 1
+        t0 = times[idx]
+        frac = (t - t0) / (times[idx + 1] - t0)
+        values = self._cp_v
+        return tuple(a + (b - a) * frac for a, b in zip(values[idx], values[idx + 1]))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

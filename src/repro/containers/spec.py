@@ -9,6 +9,7 @@ tracked for accounting and for the multi-resource form of Eq. 2.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,22 +62,21 @@ class ResourceVector:
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "ResourceVector":
-        """Inverse of :meth:`as_array`.
-
-        Hot path (one call per container per sample): fields are written
-        through ``__dict__`` to skip the frozen-dataclass
-        ``object.__setattr__`` round-trips; the resulting instance is an
-        ordinary (immutable) :class:`ResourceVector`.
-        """
+        """Inverse of :meth:`as_array`."""
         if arr.shape != (4,):
             raise ConfigError(f"resource array must have shape (4,), got {arr.shape}")
+        return cls.from_row(arr.tolist())
+
+    @classmethod
+    def from_row(cls, row: Sequence[float]) -> "ResourceVector":
+        """A vector from four floats in :meth:`ResourceType.ordered` order.
+
+        Hot path (one call per container per sample): fields go straight
+        into ``__dict__``, skipping the frozen ``__setattr__`` round-trips.
+        """
+        cpu, memory, blkio, netio = row
         self = object.__new__(cls)
-        self.__dict__.update(
-            cpu=float(arr[0]),
-            memory=float(arr[1]),
-            blkio=float(arr[2]),
-            netio=float(arr[3]),
-        )
+        self.__dict__.update(cpu=cpu, memory=memory, blkio=blkio, netio=netio)
         return self
 
     def get(self, resource: ResourceType) -> float:

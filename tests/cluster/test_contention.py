@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import inf, nan
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,12 @@ class TestValidation:
     def test_negative_overhead_rejected(self):
         with pytest.raises(ConfigError):
             ContentionModel(overhead=-0.01)
+
+    @pytest.mark.parametrize("field", ["overhead", "swap_penalty"])
+    @pytest.mark.parametrize("value", [nan, inf, -inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            ContentionModel(**{field: value})
 
     def test_jitter_range_checked(self):
         with pytest.raises(ConfigError):

@@ -72,7 +72,7 @@ def _settle_state(workers):
         (
             c.name,
             repr(c.job.work_done),
-            c.cgroup._integral.tolist(),
+            c.cgroup._integral,
             repr(c.cgroup.last_update),
         )
         for w in workers

@@ -50,7 +50,7 @@ def settle_usage(account: CgroupAccount, dt: float, **usage: float) -> None:
     Builds the ``usage · dt`` row the worker's settlement hands
     :meth:`CgroupAccount.settle_add`, which also records a checkpoint.
     """
-    account.settle_add(dt, ResourceVector(**usage).as_array() * dt)
+    account.settle_add(dt, (ResourceVector(**usage).as_array() * dt).tolist())
 
 
 @pytest.fixture

@@ -7,6 +7,8 @@ The worked examples from the paper are encoded directly:
 
 from __future__ import annotations
 
+from math import inf, nan
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -304,8 +306,34 @@ class TestScalarPathBitParity:
         (1.0, [0.0], [0.5]), (1.0, [1.5], [0.5]), (1.0, [1.0], [-0.5]),
         (-1.0, [1.0], [0.5]), (1.0, [1.0], [0.5], [1.0, 1.0]),
         (1.0, [1.0], [0.5], [0.0]),
+        # NaN inputs and a non-finite capacity.
+        (1.0, [0.5, nan], [1.0, 1.0]), (1.0, [0.5, 0.5], [nan, 1.0]),
+        (1.0, [0.5], [nan]), (1.0, [nan], [0.5]),
+        (1.0, [0.5, 0.5], [1.0, 1.0], [1.0, nan]), (1.0, [0.5], [1.0], [nan]),
+        (nan, [0.5, 0.5], [1.0, 1.0]), (nan, [0.5], [1.0]),
+        (inf, [0.5, 0.5], [1.0, 1.0]), (inf, [0.5], [1.0]),
     ])
     def test_scalar_path_validations_match(self, args, bound, monkeypatch):
         monkeypatch.setattr(alloc_mod, "_SCALAR_MAX", bound)
         with pytest.raises(AllocationError):
             CpuAllocator().allocate(*args)
+
+
+class TestWaterFillNonFinite:
+    """NaN ceilings or weights and a non-finite capacity raise in both
+    forms; an infinite ceiling stays allowed."""
+
+    @pytest.mark.parametrize("bound", [64, 0], ids=["scalar", "vectorized"])
+    @pytest.mark.parametrize("args", [
+        (1.0, [0.5, nan]), (1.0, [nan, 0.5]), (1.0, [0.5, 0.5], [1.0, nan]),
+        (nan, [0.5, 0.5]), (inf, [0.5, 0.5]),
+    ])
+    def test_rejected(self, args, bound, monkeypatch):
+        monkeypatch.setattr(alloc_mod, "_SCALAR_MAX", bound)
+        with pytest.raises(AllocationError):
+            water_fill(*args)
+
+    @pytest.mark.parametrize("bound", [64, 0], ids=["scalar", "vectorized"])
+    def test_infinite_ceiling_still_allowed(self, bound, monkeypatch):
+        monkeypatch.setattr(alloc_mod, "_SCALAR_MAX", bound)
+        assert water_fill(1.0, [0.25, inf]).tolist() == [0.25, 0.75]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import inf, nan
+
 import pytest
 
 from repro.config import FlowConConfig, SimulationConfig
@@ -42,6 +44,14 @@ class TestFlowConConfig:
     def test_poll_interval_positive(self):
         with pytest.raises(ConfigError):
             FlowConConfig(listener_poll_interval=0.0)
+
+    @pytest.mark.parametrize("field", [
+        "itval", "beta", "backoff_factor", "max_itval", "listener_poll_interval",
+    ])
+    @pytest.mark.parametrize("value", [nan, inf, -inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            FlowConConfig(**{field: value})
 
     def test_with_params_returns_new_instance(self):
         cfg = FlowConConfig()
