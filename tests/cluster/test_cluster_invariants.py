@@ -526,7 +526,7 @@ class TestFabricChaosInvariants:
         assert dup["fabric:duplicates_suppressed"] != repr(0.0)
 
     @pytest.mark.parametrize("seed", [4])
-    def test_fleet_mode_parity_under_faults(self, seed):
+    def test_fleet_mode_parity_under_faults(self, seed, sampling_digest):
         """The fused tick engine composes with MESSAGE events."""
         plan = "drop(0.2)+delay(exp,0.2)"
         serial = _run_checked(
@@ -536,6 +536,7 @@ class TestFabricChaosInvariants:
             seed, "spread", "none", fabric=plan, fleet_mode=True
         )
         assert serial == fused
+        sampling_digest(serial)
 
 
 class TestFleetModeParity:
@@ -554,16 +555,19 @@ class TestFleetModeParity:
     @pytest.mark.parametrize("placement", sorted(PLACEMENTS))
     @pytest.mark.parametrize("rebalance", sorted(REBALANCERS))
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_placement_rebalance_matrix(self, placement, rebalance, seed):
+    def test_placement_rebalance_matrix(
+        self, placement, rebalance, seed, sampling_digest
+    ):
         serial = _run_checked(
             seed, placement, rebalance, fleet_mode=False
         )
         fused = _run_checked(seed, placement, rebalance, fleet_mode=True)
         assert serial == fused
+        sampling_digest(serial)
 
     @pytest.mark.parametrize("admission", sorted(ADMISSIONS))
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_admission_axis(self, admission, seed):
+    def test_admission_axis(self, admission, seed, sampling_digest):
         serial = _run_checked(
             seed, "spread", "none", admission=admission, fleet_mode=False
         )
@@ -571,9 +575,10 @@ class TestFleetModeParity:
             seed, "spread", "none", admission=admission, fleet_mode=True
         )
         assert serial == fused
+        sampling_digest(serial)
 
     @pytest.mark.parametrize("seed", [5, 6])
-    def test_autoscale_axis(self, seed):
+    def test_autoscale_axis(self, seed, sampling_digest):
         """Provision/retire churn: the fused pass must track recorders
         attached to workers born mid-run."""
         def run(fleet_mode):
@@ -587,11 +592,13 @@ class TestFleetModeParity:
                 fleet_mode=fleet_mode,
             )
 
-        assert run(False) == run(True)
+        serial = run(False)
+        assert serial == run(True)
+        sampling_digest(serial)
 
     @pytest.mark.parametrize("admission", sorted(ADMISSIONS))
     @pytest.mark.parametrize("seed", [7, 8])
-    def test_autoscale_by_admission(self, admission, seed):
+    def test_autoscale_by_admission(self, admission, seed, sampling_digest):
         """Provisioned workers join the fused arena while each queue
         discipline decides who starts on them."""
         def run(fleet_mode):
@@ -606,13 +613,15 @@ class TestFleetModeParity:
                 fleet_mode=fleet_mode,
             )
 
-        assert run(False) == run(True)
+        serial = run(False)
+        assert serial == run(True)
+        sampling_digest(serial)
 
     @pytest.mark.parametrize(
         "failures", ["random", "random:checkpoint(20)"]
     )
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_failures_axis(self, failures, seed):
+    def test_failures_axis(self, failures, seed, sampling_digest):
         """Crash/recover churn: packed arenas built and torn down around
         workers dying mid-tick must not perturb a single sample."""
         serial = _run_checked(
@@ -622,13 +631,16 @@ class TestFleetModeParity:
             seed, "spread", "none", failures=failures, fleet_mode=True
         )
         assert serial == fused
+        sampling_digest(serial)
 
     @pytest.mark.parametrize(
         "failures", ["random", "random:checkpoint(20)"]
     )
     @pytest.mark.parametrize("placement", sorted(PLACEMENTS))
     @pytest.mark.parametrize("seed", [2, 3])
-    def test_failures_by_placement(self, failures, placement, seed):
+    def test_failures_by_placement(
+        self, failures, placement, seed, sampling_digest
+    ):
         """Crash/recover under every placement: restarted containers
         land on different workers, reshaping the arena differently."""
         serial = _run_checked(
@@ -638,6 +650,7 @@ class TestFleetModeParity:
             seed, placement, "none", failures=failures, fleet_mode=True
         )
         assert serial == fused
+        sampling_digest(serial)
 
     @staticmethod
     def _composed(seed, admission, fleet_mode):
@@ -653,26 +666,26 @@ class TestFleetModeParity:
         )
 
     @pytest.mark.parametrize("seed", [2, 3])
-    def test_composed_axes(self, seed):
+    def test_composed_axes(self, seed, sampling_digest):
         """Migration + autoscale + non-fifo admission, fused vs serial."""
-        assert self._composed(seed, "sjf", False) == self._composed(
-            seed, "sjf", True
-        )
+        serial = self._composed(seed, "sjf", False)
+        assert serial == self._composed(seed, "sjf", True)
+        sampling_digest(serial)
 
     @pytest.mark.parametrize(
         "admission", sorted(set(ADMISSIONS) - {"sjf"})
     )
     @pytest.mark.parametrize("seed", [2, 3])
-    def test_composed_by_admission(self, admission, seed):
+    def test_composed_by_admission(self, admission, seed, sampling_digest):
         """The composed case under the remaining queue disciplines."""
-        assert self._composed(seed, admission, False) == self._composed(
-            seed, admission, True
-        )
+        serial = self._composed(seed, admission, False)
+        assert serial == self._composed(seed, admission, True)
+        sampling_digest(serial)
 
     @pytest.mark.parametrize("plan", _FABRIC_PLANS)
     @pytest.mark.parametrize("placement", sorted(PLACEMENTS))
     @pytest.mark.parametrize("seed", [3, 4])
-    def test_fabric_fault_plans(self, plan, placement, seed):
+    def test_fabric_fault_plans(self, plan, placement, seed, sampling_digest):
         """Lossy control-plane MESSAGE traffic interleaved with fused
         ticks; the digests compare fabric delivery counters too."""
         serial = _run_checked(
@@ -682,12 +695,13 @@ class TestFleetModeParity:
             seed, placement, "none", fabric=plan, fleet_mode=True
         )
         assert serial == fused
+        sampling_digest(serial)
 
     @pytest.mark.parametrize(
         "failures", ["random", "random:checkpoint(20)"]
     )
     @pytest.mark.parametrize("plan", _FABRIC_PLANS)
-    def test_fabric_with_failures(self, plan, failures):
+    def test_fabric_with_failures(self, plan, failures, sampling_digest):
         """Workers crash while control messages to them are in flight
         or being retried; fused and serial must still agree."""
         seed = 1
@@ -708,13 +722,17 @@ class TestFleetModeParity:
             fleet_mode=True,
         )
         assert serial == fused
+        sampling_digest(serial)
 
     @pytest.mark.parametrize("seed", [0, 4])
-    def test_fused_repeat_is_bit_identical(self, seed):
+    def test_fused_repeat_is_bit_identical(self, seed, sampling_digest):
         """Fused runs are also deterministic against themselves."""
         first = _run_checked(seed, "spread", "none", fleet_mode=True)
         second = _run_checked(seed, "spread", "none", fleet_mode=True)
         assert first == second
+        serial = _run_checked(seed, "spread", "none", fleet_mode=False)
+        assert first == serial
+        sampling_digest(serial)
 
 
 _STREAM_TENANTS = (("alpha", 2.0, 1.0), ("beta", 1.0, 2.0), ("gamma", 1.0, 1.0))
@@ -1003,7 +1021,7 @@ class TestStreamingMatrixInvariants:
         assert run()[0] == run()[0]
 
     @pytest.mark.parametrize("seed", [2, 4])
-    def test_fleet_mode_parity(self, seed):
+    def test_fleet_mode_parity(self, seed, sampling_digest):
         """The fused tick engine must not perturb a streaming run: the
         sketch states and every exit time match the serial path."""
         serial, _ = _run_streaming_checked(
@@ -1013,6 +1031,7 @@ class TestStreamingMatrixInvariants:
             seed, "spread", "none", fleet_mode=True
         )
         assert serial == fused
+        sampling_digest(serial)
 
     @pytest.mark.parametrize(
         "fabric",

@@ -116,7 +116,7 @@ class TestZeroRedundancy:
 
 
 class TestBusSamplerParity:
-    def test_matches_private_stats_sampler_bitwise(self, sim):
+    def test_matches_private_stats_sampler_bitwise(self, sim, sampling_digest):
         """Bus readings equal the historical private-sampler readings."""
         worker = Worker(sim)  # jittered: realistic windows
         worker.obsbus.prune = False  # private sampler needs full history
@@ -124,6 +124,7 @@ class TestBusSamplerParity:
             worker.launch(make_linear_job(f"j{i}", total_work=400.0))
         bus_sampler = BusSampler()
         private = StatsSampler()
+        readings = []
         for step in range(1, 8):
             now = 3.5 * step
             sim.clock.advance_to(now)
@@ -131,10 +132,17 @@ class TestBusSamplerParity:
             for obs in worker.obsbus.observe():
                 got = bus_sampler.sample(obs)
                 want = private.sample(obs.container, now)
+                # The cid comes from a process-wide counter, so the
+                # digest keys each reading by container name instead.
+                readings.append(
+                    repr(None if want is None else _stats_fields(want)[:1]
+                         + _stats_fields(want)[2:])
+                )
                 if want is None:
                     assert got is None
                     continue
                 assert _stats_fields(got) == _stats_fields(want)
+        sampling_digest(readings)
 
     def test_zero_length_window_returns_none(self, sim):
         worker = Worker(sim)

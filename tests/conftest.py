@@ -3,10 +3,17 @@
 The fixtures build the standard small worlds used across suites: a fresh
 simulator, an ideal (no-interference) worker, and a tiny linear job whose
 behaviour is trivially predictable (loss falls linearly from 1 to 0 over
-``total_work`` CPU-seconds).
+``total_work`` CPU-seconds).  ``sampling_digest`` checks a sampling
+parity case against its committed digest in
+``cluster/data/sampling_digests.json``.
 """
 
 from __future__ import annotations
+
+import functools
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -69,3 +76,42 @@ def ideal_worker(sim: Simulator) -> Worker:
 def linear_job() -> TrainingJob:
     """One predictable 100-cpu-second job."""
     return make_linear_job()
+
+
+_SAMPLING_DIGESTS = Path(__file__).parent / "cluster" / "data" / "sampling_digests.json"
+
+
+def case_key(node) -> str:
+    """A test case's key in the digest fixture: its file name, then its
+    class and test name with parameters, as pytest names them."""
+    return "::".join([node.path.name, *node.nodeid.split("::")[1:]])
+
+
+def outcome_digest(outcome) -> str:
+    """sha256 of a JSON-able case outcome (keys sorted)."""
+    return hashlib.sha256(
+        json.dumps(outcome, sort_keys=True).encode()
+    ).hexdigest()
+
+
+@functools.cache
+def _sampling_digests() -> dict[str, str]:
+    return json.loads(_SAMPLING_DIGESTS.read_text())
+
+
+@pytest.fixture
+def sampling_digest(request):
+    """Assert a case's outcome matches its committed sampling digest.
+
+    The digests were generated from the reference samplers (per-recorder
+    ``sample_now`` with no fleet ticker, and a private stats sampler) and
+    cover exactly what each case compares: every recorded series,
+    completions and failures, retries, fabric counters and, where the
+    case reads it, ``events_processed``.
+    """
+    key = case_key(request.node)
+
+    def check(outcome) -> None:
+        assert outcome_digest(outcome) == _sampling_digests()[key], key
+
+    return check

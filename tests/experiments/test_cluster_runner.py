@@ -253,7 +253,9 @@ class TestTickerParity:
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("policy", sorted(_POLICIES))
-    def test_single_worker_batches_of_one(self, monkeypatch, policy, seed):
+    def test_single_worker_batches_of_one(
+        self, monkeypatch, policy, seed, sampling_digest
+    ):
         fused, reference = self._both(
             monkeypatch,
             random_ten_job(seed),
@@ -261,9 +263,10 @@ class TestTickerParity:
             SimulationConfig(seed=seed, trace=False),
         )
         assert fused == reference
+        sampling_digest(reference)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_chaos_mix_shape(self, monkeypatch, seed):
+    def test_chaos_mix_shape(self, monkeypatch, seed, sampling_digest):
         """Crash-recovered recorders leave the shared sampling grid, so
         lone and fused ticks mix; migrations put lagging account clocks
         under the shared snapshot memo."""
@@ -292,8 +295,9 @@ class TestTickerParity:
         )
         assert fused == reference
         assert reference["fabric"]["messages_dropped"] > 0
+        sampling_digest(reference)
 
-    def test_fleet_mode_is_ignored(self):
+    def test_fleet_mode_is_ignored(self, sampling_digest):
         specs = two_hundred_job(seed=1)[:60]
         on, off = (
             _outcome(
@@ -308,6 +312,7 @@ class TestTickerParity:
             for mode in (True, False)
         )
         assert on == off
+        sampling_digest(off)
 
 
 class TestClusterShapes:
