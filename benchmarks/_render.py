@@ -3,10 +3,14 @@
 ``bench_claims.py`` regenerates each figure and table of the paper and
 prints it in ASCII next to the paper's reported shape, so ``pytest
 benchmarks/bench_claims.py -s`` produces a full side-by-side
-reproduction report.
+reproduction report.  :func:`paired_cpu_ratios` is the timing helper
+the relative throughput gates share.
 """
 
 from __future__ import annotations
+
+import gc
+import time
 
 import numpy as np
 
@@ -26,6 +30,7 @@ from repro.experiments.report import (
 from repro.experiments.tables import Table1Row, Table2Data
 
 __all__ = [
+    "paired_cpu_ratios",
     "print_fig1",
     "print_sweep",
     "print_scale",
@@ -40,6 +45,43 @@ __all__ = [
 def run_once(benchmark, fn):
     """Run a generator exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
+
+
+def _cpu(fn):
+    """``fn()`` and its process CPU time, with the cyclic collector held
+    off: a collection of the previous run's garbage would land on
+    whichever side happened to trigger it."""
+    gc.collect()
+    gc.disable()
+    try:
+        t0 = time.process_time()
+        result = fn()
+        return result, time.process_time() - t0
+    finally:
+        gc.enable()
+
+
+def paired_cpu_ratios(base, variant, pairs: int = 10):
+    """Time *variant* against *base* in interleaved pairs.
+
+    One warm-up run of *base* goes off the clock.  Each pair then runs
+    both sides back to back, alternating which goes first, in process
+    CPU time with the cyclic collector held off: the two runs of a pair
+    share the host's state of the moment, so the pair's ratio cancels
+    host drift that a single run per side cannot.  Returns the last
+    result of each side and the ``variant / base`` CPU-time ratio of
+    every pair; gates assert on the median ratio.
+    """
+    base()
+    sides = (base, variant)
+    results: list = [None, None]
+    ratios: list[float] = []
+    for i in range(pairs):
+        cpu = [0.0, 0.0]
+        for side in (0, 1) if i % 2 == 0 else (1, 0):
+            results[side], cpu[side] = _cpu(sides[side])
+        ratios.append(cpu[1] / cpu[0])
+    return results[0], results[1], ratios
 
 
 def print_fig1(title: str, data: Fig1Data, paper_note: str) -> None:

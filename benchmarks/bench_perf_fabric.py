@@ -25,13 +25,12 @@ Three contracts of the message-fabric subsystem:
 
 from __future__ import annotations
 
-import gc
 import statistics
 import time
 
 import pytest
 
-from _render import run_once
+from _render import paired_cpu_ratios, run_once
 
 from repro.baselines.na import NAPolicy
 from repro.config import SimulationConfig
@@ -73,30 +72,9 @@ def test_perf_fabric_ideal_parity(benchmark):
             fabric=fabric,
         )
 
-    def _cpu(fn):
-        # A collection of the previous run's garbage would land on
-        # whichever side happened to trigger it.
-        gc.collect()
-        gc.disable()
-        try:
-            t0 = time.process_time()
-            result = fn()
-            return result, time.process_time() - t0
-        finally:
-            gc.enable()
-
-    _cluster(None)  # warm caches off the clock
-    # Interleaved pairs (alternating which side goes first), timed in
-    # process CPU time with the cyclic collector held off: the two runs
-    # of a pair share the host's state of the moment, so the pair's
-    # ratio cancels host drift that a best-of comparison cannot.
-    runs, ratios = {}, []
-    for i in range(10):
-        cpu = {}
-        for fabric in ((None, "ideal") if i % 2 == 0 else ("ideal", None)):
-            runs[fabric], cpu[fabric] = _cpu(lambda: _cluster(fabric))
-        ratios.append(cpu["ideal"] / cpu[None])
-    default, explicit = runs[None], runs["ideal"]
+    default, explicit, ratios = paired_cpu_ratios(
+        lambda: _cluster(None), lambda: _cluster("ideal")
+    )
     run_once(benchmark, lambda: _cluster("ideal"))
 
     assert explicit.completion_times() == default.completion_times()

@@ -1,8 +1,8 @@
 """Micro-benchmark — the observation-bus sampling path.
 
-The #1 hot path of the ten-job profile is metric sampling:
-``MetricsRecorder.sample_now`` → ``Worker.poke`` → per-container window
-query + ``E(p)`` evaluation.  This bench drives that path with **all
+The #1 hot path of the ten-job profile is metric sampling: the fused
+tick's settle and reallocation → per-container window query + ``E(p)``
+evaluation.  This bench drives that path with **all
 three observer families active at once** — the metrics recorder,
 FlowCon's container monitor and a SLAQ-signal progress observer — and
 asserts the zero-redundancy contract end to end:
@@ -114,8 +114,8 @@ def test_perf_obsbus_single_query_per_tick():
         sim.clock.advance_to(now)
         fresh.poke()
         for sub in observers:
-            for obs in fresh.obsbus.observe():
-                sub.sample(obs)
+            for container, _ in fresh.obsbus.observe():
+                sub.sample(container, now)
         progress.observe(fresh, now)
 
     tick(5.0)  # warm-up seeds the snapshot memos

@@ -22,6 +22,8 @@ competition fallback when everything has converged.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.cluster.worker import Worker
@@ -46,8 +48,11 @@ class SlaqLikePolicy(SchedulingPolicy):
     """
 
     def __init__(self, epoch: float = 20.0, min_share: float = 0.05) -> None:
-        if epoch <= 0:
-            raise ConfigError(f"epoch must be positive, got {epoch!r}")
+        # isfinite first: NaN compares false with everything.
+        if not math.isfinite(epoch) or epoch <= 0:
+            raise ConfigError(
+                f"epoch must be positive and finite, got {epoch!r}"
+            )
         if not 0.0 < min_share < 1.0:
             raise ConfigError(f"min_share must lie in (0,1), got {min_share!r}")
         self.epoch = float(epoch)
@@ -79,22 +84,22 @@ class SlaqLikePolicy(SchedulingPolicy):
 
     def _on_epoch(self, _event: Event) -> None:
         worker = self.worker
-        observations = worker.obsbus.observe()  # settles, shared E(t) pass
-        if observations:
-            n = len(observations)
+        pairs = worker.obsbus.observe()  # settles, shared E(t) pass
+        if pairs:
+            n = len(pairs)
+            now = worker.sim.now
+            idx = self._tracker.resource.index
             # Normalized quality gain per second for each job.
             gains = np.zeros(n, dtype=np.float64)
-            for i, obs in enumerate(observations):
-                stats = self._sampler.sample(obs)
-                if stats is None or stats.eval_value is None:
+            for i, (container, eval_value) in enumerate(pairs):
+                row = self._sampler.sample(container, now)
+                if row is None or eval_value is None:
                     continue
                 # SLAQ normalizes each metric by its total range so
                 # heterogeneous losses are comparable.
-                normalized = obs.container.job.evalfn.normalized(
-                    stats.eval_value
-                )
-                hist = self._tracker.history(obs.cid)
-                hist.observe(obs.time, normalized, stats.mean_usage)
+                normalized = container.job.evalfn.normalized(eval_value)
+                hist = self._tracker.history(container.cid)
+                hist.observe_usage(now, normalized, row[idx])
                 sample = hist.latest()
                 gains[i] = sample.progress if sample is not None else 0.0
             if gains.sum() <= 0:
@@ -108,10 +113,7 @@ class SlaqLikePolicy(SchedulingPolicy):
             shares = np.maximum(shares, self.min_share)
             shares = np.minimum(shares / shares.max(), 1.0)
             worker.batch_update(
-                {
-                    obs.cid: float(s)
-                    for obs, s in zip(observations, shares)
-                }
+                {c.cid: float(s) for (c, _), s in zip(pairs, shares)}
             )
         self._schedule_epoch()
 

@@ -6,15 +6,15 @@ reallocates and observes.  :class:`FleetTicker` registers an engine-level
 batcher (:meth:`repro.simcore.engine.Simulator.register_batcher`) for
 ``METRIC_SAMPLE``, so every tick — a lone worker's as a batch of one, or
 all the workers of a fleet whose shared sampling grid lands them on one
-instant — runs as one pass in place of each recorder's own
-``sample_now``: settlement and reallocation over a packed ``(worker,
-container)`` arena, then each recorder's sampling.  The runner always
-arms it.
+instant — runs as one :func:`fleet_tick`: settlement and reallocation
+over a packed ``(worker, container)`` arena, then each recorder's
+sampling.  The runner always arms it.  Without a ticker (a hand-wired
+simulation) each recorder's tick runs the same :func:`fleet_tick` as a
+batch of one, through :meth:`MetricsRecorder.sample_now`.
 
-The pass has three phases, mirroring exactly what each recorder's
-``Worker.poke()`` + bus observation would have done.  Only the first two
-pack work across workers, where packing measurably pays on a fleet;
-everything else runs each worker's or recorder's own code:
+The pass has three phases.  Only the first two pack work across workers,
+where packing measurably pays on a fleet; everything else runs each
+worker's or recorder's own code:
 
 * **Settle** — pack every stale worker's active-container footprint
   arrays (workers admit only plain ``ResourceSpec`` footprints, so every
@@ -32,19 +32,20 @@ everything else runs each worker's or recorder's own code:
 * **Sample** — per recorder, open the worker's bus pass with
   :meth:`ObservationBus.begin_pass` (cache key, pass counter, and the
   every-16th-pass prune) *before* any window is read, exactly where
-  ``observe()`` would open it; the observation list itself is skipped.
-  Each container's window is read through the recorder's own
+  ``observe()`` would open it.  Each container's window is read through
+  the recorder's own
   :meth:`BusSampler.read <repro.cluster.obsbus.BusSampler.read>`, the
   one place the window rule lives.  Step series then append through
   :meth:`StepSeries.append <repro.metrics.timeseries.StepSeries.append>`,
   growth histories advance through :meth:`EfficiencyHistory.observe_usage
-  <repro.core.efficiency.EfficiencyHistory.observe_usage>`, and each
-  recorder schedules its next sample with its own ``_schedule_sample``.
+  <repro.core.efficiency.EfficiencyHistory.observe_usage>`.  Each
+  recorder then schedules its next sample with its own
+  ``_schedule_sample`` (the ticker's batch handler, or ``_on_sample``).
 
 The pass *is* the batched events' firing: they are not fired again
 (``events_processed`` still counts them; the engine counted each pop).
-:meth:`MetricsRecorder.sample_now` stays the reference implementation —
-the parity fuzz runs it without a ticker and compares every series.
+The sampling parity suites check every recorded series against digests
+committed from the per-recorder reference path this engine replaced.
 
 Bit-identity invariants
 -----------------------
@@ -57,19 +58,24 @@ Bit-identity invariants
   give the same per-element IEEE ops as per-worker scalars —
   ``_apply_settle``, ``_realloc_begin``/``_realloc_finish``,
   ``CpuAllocator.allocate`` per pool, ``BusSampler.read``) — equal
-  inputs ⇒ equal bits.
+  inputs ⇒ equal bits, so a batch of many and batches of one agree.
 * Workers already settled or poked at this instant are skipped exactly
   as their own ``settle()``/``poke()`` would no-op.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.cluster.worker import Worker, settle_rows
-from repro.metrics.recorder import MetricsRecorder
 from repro.simcore.engine import Simulator
 from repro.simcore.events import Event, EventKind
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (recorder → fleet)
+    from repro.metrics.recorder import MetricsRecorder
 
 __all__ = [
     "FleetTicker",
@@ -77,6 +83,7 @@ __all__ = [
     "fleet_sample",
     "fleet_sample_streaming",
     "fleet_settle",
+    "fleet_tick",
 ]
 
 
@@ -181,25 +188,19 @@ def fleet_reallocate(workers: list[Worker]) -> None:
         w._last_poke = (now, w.version)
 
 
-def fleet_sample(recorders: list[MetricsRecorder]) -> int:
-    """One sampling pass replacing each recorder's ``sample_now``.
-
-    Bit-identical to ``for r in recorders: r.sample_now();
-    r._schedule_sample()`` run after the fleet settle/reallocate
-    pre-passes (under which each ``poke()`` is a no-op):
+def fleet_sample(recorders: list["MetricsRecorder"]) -> int:
+    """The sampling phase for dense recorders, after settle/reallocate.
 
     * Each worker's bus pass opens through
-      :meth:`ObservationBus.begin_pass`, before any window is read; the
-      observation list is skipped — samples fire last at any instant, so
-      nothing reads it afterwards, and ``E(t)`` is a pure function of job
-      state, so recomputing it here yields the bits a bus cache hit
-      would have returned.
+      :meth:`ObservationBus.begin_pass`, before any window is read; no
+      ``(container, E(t))`` pairs are cached — samples fire last at any
+      instant, and ``E(t)`` is a pure function of job state, so a later
+      same-instant observer recomputes the same bits.
     * Every window is read through the recorder's own
-      :meth:`BusSampler.read`, the rule ``sample_now`` reads through
-      too; zero-length windows skip the container entirely.
+      :meth:`BusSampler.read`; zero-length windows skip the container
+      entirely.
     * Series append through ``StepSeries.append`` and growth histories
-      advance through ``EfficiencyHistory.observe_usage`` — the body of
-      the ``observe`` the serial path calls.
+      advance through ``EfficiencyHistory.observe_usage``.
 
     Returns the number of window means read (instrumentation).
     """
@@ -233,17 +234,13 @@ def fleet_sample(recorders: list[MetricsRecorder]) -> int:
             grown = tracker.history(cid).observe_usage(now, ev_val, row[res_idx])
             if grown is not None:
                 trace.growth.append(now, grown.growth)
-    # Next ticks pushed in recorder (event pop) order, so queue sequence
-    # numbers tie-break as they would have after each recorder's tick.
-    for r in recorders:
-        r._schedule_sample()
     return total
 
 
-def fleet_sample_streaming(recorders: list[MetricsRecorder]) -> int:
-    """Sampling pass for *streaming* recorders.
+def fleet_sample_streaming(recorders: list["MetricsRecorder"]) -> int:
+    """The sampling phase for *streaming* recorders.
 
-    A streaming ``sample_now`` keeps no series: its only state changes
+    A streaming recorder keeps no series: its only state changes
     are the bus pass, opened here through
     :meth:`ObservationBus.begin_pass`, and the account snapshot memo and
     the sampler's window advance, both made by :meth:`BusSampler.read`,
@@ -259,8 +256,28 @@ def fleet_sample_streaming(recorders: list[MetricsRecorder]) -> int:
         for container in containers:
             if read(container, now) is not None:
                 total += 1
-    for r in recorders:
-        r._schedule_sample()
+    return total
+
+
+def fleet_tick(recorders: list["MetricsRecorder"]) -> int:
+    """One sampling tick of *recorders*, all at the current instant.
+
+    Settles and reallocates their workers, then runs the dense and the
+    streaming sampling phases.  The ticker's batch handler and
+    :meth:`MetricsRecorder.sample_now` (a batch of one) both sample
+    through here; scheduling the next tick is left to the caller.
+    Returns the number of window means read (instrumentation).
+    """
+    workers = list(dict.fromkeys(r.worker for r in recorders))
+    fleet_settle(workers)
+    fleet_reallocate(workers)
+    dense = [r for r in recorders if not r.streaming]
+    streaming = [r for r in recorders if r.streaming]
+    total = 0
+    if dense:
+        total += fleet_sample(dense)
+    if streaming:
+        total += fleet_sample_streaming(streaming)
     return total
 
 
@@ -298,12 +315,9 @@ class FleetTicker:
         if not recorders:
             return
         self.fused_batches += 1
-        workers = list(dict.fromkeys(r.worker for r in recorders))
-        fleet_settle(workers)
-        fleet_reallocate(workers)
-        dense = [r for r in recorders if not r.streaming]
-        streaming = [r for r in recorders if r.streaming]
-        if dense:
-            self.fused_samples += fleet_sample(dense)
-        if streaming:
-            self.fused_samples += fleet_sample_streaming(streaming)
+        self.fused_samples += fleet_tick(recorders)
+        # Next ticks pushed dense recorders first, each group in event
+        # pop order (a stable sort), so queue sequence numbers tie-break
+        # as they always have.
+        for r in sorted(recorders, key=attrgetter("streaming")):
+            r._schedule_sample()

@@ -8,23 +8,20 @@ each running its own settle, cgroup window query and ``E(p)`` curve
 evaluation against the same containers at the same timestamps.
 
 :class:`ObservationBus` restores the paper's single-monitor shape.  Per
-``(worker, timestamp)`` it performs one settle and builds one immutable
-:class:`ContainerObservation` per running container (identity, state,
-current limit/allocation, and the evaluation-function reading computed
-**once**).  Subscribers read those records through a
-:class:`BusSampler`, which keeps the per-subscriber sampling window —
-each observer still sees *its own* interval since *its own* previous
-sample, exactly like the private
-:class:`~repro.containers.stats.StatsSampler` it replaces, so results
-are bit-identical — while the underlying integral snapshots are shared
-through :meth:`CgroupAccount.window_mean_cached`: N subscribers cost one
+``(worker, timestamp, state-version)`` it performs one settle and pairs
+each running container with its evaluation-function reading ``E(t)``,
+computed **once** for every subscriber.  Subscribers read their windows
+through a :class:`BusSampler`, which keeps the per-subscriber sampling
+window — each observer sees *its own* interval since *its own* previous
+sample — while the underlying integral snapshots are shared through
+:meth:`CgroupAccount.window_mean_cached`: N subscribers cost one
 uncached window query per container per tick instead of N.
 
 The window rule — where a subscriber's next window starts, and when a
-read is skipped — is written once, in :meth:`BusSampler.read`.
-:meth:`BusSampler.sample` and the fused fleet sampling passes
-(:mod:`repro.cluster.fleet`), which read containers without building
-observations, all go through it.
+read is skipped — is written once, in :meth:`BusSampler.read`.  The
+observers read through :meth:`BusSampler.sample`, a thin alias, and the
+fused fleet sampling passes (:mod:`repro.cluster.fleet`) through
+``read`` itself.
 
 Checkpoint pruning
 ------------------
@@ -43,80 +40,21 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.containers.container import Container, ContainerState
-from repro.containers.spec import ResourceVector
-from repro.containers.stats import ContainerStats
-
-#: ``running_containers`` only yields RUNNING containers, so the state
-#: string is a constant on the observation hot path.
-_RUNNING = ContainerState.RUNNING.value
+from repro.containers.container import Container
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (worker ← obsbus)
     from repro.cluster.worker import Worker
 
-__all__ = ["ContainerObservation", "BusSampler", "ObservationBus"]
-
-
-class ContainerObservation:
-    """One shared observation of one running container.
-
-    Produced once per ``(worker, timestamp, state-version)`` and handed
-    to every subscriber; window means are *not* here because they are
-    per-subscriber state (each observer's window starts at its own
-    previous sample).  A plain ``__slots__`` record, immutable by
-    convention — one is built per container per pass on the hottest
-    sampling path.
-
-    ``eval_value`` is ``E(t)`` computed once for all subscribers
-    (``None`` when the job exposes no evaluation function).
-    """
-
-    __slots__ = (
-        "time",
-        "cid",
-        "name",
-        "state",
-        "created_at",
-        "eval_value",
-        "cpu_alloc",
-        "cpu_limit",
-        "container",
-    )
-
-    def __init__(
-        self,
-        time: float,
-        cid: int,
-        name: str,
-        state: str,
-        created_at: float,
-        eval_value: float | None,
-        cpu_alloc: float,
-        cpu_limit: float,
-        container: Container,
-    ) -> None:
-        self.time = time
-        self.cid = cid
-        self.name = name
-        self.state = state
-        self.created_at = created_at
-        self.eval_value = eval_value
-        self.cpu_alloc = cpu_alloc
-        self.cpu_limit = cpu_limit
-        self.container = container
+__all__ = ["BusSampler", "ObservationBus"]
 
 
 class BusSampler:
-    """One subscriber's sampling window over bus observations.
+    """One subscriber's sampling window over its containers.
 
-    Drop-in replacement for a private
-    :class:`~repro.containers.stats.StatsSampler`: remembers each
-    container's last sample time (defaulting to its creation time) and
-    converts a shared :class:`ContainerObservation` into the subscriber's
-    own :class:`~repro.containers.stats.ContainerStats`.  The window-mean
-    arithmetic is the historical ``(∫end − ∫start) / Δt`` on the same
-    integral values, so readings are bit-identical to the private-sampler
-    path.
+    Remembers each container's last sample time (defaulting to the
+    account's history floor, i.e. its creation) and reads the mean usage
+    since then.  The window-mean arithmetic is ``(∫end − ∫start) / Δt``
+    on the shared integral snapshots.
     """
 
     def __init__(self) -> None:
@@ -153,27 +91,11 @@ class BusSampler:
         self._last_sample[cid] = now
         return row
 
-    def sample(self, obs: ContainerObservation) -> ContainerStats | None:
-        """Fold one shared observation into this subscriber's window.
-
-        :meth:`read` over the observed container, wrapped as this
-        subscriber's :class:`~repro.containers.stats.ContainerStats`;
-        ``None`` for a zero-length window.
-        """
-        time = obs.time
-        mean_row = self.read(obs.container, time)
-        if mean_row is None:
-            return None
-        return ContainerStats(
-            time,
-            obs.cid,
-            obs.name,
-            obs.state,
-            ResourceVector.from_row(mean_row),
-            obs.cpu_alloc,
-            obs.cpu_limit,
-            obs.eval_value,
-        )
+    def sample(
+        self, container: Container, now: float
+    ) -> tuple[float, ...] | None:
+        """An observer's read: :meth:`read`, under its own name."""
+        return self.read(container, now)
 
     def window_start(self, cid: int, default: float) -> float:
         """Where this subscriber's next window for *cid* would begin."""
@@ -191,9 +113,9 @@ class ObservationBus:
     :meth:`register` one they already hold — cross-worker observers like
     the progress signal reuse a single sampler on every bus they visit,
     preserving windows across migrations).  Each call to :meth:`observe`
-    settles the worker and returns the cached observation list for the
-    current ``(time, state-version)``, recomputing only when time moved
-    or worker state changed.
+    settles the worker and returns the cached ``(container, E(t))`` pairs
+    for the current ``(time, state-version)``, recomputing only when time
+    moved or worker state changed.
     """
 
     def __init__(self, worker: "Worker") -> None:
@@ -201,7 +123,7 @@ class ObservationBus:
         #: Whether post-pass checkpoint pruning is enabled.
         self.prune = True
         self._cache_key: tuple[float, int] | None = None
-        self._cache: list[ContainerObservation] = []
+        self._cache: list[tuple[Container, float | None]] = []
         self._samplers: list[BusSampler] = []
         #: Shared passes actually computed (test/bench instrumentation).
         self.passes = 0
@@ -242,13 +164,14 @@ class ObservationBus:
 
     # -- the shared pass ---------------------------------------------------
 
-    def observe(self) -> list[ContainerObservation]:
+    def observe(self) -> list[tuple[Container, float | None]]:
         """One settle + observation pass for the current instant.
 
         Settles the worker (exact and idempotent), then returns one
-        observation per running container in cid order.  Consecutive
-        calls at the same time with unchanged worker state hit the
-        cache, so a tick with many subscribers costs one pass.
+        ``(container, E(t))`` pair per running container in cid order;
+        ``E(t)`` is ``None`` when the job exposes no evaluation function.
+        Consecutive calls at the same time with unchanged worker state hit
+        the cache, so a tick with many subscribers costs one pass.
         """
         worker = self.worker
         worker.settle()
@@ -257,40 +180,27 @@ class ObservationBus:
             return prev
         containers = worker.running_containers()
         self.begin_pass(containers)
-        now = worker.sim.now
         # A running container's E(t) is a pure function of job state,
         # which only moves when time does — so when only the worker's
         # state-version changed (e.g. a reallocation between two
         # observers at one instant), the previous pass's evaluations are
         # still exact and the curve is not re-evaluated.
-        same_instant = prev_key is not None and prev_key[0] == now
-        prev_evals = {o.cid: o.eval_value for o in prev} if same_instant else {}
-        observations: list[ContainerObservation] = []
-        append = observations.append
+        same_instant = prev_key is not None and prev_key[0] == worker.sim.now
+        prev_evals = {c.cid: ev for c, ev in prev} if same_instant else {}
+        pairs: list[tuple[Container, float | None]] = []
+        append = pairs.append
         for container in containers:
             cid = container.cid
-            if same_instant and cid in prev_evals:
-                eval_value = prev_evals[cid]
-            else:
-                try:
-                    eval_value = container.job.eval_value()
-                except Exception:  # job may not expose E(t)
-                    eval_value = None
-            append(
-                ContainerObservation(
-                    now,
-                    cid,
-                    container.name,
-                    _RUNNING,
-                    container.created_at,
-                    eval_value,
-                    container.current_alloc,
-                    container.limits.cpu,
-                    container,
-                )
-            )
-        self._cache = observations
-        return observations
+            if cid in prev_evals:
+                append((container, prev_evals[cid]))
+                continue
+            try:
+                eval_value = container.job.eval_value()
+            except Exception:  # job may not expose E(t)
+                eval_value = None
+            append((container, eval_value))
+        self._cache = pairs
+        return pairs
 
     def begin_pass(self, containers: list[Container]) -> None:
         """Open the shared pass for the current ``(time, state-version)``.

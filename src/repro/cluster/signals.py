@@ -13,8 +13,7 @@ observing a worker at the same instant as the metrics recorder or
 FlowCon's monitor adds no cgroup queries of its own.
 
 The sampler is keyed by container id, not by worker: a migrated
-container keeps its observation window across the move, exactly as with
-the historical per-policy :class:`~repro.containers.stats.StatsSampler`.
+container keeps its observation window across the move.
 """
 
 from __future__ import annotations
@@ -77,19 +76,22 @@ class ProgressObserver:
         if bus not in self._buses:
             self._buses.append(bus)
         rates: dict[int, float] = {}
-        for obs in bus.observe():
-            stats = self._sampler.sample(obs)
-            if stats is not None and stats.eval_value is not None:
-                evalfn = getattr(obs.container.job, "evalfn", None)
+        sample = self._sampler.sample
+        tracker = self._tracker
+        idx = tracker.resource.index
+        for container, eval_value in bus.observe():
+            cid = container.cid
+            history = tracker.history(cid)
+            row = sample(container, now)
+            if row is not None and eval_value is not None:
+                evalfn = getattr(container.job, "evalfn", None)
                 value = (
-                    evalfn.normalized(stats.eval_value)
+                    evalfn.normalized(eval_value)
                     if evalfn is not None
-                    else stats.eval_value
+                    else eval_value
                 )
-                self._tracker.observe(
-                    obs.cid, now, value, stats.mean_usage
-                )
-            sample = self._tracker.history(obs.cid).latest()
-            if sample is not None:
-                rates[obs.cid] = sample.progress
+                history.observe_usage(now, value, row[idx])
+            latest = history.latest()
+            if latest is not None:
+                rates[cid] = latest.progress
         return rates

@@ -14,7 +14,8 @@ surface FlowCon touches:
   containers with unmet demand, reproducing the paper's §4.1/§5.4 soft-limit
   behaviour.
 * :class:`~repro.containers.runtime.ContainerRuntime` — the daemon facade:
-  ``run`` / ``update`` / ``stats`` / ``ps`` / ``remove``.
+  ``run`` / ``update`` / ``ps`` / ``remove`` (``docker stats`` sampling
+  is the worker's observation bus, :mod:`repro.cluster.obsbus`).
 * :class:`~repro.containers.cgroup.CgroupAccount` — cumulative usage
   accounting (cpu-seconds, memory, block and network I/O).
 """
@@ -25,7 +26,6 @@ from repro.containers.container import Container, ContainerState
 from repro.containers.limits import LimitSet
 from repro.containers.runtime import ContainerRuntime
 from repro.containers.spec import ResourceSpec, ResourceType, ResourceVector
-from repro.containers.stats import ContainerStats, StatsSampler
 
 __all__ = [
     "AllocationMode",
@@ -33,12 +33,10 @@ __all__ = [
     "Container",
     "ContainerRuntime",
     "ContainerState",
-    "ContainerStats",
     "CpuAllocator",
     "LimitSet",
     "ResourceSpec",
     "ResourceType",
     "ResourceVector",
-    "StatsSampler",
     "water_fill",
 ]

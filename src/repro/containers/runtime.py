@@ -2,10 +2,11 @@
 
 :class:`ContainerRuntime` plays the role of the local Docker daemon on one
 worker: it owns the container table and exposes the exact operations the
-paper's middleware issues — ``run``, ``update``, ``stats``, ``ps``,
-``remove`` (§2.1, §4.1).  It does **not** decide CPU shares or advance
-jobs; that is the worker's job (:mod:`repro.cluster.worker`), mirroring how
-the real daemon delegates scheduling to the kernel.
+paper's middleware issues — ``run``, ``update``, ``ps``, ``remove``
+(§2.1, §4.1); ``docker stats`` sampling is the worker's observation
+bus (:mod:`repro.cluster.obsbus`).  It does **not** decide CPU shares or
+advance jobs; that is the worker's job (:mod:`repro.cluster.worker`),
+mirroring how the real daemon delegates scheduling to the kernel.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import Callable, Iterable
 
 from repro.containers.container import Container, ContainerState, Workload
 from repro.containers.spec import ResourceType
-from repro.containers.stats import ContainerStats, StatsSampler
 from repro.errors import ContainerStateError, UnknownContainerError
 
 __all__ = ["ContainerRuntime"]
@@ -33,7 +33,6 @@ class ContainerRuntime:
     def __init__(self, clock: Callable[[], float]) -> None:
         self._clock = clock
         self._containers: dict[int, Container] = {}
-        self._sampler = StatsSampler()
         #: Observers notified on lifecycle changes: (event, container).
         self._listeners: list[Callable[[str, Container], None]] = []
         #: Monotonic table/limit version; bumped on any membership or
@@ -94,10 +93,6 @@ class ContainerRuntime:
             self._notify("update", container)
         return changed
 
-    def stats(self, cid: int) -> ContainerStats | None:
-        """``docker stats --no-stream <cid>`` plus the job's ``E(t)``."""
-        return self._sampler.sample(self.get(cid), self._clock())
-
     def ps(self, *, all_states: bool = False) -> list[Container]:
         """``docker ps`` — RUNNING containers (or all with ``all_states``).
 
@@ -130,7 +125,6 @@ class ContainerRuntime:
                 f"cannot remove non-exited container {container.name}"
             )
         del self._containers[cid]
-        self._sampler.forget(cid)
         self.version += 1
         self._notify("remove", container)
         return container
@@ -139,8 +133,8 @@ class ContainerRuntime:
         """Hand a RUNNING container off this daemon (live-migration source).
 
         The container keeps its full state (job progress, limits, cgroup
-        counters); only the table entry and this daemon's sampler memory
-        go.  The counterpart of :meth:`adopt` on the target daemon.
+        counters); only the table entry goes.  The counterpart of
+        :meth:`adopt` on the target daemon.
         """
         container = self.get(cid)
         if container.state is not ContainerState.RUNNING:
@@ -148,7 +142,6 @@ class ContainerRuntime:
                 f"cannot release non-running container {container.name}"
             )
         del self._containers[cid]
-        self._sampler.forget(cid)
         self.version += 1
         self._notify("release", container)
         return container

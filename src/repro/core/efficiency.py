@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.containers.spec import ResourceType, ResourceVector
+from repro.containers.spec import ResourceType
 from repro.errors import MetricsError
 
 __all__ = [
@@ -110,32 +110,16 @@ class EfficiencyHistory:
     _last_eval: float | None = None
     _last_time: float | None = None
 
-    def __post_init__(self) -> None:
-        # Attribute name of the tracked resource on a ResourceVector,
-        # resolved once (enum property access is measurable at sampling
-        # rate).
-        self._res_name = self.resource.value
-
-    def observe(
-        self,
-        time: float,
-        eval_value: float,
-        mean_usage: ResourceVector,
-    ) -> EfficiencySample | None:
-        """Fold one monitor reading into the history.
-
-        The very first reading only seeds the baseline and yields no
-        sample (Eq. 1 needs two points).  Readings at a non-increasing
-        time are ignored.
-        """
-        return self.observe_usage(
-            time, eval_value, getattr(mean_usage, self._res_name)
-        )
-
     def observe_usage(
         self, time: float, eval_value: float, usage: float
     ) -> EfficiencySample | None:
-        """:meth:`observe` given the tracked resource's mean usage alone."""
+        """Fold one monitor reading into the history.
+
+        *usage* is the tracked resource's mean usage over the window
+        ending at *time*.  The very first reading only seeds the baseline
+        and yields no sample (Eq. 1 needs two points).  Readings at a
+        non-increasing time are ignored.
+        """
         last_time = self._last_time
         if last_time is None:
             self._last_time = time
@@ -204,23 +188,9 @@ class GrowthTracker:
             self._histories[cid] = hist
         return hist
 
-    def observe(
-        self,
-        cid: int,
-        time: float,
-        eval_value: float,
-        mean_usage: ResourceVector,
-    ) -> EfficiencySample | None:
-        """Record one reading for *cid*."""
-        return self.history(cid).observe(time, eval_value, mean_usage)
-
     def forget(self, cid: int) -> None:
         """Drop a finished container's history (resource release)."""
         self._histories.pop(cid, None)
-
-    def known_cids(self) -> set[int]:
-        """Containers with at least one reading."""
-        return set(self._histories)
 
     def __contains__(self, cid: int) -> bool:
         return cid in self._histories

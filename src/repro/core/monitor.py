@@ -7,11 +7,13 @@ Besides that, it collects the resource usage of each container."
 
 :class:`ContainerMonitor` samples every running container through the
 worker's :class:`~repro.cluster.obsbus.ObservationBus` — the shared
-``docker stats`` pass all observers read — feeds readings into the
-:class:`~repro.core.efficiency.GrowthTracker`, and hands the Executor a
-per-container :class:`Measurement` bundle.  The monitor's sampling
-*windows* stay private (a :class:`~repro.cluster.obsbus.BusSampler`),
-so its measurement intervals are untouched by other observers.
+``docker stats`` pass all observers read, which settles the worker and
+reads each job's ``E(t)`` once — folds the tracked resource's window
+mean into the :class:`~repro.core.efficiency.GrowthTracker`, and hands
+the Executor a per-container :class:`Measurement` bundle.  The monitor's
+sampling *windows* stay private (a
+:class:`~repro.cluster.obsbus.BusSampler`), so its measurement intervals
+are untouched by other observers.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster.worker import Worker
-from repro.containers.spec import ResourceType, ResourceVector
+from repro.containers.spec import ResourceType
 from repro.core.efficiency import GrowthTracker
 
 __all__ = ["Measurement", "ContainerMonitor"]
@@ -82,29 +84,30 @@ class ContainerMonitor:
         pass for this instant.
         """
         measurements: list[Measurement] = []
-        for obs in self.worker.obsbus.observe():
-            now = obs.time
-            history = self.tracker.history(obs.cid)
-            stats = self._sampler.sample(obs)
-            if stats is not None and stats.eval_value is not None:
-                history.observe(now, stats.eval_value, stats.mean_usage)
-            elif not history.seeded:
+        tracker = self.tracker
+        idx = tracker.resource.index
+        sample = self._sampler.sample
+        now = self.worker.sim.now
+        for container, eval_value in self.worker.obsbus.observe():
+            cid = container.cid
+            history = tracker.history(cid)
+            row = sample(container, now)
+            if row is not None and eval_value is not None:
+                history.observe_usage(now, eval_value, row[idx])
+            elif not history.seeded and eval_value is not None:
                 # A just-launched container has no stats window yet; seed
                 # its baseline E(t₀) immediately so the very next interval
                 # already yields a complete (two-point) Eq. 1 sample
                 # instead of burning a whole interval on the baseline.
-                if obs.eval_value is not None:
-                    history.observe(now, obs.eval_value, ResourceVector())
+                history.observe_usage(now, eval_value, 0.0)
             measurements.append(
                 Measurement(
-                    cid=obs.cid,
-                    name=obs.name,
+                    cid=cid,
+                    name=container.name,
                     growth=history.latest_growth(),
                     relative_growth=history.relative_growth(),
                     n_samples=history.n_samples,
-                    eval_value=(
-                        stats.eval_value if stats is not None else None
-                    ),
+                    eval_value=eval_value if row is not None else None,
                 )
             )
         return measurements

@@ -8,20 +8,23 @@ completion records captured from worker exit hooks.  It is attached to
 efficiency traces for the baseline (Figs. 13–14 plot ``G`` "in both
 FlowCon and NA").
 
-The recorder's sampling deliberately calls :meth:`Worker.poke`, which also
-re-samples contention jitter; the sampling grid therefore doubles as the
-OS-noise granularity.  Runs built by the runner take each tick through
-the fused fleet pass (:mod:`repro.cluster.fleet`); :meth:`sample_now` is
-the reference it reproduces bit for bit, and the public one-shot sample.
+Each sample settles and reallocates the worker, which also re-samples
+contention jitter; the sampling grid therefore doubles as the OS-noise
+granularity.  Every tick runs the fused fleet pass
+(:func:`repro.cluster.fleet.fleet_tick`): runs built by the runner batch
+same-instant ticks across workers through the fleet ticker, and
+:meth:`sample_now` — what a hand-wired simulation's ticks fire, and the
+public one-shot sample — runs it as a batch of one.
 
 Streaming mode
 --------------
 ``MetricsRecorder(..., streaming=True)`` trades per-container series for
-O(1) memory per container: sampling still pokes the worker and advances
-the bus pass (so run *dynamics* — settle points, jitter draws, pruning
-cadence — are bit-identical to dense mode), but no step series or growth
-histories are kept, and completions fold into a shared
-:class:`~repro.metrics.sketch.StreamMetrics` sink instead of a list.
+O(1) memory per container: sampling still settles and reallocates the
+worker and advances the bus pass (so run *dynamics* — settle points,
+jitter draws, pruning cadence — are bit-identical to dense mode), but no
+step series or growth histories are kept, and completions fold into a
+shared :class:`~repro.metrics.sketch.StreamMetrics` sink instead of a
+list.
 Exited containers are forgotten from the sampler windows, so a
 million-job run holds recorder state only for *live* containers.  The
 default dense mode is untouched.
@@ -32,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.cluster.fleet import fleet_tick
 from repro.cluster.worker import Worker
 from repro.containers.container import Container
 from repro.containers.spec import ResourceType
@@ -159,42 +163,14 @@ class MetricsRecorder:
     def sample_now(self) -> None:
         """Take one sample of every running container immediately.
 
-        Sampling reads the worker's observation bus: the settle and the
-        per-container ``E(t)``/window snapshots are computed once per
-        instant and shared with every other observer (FlowCon's monitor,
-        the progress signal); only this recorder's sampling windows and
-        step series are private.
-
-        Streaming mode runs the *same* poke + shared-pass + window
-        advance (identical dynamics, identical pruning cadence) but
-        appends nothing: the sampled stats are discarded after moving
-        this recorder's windows forward.
+        The fused fleet pass over a batch of one: settle and reallocate
+        the worker, open its observation-bus pass, and read this
+        recorder's windows.  The settle, the integral snapshots and the
+        pruning cadence are shared with every other observer of the
+        worker; only this recorder's windows and series are private.
+        Streaming mode advances the same windows but appends nothing.
         """
-        self.worker.poke()
-        if self.streaming:
-            sample = self._sampler.sample
-            for obs in self.worker.obsbus.observe():
-                sample(obs)
-            return
-        observe = self._tracker.observe
-        sample = self._sampler.sample
-        for obs in self.worker.obsbus.observe():
-            trace = self.traces.get(obs.cid)
-            if trace is None:
-                trace = self._trace_for(obs.container)
-            stats = sample(obs)
-            if stats is None:
-                continue
-            now = obs.time
-            trace.cpu_usage.append(now, stats.mean_usage.cpu)
-            trace.cpu_limit.append(now, stats.cpu_limit)
-            if stats.eval_value is not None:
-                trace.eval_value.append(now, stats.eval_value)
-                grown = observe(
-                    obs.cid, now, stats.eval_value, stats.mean_usage
-                )
-                if grown is not None:
-                    trace.growth.append(now, grown.growth)
+        fleet_tick([self])
 
     # -- hooks ------------------------------------------------------------------------
 

@@ -208,8 +208,11 @@ class RollingThroughput:
     """
 
     def __init__(self, window: float = 60.0, buckets: int = 60) -> None:
-        if window <= 0:
-            raise MetricsError(f"window must be positive, got {window!r}")
+        # isfinite first: NaN compares false with everything.
+        if not math.isfinite(window) or window <= 0:
+            raise MetricsError(
+                f"window must be positive and finite, got {window!r}"
+            )
         if buckets < 1:
             raise MetricsError(f"buckets must be >= 1, got {buckets!r}")
         self.window = float(window)

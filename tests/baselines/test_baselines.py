@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.baselines.na import NAPolicy
@@ -49,6 +51,11 @@ class TestSlaq:
             SlaqLikePolicy(epoch=0.0)
         with pytest.raises(ConfigError):
             SlaqLikePolicy(min_share=0.0)
+
+    @pytest.mark.parametrize("epoch", [0.0, -1.0, math.nan, math.inf])
+    def test_non_finite_or_non_positive_epoch_rejected(self, epoch):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            SlaqLikePolicy(epoch=epoch)
 
     def test_allocates_toward_faster_improver(self, sim, ideal_worker):
         policy = SlaqLikePolicy(epoch=10.0)

@@ -20,9 +20,9 @@ invariants that must hold for any of them:
 * the admission queue fully drains — under ``wfq`` this doubles as the
   no-starvation witness: every tenant with positive weight finishes;
 * repeating a run with the same seed is bit-identical;
-* the fused fleet-tick engine (``fleet_mode``) reproduces the serial
-  per-worker path bit-for-bit — completion times, failure records *and*
-  every recorded metric series — across the same policy matrix.
+* the fused fleet-tick engine reproduces, bit for bit, the digests the
+  per-worker reference sampler gave — completion times, failure records
+  *and* every recorded metric series — across the same policy matrix.
 
 Shapes are drawn from a ``numpy`` generator seeded independently of the
 simulator, so the same test seed always fuzzes the same cluster.
@@ -128,17 +128,14 @@ def _run_checked(
     autoscale=None,
     failures=None,
     fabric=None,
-    fleet_mode=None,
+    recorders=False,
 ) -> dict[str, str]:
     """Run one fuzz case, asserting invariants; return label → repr(t_f).
 
-    ``fleet_mode=None`` (the default) runs without metric recorders —
-    the historical harness.  ``False``/``True`` attach a started
-    recorder to every worker (provisioned ones included) and run the
-    serial/fused sampling path respectively; the returned summary then
-    also digests every recorded series bit-for-bit, so comparing a
-    ``False`` run against a ``True`` run proves the fused engine changed
-    nothing.
+    The fleet ticker is armed, as the runner arms it.  With
+    ``recorders=True`` a started recorder samples every worker
+    (provisioned ones included) and the returned summary also digests
+    every recorded series bit-for-bit.
     """
     capacities, slots, jobs = _random_shape(seed)
     sim = Simulator(seed=seed, trace=False)
@@ -183,15 +180,14 @@ def _run_checked(
     manager.provision_hooks.append(
         lambda w: w.exit_hooks.append(record)
     )
-    recorders: list[MetricsRecorder] = []
-    if fleet_mode is not None:
-        if fleet_mode:
-            FleetTicker(sim).arm()
+    FleetTicker(sim).arm()
+    started: list[MetricsRecorder] = []
+    if recorders:
 
         def instrument(w):
             recorder = MetricsRecorder(w, sample_interval=5.0)
             recorder.start()
-            recorders.append(recorder)
+            started.append(recorder)
 
         for worker in workers:
             instrument(worker)
@@ -217,7 +213,7 @@ def _run_checked(
             ), f"{worker.name} over capacity after {event!r}"
         _check_eligible(manager, event)
 
-    if recorders:
+    if started:
         # Recorders reschedule themselves forever; step until every job
         # resolves (like the runner), then stop sampling and drain the
         # remaining manager/autoscale events.
@@ -227,7 +223,7 @@ def _run_checked(
             if event is None:
                 break
             check_slots(event)
-        for recorder in recorders:
+        for recorder in started:
             recorder.stop()
     while True:
         event = sim.step()
@@ -276,9 +272,9 @@ def _run_checked(
         result[f"retries:{label}"] = repr(used)
     for key, value in sorted(manager.fabric.stats().items()):
         result[f"fabric:{key}"] = repr(value)
-    # Bit-exact digest of every recorded series: the serial vs fused
-    # comparison must not lose or perturb a single sample.
-    for recorder in recorders:
+    # Bit-exact digest of every recorded series: the digest comparison
+    # must not lose or perturb a single sample.
+    for recorder in started:
         for cid in sorted(recorder.traces):
             trace = recorder.traces[cid]
             digest = hashlib.sha256()
@@ -529,27 +525,23 @@ class TestFabricChaosInvariants:
     def test_fleet_mode_parity_under_faults(self, seed, sampling_digest):
         """The fused tick engine composes with MESSAGE events."""
         plan = "drop(0.2)+delay(exp,0.2)"
-        serial = _run_checked(
-            seed, "spread", "none", fabric=plan, fleet_mode=False
+        sampling_digest(
+            _run_checked(seed, "spread", "none", fabric=plan, recorders=True)
         )
-        fused = _run_checked(
-            seed, "spread", "none", fabric=plan, fleet_mode=True
-        )
-        assert serial == fused
-        sampling_digest(serial)
 
 
 class TestFleetModeParity:
-    """The fused fleet-tick engine vs the serial oracle, fuzzed.
+    """The fused fleet-tick engine against its committed digests, fuzzed.
 
-    Every test runs the same random cluster shape twice — serial
-    sampling and fused (``FleetTicker`` armed) — and asserts the full
-    summaries match bit-for-bit: completion times, failure/retry
-    records and a sha256 over every recorded metric series.  Together
-    the tests sweep all five policy axes (placement, rebalance,
-    admission, autoscale, failures), their pairwise crossings where
-    workers join, leave or move containers, and every network fault
-    plan under every placement and together with crash/recover.
+    Every test runs one random cluster shape with a started recorder on
+    every worker and checks the full summary — completion times,
+    failure/retry records, fabric counters and a sha256 over every
+    recorded metric series — against the digest the per-recorder
+    reference sampler gave for the same case.  Together the tests sweep
+    all five policy axes (placement, rebalance, admission, autoscale,
+    failures), their pairwise crossings where workers join, leave or
+    move containers, and every network fault plan under every placement
+    and together with crash/recover.
     """
 
     @pytest.mark.parametrize("placement", sorted(PLACEMENTS))
@@ -558,64 +550,44 @@ class TestFleetModeParity:
     def test_placement_rebalance_matrix(
         self, placement, rebalance, seed, sampling_digest
     ):
-        serial = _run_checked(
-            seed, placement, rebalance, fleet_mode=False
+        sampling_digest(
+            _run_checked(seed, placement, rebalance, recorders=True)
         )
-        fused = _run_checked(seed, placement, rebalance, fleet_mode=True)
-        assert serial == fused
-        sampling_digest(serial)
 
     @pytest.mark.parametrize("admission", sorted(ADMISSIONS))
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_admission_axis(self, admission, seed, sampling_digest):
-        serial = _run_checked(
-            seed, "spread", "none", admission=admission, fleet_mode=False
+        sampling_digest(
+            _run_checked(
+                seed, "spread", "none", admission=admission, recorders=True
+            )
         )
-        fused = _run_checked(
-            seed, "spread", "none", admission=admission, fleet_mode=True
+
+    @staticmethod
+    def _autoscaled(seed, admission="fifo"):
+        return _run_checked(
+            seed,
+            "spread",
+            "none",
+            admission=admission,
+            autoscale=QueueDepthAutoscale(
+                up_threshold=2, provision_delay=5.0, cooldown=0.0
+            ),
+            recorders=True,
         )
-        assert serial == fused
-        sampling_digest(serial)
 
     @pytest.mark.parametrize("seed", [5, 6])
     def test_autoscale_axis(self, seed, sampling_digest):
         """Provision/retire churn: the fused pass must track recorders
         attached to workers born mid-run."""
-        def run(fleet_mode):
-            return _run_checked(
-                seed,
-                "spread",
-                "none",
-                autoscale=QueueDepthAutoscale(
-                    up_threshold=2, provision_delay=5.0, cooldown=0.0
-                ),
-                fleet_mode=fleet_mode,
-            )
-
-        serial = run(False)
-        assert serial == run(True)
-        sampling_digest(serial)
+        sampling_digest(self._autoscaled(seed))
 
     @pytest.mark.parametrize("admission", sorted(ADMISSIONS))
     @pytest.mark.parametrize("seed", [7, 8])
     def test_autoscale_by_admission(self, admission, seed, sampling_digest):
         """Provisioned workers join the fused arena while each queue
         discipline decides who starts on them."""
-        def run(fleet_mode):
-            return _run_checked(
-                seed,
-                "spread",
-                "none",
-                admission=admission,
-                autoscale=QueueDepthAutoscale(
-                    up_threshold=2, provision_delay=5.0, cooldown=0.0
-                ),
-                fleet_mode=fleet_mode,
-            )
-
-        serial = run(False)
-        assert serial == run(True)
-        sampling_digest(serial)
+        sampling_digest(self._autoscaled(seed, admission))
 
     @pytest.mark.parametrize(
         "failures", ["random", "random:checkpoint(20)"]
@@ -624,14 +596,11 @@ class TestFleetModeParity:
     def test_failures_axis(self, failures, seed, sampling_digest):
         """Crash/recover churn: packed arenas built and torn down around
         workers dying mid-tick must not perturb a single sample."""
-        serial = _run_checked(
-            seed, "spread", "none", failures=failures, fleet_mode=False
+        sampling_digest(
+            _run_checked(
+                seed, "spread", "none", failures=failures, recorders=True
+            )
         )
-        fused = _run_checked(
-            seed, "spread", "none", failures=failures, fleet_mode=True
-        )
-        assert serial == fused
-        sampling_digest(serial)
 
     @pytest.mark.parametrize(
         "failures", ["random", "random:checkpoint(20)"]
@@ -643,17 +612,14 @@ class TestFleetModeParity:
     ):
         """Crash/recover under every placement: restarted containers
         land on different workers, reshaping the arena differently."""
-        serial = _run_checked(
-            seed, placement, "none", failures=failures, fleet_mode=False
+        sampling_digest(
+            _run_checked(
+                seed, placement, "none", failures=failures, recorders=True
+            )
         )
-        fused = _run_checked(
-            seed, placement, "none", failures=failures, fleet_mode=True
-        )
-        assert serial == fused
-        sampling_digest(serial)
 
     @staticmethod
-    def _composed(seed, admission, fleet_mode):
+    def _composed(seed, admission):
         return _run_checked(
             seed,
             "binpack",
@@ -662,15 +628,13 @@ class TestFleetModeParity:
             autoscale=QueueDepthAutoscale(
                 up_threshold=2, provision_delay=5.0, cooldown=0.0
             ),
-            fleet_mode=fleet_mode,
+            recorders=True,
         )
 
     @pytest.mark.parametrize("seed", [2, 3])
     def test_composed_axes(self, seed, sampling_digest):
-        """Migration + autoscale + non-fifo admission, fused vs serial."""
-        serial = self._composed(seed, "sjf", False)
-        assert serial == self._composed(seed, "sjf", True)
-        sampling_digest(serial)
+        """Migration + autoscale + non-fifo admission."""
+        sampling_digest(self._composed(seed, "sjf"))
 
     @pytest.mark.parametrize(
         "admission", sorted(set(ADMISSIONS) - {"sjf"})
@@ -678,9 +642,7 @@ class TestFleetModeParity:
     @pytest.mark.parametrize("seed", [2, 3])
     def test_composed_by_admission(self, admission, seed, sampling_digest):
         """The composed case under the remaining queue disciplines."""
-        serial = self._composed(seed, admission, False)
-        assert serial == self._composed(seed, admission, True)
-        sampling_digest(serial)
+        sampling_digest(self._composed(seed, admission))
 
     @pytest.mark.parametrize("plan", _FABRIC_PLANS)
     @pytest.mark.parametrize("placement", sorted(PLACEMENTS))
@@ -688,14 +650,9 @@ class TestFleetModeParity:
     def test_fabric_fault_plans(self, plan, placement, seed, sampling_digest):
         """Lossy control-plane MESSAGE traffic interleaved with fused
         ticks; the digests compare fabric delivery counters too."""
-        serial = _run_checked(
-            seed, placement, "none", fabric=plan, fleet_mode=False
+        sampling_digest(
+            _run_checked(seed, placement, "none", fabric=plan, recorders=True)
         )
-        fused = _run_checked(
-            seed, placement, "none", fabric=plan, fleet_mode=True
-        )
-        assert serial == fused
-        sampling_digest(serial)
 
     @pytest.mark.parametrize(
         "failures", ["random", "random:checkpoint(20)"]
@@ -703,36 +660,25 @@ class TestFleetModeParity:
     @pytest.mark.parametrize("plan", _FABRIC_PLANS)
     def test_fabric_with_failures(self, plan, failures, sampling_digest):
         """Workers crash while control messages to them are in flight
-        or being retried; fused and serial must still agree."""
-        seed = 1
-        serial = _run_checked(
-            seed,
-            "spread",
-            "none",
-            failures=failures,
-            fabric=plan,
-            fleet_mode=False,
+        or being retried."""
+        sampling_digest(
+            _run_checked(
+                1,
+                "spread",
+                "none",
+                failures=failures,
+                fabric=plan,
+                recorders=True,
+            )
         )
-        fused = _run_checked(
-            seed,
-            "spread",
-            "none",
-            failures=failures,
-            fabric=plan,
-            fleet_mode=True,
-        )
-        assert serial == fused
-        sampling_digest(serial)
 
     @pytest.mark.parametrize("seed", [0, 4])
     def test_fused_repeat_is_bit_identical(self, seed, sampling_digest):
         """Fused runs are also deterministic against themselves."""
-        first = _run_checked(seed, "spread", "none", fleet_mode=True)
-        second = _run_checked(seed, "spread", "none", fleet_mode=True)
+        first = _run_checked(seed, "spread", "none", recorders=True)
+        second = _run_checked(seed, "spread", "none", recorders=True)
         assert first == second
-        serial = _run_checked(seed, "spread", "none", fleet_mode=False)
-        assert first == serial
-        sampling_digest(serial)
+        sampling_digest(first)
 
 
 _STREAM_TENANTS = (("alpha", 2.0, 1.0), ("beta", 1.0, 2.0), ("gamma", 1.0, 1.0))
@@ -790,7 +736,6 @@ def _run_streaming_checked(
     autoscale=None,
     failures=None,
     fabric=None,
-    fleet_mode=False,
     family="diurnal",
     n_jobs=24,
     shape=None,
@@ -851,8 +796,7 @@ def _run_streaming_checked(
     for worker in workers:
         worker.exit_hooks.append(record)
     manager.provision_hooks.append(lambda w: w.exit_hooks.append(record))
-    if fleet_mode:
-        FleetTicker(sim).arm()
+    FleetTicker(sim).arm()
     recorders: list[MetricsRecorder] = []
 
     def instrument(w):
@@ -1023,15 +967,8 @@ class TestStreamingMatrixInvariants:
     @pytest.mark.parametrize("seed", [2, 4])
     def test_fleet_mode_parity(self, seed, sampling_digest):
         """The fused tick engine must not perturb a streaming run: the
-        sketch states and every exit time match the serial path."""
-        serial, _ = _run_streaming_checked(
-            seed, "spread", "none", fleet_mode=False
-        )
-        fused, _ = _run_streaming_checked(
-            seed, "spread", "none", fleet_mode=True
-        )
-        assert serial == fused
-        sampling_digest(serial)
+        sketch states and every exit time match the reference digest."""
+        sampling_digest(_run_streaming_checked(seed, "spread", "none")[0])
 
     @pytest.mark.parametrize(
         "fabric",

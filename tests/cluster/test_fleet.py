@@ -470,8 +470,8 @@ class TestFleetTicker:
     def test_migrated_container_reads_the_shared_memo(self):
         """A migration's flight leaves the account clock lagging, so the
         snapshot a cross-worker observer memoized live at the attach
-        instant differs from one interpolated later; the fused window
-        must start from the memo, as ``sample_now``'s does."""
+        instant differs from one interpolated later; the window must
+        start from the memo, in a batched tick and a batch of one alike."""
 
         def run(fleet: bool):
             sim, workers, recorders, _ = _ticked_fleet(2, fleet)
@@ -482,8 +482,8 @@ class TestFleetTicker:
             def attach(_event):
                 target.attach(moving)
                 target.obsbus.register(probe)
-                for obs in target.obsbus.observe():
-                    probe.sample(obs)
+                for container, _ in target.obsbus.observe():
+                    probe.sample(container, sim.now)
 
             sim.schedule(6.0, lambda _event: source.detach(moving.cid))
             sim.schedule(7.0, attach)

@@ -4,8 +4,9 @@ The contracts under test:
 
 * **Zero redundancy** — a sampling tick with several subscribers costs
   exactly one settle and one uncached cgroup window query per container.
-* **Bit parity** — a :class:`BusSampler` reproduces the historical
-  private-:class:`StatsSampler` readings bit-for-bit, window for window.
+* **Bit parity** — a :class:`BusSampler`'s readings match, bit for bit
+  and window for window, the committed digest of the historical private
+  stats sampler's readings.
 * **One window rule** — :meth:`BusSampler.read` opens a first window at
   the history floor, clamps a held-over window up to it, skips a
   zero-length window without advancing, and otherwise advances.
@@ -27,25 +28,12 @@ from repro.cluster.obsbus import BusSampler
 from repro.cluster.worker import Worker
 from repro.config import SimulationConfig
 from repro.containers.container import Container
-from repro.containers.stats import StatsSampler
+from repro.containers.spec import ResourceVector
 from repro.errors import ContainerError
 from repro.experiments.runner import run_cluster
 from repro.experiments.scenarios import two_hundred_job
 from repro.simcore.engine import Simulator
 from tests.conftest import make_linear_job, settle_usage
-
-
-def _stats_fields(stats):
-    return (
-        stats.time,
-        stats.cid,
-        stats.name,
-        stats.state,
-        stats.mean_usage,
-        stats.cpu_alloc,
-        stats.cpu_limit,
-        stats.eval_value,
-    )
 
 
 class TestZeroRedundancy:
@@ -65,8 +53,8 @@ class TestZeroRedundancy:
             # Each subscriber observes independently, as the recorder,
             # FlowCon monitor and progress observer would.
             for sub in subscribers:
-                for obs in worker.obsbus.observe():
-                    sub.sample(obs)
+                for container, _ in worker.obsbus.observe():
+                    sub.sample(container, now)
 
         tick(5.0)  # warm-up: seeds each account's snapshot memo
         for c in containers:
@@ -119,39 +107,32 @@ class TestBusSamplerParity:
     def test_matches_private_stats_sampler_bitwise(self, sim, sampling_digest):
         """Bus readings equal the historical private-sampler readings."""
         worker = Worker(sim)  # jittered: realistic windows
-        worker.obsbus.prune = False  # private sampler needs full history
+        worker.obsbus.prune = False
         for i in range(3):
             worker.launch(make_linear_job(f"j{i}", total_work=400.0))
         bus_sampler = BusSampler()
-        private = StatsSampler()
         readings = []
         for step in range(1, 8):
             now = 3.5 * step
             sim.clock.advance_to(now)
             worker.poke()
-            for obs in worker.obsbus.observe():
-                got = bus_sampler.sample(obs)
-                want = private.sample(obs.container, now)
+            for c, eval_value in worker.obsbus.observe():
+                row = bus_sampler.sample(c, now)
                 # The cid comes from a process-wide counter, so the
                 # digest keys each reading by container name instead.
-                readings.append(
-                    repr(None if want is None else _stats_fields(want)[:1]
-                         + _stats_fields(want)[2:])
-                )
-                if want is None:
-                    assert got is None
-                    continue
-                assert _stats_fields(got) == _stats_fields(want)
+                readings.append(repr(None if row is None else (
+                    now, c.name, c.state.value, ResourceVector.from_row(row),
+                    c.current_alloc, c.limits.cpu, eval_value,
+                )))
         sampling_digest(readings)
 
     def test_zero_length_window_returns_none(self, sim):
         worker = Worker(sim)
-        worker.launch(make_linear_job(total_work=50.0))
+        c = worker.launch(make_linear_job(total_work=50.0))
         sampler = worker.obsbus.sampler()
         sim.clock.advance_to(2.0)
-        [obs] = worker.obsbus.observe()
-        assert sampler.sample(obs) is not None
-        assert sampler.sample(obs) is None  # duplicate poll, same instant
+        assert sampler.sample(c, 2.0) is not None
+        assert sampler.sample(c, 2.0) is None  # duplicate poll, same instant
 
     def test_forget_reopens_window_from_creation(self, sim):
         worker = Worker(sim)
@@ -159,15 +140,15 @@ class TestBusSamplerParity:
         sampler = worker.obsbus.sampler()
         worker.obsbus.prune = False
         sim.clock.advance_to(2.0)
-        [obs] = worker.obsbus.observe()
-        sampler.sample(obs)
+        sampler.sample(c, 2.0)
         sampler.forget(c.cid)
         assert sampler.window_start(c.cid, c.created_at) == c.created_at
 
 
 class TestBusSamplerRead:
     """``BusSampler.read`` holds the one window rule every sampling path
-    (``sample``, the fused dense and streaming passes) reads through."""
+    (the observers' ``sample``, the fused dense and streaming passes)
+    reads through."""
 
     @pytest.mark.parametrize(
         "created_at, phases, prior, prune_at, now, want_cpu, want_start",
@@ -220,9 +201,8 @@ class TestPruning:
         for step in range(1, ticks + 1):
             sim.clock.advance_to(2.0 * step)
             worker.poke()
-            [obs] = worker.obsbus.observe()
-            stats = sampler.sample(obs)
-            means.append(stats.mean_usage)
+            worker.obsbus.observe()
+            means.append(sampler.sample(c, 2.0 * step))
         return c, means
 
     def test_bounded_history_and_identical_readings(self):
@@ -241,8 +221,8 @@ class TestPruning:
         for step in range(1, 17):
             sim.clock.advance_to(2.0 * step)
             worker.poke()
-            [obs] = bus.observe()
-            sampler.sample(obs)
+            bus.observe()
+            sampler.sample(c, 2.0 * step)
             bus.begin_pass([c])  # already open at this (time, version)
             assert bus.passes == step
             # Fifteen passes prune nothing; the 16th opens below the
@@ -255,8 +235,8 @@ class TestPruning:
         with pytest.raises(ContainerError):
             c.cgroup.mean_usage_since(0.0, 1.0)
 
-    def test_runtime_stats_survives_pruning(self):
-        """Regression: the ``docker stats`` facade on a pruned account.
+    def test_fresh_sampler_survives_pruning(self):
+        """Regression: a fresh observer's first read on a pruned account.
 
         A fresh (unregistered) observer's first window clamps to the
         pruned history floor instead of crashing on the creation-time
@@ -269,16 +249,16 @@ class TestPruning:
         for step in range(1, 60):
             sim.clock.advance_to(2.0 * step)
             worker.poke()
-            [obs] = worker.obsbus.observe()
-            sampler.sample(obs)
+            worker.obsbus.observe()
+            sampler.sample(c, 2.0 * step)
         assert c.cgroup.history_floor > c.created_at  # pruning happened
-        stats = worker.runtime.stats(c.cid)  # must not raise
-        assert stats is not None
-        assert stats.mean_usage.cpu >= 0.0
+        row = BusSampler().read(c, sim.now)  # must not raise
+        assert row is not None
+        assert row[0] >= 0.0
         # Late bus subscribers clamp the same way.
         late = worker.obsbus.sampler()
-        [obs] = worker.obsbus.observe()
-        assert late.sample(obs) is not None
+        worker.obsbus.observe()
+        assert late.sample(c, sim.now) is not None
 
     def test_unpruned_account_still_clamps_early_queries(self, sim):
         worker = Worker(sim)
@@ -307,14 +287,14 @@ class TestPruning:
         for step in range(1, 80):
             sim.clock.advance_to(2.0 * step)
             worker.poke()
-            for obs in worker.obsbus.observe():
-                active.sample(obs)
+            for container, _ in worker.obsbus.observe():
+                active.sample(container, 2.0 * step)
         assert c.cgroup.history_floor == c.created_at  # pinned, unpruned
         # The idle observer's first window still spans from creation.
-        [obs] = worker.obsbus.observe()
-        stats = idle.sample(obs)
-        assert stats is not None
-        assert stats.mean_usage.cpu > 0.0
+        worker.obsbus.observe()
+        row = idle.sample(c, sim.now)
+        assert row is not None
+        assert row[0] > 0.0
 
     def test_manager_keeps_pruning_enabled_for_rebalance_runs(self):
         """Migration-armed fleets prune too (windows seed at attach)."""
@@ -346,9 +326,9 @@ class TestPruning:
         assert dst_sampler.window_start(c.cid, c.created_at) == 40.0
         sim.clock.advance_to(42.0)
         dst.poke()
-        [obs] = dst.obsbus.observe()
-        stats = dst_sampler.sample(obs)
-        assert stats is not None and stats.mean_usage.cpu > 0.0
+        dst.obsbus.observe()
+        row = dst_sampler.sample(c, 42.0)
+        assert row is not None and row[0] > 0.0
 
     def test_migrating_run_keeps_history_bounded(self):
         """Bounded-memory regression with rebalancing armed.

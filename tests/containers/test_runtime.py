@@ -6,7 +6,7 @@ import pytest
 
 from repro.containers.runtime import ContainerRuntime
 from repro.errors import ContainerStateError, UnknownContainerError
-from tests.conftest import make_linear_job, settle_usage
+from tests.conftest import make_linear_job
 
 
 @pytest.fixture
@@ -63,20 +63,7 @@ class TestUpdate:
         assert c.limits.as_dict()["memory"] == 0.4
 
 
-class TestStatsAndRemove:
-    def test_stats_zero_window_returns_none(self, runtime):
-        c = runtime.run(make_linear_job())
-        assert runtime.stats(c.cid) is None  # same-instant sample
-
-    def test_stats_after_accounting(self, runtime, clockbox):
-        c = runtime.run(make_linear_job())
-        settle_usage(c.cgroup, 10.0, cpu=0.5)
-        clockbox["t"] = 10.0
-        stats = runtime.stats(c.cid)
-        assert stats is not None
-        assert stats.mean_usage.cpu == pytest.approx(0.5)
-        assert stats.eval_value is not None
-
+class TestRemove:
     def test_remove_requires_exited(self, runtime):
         c = runtime.run(make_linear_job())
         with pytest.raises(ContainerStateError):

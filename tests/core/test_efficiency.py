@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.containers.spec import ResourceType, ResourceVector
+from repro.containers.spec import ResourceType
 from repro.core.efficiency import (
     EfficiencyHistory,
     GrowthTracker,
@@ -52,42 +52,39 @@ class TestEq2:
 
 
 class TestEfficiencyHistory:
-    def _usage(self, cpu: float) -> ResourceVector:
-        return ResourceVector(cpu=cpu)
-
     def test_first_observation_seeds_baseline(self):
         hist = EfficiencyHistory(cid=1, resource=ResourceType.CPU)
-        assert hist.observe(0.0, 1.0, self._usage(0.5)) is None
+        assert hist.observe_usage(0.0, 1.0, 0.5) is None
         assert hist.seeded
         assert hist.n_samples == 0
 
     def test_second_observation_yields_sample(self):
         hist = EfficiencyHistory(cid=1, resource=ResourceType.CPU)
-        hist.observe(0.0, 1.0, self._usage(0.5))
-        sample = hist.observe(10.0, 0.5, self._usage(0.5))
+        hist.observe_usage(0.0, 1.0, 0.5)
+        sample = hist.observe_usage(10.0, 0.5, 0.5)
         assert sample.progress == pytest.approx(0.05)
         assert sample.growth == pytest.approx(0.1)
 
     def test_peak_tracking_and_relative_growth(self):
         hist = EfficiencyHistory(cid=1, resource=ResourceType.CPU)
-        hist.observe(0.0, 1.0, self._usage(1.0))
-        hist.observe(10.0, 0.5, self._usage(1.0))   # G = 0.05 (peak)
-        hist.observe(20.0, 0.45, self._usage(1.0))  # G = 0.005
+        hist.observe_usage(0.0, 1.0, 1.0)
+        hist.observe_usage(10.0, 0.5, 1.0)   # G = 0.05 (peak)
+        hist.observe_usage(20.0, 0.45, 1.0)  # G = 0.005
         assert hist.peak_growth == pytest.approx(0.05)
         assert hist.relative_growth() == pytest.approx(0.1)
 
     def test_relative_growth_is_one_before_any_peak(self):
         hist = EfficiencyHistory(cid=1, resource=ResourceType.CPU)
         assert hist.relative_growth() == 1.0
-        hist.observe(0.0, 1.0, self._usage(1.0))
-        hist.observe(10.0, 1.0, self._usage(1.0))  # no change → G = 0
+        hist.observe_usage(0.0, 1.0, 1.0)
+        hist.observe_usage(10.0, 1.0, 1.0)  # no change → G = 0
         assert hist.relative_growth() == 1.0  # still no peak
 
     def test_non_monotone_time_ignored(self):
         hist = EfficiencyHistory(cid=1, resource=ResourceType.CPU)
-        hist.observe(5.0, 1.0, self._usage(1.0))
-        assert hist.observe(5.0, 0.9, self._usage(1.0)) is None
-        assert hist.observe(4.0, 0.9, self._usage(1.0)) is None
+        hist.observe_usage(5.0, 1.0, 1.0)
+        assert hist.observe_usage(5.0, 0.9, 1.0) is None
+        assert hist.observe_usage(4.0, 0.9, 1.0) is None
 
     def test_throttling_invariance(self):
         """Eq. 2's point: G is invariant to the CPU share granted.
@@ -96,13 +93,13 @@ class TestEfficiencyHistory:
         P/R stays constant — convergence is measured against *work*.
         """
         full = EfficiencyHistory(cid=1, resource=ResourceType.CPU)
-        full.observe(0.0, 1.0, self._usage(1.0))
-        s_full = full.observe(10.0, 0.8, self._usage(1.0))
+        full.observe_usage(0.0, 1.0, 1.0)
+        s_full = full.observe_usage(10.0, 0.8, 1.0)
 
         throttled = EfficiencyHistory(cid=2, resource=ResourceType.CPU)
-        throttled.observe(0.0, 1.0, self._usage(0.5))
+        throttled.observe_usage(0.0, 1.0, 0.5)
         # Same work → same ΔE but over 20 s at half usage.
-        s_thr = throttled.observe(20.0, 0.8, self._usage(0.5))
+        s_thr = throttled.observe_usage(20.0, 0.8, 0.5)
         assert s_full.growth == pytest.approx(s_thr.growth)
 
 
@@ -119,17 +116,3 @@ class TestGrowthTracker:
         tracker.forget(7)
         assert 7 not in tracker
         tracker.forget(7)  # idempotent
-
-    def test_observe_routes_to_history(self):
-        tracker = GrowthTracker()
-        tracker.observe(3, 0.0, 1.0, ResourceVector(cpu=1.0))
-        sample = tracker.observe(3, 10.0, 0.5, ResourceVector(cpu=1.0))
-        assert sample is not None
-        assert tracker.known_cids() == {3}
-
-    def test_resource_dimension_respected(self):
-        tracker = GrowthTracker(ResourceType.MEMORY)
-        tracker.observe(1, 0.0, 1.0, ResourceVector(cpu=1.0, memory=0.25))
-        sample = tracker.observe(1, 10.0, 0.5, ResourceVector(cpu=1.0, memory=0.25))
-        assert sample.usage == pytest.approx(0.25)
-        assert sample.growth == pytest.approx(0.05 / 0.25)

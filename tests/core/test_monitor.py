@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.containers.spec import ResourceType
 from repro.core.monitor import ContainerMonitor
 from tests.conftest import make_linear_job
 
@@ -34,6 +35,17 @@ class TestContainerMonitor:
             sim.run(until=t)
             ms = monitor.measure()
         assert ms[0].relative_growth == pytest.approx(1.0, abs=1e-6)
+
+    def test_resource_dimension_respected(self, sim, ideal_worker):
+        """The tracked resource's window mean is what Eq. 2 divides by."""
+        monitor = ContainerMonitor(ideal_worker, ResourceType.MEMORY)
+        c = ideal_worker.launch(make_linear_job(total_work=100.0))
+        monitor.measure()
+        sim.run(until=10.0)
+        monitor.measure()
+        sample = monitor.tracker.history(c.cid).latest()
+        assert sample.usage == pytest.approx(0.1)  # the job's memory
+        assert sample.growth == pytest.approx(0.01 / 0.1)
 
     def test_measures_every_running_container(self, sim, ideal_worker):
         monitor = ContainerMonitor(ideal_worker)

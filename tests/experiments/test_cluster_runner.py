@@ -26,7 +26,6 @@ import pytest
 
 from repro.baselines.na import NAPolicy
 from repro.baselines.slaq import SlaqLikePolicy
-from repro.cluster.fleet import FleetTicker
 from repro.config import FlowConConfig, SimulationConfig
 from repro.core.policy import FlowConPolicy
 from repro.errors import ConfigError, ExperimentError, UnknownPolicyError
@@ -236,37 +235,26 @@ _POLICIES = {
 
 
 class TestTickerParity:
-    """The fused fleet pass reproduces ``MetricsRecorder.sample_now``.
+    """The fused fleet pass reproduces the per-recorder reference sampler.
 
-    ``run_cluster`` always arms the :class:`FleetTicker`; the reference
-    runs the same call with ``FleetTicker.arm`` patched to a no-op, so
-    every recorder tick fires ``sample_now`` instead.
+    ``run_cluster`` always arms the :class:`FleetTicker`.  Each case's
+    outcome is checked against the digest the same call gave with
+    ``FleetTicker.arm`` patched to a no-op, when every recorder tick ran
+    its own sampling pass.
     """
-
-    @staticmethod
-    def _both(monkeypatch, *args, **kwargs) -> tuple[dict, dict]:
-        fused = _outcome(run_cluster(*args, **kwargs))
-        with monkeypatch.context() as m:
-            m.setattr(FleetTicker, "arm", lambda self: None)
-            reference = _outcome(run_cluster(*args, **kwargs))
-        return fused, reference
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("policy", sorted(_POLICIES))
-    def test_single_worker_batches_of_one(
-        self, monkeypatch, policy, seed, sampling_digest
-    ):
-        fused, reference = self._both(
-            monkeypatch,
+    def test_single_worker_batches_of_one(self, policy, seed, sampling_digest):
+        result = run_cluster(
             random_ten_job(seed),
             _POLICIES[policy],
             SimulationConfig(seed=seed, trace=False),
         )
-        assert fused == reference
-        sampling_digest(reference)
+        sampling_digest(_outcome(result))
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_chaos_mix_shape(self, monkeypatch, seed, sampling_digest):
+    def test_chaos_mix_shape(self, seed, sampling_digest):
         """Crash-recovered recorders leave the shared sampling grid, so
         lone and fused ticks mix; migrations put lagging account clocks
         under the shared snapshot memo."""
@@ -280,39 +268,35 @@ class TestTickerParity:
             work_scale=0.05,
             tenants=(("batch", 3.0, 1.0), ("interactive", 1.0, 4.0)),
         )
-        fused, reference = self._both(
-            monkeypatch,
-            stream,
-            NAPolicy,
-            SimulationConfig(seed=seed, trace=False),
-            n_workers=16,
-            max_containers=2,
-            admission="wfq",
-            placement="progress",
-            rebalance="progress",
-            failures="rolling:checkpoint(60)",
-            fabric="drop(0.05)+delay(exp,0.2):retry(max=5,base=0.5)",
+        outcome = _outcome(
+            run_cluster(
+                stream,
+                NAPolicy,
+                SimulationConfig(seed=seed, trace=False),
+                n_workers=16,
+                max_containers=2,
+                admission="wfq",
+                placement="progress",
+                rebalance="progress",
+                failures="rolling:checkpoint(60)",
+                fabric="drop(0.05)+delay(exp,0.2):retry(max=5,base=0.5)",
+            )
         )
-        assert fused == reference
-        assert reference["fabric"]["messages_dropped"] > 0
-        sampling_digest(reference)
+        sampling_digest(outcome)
+        assert outcome["fabric"]["messages_dropped"] > 0
 
     def test_fleet_mode_is_ignored(self, sampling_digest):
-        specs = two_hundred_job(seed=1)[:60]
-        on, off = (
-            _outcome(
-                run_cluster(
-                    specs,
-                    NAPolicy,
-                    SimulationConfig(seed=1, trace=False, fleet_mode=mode),
-                    n_workers=4,
-                    max_containers=2,
-                )
+        """``fleet_mode=True`` gives the digest ``fleet_mode=False`` gave."""
+        outcome = _outcome(
+            run_cluster(
+                two_hundred_job(seed=1)[:60],
+                NAPolicy,
+                SimulationConfig(seed=1, trace=False, fleet_mode=True),
+                n_workers=4,
+                max_containers=2,
             )
-            for mode in (True, False)
         )
-        assert on == off
-        sampling_digest(off)
+        sampling_digest(outcome)
 
 
 class TestClusterShapes:

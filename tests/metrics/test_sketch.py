@@ -11,6 +11,8 @@ the sketch by construction cannot return.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,6 +178,13 @@ class TestRollingThroughput:
             RollingThroughput(window=0.0)
         with pytest.raises(MetricsError, match="buckets must be >= 1"):
             RollingThroughput(buckets=0)
+
+    @pytest.mark.parametrize("window", [0.0, -1.0, math.nan, math.inf])
+    def test_non_finite_or_non_positive_window_rejected(self, window):
+        with pytest.raises(MetricsError, match="positive and finite"):
+            RollingThroughput(window=window)
+        with pytest.raises(MetricsError, match="positive and finite"):
+            StreamMetrics(throughput_window=window)
 
 
 class TestStreamMetrics:
