@@ -61,8 +61,8 @@ def _cpu(fn):
         gc.enable()
 
 
-def paired_cpu_ratios(base, variant, pairs: int = 10):
-    """Time *variant* against *base* in interleaved pairs.
+def paired_cpu_ratios(base, variant):
+    """Time *variant* against *base* in ten interleaved pairs.
 
     One warm-up run of *base* goes off the clock.  Each pair then runs
     both sides back to back, alternating which goes first, in process
@@ -76,7 +76,7 @@ def paired_cpu_ratios(base, variant, pairs: int = 10):
     sides = (base, variant)
     results: list = [None, None]
     ratios: list[float] = []
-    for i in range(pairs):
+    for i in range(10):
         cpu = [0.0, 0.0]
         for side in (0, 1) if i % 2 == 0 else (1, 0):
             results[side], cpu[side] = _cpu(sides[side])

@@ -104,7 +104,6 @@ class EfficiencyHistory:
     """Growth-efficiency history of a single container."""
 
     cid: int
-    resource: ResourceType
     samples: list[EfficiencySample] = field(default_factory=list)
     peak_growth: float = 0.0
     _last_eval: float | None = None
@@ -174,7 +173,11 @@ class EfficiencyHistory:
 
 
 class GrowthTracker:
-    """Growth-efficiency histories for a whole container pool."""
+    """Growth-efficiency histories for a whole container pool.
+
+    ``resource`` is Eq. 2's dimension: its holder folds that resource's
+    window mean (``row[resource.index]``) into each history.
+    """
 
     def __init__(self, resource: ResourceType = ResourceType.CPU) -> None:
         self.resource = resource
@@ -184,7 +187,7 @@ class GrowthTracker:
         """History for *cid*, created on first touch."""
         hist = self._histories.get(cid)
         if hist is None:
-            hist = EfficiencyHistory(cid=cid, resource=self.resource)
+            hist = EfficiencyHistory(cid=cid)
             self._histories[cid] = hist
         return hist
 

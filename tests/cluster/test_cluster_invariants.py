@@ -128,12 +128,12 @@ def _run_checked(
     autoscale=None,
     failures=None,
     fabric=None,
-    recorders=False,
+    with_recorders=False,
 ) -> dict[str, str]:
     """Run one fuzz case, asserting invariants; return label → repr(t_f).
 
     The fleet ticker is armed, as the runner arms it.  With
-    ``recorders=True`` a started recorder samples every worker
+    ``with_recorders=True`` a started recorder samples every worker
     (provisioned ones included) and the returned summary also digests
     every recorded series bit-for-bit.
     """
@@ -181,13 +181,13 @@ def _run_checked(
         lambda w: w.exit_hooks.append(record)
     )
     FleetTicker(sim).arm()
-    started: list[MetricsRecorder] = []
-    if recorders:
+    recorders: list[MetricsRecorder] = []
+    if with_recorders:
 
         def instrument(w):
             recorder = MetricsRecorder(w, sample_interval=5.0)
             recorder.start()
-            started.append(recorder)
+            recorders.append(recorder)
 
         for worker in workers:
             instrument(worker)
@@ -213,7 +213,7 @@ def _run_checked(
             ), f"{worker.name} over capacity after {event!r}"
         _check_eligible(manager, event)
 
-    if started:
+    if recorders:
         # Recorders reschedule themselves forever; step until every job
         # resolves (like the runner), then stop sampling and drain the
         # remaining manager/autoscale events.
@@ -223,7 +223,7 @@ def _run_checked(
             if event is None:
                 break
             check_slots(event)
-        for recorder in started:
+        for recorder in recorders:
             recorder.stop()
     while True:
         event = sim.step()
@@ -274,7 +274,7 @@ def _run_checked(
         result[f"fabric:{key}"] = repr(value)
     # Bit-exact digest of every recorded series: the digest comparison
     # must not lose or perturb a single sample.
-    for recorder in started:
+    for recorder in recorders:
         for cid in sorted(recorder.traces):
             trace = recorder.traces[cid]
             digest = hashlib.sha256()
@@ -526,7 +526,9 @@ class TestFabricChaosInvariants:
         """The fused tick engine composes with MESSAGE events."""
         plan = "drop(0.2)+delay(exp,0.2)"
         sampling_digest(
-            _run_checked(seed, "spread", "none", fabric=plan, recorders=True)
+            _run_checked(
+                seed, "spread", "none", fabric=plan, with_recorders=True
+            )
         )
 
 
@@ -551,7 +553,7 @@ class TestFleetModeParity:
         self, placement, rebalance, seed, sampling_digest
     ):
         sampling_digest(
-            _run_checked(seed, placement, rebalance, recorders=True)
+            _run_checked(seed, placement, rebalance, with_recorders=True)
         )
 
     @pytest.mark.parametrize("admission", sorted(ADMISSIONS))
@@ -559,7 +561,11 @@ class TestFleetModeParity:
     def test_admission_axis(self, admission, seed, sampling_digest):
         sampling_digest(
             _run_checked(
-                seed, "spread", "none", admission=admission, recorders=True
+                seed,
+                "spread",
+                "none",
+                admission=admission,
+                with_recorders=True,
             )
         )
 
@@ -573,7 +579,7 @@ class TestFleetModeParity:
             autoscale=QueueDepthAutoscale(
                 up_threshold=2, provision_delay=5.0, cooldown=0.0
             ),
-            recorders=True,
+            with_recorders=True,
         )
 
     @pytest.mark.parametrize("seed", [5, 6])
@@ -598,7 +604,7 @@ class TestFleetModeParity:
         workers dying mid-tick must not perturb a single sample."""
         sampling_digest(
             _run_checked(
-                seed, "spread", "none", failures=failures, recorders=True
+                seed, "spread", "none", failures=failures, with_recorders=True
             )
         )
 
@@ -614,7 +620,7 @@ class TestFleetModeParity:
         land on different workers, reshaping the arena differently."""
         sampling_digest(
             _run_checked(
-                seed, placement, "none", failures=failures, recorders=True
+                seed, placement, "none", failures=failures, with_recorders=True
             )
         )
 
@@ -628,7 +634,7 @@ class TestFleetModeParity:
             autoscale=QueueDepthAutoscale(
                 up_threshold=2, provision_delay=5.0, cooldown=0.0
             ),
-            recorders=True,
+            with_recorders=True,
         )
 
     @pytest.mark.parametrize("seed", [2, 3])
@@ -651,7 +657,9 @@ class TestFleetModeParity:
         """Lossy control-plane MESSAGE traffic interleaved with fused
         ticks; the digests compare fabric delivery counters too."""
         sampling_digest(
-            _run_checked(seed, placement, "none", fabric=plan, recorders=True)
+            _run_checked(
+                seed, placement, "none", fabric=plan, with_recorders=True
+            )
         )
 
     @pytest.mark.parametrize(
@@ -668,15 +676,15 @@ class TestFleetModeParity:
                 "none",
                 failures=failures,
                 fabric=plan,
-                recorders=True,
+                with_recorders=True,
             )
         )
 
     @pytest.mark.parametrize("seed", [0, 4])
     def test_fused_repeat_is_bit_identical(self, seed, sampling_digest):
         """Fused runs are also deterministic against themselves."""
-        first = _run_checked(seed, "spread", "none", recorders=True)
-        second = _run_checked(seed, "spread", "none", recorders=True)
+        first = _run_checked(seed, "spread", "none", with_recorders=True)
+        second = _run_checked(seed, "spread", "none", with_recorders=True)
         assert first == second
         sampling_digest(first)
 

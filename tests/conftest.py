@@ -78,20 +78,9 @@ def linear_job() -> TrainingJob:
     return make_linear_job()
 
 
-_SAMPLING_DIGESTS = Path(__file__).parent / "cluster" / "data" / "sampling_digests.json"
-
-
-def case_key(node) -> str:
-    """A test case's key in the digest fixture: its file name, then its
-    class and test name with parameters, as pytest names them."""
-    return "::".join([node.path.name, *node.nodeid.split("::")[1:]])
-
-
-def outcome_digest(outcome) -> str:
-    """sha256 of a JSON-able case outcome (keys sorted)."""
-    return hashlib.sha256(
-        json.dumps(outcome, sort_keys=True).encode()
-    ).hexdigest()
+_SAMPLING_DIGESTS = (
+    Path(__file__).parent / "cluster" / "data" / "sampling_digests.json"
+)
 
 
 @functools.cache
@@ -103,15 +92,21 @@ def _sampling_digests() -> dict[str, str]:
 def sampling_digest(request):
     """Assert a case's outcome matches its committed sampling digest.
 
-    The digests were generated from the reference samplers (per-recorder
-    ``sample_now`` with no fleet ticker, and a private stats sampler) and
-    cover exactly what each case compares: every recorded series,
+    A case's key is its file name, then its class and test name with
+    parameters.  Its digest is the sha256 of the JSON outcome (keys
+    sorted) that the reference samplers gave — per-recorder
+    ``sample_now`` with no fleet ticker, and a private stats sampler —
+    and covers exactly what the case compares: every recorded series,
     completions and failures, retries, fabric counters and, where the
     case reads it, ``events_processed``.
     """
-    key = case_key(request.node)
+    node = request.node
+    key = "::".join([node.path.name, *node.nodeid.split("::")[1:]])
 
     def check(outcome) -> None:
-        assert outcome_digest(outcome) == _sampling_digests()[key], key
+        digest = hashlib.sha256(
+            json.dumps(outcome, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == _sampling_digests()[key], key
 
     return check

@@ -63,7 +63,7 @@ class TestUpdate:
         assert c.limits.as_dict()["memory"] == 0.4
 
 
-class TestRemove:
+class TestRemoveAndNotify:
     def test_remove_requires_exited(self, runtime):
         c = runtime.run(make_linear_job())
         with pytest.raises(ContainerStateError):

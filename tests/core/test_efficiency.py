@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.containers.spec import ResourceType
 from repro.core.efficiency import (
     EfficiencyHistory,
     GrowthTracker,
@@ -53,20 +52,20 @@ class TestEq2:
 
 class TestEfficiencyHistory:
     def test_first_observation_seeds_baseline(self):
-        hist = EfficiencyHistory(cid=1, resource=ResourceType.CPU)
+        hist = EfficiencyHistory(cid=1)
         assert hist.observe_usage(0.0, 1.0, 0.5) is None
         assert hist.seeded
         assert hist.n_samples == 0
 
     def test_second_observation_yields_sample(self):
-        hist = EfficiencyHistory(cid=1, resource=ResourceType.CPU)
+        hist = EfficiencyHistory(cid=1)
         hist.observe_usage(0.0, 1.0, 0.5)
         sample = hist.observe_usage(10.0, 0.5, 0.5)
         assert sample.progress == pytest.approx(0.05)
         assert sample.growth == pytest.approx(0.1)
 
     def test_peak_tracking_and_relative_growth(self):
-        hist = EfficiencyHistory(cid=1, resource=ResourceType.CPU)
+        hist = EfficiencyHistory(cid=1)
         hist.observe_usage(0.0, 1.0, 1.0)
         hist.observe_usage(10.0, 0.5, 1.0)   # G = 0.05 (peak)
         hist.observe_usage(20.0, 0.45, 1.0)  # G = 0.005
@@ -74,14 +73,14 @@ class TestEfficiencyHistory:
         assert hist.relative_growth() == pytest.approx(0.1)
 
     def test_relative_growth_is_one_before_any_peak(self):
-        hist = EfficiencyHistory(cid=1, resource=ResourceType.CPU)
+        hist = EfficiencyHistory(cid=1)
         assert hist.relative_growth() == 1.0
         hist.observe_usage(0.0, 1.0, 1.0)
         hist.observe_usage(10.0, 1.0, 1.0)  # no change → G = 0
         assert hist.relative_growth() == 1.0  # still no peak
 
     def test_non_monotone_time_ignored(self):
-        hist = EfficiencyHistory(cid=1, resource=ResourceType.CPU)
+        hist = EfficiencyHistory(cid=1)
         hist.observe_usage(5.0, 1.0, 1.0)
         assert hist.observe_usage(5.0, 0.9, 1.0) is None
         assert hist.observe_usage(4.0, 0.9, 1.0) is None
@@ -92,11 +91,11 @@ class TestEfficiencyHistory:
         Half the usage produces half the per-wall-second progress, so
         P/R stays constant — convergence is measured against *work*.
         """
-        full = EfficiencyHistory(cid=1, resource=ResourceType.CPU)
+        full = EfficiencyHistory(cid=1)
         full.observe_usage(0.0, 1.0, 1.0)
         s_full = full.observe_usage(10.0, 0.8, 1.0)
 
-        throttled = EfficiencyHistory(cid=2, resource=ResourceType.CPU)
+        throttled = EfficiencyHistory(cid=2)
         throttled.observe_usage(0.0, 1.0, 0.5)
         # Same work → same ΔE but over 20 s at half usage.
         s_thr = throttled.observe_usage(20.0, 0.8, 0.5)
