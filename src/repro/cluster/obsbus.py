@@ -94,7 +94,8 @@ class BusSampler:
     def sample(
         self, container: Container, now: float
     ) -> tuple[float, ...] | None:
-        """An observer's read: :meth:`read`, under its own name."""
+        """An observer's read: :meth:`read` under a name of its own, so
+        a profile tells the observers' reads from the fused pass's."""
         return self.read(container, now)
 
     def window_start(self, cid: int, default: float) -> float:
