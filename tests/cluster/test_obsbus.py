@@ -102,6 +102,29 @@ class TestZeroRedundancy:
         worker.obsbus.observe()
         assert calls == 1  # reused from the same-instant pass
 
+    def test_observe_pairs_carry_eval_value(self, sim):
+        """Each pair carries the job's E(t) at the settled instant."""
+        worker = Worker(sim)
+        container = worker.launch(make_linear_job(total_work=100.0))
+        sim.clock.advance_to(4.0)
+        pairs = worker.obsbus.observe()
+        assert [c for c, _ in pairs] == [container]
+        eval_value = pairs[0][1]
+        # The linear curve falls from 1 to 0 with progress.
+        assert 0.0 < eval_value < 1.0
+        assert eval_value == pytest.approx(1.0 - container.job.progress)
+
+    def test_eval_value_none_when_job_has_no_eval(self, sim):
+        worker = Worker(sim)
+        container = worker.launch(make_linear_job(total_work=100.0))
+        sim.clock.advance_to(4.0)
+
+        def missing():
+            raise AttributeError("no evaluation function")
+
+        container.job.eval_value = missing
+        assert worker.obsbus.observe() == [(container, None)]
+
 
 class TestBusSamplerParity:
     def test_matches_private_stats_sampler_bitwise(self, sim, sampling_digest):
@@ -188,6 +211,18 @@ class TestBusSamplerRead:
         else:
             assert row[0] == want_cpu
         assert sampler.window_start(c.cid, None) == want_start
+
+    def test_forget_then_read_spans_from_creation(self):
+        c = Container(make_linear_job(), created_at=0.0)
+        c.start(0.0)
+        settle_usage(c.cgroup, 4.0, cpu=0.25)
+        settle_usage(c.cgroup, 4.0, cpu=1.0)
+        sampler = BusSampler()
+        assert sampler.read(c, 4.0)[0] == 0.25
+        sampler.forget(c.cid)
+        # Forgotten, the next window opens at creation again: [0, 8].
+        assert sampler.read(c, 8.0)[0] == pytest.approx(0.625)
+        assert sampler.window_start(c.cid, None) == 8.0
 
 
 class TestPruning:
