@@ -1,20 +1,20 @@
 """Micro-benchmark — event-queue push/cancel/pop churn.
 
-Exercises the exact pattern the worker's exit rescheduling produces:
-every reallocation cancels and re-pushes projected exits, so a long run
-is dominated by cancel+push churn with a growing graveyard of dead
-entries.  The amortized compaction keeps ``pop``/``peek`` scanning the
-live size, not the historical size; this bench pins that behaviour so a
-regression (graveyard scans returning) shows up as a step in the
-trajectory files.
+Exercises cancel+push churn with a growing graveyard of dead entries:
+each round moves every one of ``_N_JOBS`` events, as a fleet of workers
+whose exit timers all move at one tick would (each worker keeps one
+exit timer and re-pushes it when its earliest projected finish moves).
+The amortized compaction keeps ``pop``/``peek`` scanning the live size,
+not the historical size; this bench pins that behaviour so a regression
+(graveyard scans returning) shows up as a step in the trajectory files.
 """
 
 from repro.simcore.equeue import EventQueue
 from repro.simcore.events import Event
 
-#: Containers being rescheduled (matches a deep-oversubscription node).
+#: Events being rescheduled each round (one per worker's exit timer).
 _N_JOBS = 50
-#: Reallocation rounds (one cancel + one push per job per round).
+#: Rescheduling rounds (one cancel + one push per event per round).
 _ROUNDS = 400
 
 

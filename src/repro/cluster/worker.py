@@ -23,10 +23,18 @@ Footprints must be plain :class:`ResourceSpec` objects (:meth:`launch
 :class:`ConfigError` otherwise), so settlement, reallocation and exit
 projection all read them as one set of per-resource numpy arrays.
 Settlement computes per-container work and cgroup usage rows over those
-arrays and applies them in bulk.  Exit rescheduling is *incremental*:
-projections are keyed by cid and the scheduled event is reused whenever
-the recomputed finish time is exactly unchanged, instead of tearing down
-every exit event on each reallocation.
+arrays and applies them in bulk.  Exits run on **one timer per worker**:
+each reallocation re-projects every running job's finish time into a
+cid-keyed table of ``(t_finish, seq)`` projections.  A projection whose
+recomputed finish time is exactly unchanged keeps its seq; a new or
+moved one reserves a fresh seq
+(:func:`~repro.simcore.events.reserve_seq`) exactly where a
+per-container exit event used to be pushed.  The worker keeps a single
+live ``CONTAINER_EXIT`` in the queue, keyed ``(time, PRIORITY_EXIT,
+seq)`` on the earliest projection, and re-pushes it only when that key
+changes.  The queue therefore orders exits — same-instant ties across
+workers included — exactly as one event per container would, at a
+fraction of the pushes and cancels.
 
 Every recorder sampling tick runs through the fused fleet pass
 (:mod:`repro.cluster.fleet`), which settles and reallocates all workers
@@ -37,7 +45,7 @@ packed per-row arrays give the same per-element IEEE ops) and
 :meth:`Worker._apply_settle` its per-container apply loop; reallocation
 is split into :meth:`Worker._realloc_begin` (version bump, active set,
 jitter draws → allocator inputs) and :meth:`Worker._realloc_finish`
-(apply shares, then project and reschedule exits through
+(apply shares, then project exits and re-arm the exit timer through
 :meth:`Worker._reschedule_exits`, the one exit projection).  The plain
 :meth:`Worker._reallocate` is exactly ``begin → allocate → finish``; the
 fleet pass swaps only the middle step for one segmented allocation.
@@ -60,7 +68,7 @@ from repro.containers.spec import ResourceSpec
 from repro.errors import CapacityError, ConfigError, ContainerStateError
 from repro.simcore.engine import Simulator
 from repro.simcore.equeue import EventHandle
-from repro.simcore.events import PRIORITY_EXIT, Event, EventKind
+from repro.simcore.events import PRIORITY_EXIT, Event, EventKind, reserve_seq
 
 __all__ = ["Worker", "settle_rows"]
 
@@ -186,7 +194,10 @@ class Worker:
         self.slot_hook = None
         self._active: list[Container] = []
         self._allocs = np.zeros(0, dtype=np.float64)
-        self._exit_handles: dict[int, EventHandle] = {}
+        #: Exit projections, cid → ``(t_finish, seq)``, and the one
+        #: queued ``CONTAINER_EXIT`` standing for the earliest of them.
+        self._exits: dict[int, tuple[float, int]] = {}
+        self._exit_timer: EventHandle | None = None
         self._in_batch = False
         #: Monotonic state-version, bumped by every reallocation (the
         #: terminal step of every externally visible mutation).  The
@@ -305,7 +316,7 @@ class Worker:
         Settles first, so every CPU-second delivered up to now is already
         in the job and its cgroup counters; the container leaves carrying
         both, which is what makes its remaining work bit-exact wherever
-        it reattaches.  The projected exit event is cancelled, the pool
+        it reattaches.  The exit projection is dropped, the pool
         journals the departure (the worker monitor sees it exactly like a
         finish — the container is gone from *this* node), and the
         remaining pool is reallocated.  No exit hooks fire: the job has
@@ -317,9 +328,7 @@ class Worker:
             raise ContainerStateError(
                 f"cannot detach non-running container {container.name}"
             )
-        handle = self._exit_handles.pop(cid, None)
-        if handle is not None:
-            self.sim.cancel(handle)
+        self._exits.pop(cid, None)
         self.runtime.release(cid)
         self._refresh_slots()
         self.pool.discard(cid, self.sim.now)
@@ -378,9 +387,10 @@ class Worker:
 
         Settles first so every CPU-second delivered up to the crash
         instant is in the jobs (what a durability model then loses is
-        exactly the work since its last checkpoint), cancels all
-        projected exits, releases every running container from the
-        runtime and pool, and clears reservations and draining state.
+        exactly the work since its last checkpoint), drops every exit
+        projection and the exit timer, releases every running container
+        from the runtime and pool, and clears reservations and draining
+        state.
         Returns the orphaned containers in cid order; no exit hooks fire
         — nothing completed.  The worker object itself stays reusable:
         recovery re-attaches the same (now empty) node to the fleet.
@@ -562,7 +572,7 @@ class Worker:
         worker's jitter, returning ``(limits, demands, weights, mem)``
         ready for :meth:`CpuAllocator.allocate`.  Returns ``None`` for an
         empty pool, in which case the reallocation is already complete
-        (allocations zeroed, projected exits cancelled).  Split from
+        (allocations zeroed, exit projections and timer dropped).  Split from
         :meth:`_realloc_finish` so the fleet ticker can gather many
         workers' inputs and run one segmented allocation over all of
         them; ``_realloc_begin`` → ``allocate`` → ``_realloc_finish`` is
@@ -624,30 +634,36 @@ class Worker:
     def _realloc_finish(self, alloc: np.ndarray, mem: float) -> None:
         """Second half of a reallocation: apply *alloc* + reschedule exits."""
         self._allocs = alloc
-        for container, share in zip(self._active, alloc.tolist()):
+        shares = alloc.tolist()
+        for container, share in zip(self._active, shares):
             container.current_alloc = share
-        self._reschedule_exits(mem)
+        self._reschedule_exits(shares, mem)
 
     def _cancel_all_exits(self) -> None:
-        if self._exit_handles:
-            cancel = self.sim.cancel
-            for handle in self._exit_handles.values():
-                cancel(handle)
-            self._exit_handles.clear()
+        """Drop every projection and cancel the exit timer."""
+        if self._exits:
+            self._exits = {}
+        timer = self._exit_timer
+        if timer is not None:
+            self._exit_timer = None
+            if timer.alive:
+                self.sim.cancel(timer)
 
-    def _reschedule_exits(self, mem: float) -> None:
-        """Project each running job's finish time and (re)schedule its exit.
+    def _reschedule_exits(self, shares: list[float], mem: float) -> None:
+        """Project each running job's finish time and re-arm the exit timer.
 
-        ``rate = alloc · eff`` and ``t_finish = now + remaining / rate``
-        per container, with ``eff`` from the resident-memory total *mem*.
-        Incremental: projections are keyed by cid and an outstanding exit
-        event is kept whenever the recomputed finish time matches it
-        exactly, so a reallocation that leaves some containers' rates
-        unchanged touches only the projections that actually moved.
-        Starved containers (``rate <= 0``) lose their projection until
-        the next allocation change.  Events are pushed in active-set
-        order, so queue sequence numbers — the heap tie-break — follow
-        the active set.
+        ``rate = share · eff`` and ``t_finish = now + remaining / rate``
+        per container (*shares* aligned with the active set), with
+        ``eff`` from the resident-memory total *mem*.  A projection whose
+        finish time is exactly unchanged keeps its ``(t_finish, seq)``;
+        a new or moved one reserves the next event seq, in active-set
+        order, just where a per-container exit event would have been
+        pushed.  Starved containers (``rate <= 0``) lose their projection
+        until the next allocation change.  The one timer then stands for
+        the earliest ``(t_finish, seq)``: it is left alone while that key
+        holds and otherwise cancelled and pushed with the key's time and
+        reserved seq, so it fires exactly where that container's own
+        event would have.
         """
         active = self._active
         if not active:
@@ -655,54 +671,60 @@ class Worker:
             return
         eff = self.contention.efficiency(len(active), mem)
         now = self.sim.now
-        handles = self._exit_handles
-        # Hot path: exits are (re)scheduled on every reallocation of a
-        # jittered pool, so events are pushed straight onto the queue —
-        # a projected finish ``now + remaining/rate`` can never lie in
-        # the past, making Simulator.schedule's guard pure overhead here.
-        push = self.sim.queue.push
-        on_exit = self._on_exit_event
-        cancel = self.sim.cancel
-        seen: set[int] = set()
-        for container, alloc in zip(active, self._allocs.tolist()):
-            cid = container.cid
-            rate = alloc * eff
+        old = self._exits
+        exits: dict[int, tuple[float, int]] = {}
+        first = None
+        first_cid = 0
+        for container, share in zip(active, shares):
+            rate = share * eff
             if rate <= 0:
-                old = handles.pop(cid, None)
-                if old is not None:
-                    cancel(old)
                 continue
             t_finish = now + container.job.remaining_work() / rate
-            seen.add(cid)
-            old = handles.get(cid)
-            if old is not None and old.alive:
-                if t_finish == old.event.time:
-                    continue  # projection unchanged: keep the event
-                cancel(old)
-            handles[cid] = push(
-                Event(
-                    t_finish,
-                    EventKind.CONTAINER_EXIT,
-                    on_exit,
-                    PRIORITY_EXIT,
-                    cid,
-                )
+            cid = container.cid
+            proj = old.get(cid)
+            if proj is None or proj[0] != t_finish:
+                proj = (t_finish, reserve_seq())
+            exits[cid] = proj
+            if first is None or proj < first:
+                first = proj
+                first_cid = cid
+        self._exits = exits
+        timer = self._exit_timer
+        if timer is not None and timer.alive:
+            if first is not None and timer.event.seq == first[1]:
+                return  # earliest projection unchanged: keep the timer
+            self.sim.cancel(timer)
+        if first is None:
+            self._exit_timer = None
+            return
+        # Hot path: pushed straight onto the queue — a projected finish
+        # ``now + remaining/rate`` never lies in the past, making
+        # Simulator.schedule's guard pure overhead here.
+        self._exit_timer = self.sim.queue.push(
+            Event(
+                first[0],
+                EventKind.CONTAINER_EXIT,
+                self._on_exit_event,
+                PRIORITY_EXIT,
+                first_cid,
+                first[1],
             )
-        if len(handles) > len(seen):
-            for cid in [c for c in handles if c not in seen]:
-                cancel(handles.pop(cid))
+        )
 
     def _on_exit_event(self, event: Event) -> None:
-        """Handle a projected container exit.
+        """Handle the exit timer: the earliest projection is due.
 
-        Exactly one reallocation happens per exit event: either the job
-        really finished (exit path) or the projection was stale (the
-        allocation changed between scheduling and firing), and in both
-        cases the single trailing :meth:`_reallocate` re-projects the
-        remaining pool.
+        The payload is the due container's cid.  Its projection is
+        dropped (a re-projection reserves a fresh seq, as a new event
+        would have) and the container exits if its job is done.  Exactly
+        one reallocation happens per timer firing: either the job really
+        finished (exit path) or the projection was stale (the allocation
+        changed between projecting and firing), and in both cases the
+        single trailing :meth:`_reallocate` re-projects the remaining
+        pool and re-arms the timer.
         """
         cid = int(event.payload)
-        self._exit_handles.pop(cid, None)
+        self._exits.pop(cid, None)
         self.settle()
         container = self.runtime.get(cid)
         job = container.job

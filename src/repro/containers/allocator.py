@@ -31,11 +31,16 @@ Forms
 :meth:`CpuAllocator.allocate` (both phases) each run over Python floats
 for pools up to ``_SCALAR_MAX`` containers, where numpy's per-call
 constant would dominate, and as whole-array numpy steps beyond it.  The
-two forms run the same operations in the same order, with the scalar
-sums on ``ndarray.sum()`` (pairwise, not Python 3.12's compensated
-``sum()``), so they are bit-identical; the tests pin them at every pool
-size up to 1 000.  A one-container pool, the common fleet shape, takes
-the short scalar chain :meth:`CpuAllocator._allocate_one`.
+scalar form converts its inputs to lists once on the way in and its
+result to an array once on the way out; both phases, the phase-2
+residual and every intermediate sum stay on lists in between
+(:func:`_fill` is the list core both phases share).  The two forms run
+the same operations in the same order, and every scalar sum goes
+through :func:`_pairwise_sum`, which reproduces ``ndarray.sum()``'s
+pairwise order bit for bit (not a left fold, and not Python 3.12's
+compensated ``sum()``), so they are bit-identical; the tests pin them at
+every pool size up to 1 000.  A one-container pool, the common fleet
+shape, takes the short scalar chain :meth:`CpuAllocator._allocate_one`.
 """
 
 from __future__ import annotations
@@ -60,6 +65,53 @@ def _has_nan(values: list[float]) -> bool:
     ``inf`` plus ``-inf`` also reads NaN, which range checks reject)."""
     total = sum(values)
     return total != total
+
+
+def _check_capacity(capacity: float) -> None:
+    """Reject a NaN, infinite or negative capacity."""
+    if not 0.0 <= capacity < math.inf:
+        raise AllocationError(f"capacity must be finite and >= 0: {capacity!r}")
+
+
+def _pairwise_sum(values: list[float]) -> float:
+    """``np.array(values).sum()``, bit for bit, over Python floats.
+
+    numpy's float sum is not a left fold: a run shorter than 8 is folded
+    left, a run of 8 to 128 is folded into eight interleaved
+    accumulators that are then added pairwise, and a longer run is split
+    in two at a multiple of 8 and each half summed the same way.  The
+    reduction adds that result to its identity ``0.0``.
+    """
+    return 0.0 + _pairwise(values)
+
+
+def _pairwise(values: list[float]) -> float:
+    """numpy's pairwise sum of *values*, before the identity is added."""
+    n = len(values)
+    if n < 8:
+        res = -0.0
+        for v in values:
+            res += v
+        return res
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+        blocks_end = n - n % 8
+        for i in range(8, blocks_end, 8):
+            r0 += values[i]
+            r1 += values[i + 1]
+            r2 += values[i + 2]
+            r3 += values[i + 3]
+            r4 += values[i + 4]
+            r5 += values[i + 5]
+            r6 += values[i + 6]
+            r7 += values[i + 7]
+        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for v in values[blocks_end:]:
+            res += v
+        return res
+    half = n // 2
+    half -= half % 8
+    return _pairwise(values[:half]) + _pairwise(values[half:])
 
 
 class AllocationMode(enum.Enum):
@@ -112,27 +164,44 @@ def water_fill(
     n = ceilings.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.float64)
-    if not 0.0 <= capacity < math.inf:
-        raise AllocationError(f"capacity must be finite and >= 0: {capacity!r}")
+    _check_capacity(capacity)
     if n > _SCALAR_MAX:
         return _water_fill_vector(capacity, ceilings, weights)
     ceil = ceilings.tolist()
     if min(ceil) < -1e-12 or _has_nan(ceil):
         raise AllocationError("negative or NaN ceiling in water_fill")
-    ceil = [c if c > 0.0 else 0.0 for c in ceil]
+    wts = _weight_list(weights, n)
+    return np.array(_fill(capacity, ceil, wts), dtype=np.float64)
 
+
+def _weight_list(weights: np.ndarray | None, n: int) -> list[float] | None:
+    """*weights* as a checked list of ``n`` positive floats (or ``None``)."""
     if weights is None:
-        wts = [1.0] * n
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != ceilings.shape:
-            raise AllocationError("weights and ceilings shape mismatch")
-        wts = weights.tolist()
-        if min(wts) <= 0 or _has_nan(wts):
-            raise AllocationError("weights must be strictly positive")
+        return None
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (n,):
+        raise AllocationError("weights and ceilings shape mismatch")
+    wts = weights.tolist()
+    if min(wts) <= 0 or _has_nan(wts):
+        raise AllocationError("weights must be strictly positive")
+    return wts
 
+
+def _fill(
+    capacity: float, ceil: list[float], wts: list[float] | None
+) -> list[float]:
+    """:func:`water_fill`'s scalar form over checked Python floats.
+
+    *capacity* is finite and non-negative, *ceil* holds no NaN and
+    nothing below ``-1e-12``, and *wts* is ``None`` (equal weights) or
+    positive.  Returns the allocations as a list.
+    """
+    n = len(ceil)
+    ceil = [c if c > 0.0 else 0.0 for c in ceil]
     if capacity == 0.0:
-        return np.zeros(n, dtype=np.float64)
+        return [0.0] * n
+    if wts is None:
+        wts = [1.0] * n
 
     # At water level λ, entity i receives min(λ·w_i, c_i); it saturates
     # at its level c_i / w_i.
@@ -156,7 +225,7 @@ def water_fill(
         if remaining_w > 0:
             candidate = (capacity - csum_c[i]) / remaining_w
         else:
-            candidate = np.inf
+            candidate = math.inf
         if not candidate >= levels[order[i]] - 1e-15:
             k = i
             break
@@ -170,13 +239,11 @@ def water_fill(
     for i, a in zip(order, alloc_sorted):
         unsorted[i] = a
     # Numeric hygiene: clamp and never exceed capacity.
-    alloc = np.array(
-        [min(a if a > 0.0 else 0.0, c) for a, c in zip(unsorted, ceil)],
-        dtype=np.float64,
-    )
-    total = alloc.sum()
+    alloc = [min(a if a > 0.0 else 0.0, c) for a, c in zip(unsorted, ceil)]
+    total = _pairwise_sum(alloc)
     if total - capacity > 1e-9:
-        alloc *= capacity / total
+        scale = capacity / total
+        alloc = [a * scale for a in alloc]
     return alloc
 
 
@@ -295,26 +362,27 @@ class CpuAllocator:
             raise AllocationError("demands must be non-negative, not NaN")
         if n == 1:
             return self._allocate_one(capacity, lim[0], dem[0], weights)
+        _check_capacity(capacity)
 
         demand_abs = [min(d, 1.0) * capacity for d in dem]
         ceil = [min(li * capacity, da) for li, da in zip(lim, demand_abs)]
-        alloc = water_fill(capacity, ceil, weights)
+        alloc = _fill(capacity, ceil, _weight_list(weights, n))
 
         if self.mode is AllocationMode.SOFT:
-            spare = capacity - float(alloc.sum())
+            spare = capacity - _pairwise_sum(alloc)
             if spare > 1e-12:
-                residual = np.array(
-                    [
-                        r if (r := da - a) > 0.0 else 0.0
-                        for da, a in zip(demand_abs, alloc.tolist())
-                    ],
-                    dtype=np.float64,
-                )
-                if residual.sum() > 1e-12:
-                    alloc = alloc + water_fill(spare, residual)
+                residual = [
+                    r if (r := da - a) > 0.0 else 0.0
+                    for da, a in zip(demand_abs, alloc)
+                ]
+                if _pairwise_sum(residual) > 1e-12:
+                    alloc = [
+                        a + extra
+                        for a, extra in zip(alloc, _fill(spare, residual, None))
+                    ]
 
         return np.array(
-            [min(a, da) for a, da in zip(alloc.tolist(), demand_abs)],
+            [min(a, da) for a, da in zip(alloc, demand_abs)],
             dtype=np.float64,
         )
 
@@ -357,8 +425,7 @@ class CpuAllocator:
         weights: np.ndarray | None,
     ) -> np.ndarray:
         """:meth:`allocate` of a one-container pool, as scalar operations."""
-        if not 0.0 <= capacity < math.inf:
-            raise AllocationError(f"capacity must be finite and >= 0: {capacity!r}")
+        _check_capacity(capacity)
         if weights is not None:
             weights = np.asarray(weights, dtype=np.float64)
             if weights.shape != (1,):

@@ -1,23 +1,31 @@
 """Binary-heap event queue with lazy cancellation and amortized compaction.
 
-The engine frequently needs to *reschedule* a container's projected exit
-event when allocations change (the projected finish time moves).  Removing
-an arbitrary element from a binary heap is O(n), so instead we use the
+The engine frequently needs to *reschedule* an event — a worker's exit
+timer moves whenever its earliest projected finish does.  Removing an
+arbitrary element from a binary heap is O(n), so instead we use the
 classic *lazy deletion* technique: :meth:`EventQueue.cancel` marks a handle
 dead in O(1) and dead events are skipped when popped.
 
-Reschedule-heavy runs (one cancel + one push per allocation change per
-container) would otherwise grow a graveyard of dead entries that every
-``pop``/``peek`` has to scan past.  The queue therefore tracks its dead
-count and *compacts* — rebuilds the heap from the live entries in O(n) —
-once dead entries outnumber live ones.  Each dead entry is removed at most
-once, so the amortized cost per cancellation stays O(1) and ``pop`` stays
-O(log n) on the live size rather than the historical size.
+Reschedule-heavy runs (one cancel + one push per moved timer) would
+otherwise grow a graveyard of dead entries that every ``pop``/``peek``
+has to scan past.  The queue therefore tracks its dead count and
+*compacts* — rebuilds the heap from the live entries in O(n) — once dead
+entries outnumber live ones.  Each dead entry is removed at most once, so
+the amortized cost per cancellation stays O(1) and ``pop`` stays O(log n)
+on the live size rather than the historical size.
+
+Heap entries are ``(time, priority, seq, push_no, handle)``.  The queue's
+own push counter ``push_no`` makes every entry's key unique even when two
+entries share an event's ``(time, priority, seq)`` — a re-armed timer
+pushed with a reserved seq can meet its own cancelled entry still in the
+heap — so ``heapq`` never falls through to comparing handles, and live
+entries with equal event keys pop in push order.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass, field
 
 from repro.errors import EventQueueError
@@ -55,14 +63,16 @@ class EventQueue:
 
     Determinism comes from :meth:`Event.sort_key`: ties on time are broken
     by priority then by scheduling order, so identical runs replay
-    identically.  Compaction preserves this exactly — sort keys are unique,
-    so the pop order never depends on the heap's internal arrangement.
+    identically.  Compaction preserves this exactly — entry keys are
+    unique, so the pop order never depends on the heap's internal
+    arrangement.
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[tuple[float, int, int], EventHandle]] = []
+        self._heap: list[tuple[float, int, int, int, EventHandle]] = []
         self._live = 0
         self._dead = 0
+        self._push_no = itertools.count()
 
     # -- mutation ----------------------------------------------------------
 
@@ -70,7 +80,8 @@ class EventQueue:
         """Schedule *event*, returning a cancellable handle."""
         handle = EventHandle(event)
         heapq.heappush(
-            self._heap, ((event.time, event.priority, event.seq), handle)
+            self._heap,
+            (event.time, event.priority, event.seq, next(self._push_no), handle),
         )
         self._live += 1
         return handle
@@ -92,7 +103,7 @@ class EventQueue:
             If the queue holds no live events.
         """
         while self._heap:
-            _, handle = heapq.heappop(self._heap)
+            handle = heapq.heappop(self._heap)[-1]
             if not handle.cancelled:
                 # Consumed: mark dead so _live never double-counts.
                 handle.cancelled = True
@@ -108,8 +119,8 @@ class EventQueue:
         issued after the clear is a no-op instead of corrupting the live
         count (the handle would otherwise still read as alive).
         """
-        for _, handle in self._heap:
-            handle.cancelled = True
+        for entry in self._heap:
+            entry[-1].cancelled = True
         self._heap.clear()
         self._live = 0
         self._dead = 0
@@ -129,7 +140,7 @@ class EventQueue:
         """
         if self._dead == 0:
             return
-        self._heap = [entry for entry in self._heap if entry[1].alive]
+        self._heap = [entry for entry in self._heap if entry[-1].alive]
         heapq.heapify(self._heap)
         self._dead = 0
 
@@ -140,7 +151,7 @@ class EventQueue:
         self._compact_head()
         if not self._heap:
             return None
-        return self._heap[0][1].event.time
+        return self._heap[0][0]
 
     def peek_event(self) -> Event | None:
         """The earliest live event itself, or ``None`` when empty.
@@ -152,12 +163,12 @@ class EventQueue:
         self._compact_head()
         if not self._heap:
             return None
-        return self._heap[0][1].event
+        return self._heap[0][-1].event
 
     def _compact_head(self) -> None:
         """Pop dead entries sitting at the heap root."""
         heap = self._heap
-        while heap and not heap[0][1].alive:
+        while heap and not heap[0][-1].alive:
             heapq.heappop(heap)
             self._dead -= 1
 

@@ -12,12 +12,20 @@ import enum
 import itertools
 from typing import Any, Callable
 
-__all__ = ["EventKind", "Event", "EventCallback"]
+__all__ = ["EventKind", "Event", "EventCallback", "reserve_seq"]
 
 #: Signature of an event callback: receives the firing :class:`Event`.
 EventCallback = Callable[["Event"], None]
 
 _seq_counter = itertools.count()
+
+#: Take the next scheduling sequence number without building an event.
+#: A caller that keeps several projected occurrences behind one queued
+#: event (a worker's exit timer) reserves each projection's seq at the
+#: moment a per-occurrence event would have been built, then pushes its
+#: one event with ``Event(..., seq=reserved)``; ties then break exactly
+#: as if every occurrence had its own event.
+reserve_seq: Callable[[], int] = _seq_counter.__next__
 
 
 class EventKind(enum.Enum):
@@ -56,10 +64,10 @@ class Event:
     """A single scheduled occurrence (immutable by convention).
 
     A plain ``__slots__`` class rather than a dataclass: the simulation
-    creates one event per (re)scheduled exit projection, which makes
-    construction a measured hot path, and ``object.__setattr__``-based
-    frozen-dataclass initialization costs roughly twice a direct
-    ``__init__``.
+    creates one event per scheduled tick, arrival and message and per
+    re-armed worker exit timer, which makes construction a measured hot
+    path, and ``object.__setattr__``-based frozen-dataclass
+    initialization costs roughly twice a direct ``__init__``.
 
     Parameters
     ----------
@@ -77,8 +85,9 @@ class Event:
     payload:
         Arbitrary immutable-by-convention data attached to the event.
     seq:
-        Monotonic scheduling sequence number (assigned automatically);
-        final tie-breaker giving a total deterministic order.
+        Monotonic scheduling sequence number (assigned automatically, or
+        one taken earlier with :func:`reserve_seq`); final tie-breaker
+        giving a total deterministic order.
     """
 
     __slots__ = ("time", "kind", "callback", "priority", "payload", "seq")

@@ -80,6 +80,14 @@ def _settle_state(workers):
     ]
 
 
+def _exit_timer_state(w):
+    """``(time, container name)`` of a worker's live exit timer, or None."""
+    timer = w._exit_timer
+    if timer is None or not timer.alive:
+        return None
+    return repr(timer.event.time), w.runtime.get(timer.event.payload).name
+
+
 def _alloc_state(workers):
     return [
         (
@@ -87,10 +95,11 @@ def _alloc_state(workers):
             w.version,
             [repr(c.current_alloc) for c in w._active],
             {
-                c.name: repr(w._exit_handles[c.cid].event.time)
+                c.name: repr(w._exits[c.cid][0])
                 for c in w._active
-                if c.cid in w._exit_handles and w._exit_handles[c.cid].alive
+                if c.cid in w._exits
             },
+            _exit_timer_state(w),
         )
         for w in workers
     ]

@@ -76,14 +76,20 @@ class TestRapidReallocation:
         assert ca.exited and cb.exited
 
     def test_exit_projection_kept_when_unchanged(self, sim, ideal_worker):
-        """Incremental rescheduling: a no-op poke keeps the exit event."""
+        """Incremental rescheduling: a no-op poke keeps the projection
+        and the exit timer."""
         c = ideal_worker.launch(make_linear_job(total_work=64.0))
-        handle_before = ideal_worker._exit_handles[c.cid]
+        projection_before = ideal_worker._exits[c.cid]
+        timer_before = ideal_worker._exit_timer
+        assert timer_before.event.seq == projection_before[1]
         sim.schedule(16.0, lambda e: ideal_worker.poke())
         sim.run(until=16.0)
         # Ideal contention + power-of-two numbers: the recomputed finish
-        # time is bit-identical, so the original event must be reused.
-        assert ideal_worker._exit_handles[c.cid] is handle_before
+        # time is bit-identical, so the projection keeps its seq and the
+        # original timer event must be reused.
+        assert ideal_worker._exits[c.cid] == projection_before
+        assert ideal_worker._exit_timer is timer_before
+        assert timer_before.alive
         sim.run_until_empty()
         assert sim.now == pytest.approx(64.0)
 
@@ -97,11 +103,16 @@ class TestRapidReallocation:
             allocation_mode=AllocationMode.HARD,
         )
         c = worker.launch(make_linear_job(total_work=64.0))
-        handle_before = worker._exit_handles[c.cid]
+        projection_before = worker._exits[c.cid]
+        timer_before = worker._exit_timer
         sim.schedule(16.0, lambda e: worker.update_limit(c.cid, 0.5))
         sim.run(until=16.0)
-        assert worker._exit_handles[c.cid] is not handle_before
-        assert not handle_before.alive
+        projection = worker._exits[c.cid]
+        assert projection[0] == pytest.approx(112.0)
+        assert projection[1] != projection_before[1]
+        assert worker._exit_timer is not timer_before
+        assert not timer_before.alive
+        assert worker._exit_timer.event.seq == projection[1]
         sim.run_until_empty()
         # 16 done at rate 1, then 48 left at the hard 0.5 cap: 112 total.
         assert c.exited
@@ -117,7 +128,8 @@ class TestStarvation:
             lambda *a, **k: np.zeros_like(original(*a, **k))
         )
         ideal_worker.poke()
-        assert c.cid not in ideal_worker._exit_handles
+        assert c.cid not in ideal_worker._exits
+        assert ideal_worker._exit_timer is None
         assert len(sim.queue) == 0
         # Allocation comes back (at a later instant — same-timestamp
         # pokes with unchanged worker state are coalesced): the exit is
@@ -125,7 +137,8 @@ class TestStarvation:
         ideal_worker.allocator.allocate = original
         sim.schedule(1.0, lambda e: ideal_worker.poke())
         sim.run(until=1.0)
-        assert c.cid in ideal_worker._exit_handles
+        assert c.cid in ideal_worker._exits
+        assert ideal_worker._exit_timer.alive
         sim.run_until_empty()
         assert c.exited
 
@@ -172,20 +185,20 @@ class TestExitEventSingleReallocation:
         )
         c = worker.launch(make_linear_job(total_work=50.0))
         # The hard cap halves the rate at t=10 and moves the projected
-        # exit from 50 to 90.  Swap that event for one at the old t=50,
-        # so the exit event fires stale.
+        # exit from 50 to 90.  Swap that projection and the timer for
+        # ones at the old t=50, so the exit timer fires stale.
         sim.schedule(10.0, lambda e: worker.update_limit(c.cid, 0.5))
         sim.run(until=10.0)
-        sim.cancel(worker._exit_handles[c.cid])
-        worker._exit_handles[c.cid] = sim.queue.push(
-            Event(
-                50.0,
-                EventKind.CONTAINER_EXIT,
-                worker._on_exit_event,
-                PRIORITY_EXIT,
-                c.cid,
-            )
+        sim.cancel(worker._exit_timer)
+        stale = Event(
+            50.0,
+            EventKind.CONTAINER_EXIT,
+            worker._on_exit_event,
+            PRIORITY_EXIT,
+            c.cid,
         )
+        worker._exits[c.cid] = (stale.time, stale.seq)
+        worker._exit_timer = sim.queue.push(stale)
         sim.run(until=49.0)
         calls = []
         original = worker._reallocate
@@ -193,6 +206,11 @@ class TestExitEventSingleReallocation:
         sim.step()  # the stale exit event at t=50
         assert not c.exited  # only 10 + 40·0.5 = 30 of 50 delivered
         assert len(calls) == 1
+        # Re-projected at the true rate under a fresh seq, timer re-armed.
+        assert worker._exits[c.cid][0] == pytest.approx(90.0)
+        assert worker._exits[c.cid][1] > stale.seq
+        assert worker._exit_timer.alive
+        assert worker._exit_timer.event.seq == worker._exits[c.cid][1]
         sim.run_until_empty()
         assert c.exited
         assert sim.now == pytest.approx(90.0)

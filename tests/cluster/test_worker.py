@@ -15,6 +15,7 @@ from repro.cluster.contention import ContentionModel
 from repro.containers.spec import ResourceSpec
 from repro.errors import ConfigError
 from repro.simcore.engine import Simulator
+from repro.simcore.events import EventKind
 from tests.conftest import make_linear_job
 
 
@@ -230,6 +231,85 @@ class TestAttributeBudget:
         target.crash()
         for worker in (source, target):
             assert len(vars(worker)) <= 29, sorted(vars(worker))
+
+
+def _check_exit_timers(sim) -> int:
+    """Assert every worker has at most one live ``CONTAINER_EXIT`` in
+    *sim*'s queue, standing for its earliest projection; return how many
+    workers have one."""
+    timers: dict[int, list] = {}
+    for entry in sim.queue._heap:
+        handle = entry[-1]
+        if handle.alive and handle.event.kind is EventKind.CONTAINER_EXIT:
+            worker = handle.event.callback.__self__
+            timers.setdefault(id(worker), []).append((worker, handle))
+    for held in timers.values():
+        assert len(held) == 1, [h.event for _, h in held]
+        worker, handle = held[0]
+        assert handle is worker._exit_timer
+        t_first, seq_first = min(worker._exits.values())
+        assert handle.event.seq == seq_first
+        assert handle.event.time == t_first
+    return len(timers)
+
+
+class TestOneExitTimer:
+    """Each worker keeps at most one live exit event in the queue, keyed
+    on its earliest projection, after every event of a run."""
+
+    def test_jittered_flowcon_run(self, monkeypatch):
+        from repro.config import SimulationConfig
+        from repro.core.policy import FlowConPolicy
+        from repro.experiments.runner import run_scenario
+        from repro.experiments.scenarios import random_ten_job
+
+        seen = []
+        step = Simulator.step
+
+        def checked_step(sim):
+            event = step(sim)
+            seen.append(_check_exit_timers(sim))
+            return event
+
+        monkeypatch.setattr(Simulator, "step", checked_step)
+        result = run_scenario(
+            random_ten_job(seed=0),
+            FlowConPolicy(),
+            SimulationConfig(seed=0, trace=False),
+        )
+        assert len(result.completion_times()) == 10
+        assert len(seen) == result.sim.events_processed  # no batching here
+        assert max(seen) == 1
+
+    def test_two_worker_migrate_run(self):
+        from repro.cluster.manager import Manager
+        from repro.cluster.submission import JobSubmission
+
+        sim = Simulator(seed=0, trace=False)
+        workers = [
+            Worker(sim, name=f"w{i}", contention=ContentionModel.ideal())
+            for i in range(2)
+        ]
+        manager = Manager(sim, workers, rebalance="migrate")
+        manager.submit_all(
+            [
+                JobSubmission(
+                    label=label,
+                    job=make_linear_job(label, work),
+                    submit_time=0.0,
+                )
+                for label, work in [
+                    ("S-1", 10.0), ("S-2", 10.0), ("L-1", 200.0),
+                    ("L-2", 200.0), ("L-3", 200.0), ("L-4", 200.0),
+                ]
+            ]
+        )
+        armed = []
+        while sim.step() is not None:
+            armed.append(_check_exit_timers(sim))
+        assert manager.total_migrations > 0
+        assert max(armed) == 2
+        assert all(c.exited for w in workers for c in w.runtime.all_containers())
 
 
 class TestSettleRows:

@@ -319,6 +319,34 @@ class TestScalarPathBitParity:
             CpuAllocator().allocate(*args)
 
 
+class TestPairwiseSum:
+    """``_pairwise_sum`` reproduces ``ndarray.sum()`` bit for bit."""
+
+    def test_matches_ndarray_sum_at_every_length(self):
+        rng = np.random.default_rng(31)
+        for n in range(1, 1001):
+            for style in range(3):
+                if style == 0:
+                    values = rng.uniform(0, 1, n)
+                elif style == 1:  # wide magnitudes, mixed signs
+                    values = rng.uniform(-1, 1, n) * 10.0 ** rng.integers(
+                        -20, 21, n
+                    )
+                else:  # cancellation-prone
+                    values = rng.choice([1e16, -1e16, 1.0, 3.0, 1e-3], n)
+                got = alloc_mod._pairwise_sum(values.tolist())
+                assert repr(got) == repr(float(values.sum())), (n, style)
+
+    @pytest.mark.parametrize("values", [
+        [-0.0], [-0.0] * 9, [0.0, -0.0], [-0.0] * 200, [inf, 1.0],
+        [inf, -inf], [nan, 1.0], [1.0] * 7 + [nan], [1e308] * 130,
+    ])
+    def test_special_values(self, values):
+        with np.errstate(all="ignore"):  # inf - inf and overflow, on purpose
+            expected = float(np.array(values).sum())
+        assert repr(alloc_mod._pairwise_sum(values)) == repr(expected)
+
+
 class TestWaterFillNonFinite:
     """NaN ceilings or weights and a non-finite capacity raise in both
     forms; an infinite ceiling stays allowed."""

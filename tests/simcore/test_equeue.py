@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.errors import EventQueueError
 from repro.simcore.equeue import EventQueue
-from repro.simcore.events import Event
+from repro.simcore.events import PRIORITY_EXIT, Event, reserve_seq
 
 
 class TestBasics:
@@ -99,6 +99,41 @@ class TestCancellation:
         handles = [q.push(Event(time=float(i))) for i in range(5)]
         q.clear()
         assert all(not h.alive for h in handles)
+
+
+class TestEqualEventKeys:
+    """Entries sharing an event's ``(time, priority, seq)`` order without
+    comparing handles (a re-armed exit timer reuses its reserved seq)."""
+
+    def test_rearmed_key_beside_its_cancelled_entry(self):
+        q = EventQueue()
+        seq = reserve_seq()
+        old = q.push(Event(5.0, priority=PRIORITY_EXIT, payload="old", seq=seq))
+        q.push(Event(1.0, payload="other"))
+        q.cancel(old)
+        # Re-armed with the very key still sitting dead in the heap.
+        q.push(Event(5.0, priority=PRIORITY_EXIT, payload="new", seq=seq))
+        assert [q.pop().payload for _ in range(len(q))] == ["other", "new"]
+        assert not q
+
+    def test_live_equal_keys_pop_in_push_order(self):
+        q = EventQueue()
+        seq = reserve_seq()
+        for i in range(5):
+            q.push(Event(2.0, payload=i, seq=seq))
+        q.compact()
+        assert [q.pop().payload for _ in range(5)] == [0, 1, 2, 3, 4]
+
+    def test_equal_keys_survive_compaction(self):
+        q = EventQueue()
+        seq = reserve_seq()
+        handles = [
+            q.push(Event(3.0, payload=i, seq=seq)) for i in range(200)
+        ]
+        for h in handles[:150]:
+            q.cancel(h)  # compacts once dead entries outnumber live ones
+        assert len(q._heap) < 200
+        assert [q.pop().payload for _ in range(len(q))] == list(range(150, 200))
 
 
 class TestCompaction:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.simcore.events import Event, EventKind
+from repro.simcore.events import Event, EventKind, reserve_seq
 
 
 class TestEventOrdering:
@@ -26,6 +26,25 @@ class TestEventOrdering:
     def test_sort_key_shape(self):
         e = Event(time=3.5, priority=2)
         assert e.sort_key() == (3.5, 2, e.seq)
+
+
+class TestReserveSeq:
+    def test_reserved_seqs_share_the_event_counter(self):
+        before = Event(time=0.0).seq
+        reserved = [reserve_seq() for _ in range(3)]
+        after = Event(time=0.0).seq
+        assert before < reserved[0] < reserved[1] < reserved[2] < after
+
+    def test_explicit_seq_consumes_nothing(self):
+        seq = reserve_seq()
+        event = Event(time=1.0, seq=seq)
+        assert event.seq == seq
+        assert Event(time=0.0).seq == seq + 1
+
+    def test_reserved_seq_orders_like_the_event_it_stands_for(self):
+        reserved = reserve_seq()
+        later = Event(time=1.0)
+        assert Event(time=1.0, seq=reserved) < later
 
 
 class TestEventFire:
