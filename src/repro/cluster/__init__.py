@@ -18,7 +18,9 @@ Key classes
     through a pluggable
     :class:`~repro.cluster.placement.PlacementPolicy`, and scales the
     fleet through a pluggable
-    :class:`~repro.cluster.autoscale.AutoscalePolicy`.
+    :class:`~repro.cluster.autoscale.AutoscalePolicy`.  Each job has one
+    :class:`~repro.cluster.manager.JobRecord` whose state moves only
+    along the manager's table of legal transitions.
 :mod:`~repro.cluster.admission`
     Admission policies ordering the pending queue: fifo (default),
     strict priority classes, weighted fair queueing across tenants,
@@ -59,7 +61,7 @@ from repro.cluster.autoscale import (
     make_autoscale,
 )
 from repro.cluster.contention import ContentionModel
-from repro.cluster.manager import Manager, Placement
+from repro.cluster.manager import JobRecord, Manager
 from repro.cluster.placement import (
     PLACEMENTS,
     AffinityPlacement,
@@ -93,6 +95,7 @@ __all__ = [
     "ContainerPool",
     "ContentionModel",
     "FifoAdmission",
+    "JobRecord",
     "JobSubmission",
     "Manager",
     "MigrateOnExit",
@@ -100,7 +103,6 @@ __all__ = [
     "NoAutoscale",
     "NoRebalance",
     "PLACEMENTS",
-    "Placement",
     "PlacementPolicy",
     "PoolDelta",
     "PriorityAdmission",

@@ -27,23 +27,43 @@ places queued jobs in the *policy's* order — FIFO (the historical
 default, bit-identical to the old hardcoded deque), strict priority
 classes, weighted fair queueing across tenants, or shortest-job-first.
 Per-job queueing delay (placement time minus submit time) is recorded on
-the :class:`Placement` and surfaced through
+the job's :class:`JobRecord` and surfaced through
 :class:`~repro.metrics.summary.RunSummary`; :attr:`Manager.peak_queue_len`
 tracks the worst backlog.  With unbounded workers (the default, and the
 paper's single-node setup) the queue is never used and behaviour is
 bit-identical to the historical pass-through manager.
+
+Job records
+-----------
+Every accepted submission gets one :class:`JobRecord` in
+:attr:`Manager.jobs` (label → record) whose ``state`` says where the
+job is: ``arrived`` (accepted, arrival not yet handled — or an orphan
+waiting out its restore delay), ``queued`` (in the admission queue),
+``placing`` (a place order is on its way to a worker holding a slot
+for it), ``running``, ``migrating`` (detached, travelling to its next
+host), ``orphaned`` (its host crashed or its attach leg was lost;
+resolved at once into a retry or a failure), and the terminal ``done``
+and ``failed``.  Every change of state goes through
+``Manager._transition``, which raises :class:`~repro.errors.ClusterError`
+on any move outside :data:`TRANSITIONS` and keeps per-state counts, so
+:attr:`Manager.pending` and :meth:`Manager.count` are O(1).  The
+per-label maps — :attr:`~Manager.placements`,
+:attr:`~Manager.queue_delays`, :attr:`~Manager.tenants`,
+:attr:`~Manager.migrations`, :attr:`~Manager.migration_delays`,
+:attr:`~Manager.retries`, :attr:`~Manager.failed` and
+:attr:`~Manager.lost_work` — are read-only projections of the records.
 
 Rebalancing
 -----------
 After each exit-hook queue drain the manager hands the cluster to a
 pluggable :class:`~repro.cluster.rebalance.RebalancePolicy`, which may
 migrate running containers between workers (live ``detach``/``attach``
-with bit-exact remaining work).  Per-job migration counts and in-flight
-delay land on the :class:`Placement` and in :attr:`Manager.migrations` /
-:attr:`Manager.migration_delays`, surfaced through
-:class:`~repro.metrics.summary.RunSummary`.  The default ``"none"``
-policy is short-circuited entirely, preserving bit-identical behaviour
-with the pre-rebalancing manager.
+with bit-exact remaining work).  Each move passes the job through the
+``migrating`` state and adds to its record's ``migrations`` count and
+``migration_delay`` (in-flight checkpoint/restore seconds), surfaced
+through :class:`~repro.metrics.summary.RunSummary`.  The default
+``"none"`` policy is short-circuited entirely, preserving bit-identical
+behaviour with the pre-rebalancing manager.
 
 Autoscaling
 -----------
@@ -72,9 +92,10 @@ resolves every resident container through the injector's
 :class:`~repro.cluster.failures.DurabilityModel`: the job is rolled back
 to whatever work survived, and the orphan re-queues through the existing
 admission policy with its original tenant/weight/priority, consuming one
-unit of the submission's ``retry_budget``.  Exhausted jobs land in
-:attr:`Manager.failed` with their retry counts and lost work, keeping
-accounting exactly-once even though execution is at-least-once.
+unit of the submission's ``retry_budget``.  Exhausted jobs end in the
+``failed`` state with their retry counts and lost work (the
+:attr:`Manager.failed` view), keeping accounting exactly-once even
+though execution is at-least-once.
 Fail-slow faults degrade the victim's capacity in place.  Recovery
 (``WORKER_RECOVER``) re-arms the node like an autoscale provision: it
 rejoins empty, :attr:`recover_hooks` fire (the runner restarts the
@@ -96,7 +117,7 @@ behaviour bit-identical to the direct-call manager; a
 or partition messages, with manager-side retry/backoff and
 reconciliation keeping accounting exactly-once: a place order that can
 never be delivered consumes the submission's ``retry_budget`` and
-ultimately lands the job in :attr:`Manager.failed`; lost exit/fault/
+ultimately fails the job; lost exit/fault/
 recovery notifications are discovered late by reconciliation; in-flight
 slot reservations are stamped with the target's crash epoch so no
 reservation ever leaks.
@@ -104,7 +125,9 @@ reservation ever leaks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import itertools
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Sequence
 
 from repro.cluster.admission import (
@@ -119,7 +142,6 @@ from repro.cluster.autoscale import (
 from repro.cluster.fabric import (
     MANAGER,
     FabricPolicy,
-    IdealFabric,
     make_fabric,
 )
 from repro.cluster.failures import (
@@ -146,33 +168,70 @@ from repro.simcore.engine import Simulator
 from repro.simcore.equeue import EventHandle
 from repro.simcore.events import PRIORITY_ARRIVAL, Event, EventKind
 
-__all__ = ["Placement", "Manager"]
+__all__ = ["JOB_STATES", "TRANSITIONS", "JobRecord", "Manager"]
 
 #: Builds one fresh worker for the autoscaler, given its node name.
 WorkerFactory = Callable[[str], Worker]
 
+#: Every job state, in lifecycle order.
+JOB_STATES = ("arrived", "queued", "placing", "running", "migrating",
+              "orphaned", "done", "failed")
+ARRIVED, QUEUED, PLACING, RUNNING, MIGRATING, ORPHANED, DONE, FAILED = JOB_STATES
 
-@dataclass(frozen=True)
-class Placement:
-    """Record of one job's placement.
+#: The legal moves of a job record: state → the states it may enter.
+TRANSITIONS: dict[str, frozenset[str]] = {
+    ARRIVED: frozenset({QUEUED, PLACING}),
+    QUEUED: frozenset({PLACING}),
+    # Back to arrived when the target crashed under the order, or the
+    # order was lost and the retry budget re-admits the job.
+    PLACING: frozenset({RUNNING, ARRIVED, FAILED}),
+    RUNNING: frozenset({MIGRATING, ORPHANED, DONE}),
+    MIGRATING: frozenset({RUNNING, ORPHANED}),
+    ORPHANED: frozenset({ARRIVED, FAILED}),
+    DONE: frozenset(),
+    FAILED: frozenset(),
+}
 
-    ``queue_delay`` is how long the job waited in the admission queue
-    (``placed_time - submit_time``); 0.0 for jobs placed on arrival.
-    ``worker_name`` is the job's *current* host: rebalancing updates it
-    on every migration, bumping ``migrations`` and adding any in-flight
-    checkpoint/restore time to ``migration_delay``.  ``tenant`` carries
-    the submission's owning tenant (``None`` outside multi-tenant runs).
+
+@dataclass(slots=True, eq=False)
+class JobRecord:
+    """One accepted job: its state, its host and what happened to it.
+
+    ``worker_name`` and ``cid`` name the job's current host and
+    container (after a crash, the last ones), ``placed_time`` and
+    ``queue_delay`` (``placed_time - submit_time``, 0.0 for jobs placed
+    on arrival) its latest placement.  ``migrations``,
+    ``migration_delay`` (in-flight checkpoint/restore seconds),
+    ``retries`` and ``lost_work`` (CPU-seconds lost to crashes;
+    ``None`` until a crash first orphans the job) add up over its whole
+    life.  ``submission`` is held until the job is done or failed, so a
+    crash can re-queue it with its original tenant, weight, priority
+    and retry budget.  ``tenant`` is ``None`` outside multi-tenant runs.
+
+    ``delay_seq``, ``move_seq`` and ``fail_seq`` are taken from the
+    manager's one counter when ``queue_delay`` (in a dense run) and
+    ``migration_delay`` first turn positive and when the job fails.  The
+    :attr:`Manager.queue_delays`, :attr:`Manager.migration_delays` and
+    :attr:`Manager.failed` views list labels in that order, so float
+    sums over them add in the order the events happened.
     """
 
     label: str
-    worker_name: str
-    cid: int
+    submission: JobSubmission | None
+    tenant: str | None
     submit_time: float
+    state: str = ARRIVED
+    worker_name: str | None = None
+    cid: int | None = None
     placed_time: float = 0.0
     queue_delay: float = 0.0
     migrations: int = 0
     migration_delay: float = 0.0
-    tenant: str | None = None
+    retries: int = 0
+    lost_work: float | None = None
+    delay_seq: int | None = None
+    move_seq: int | None = None
+    fail_seq: int | None = None
 
 
 class Manager:
@@ -214,16 +273,16 @@ class Manager:
         ``"partition(25..55):retry(max=8,base=0.5)"``); ``None`` means
         the ideal fabric, bit-identical to the direct-call manager.
     worker_factory:
-        ``name -> Worker`` builder for autoscale-provisioned nodes.
-        ``None`` (default) clones the first initial worker's shape
-        (capacity, contention, allocation mode, admission slots).
+        ``name -> Worker`` builder for autoscale-provisioned nodes;
+        required (:class:`~repro.errors.ClusterError` otherwise) when
+        ``autoscale`` is anything but ``"none"``.
     stream_sink:
         Optional :class:`~repro.metrics.sketch.StreamMetrics`.  When
-        given, the manager runs in bounded memory: per-label delay and
-        tenant maps are skipped (delays fold into the sink at placement
-        time), placement records are dropped as containers exit, and
-        duplicate-label detection is waived (a million-label set is
-        exactly the memory this mode exists to avoid — streams are
+        given, the manager runs in bounded memory: delays fold into the
+        sink at placement time (the ``queue_delays`` and ``tenants``
+        views stay empty), and a finished job's record is dropped
+        unless it migrated or retried — so duplicate-label detection
+        covers only jobs that still have a record (streams are
         generator-built with unique labels by construction).
     """
 
@@ -255,6 +314,11 @@ class Manager:
         self.admission = make_admission(admission)
         self.admission.bind(sim)
         self.autoscale = make_autoscale(autoscale)
+        if worker_factory is None and not isinstance(self.autoscale, NoAutoscale):
+            raise ClusterError(
+                f"autoscale policy {self.autoscale.name!r} needs a "
+                "worker_factory to build the workers it provisions"
+            )
         self.autoscale.bind(sim, len(self.workers))
         self.failures = make_failures(failures)
         self.fabric = make_fabric(fabric)
@@ -263,15 +327,10 @@ class Manager:
         # a migrated container's new-node observers are window-seeded at
         # the attach instant (Worker.attach), so nobody opens a window
         # below the pruned floor.
-        self.placements: dict[str, Placement] = {}
-        #: label → queueing delay, for jobs that actually waited (>0 s).
-        self.queue_delays: dict[str, float] = {}
-        #: label → tenant, for submissions that declared one.
-        self.tenants: dict[str, str] = {}
-        #: label → migration count, for jobs that actually migrated.
-        self.migrations: dict[str, int] = {}
-        #: label → summed in-flight checkpoint/restore seconds.
-        self.migration_delays: dict[str, float] = {}
+        #: label → record of every job with one (see "Job records").
+        self.jobs: dict[str, JobRecord] = {}
+        self._counts = dict.fromkeys(JOB_STATES, 0)
+        self._stamps = itertools.count(1)
         self.peak_queue_len: int = 0
         #: ``(time, fleet size)`` after every provision/retire (and the
         #: initial fleet at t=0); length 1 for fixed-fleet runs.
@@ -288,14 +347,8 @@ class Manager:
         self.fail_hooks: list = []
         #: Hooks invoked with each recovered worker after it rejoins: f(worker).
         self.recover_hooks: list = []
-        #: label → crash-restart count, for jobs restarted at least once.
-        self.retries: dict[str, int] = {}
-        #: label → (retries used, CPU-seconds lost) for retry-exhausted jobs.
-        self.failed: dict[str, tuple[int, float]] = {}
-        #: label → total CPU-seconds of progress lost to crashes.
-        self.lost_work: dict[str, float] = {}
         #: Names of workers that have crashed at least once (never removed;
-        #: a stale placement record may still point at one of these).
+        #: a job record may still name one as its last host).
         self.crashed_workers: set[str] = set()
         self.stream_sink = stream_sink
         self._streaming = stream_sink is not None
@@ -303,63 +356,52 @@ class Manager:
         #: ``submit_stream``; at most one of its arrivals is in the
         #: event queue at a time.
         self._stream_iter = None
-        self._labels: set[str] = set()
-        self._pending: int = 0
-        self._in_flight: int = 0
         self._provisions_pending: int = 0
         self._next_worker_idx = len(self.workers)
-        #: label → original submission for every *resident* job, so a
-        #: crash can re-queue orphans with their original tenant, weight,
-        #: priority and retry budget (tracked only when failures are armed).
-        self._active_submissions: dict[str, JobSubmission] = {}
         #: cid → (arrival event, container, target) for migrations still
-        #: in flight — a crash of the target must cancel the arrival.
+        #: in flight — a crash of the target must cancel the arrival, and
+        #: the table's insertion order is the crash's orphan order.
         self._inflight_migrations: dict[
             int, tuple[EventHandle, object, Worker]
         ] = {}
-        #: Template for the default worker factory, captured up front so
-        #: provisioning survives even a whole-fleet outage.
-        self._worker_template = self.workers[0]
         #: The workers with admission headroom, in fleet order.
         self._eligible = EligibleWorkers((), fleet=self.workers)
         for worker in self.workers:
             self._join(worker)
-        self._failures_armed = not isinstance(self.failures, NoFailures)
-        self._fabric_ideal = isinstance(self.fabric, IdealFabric)
-        #: Original submissions are tracked whenever anything can orphan
-        #: a placed job — worker crashes *or* undeliverable messages.
-        self._track_submissions = (
-            self._failures_armed or not self._fabric_ideal
-        )
         # The fabric binds before the failure plan (partition groups are
         # resolved from the initial fleet); failures still bind last.
         self.fabric.bind(sim, self)
-        if self._failures_armed:
+        if not isinstance(self.failures, NoFailures):
             # Bind last: fault plans may inspect the fully wired fleet.
             self.failures.bind(sim, self)
 
     # -- submission ---------------------------------------------------------------
 
     def submit(self, submission: JobSubmission) -> None:
-        """Queue *submission* for arrival at its submit time.
+        """Queue *submission* for arrival at its submit time."""
+        self._accept(submission, self._on_arrival)
 
-        The label/pending bookkeeping mutates only after the simulator
-        accepts the event, so a scheduling failure (e.g. a submit time in
-        the past) leaves the manager's state untouched and the label
-        reusable.
+    def _accept(self, submission: JobSubmission, on_arrival) -> None:
+        """Schedule one arrival and give the job its ``arrived`` record.
+
+        The record is filed only after the simulator accepts the event,
+        so a scheduling failure (e.g. a submit time in the past) leaves
+        the manager's state untouched and the label reusable.
         """
-        if not self._streaming and submission.label in self._labels:
-            raise ClusterError(f"duplicate job label {submission.label!r}")
+        label = submission.label
+        if label in self.jobs:
+            raise ClusterError(f"duplicate job label {label!r}")
+        time = submission.submit_time
+        record = JobRecord(label, submission, submission.tenant, time)
         self.sim.schedule(
-            submission.submit_time,
-            self._on_arrival,
+            time,
+            on_arrival,
             kind=EventKind.JOB_ARRIVAL,
             priority=PRIORITY_ARRIVAL,
-            payload=submission,
+            payload=record,
         )
-        if not self._streaming:
-            self._labels.add(submission.label)
-        self._pending += 1
+        self.jobs[label] = record
+        self._counts[ARRIVED] += 1
 
     def submit_all(self, submissions: list[JobSubmission]) -> None:
         """Queue a whole schedule."""
@@ -393,18 +435,7 @@ class Manager:
         if nxt is None:
             self._stream_iter = None
             return
-        if not self._streaming and nxt.label in self._labels:
-            raise ClusterError(f"duplicate job label {nxt.label!r}")
-        self.sim.schedule(
-            nxt.submit_time,
-            self._on_stream_arrival,
-            kind=EventKind.JOB_ARRIVAL,
-            priority=PRIORITY_ARRIVAL,
-            payload=nxt,
-        )
-        if not self._streaming:
-            self._labels.add(nxt.label)
-        self._pending += 1
+        self._accept(nxt, self._on_stream_arrival)
 
     def _on_stream_arrival(self, event: Event) -> None:
         # Pull the successor *before* handling this arrival, so a full
@@ -436,69 +467,57 @@ class Manager:
         """Read-only view of the workers with admission headroom."""
         return self._eligible
 
-    def _place(
-        self, submission: JobSubmission, eligible: Sequence[Worker]
-    ) -> None:
-        """Send a place order for *submission* to a chosen worker.
+    def _place(self, record: JobRecord, eligible: Sequence[Worker]) -> None:
+        """Send a place order for *record*'s job to a chosen worker.
 
         The admission slot is reserved *before* the order is sent and
         released by the delivery handler, so a slow fabric can never
         over-subscribe a worker; through the ideal fabric the
         reserve/deliver/release sequence runs inline and is invisible.
         """
-        worker = self.placement.select(eligible, submission)
+        self._transition(record, PLACING)
+        worker = self.placement.select(eligible, record.submission)
         worker.reserve_slot()
         epoch = worker.epoch
         self.fabric.send(
             "place",
             MANAGER,
             worker.name,
-            lambda: self._deliver_place(submission, worker, epoch),
-            lambda: self._place_undeliverable(submission, worker, epoch),
+            lambda: self._deliver_place(record, worker, epoch),
+            lambda: self._place_undeliverable(record, worker, epoch),
         )
 
     def _deliver_place(
-        self, submission: JobSubmission, worker: Worker, epoch: int
+        self, record: JobRecord, worker: Worker, epoch: int
     ) -> None:
         """A place order arrives at its worker: launch the container."""
         if worker.epoch != epoch or worker not in self.workers:
             # The target crashed while the order was in flight (its
             # reservation vanished with the crash): admit the job again.
-            self._admit(submission)
+            self._transition(record, ARRIVED)
+            self._admit(record)
             return
         worker.release_reservation()
+        label = record.label
+        submission = record.submission
         container = worker.launch(
-            submission.job,
-            name=submission.label,
-            image=submission.image,
+            submission.job, name=label, image=submission.image
         )
         now = self.sim.now
-        delay = now - submission.submit_time
-        self.placements[submission.label] = Placement(
-            label=submission.label,
-            worker_name=worker.name,
-            cid=container.cid,
-            submit_time=submission.submit_time,
-            placed_time=now,
-            queue_delay=delay,
-            tenant=submission.tenant,
-        )
+        delay = now - record.submit_time
+        record.worker_name = worker.name
+        record.cid = container.cid
+        record.placed_time = now
+        record.queue_delay = delay
+        self._transition(record, RUNNING)
         if self._streaming:
             # Bounded memory: the delay folds into the shared sketch sink
             # right now (zeros included — matching the dense per-tenant
             # views, which backfill 0.0 for jobs that never queued).
-            self.stream_sink.observe_placement(
-                submission.label, submission.tenant, delay
-            )
-        else:
-            if delay > 0:
-                self.queue_delays[submission.label] = delay
-            if submission.tenant is not None:
-                self.tenants[submission.label] = submission.tenant
-        if self._track_submissions:
-            self._active_submissions[submission.label] = submission
-        self._pending -= 1
-        if self._pending == 0:
+            self.stream_sink.observe_placement(label, record.tenant, delay)
+        elif delay > 0 and record.delay_seq is None:
+            record.delay_seq = next(self._stamps)
+        if self.pending == 0:
             # No accepted submission is still waiting to be placed: the
             # progress placement observer (if any) goes quiescent and
             # releases its bus subscriptions, so checkpoint pruning is no
@@ -506,47 +525,43 @@ class Manager:
             self.placement.quiesce()
         self.sim.trace(
             "manager.place",
-            f"placed {submission.label} on {worker.name}"
+            f"placed {label} on {worker.name}"
             + (f" after {delay:.1f}s queued" if delay > 0 else ""),
             cid=container.cid,
         )
 
     def _place_undeliverable(
-        self, submission: JobSubmission, worker: Worker, epoch: int
+        self, record: JobRecord, worker: Worker, epoch: int
     ) -> None:
         """A place order exhausted its retries: reconcile the job.
 
         The reservation is released (unless the worker's crash already
         zeroed it), one unit of the submission's ``retry_budget`` is
         consumed — an undeliverable order is operationally a lost
-        execution attempt — and the job re-enters admission, or lands in
-        :attr:`failed` with its budget exhausted.  Accounting stays
-        exactly-once: the job was never launched, so nothing ran twice.
+        execution attempt — and the job re-enters admission, or fails
+        with its budget exhausted.  Accounting stays exactly-once: the
+        job was never launched, so nothing ran twice.
         """
         if worker.epoch == epoch and worker in self.workers:
             worker.release_reservation()
-        label = submission.label
-        used = self.retries.get(label, 0)
-        if used >= submission.retry_budget:
-            self.failed[label] = (used, self.lost_work.get(label, 0.0))
-            self._pending -= 1
+        label = record.label
+        if not self._retry(record):
             if self.sim.trace_enabled:
                 self.sim.trace(
                     "manager.fault",
                     f"{label} failed permanently: place order "
-                    f"undeliverable after {used} retries",
+                    f"undeliverable after {record.retries} retries",
                 )
-            if self._pending == 0:
+            if self.pending == 0:
                 self.placement.quiesce()
             return
-        self.retries[label] = used + 1
         if self.sim.trace_enabled:
             self.sim.trace(
                 "manager.fault",
                 f"re-admitting {label} after undeliverable place order "
-                f"(retry {self.retries[label]}/{submission.retry_budget})",
+                f"(retry {record.retries}/{record.submission.retry_budget})",
             )
-        self._admit(submission)
+        self._admit(record)
 
     def _rearm_draining(self) -> None:
         """Un-drain one worker with free slots.
@@ -569,24 +584,24 @@ class Manager:
     def _on_arrival(self, event: Event) -> None:
         self._admit(event.payload)
 
-    def _admit(self, submission: JobSubmission) -> None:
-        """Place an accepted submission now, or queue it under pressure."""
+    def _admit(self, record: JobRecord) -> None:
+        """Place an ``arrived`` job now, or queue it under pressure."""
         eligible = self._eligible
         if not eligible and not isinstance(self.autoscale, NoAutoscale):
             self._rearm_draining()
         if not eligible:
-            self.admission.push(submission)
+            self._transition(record, QUEUED)
+            self.admission.push(record.submission)
             depth = len(self.admission)
             if depth > self.peak_queue_len:
                 self.peak_queue_len = depth
             self.sim.trace(
                 "manager.queue",
-                f"queued {submission.label} "
-                f"(cluster full, depth {depth})",
+                f"queued {record.label} (cluster full, depth {depth})",
             )
             self._autoscale_pass()
             return
-        self._place(submission, eligible)
+        self._place(record, eligible)
 
     def _fitting_workers(
         self, submission: JobSubmission, eligible: Sequence[Worker]
@@ -637,7 +652,8 @@ class Manager:
             submission = self.admission.pop_fitting(fits)
             if submission is None:
                 return False
-            self._place(submission, fit_cache.get(id(submission), eligible))
+            record = self.jobs[submission.label]
+            self._place(record, fit_cache.get(id(submission), eligible))
         return True
 
     def _on_worker_exit(self, container) -> None:
@@ -648,27 +664,22 @@ class Manager:
         always drains eventually — a partitioned worker cannot wedge
         admission forever.
         """
-        record = self.placements.get(container.name)
+        record = self.jobs.get(container.name)
         src = record.worker_name if record is not None else MANAGER
         deliver = lambda: self._deliver_exit(container)  # noqa: E731
         self.fabric.send("exit", src, MANAGER, deliver, deliver)
 
     def _deliver_exit(self, container) -> None:
-        """An exit notification arrives: drain the queue, then rebalance.
+        """An exit notification arrives: the job is done; drain the
+        queue, then rebalance.
 
         The rebalance pass runs only when the queue fully drained (a
         backlog implies no free slot to migrate into); the autoscale
         pass always runs — the backlog is precisely its scale-up signal.
         """
-        if self._track_submissions:
-            # The job completed: no crash can orphan it anymore.
-            self._active_submissions.pop(container.name, None)
-        if self._streaming:
-            # Exited jobs leave no placement record behind — with the
-            # recorder's sampler/tracker forgets, this is the manager's
-            # half of the bounded-memory guarantee.  (The retry/failure
-            # maps stay: they hold only crash-affected labels.)
-            self.placements.pop(container.name, None)
+        record = self.jobs.get(container.name)
+        if record is not None:  # None: launched outside the manager
+            self._transition(record, DONE)
         if self._drain_queue():
             self._rebalance_pass()
         self._autoscale_pass()
@@ -716,19 +727,14 @@ class Manager:
         if move.target not in self.workers or not move.target.has_headroom():
             return  # the target filled or vanished while the order flew
         container = move.source.detach(cid)
-        self.migrations[label] = self.migrations.get(label, 0) + 1
+        record = self.jobs[label]
+        record.migrations += 1
         if delay > 0:
-            self.migration_delays[label] = (
-                self.migration_delays.get(label, 0.0) + delay
-            )
-        record = self.placements.get(label)
-        if record is not None:
-            self.placements[label] = replace(
-                record,
-                worker_name=move.target.name,
-                migrations=record.migrations + 1,
-                migration_delay=record.migration_delay + delay,
-            )
+            if record.move_seq is None:
+                record.move_seq = next(self._stamps)
+            record.migration_delay += delay
+        record.worker_name = move.target.name
+        self._transition(record, MIGRATING)
         if self.sim.trace_enabled:
             self.sim.trace(
                 "manager.migrate",
@@ -740,7 +746,6 @@ class Manager:
             self._send_attach(container, move.target)
             return
         move.target.reserve_slot()
-        self._in_flight += 1
         handle = self.sim.schedule(
             self.sim.now + delay,
             self._on_migration_arrival,
@@ -759,7 +764,6 @@ class Manager:
         container, target = event.payload
         self._inflight_migrations.pop(container.cid, None)
         target.release_reservation()
-        self._in_flight -= 1
         self._send_attach(container, target)
 
     def _send_attach(self, container, target: Worker) -> None:
@@ -783,6 +787,7 @@ class Manager:
             return
         target.release_reservation()
         target.attach(container)
+        self._transition(self.jobs[container.name], RUNNING)
 
     def _attach_undeliverable(
         self, container, target: Worker, epoch: int
@@ -866,8 +871,7 @@ class Manager:
         self._provisions_pending -= 1
         name = f"worker-{self._next_worker_idx}"
         self._next_worker_idx += 1
-        factory = self.worker_factory or self._default_worker_factory
-        worker = factory(name)
+        worker = self.worker_factory(name)
         self.workers.append(worker)
         self._join(worker)
         self.fleet_timeline.append((self.sim.now, len(self.workers)))
@@ -880,18 +884,6 @@ class Manager:
         if self._drain_queue():
             self._rebalance_pass()
         self._autoscale_pass()
-
-    def _default_worker_factory(self, name: str) -> Worker:
-        """Clone the initial fleet's shape for a provisioned node."""
-        template = self._worker_template
-        return Worker(
-            self.sim,
-            name=name,
-            capacity=template.capacity,
-            contention=template.contention,
-            allocation_mode=template.allocator.mode,
-            max_containers=template.max_containers,
-        )
 
     def _retirable(self) -> list[Worker]:
         """Workers the autoscaler may remove, never below its floor."""
@@ -1046,7 +1038,6 @@ class Manager:
             if target is worker:
                 self.sim.cancel(handle)
                 del self._inflight_migrations[cid]
-                self._in_flight -= 1
                 stranded.append(container)
         orphans = worker.crash() + stranded
         self._leave(worker)
@@ -1079,42 +1070,38 @@ class Manager:
         rolled back to it and the *original* submission re-enters through
         the normal arrival path (admission order, tenant, weight and
         priority all preserved) after the model's restore delay — unless
-        the retry budget is exhausted, in which case the job lands in
-        :attr:`failed` and is never executed again.
+        the retry budget is exhausted, in which case the job fails and
+        is never executed again.
         """
         label = container.name
-        submission = self._active_submissions.get(label)
+        record = self.jobs[label]
+        self._transition(record, ORPHANED)
         resume_work, restore_delay = self.failures.durability.on_crash(
             container
         )
         lost = max(0.0, container.job.work_done - resume_work)
-        self.lost_work[label] = self.lost_work.get(label, 0.0) + lost
-        used = self.retries.get(label, 0)
-        if submission is None or used >= submission.retry_budget:
-            self.failed[label] = (used, self.lost_work[label])
-            self._active_submissions.pop(label, None)
+        record.lost_work = (record.lost_work or 0.0) + lost
+        if not self._retry(record):
             if self.sim.trace_enabled:
                 self.sim.trace(
                     "manager.fault",
-                    f"{label} failed permanently after {used} retries "
-                    f"({self.lost_work[label]:.1f} CPU-s lost)",
+                    f"{label} failed permanently after {record.retries} "
+                    f"retries ({record.lost_work:.1f} CPU-s lost)",
                 )
             return
-        self.retries[label] = used + 1
         container.job.work_done = resume_work
-        self._pending += 1
         self.sim.schedule(
             self.sim.now + restore_delay,
             self._on_arrival,
             kind=EventKind.JOB_ARRIVAL,
             priority=PRIORITY_ARRIVAL,
-            payload=submission,
+            payload=record,
         )
         if self.sim.trace_enabled:
             self.sim.trace(
                 "manager.fault",
-                f"re-queued {label} (retry {self.retries[label]}"
-                f"/{submission.retry_budget}, resume from "
+                f"re-queued {label} (retry {record.retries}"
+                f"/{record.submission.retry_budget}, resume from "
                 f"{resume_work:.1f} CPU-s"
                 + (
                     f", {restore_delay:.1f}s restore" if restore_delay > 0
@@ -1147,12 +1134,110 @@ class Manager:
             self._rebalance_pass()
         self._autoscale_pass()
 
+    # -- job records ----------------------------------------------------------------
+
+    def _transition(self, record: JobRecord, state: str) -> None:
+        """Move *record* to *state*; any move outside :data:`TRANSITIONS`
+        raises :class:`~repro.errors.ClusterError`.
+
+        Keeps the per-state counts.  A terminal move lets go of the
+        submission and a failure takes its ``fail_seq``; a streaming
+        run forgets a done job unless it migrated or retried, which is
+        the manager's half of the bounded-memory guarantee.
+        """
+        old = record.state
+        if state not in TRANSITIONS[old]:
+            raise ClusterError(
+                f"job {record.label!r} cannot move from {old} to {state}"
+            )
+        self._counts[old] -= 1
+        self._counts[state] += 1
+        record.state = state
+        if state == DONE:
+            record.submission = None
+            if self._streaming and not (record.migrations or record.retries):
+                del self.jobs[record.label]
+        elif state == FAILED:
+            record.submission = None
+            record.fail_seq = next(self._stamps)
+
+    def _retry(self, record: JobRecord) -> bool:
+        """Spend one unit of the job's retry budget and send it back to
+        ``arrived``; with the budget spent, fail it and return False."""
+        if record.retries >= record.submission.retry_budget:
+            self._transition(record, FAILED)
+            return False
+        record.retries += 1
+        self._transition(record, ARRIVED)
+        return True
+
+    def count(self, state: str) -> int:
+        """Jobs in *state* now (``done`` includes forgotten streamed jobs)."""
+        return self._counts[state]
+
+    def _stamped(self, stamp: str) -> list[JobRecord]:
+        """The records carrying *stamp* (stamps start at 1), in order."""
+        key = attrgetter(stamp)
+        return sorted(filter(key, self.jobs.values()), key=key)
+
     # -- views ------------------------------------------------------------------------
+
+    @property
+    def placements(self) -> dict[str, JobRecord]:
+        """label → record of every placed job; a streaming run leaves out
+        the ones that are done."""
+        streaming = self._streaming
+        return {k: r for k, r in self.jobs.items()
+                if r.cid is not None and not (streaming and r.state == DONE)}
+
+    @property
+    def queue_delays(self) -> dict[str, float]:
+        """label → queueing delay, for jobs that waited (>0 s); empty in
+        a streaming run, whose delays fold into the sink."""
+        return {r.label: r.queue_delay for r in self._stamped("delay_seq")}
+
+    @property
+    def tenants(self) -> dict[str, str]:
+        """label → tenant, for placed jobs that declared one; empty in a
+        streaming run."""
+        if self._streaming:
+            return {}
+        return {k: r.tenant for k, r in self.placements.items()
+                if r.tenant is not None}
+
+    @property
+    def migrations(self) -> dict[str, int]:
+        """label → migration count, for jobs that migrated."""
+        return {k: r.migrations for k, r in self.jobs.items() if r.migrations}
+
+    @property
+    def migration_delays(self) -> dict[str, float]:
+        """label → summed in-flight checkpoint/restore seconds (>0 s)."""
+        return {r.label: r.migration_delay for r in self._stamped("move_seq")}
+
+    @property
+    def retries(self) -> dict[str, int]:
+        """label → crash-restart count, for jobs restarted at least once."""
+        return {k: r.retries for k, r in self.jobs.items() if r.retries}
+
+    @property
+    def failed(self) -> dict[str, tuple[int, float]]:
+        """label → (retries used, CPU-seconds lost) for failed jobs."""
+        return {r.label: (r.retries, r.lost_work or 0.0)
+                for r in self._stamped("fail_seq")}
+
+    @property
+    def lost_work(self) -> dict[str, float]:
+        """label → CPU-seconds of progress lost to crashes, for jobs a
+        crash orphaned."""
+        return {k: r.lost_work for k, r in self.jobs.items()
+                if r.lost_work is not None}
 
     @property
     def pending(self) -> int:
         """Submissions accepted but not yet placed (queued ones included)."""
-        return self._pending
+        counts = self._counts
+        return counts[ARRIVED] + counts[QUEUED] + counts[PLACING]
 
     @property
     def queue_len(self) -> int:
@@ -1162,7 +1247,7 @@ class Manager:
     @property
     def in_flight(self) -> int:
         """Containers currently migrating between workers."""
-        return self._in_flight
+        return len(self._inflight_migrations)
 
     @property
     def provisions_pending(self) -> int:
@@ -1191,9 +1276,13 @@ class Manager:
         """Container ids currently migrating between workers."""
         return list(self._inflight_migrations)
 
-    def placement_of(self, label: str) -> Placement:
-        """Placement record for a job label."""
-        try:
-            return self.placements[label]
-        except KeyError:
-            raise ClusterError(f"job {label!r} has not been placed yet") from None
+    def placement_of(self, label: str) -> JobRecord:
+        """The record of a placed job (after a crash, of its last host)."""
+        record = self.jobs.get(label)
+        if record is not None and record.cid is not None:
+            return record
+        why = (
+            f"it is {record.state}" if record is not None
+            else "it was never submitted, or it finished in a streaming run"
+        )
+        raise ClusterError(f"job {label!r} has not been placed: {why}")

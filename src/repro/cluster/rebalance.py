@@ -149,8 +149,8 @@ class RebalancePolicy(abc.ABC):
         from the migrating container's resident memory (checkpoint
         size, :data:`FOOTPRINT_DELAY_SCALE` seconds per unit of RAM);
         a callable ``container -> seconds`` plugs in a custom cost
-        model.  Recorded per job in
-        :class:`~repro.cluster.manager.Placement` and surfaced through
+        model.  Added up per job on its
+        :class:`~repro.cluster.manager.JobRecord` and surfaced through
         :class:`~repro.metrics.summary.RunSummary`.
     """
 

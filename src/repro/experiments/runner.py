@@ -27,7 +27,7 @@ from repro.cluster.autoscale import AutoscalePolicy
 from repro.cluster.fabric import FabricPolicy
 from repro.cluster.failures import FailureInjector
 from repro.cluster.fleet import FleetTicker
-from repro.cluster.manager import Manager
+from repro.cluster.manager import FAILED, Manager
 from repro.cluster.placement import PlacementPolicy
 from repro.cluster.rebalance import RebalancePolicy
 from repro.cluster.submission import JobSubmission
@@ -39,7 +39,6 @@ from repro.metrics.recorder import ContainerTrace, MetricsRecorder
 from repro.metrics.sketch import StreamMetrics
 from repro.metrics.summary import RunSummary
 from repro.simcore.engine import Simulator
-from repro.simcore.events import EventKind
 from repro.workloads.generator import WorkloadSpec, WorkloadStream
 from repro.workloads.models import MODEL_ZOO
 
@@ -253,29 +252,26 @@ def run_cluster(
     # workers — runs as one fused settle + segmented reallocate + packed
     # sampling pass (see repro.cluster.fleet).
     FleetTicker(sim).arm()
-    workers = [
-        Worker(
-            sim,
-            name=f"worker-{i}",
-            capacity=caps[i],
-            contention=cfg.contention,
-            allocation_mode=cfg.allocation_mode,
-            max_containers=slots[i],
-        )
-        for i in range(n_workers)
-    ]
 
-    def provisioned_worker(name: str) -> Worker:
-        # Autoscaled nodes follow the *config* shape, not any per-worker
-        # capacity/slot list (those describe the initial fleet only).
+    def make_worker(
+        name: str,
+        capacity: float = cfg.capacity,
+        max_containers: int | None = cfg.max_containers,
+    ) -> Worker:
+        # Autoscaled nodes take the defaults, the *config* shape: the
+        # per-worker capacity/slot lists describe the initial fleet only.
         return Worker(
             sim,
             name=name,
-            capacity=cfg.capacity,
+            capacity=capacity,
             contention=cfg.contention,
             allocation_mode=cfg.allocation_mode,
-            max_containers=cfg.max_containers,
+            max_containers=max_containers,
         )
+
+    workers = [
+        make_worker(f"worker-{i}", caps[i], slots[i]) for i in range(n_workers)
+    ]
 
     manager = Manager(
         sim,
@@ -286,7 +282,7 @@ def run_cluster(
         autoscale=autoscale,
         failures=failures,
         fabric=fabric,
-        worker_factory=provisioned_worker,
+        worker_factory=make_worker,
         stream_sink=sink,
     )
     recorders: dict[str, MetricsRecorder] = {}
@@ -367,76 +363,45 @@ def run_cluster(
 
     # Step until every job completes or permanently fails; periodic
     # recorder/scheduler events would keep an unconditional run() alive
-    # forever.  Completions only grow on container exits and permanent
-    # failures only on worker crashes, so the count is recomputed on
-    # those event kinds instead of every step (the per-step recount was
-    # a measurable fraction of large-fleet run time).
-    resolved = completed + len(manager.failed)
-    while resolved < expected:
+    # forever.  Both counts are O(1) to read, so they are checked after
+    # every step.
+    while completed + manager.count(FAILED) < expected:
         if cfg.horizon is not None and sim.now >= cfg.horizon:
             break
-        event = sim.step()
-        if event is None:
+        if sim.step() is None:
+            n_failed = manager.count(FAILED)
             raise ExperimentError(
                 f"simulation stalled at t={sim.now:.1f}s with "
                 f"{completed}/{expected} jobs complete"
-                + (
-                    f" ({len(manager.failed)} failed)"
-                    if manager.failed else ""
-                )
+                + (f" ({n_failed} failed)" if n_failed else "")
             )
-        if (
-            event.kind is EventKind.CONTAINER_EXIT
-            or event.kind is EventKind.WORKER_FAIL
-            or event.kind is EventKind.MESSAGE
-        ):
-            # MESSAGE events matter too: a fabric give-up fails a job
-            # without any container exit or worker crash.
-            resolved = completed + len(manager.failed)
 
     for recorder in recorders.values():
         recorder.stop()
     for pol in policies.values():
         pol.detach()
 
-    if streaming:
-        n_done = sink.n_completed
-        if n_done + len(manager.failed) < expected and cfg.horizon is None:
-            raise ExperimentError("run ended with incomplete jobs")
-        if n_done == 0:
-            raise MetricsError("no jobs completed within the horizon")
-        summary = RunSummary(
-            completions=[],
-            peak_queue_len=manager.peak_queue_len,
-            migrations=dict(manager.migrations),
-            migration_delays=dict(manager.migration_delays),
-            fleet_timeline=tuple(manager.fleet_timeline),
-            retries=dict(manager.retries),
-            failed_jobs=dict(manager.failed),
-            fabric_stats=manager.fabric.stats(),
-            stream=sink,
-        )
-    else:
-        completions = [c for r in recorders.values() for c in r.completions]
-        if (
-            len(completions) + len(manager.failed) < expected
-            and cfg.horizon is None
-        ):
-            raise ExperimentError("run ended with incomplete jobs")
-        if not completions:
-            raise MetricsError("no jobs completed within the horizon")
-        summary = RunSummary(
-            completions=completions,
-            queue_delays=dict(manager.queue_delays),
-            peak_queue_len=manager.peak_queue_len,
-            migrations=dict(manager.migrations),
-            migration_delays=dict(manager.migration_delays),
-            tenants=dict(manager.tenants),
-            fleet_timeline=tuple(manager.fleet_timeline),
-            retries=dict(manager.retries),
-            failed_jobs=dict(manager.failed),
-            fabric_stats=manager.fabric.stats(),
-        )
+    # Streaming recorders keep no completion records, and the manager's
+    # queue_delays and tenants views are empty: both fold into the sink.
+    completions = [c for r in recorders.values() for c in r.completions]
+    n_done = sink.n_completed if streaming else len(completions)
+    if n_done + manager.count(FAILED) < expected and cfg.horizon is None:
+        raise ExperimentError("run ended with incomplete jobs")
+    if n_done == 0:
+        raise MetricsError("no jobs completed within the horizon")
+    summary = RunSummary(
+        completions=completions,
+        queue_delays=manager.queue_delays,
+        peak_queue_len=manager.peak_queue_len,
+        migrations=manager.migrations,
+        migration_delays=manager.migration_delays,
+        tenants=manager.tenants,
+        fleet_timeline=tuple(manager.fleet_timeline),
+        retries=manager.retries,
+        failed_jobs=manager.failed,
+        fabric_stats=manager.fabric.stats(),
+        stream=sink,
+    )
 
     return RunResult(
         policy_name=next(iter(policies.values())).name,

@@ -41,7 +41,15 @@ from repro.cluster.contention import ContentionModel
 from repro.cluster.fabric import FABRICS, NETWORK_FAULTS
 from repro.cluster.failures import FAILURES, RandomFailures
 from repro.cluster.fleet import FleetTicker
-from repro.cluster.manager import Manager
+from repro.cluster.manager import (
+    ARRIVED,
+    DONE,
+    FAILED,
+    JOB_STATES,
+    PLACING,
+    QUEUED,
+    Manager,
+)
 from repro.cluster.placement import PLACEMENTS
 from repro.cluster.rebalance import (
     REBALANCERS,
@@ -118,6 +126,27 @@ def _check_eligible(manager, event) -> None:
         )
         assert view.least_loaded() is spread
         assert view.most_loaded() is binpack
+
+
+def _check_records(manager, submitted) -> None:
+    """Every submitted label is in exactly one state, and the manager's
+    per-state counts, ``pending`` and ``in_flight`` agree with a recount.
+
+    A streaming run forgets a done job's record, so a submitted label
+    without one counts as done there.
+    """
+    counts = dict.fromkeys(JOB_STATES, 0)
+    for label in submitted:
+        record = manager.jobs.get(label)
+        if record is None:
+            assert manager.stream_sink is not None, f"{label} has no record"
+            counts[DONE] += 1
+        else:
+            counts[record.state] += 1
+    assert len(manager.jobs) <= len(submitted)
+    assert counts == {s: manager.count(s) for s in JOB_STATES}
+    assert manager.pending == counts[ARRIVED] + counts[QUEUED] + counts[PLACING]
+    assert manager.in_flight == len(manager.inflight_cids())
 
 
 def _run_checked(
@@ -205,6 +234,8 @@ def _run_checked(
             for label, work, demand, t, tenant, weight, priority in jobs
         ]
     )
+    submitted = [label for label, *_ in jobs]
+
     def check_slots(event):
         for worker in manager.workers:
             occupied = len(worker.running_containers()) + worker.reserved
@@ -212,6 +243,7 @@ def _run_checked(
                 occupied <= worker.max_containers
             ), f"{worker.name} over capacity after {event!r}"
         _check_eligible(manager, event)
+        _check_records(manager, submitted)
 
     if recorders:
         # Recorders reschedule themselves forever; step until every job
@@ -240,6 +272,7 @@ def _run_checked(
     assert labels == sorted(
         label for label, *_ in jobs if label not in manager.failed
     )
+    assert all(r.state in (DONE, FAILED) for r in manager.jobs.values())
     assert not set(manager.failed) & set(labels)
     # The admission queue fully drained and nothing is still in flight.
     assert manager.queue_len == 0
@@ -817,7 +850,14 @@ def _run_streaming_checked(
     for worker in workers:
         instrument(worker)
     manager.provision_hooks.append(instrument)
-    manager.submit_stream(_stream_submissions(family, n_jobs, seed))
+    submitted: list[str] = []
+
+    def tap(submissions):
+        for sub in submissions:
+            submitted.append(sub.label)
+            yield sub
+
+    manager.submit_stream(tap(_stream_submissions(family, n_jobs, seed)))
 
     def check_slots(event):
         for worker in manager.workers:
@@ -826,6 +866,7 @@ def _run_streaming_checked(
                 occupied <= worker.max_containers
             ), f"{worker.name} over capacity after {event!r}"
         _check_eligible(manager, event)
+        _check_records(manager, submitted)
 
     def live_slots():
         return sum(w.max_containers or 16 for w in manager.workers)
@@ -856,6 +897,7 @@ def _run_streaming_checked(
     expected = {f"Job-{i}" for i in range(1, n_jobs + 1)}
     assert set(names) == expected - set(manager.failed)
     assert not set(manager.failed) & set(names)
+    assert all(r.state in (DONE, FAILED) for r in manager.jobs.values())
     assert sink.n_completed == len(names)
     assert sink.n_placed >= sink.n_completed
     # Queue drained, nothing in flight — same as the dense harness.
