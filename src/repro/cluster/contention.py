@@ -24,7 +24,9 @@ idealized work-conserving analysis used in several unit tests.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -99,26 +101,21 @@ class ContentionModel:
             eff /= 1.0 + self.swap_penalty * overcommit
         return eff
 
-    def demand_amplitude(self, limits: np.ndarray) -> np.ndarray | None:
+    def demand_amplitude(self, limits: Sequence[float]) -> list[float] | None:
         """Per-container demand-noise amplitudes for *limits*.
 
-        Pure function of the limit vector, so callers that re-balance
+        Pure function of the limit list, so callers that re-balance
         many times between limit changes may cache the result.  ``None``
         means "no jitter" (empty pool or all-zero amplitudes) — the
         noise methods then skip the RNG draw entirely, which is part of
         the replay contract (an ideal worker consumes no random numbers).
         """
-        limits = np.asarray(limits, dtype=np.float64)
-        if limits.shape[0] == 0:
-            return None
-        amplitude = np.where(
-            limits >= self.limit_threshold, self.jitter_free, self.jitter_limited
-        )
-        if not amplitude.any():
-            return None
-        return amplitude
+        threshold = self.limit_threshold
+        free, limited = self.jitter_free, self.jitter_limited
+        amplitude = [free if li >= threshold else limited for li in limits]
+        return amplitude if any(amplitude) else None
 
-    def weight_amplitude(self, limits: np.ndarray) -> np.ndarray | None:
+    def weight_amplitude(self, limits: Sequence[float]) -> list[float] | None:
         """Per-container weight-noise amplitudes for *limits*.
 
         Per §5.5.1's explanation of Fig. 15 vs Fig. 16 — "FlowCon employs
@@ -128,25 +125,22 @@ class ContentionModel:
         containers are pinned to tight limits churns less.  ``None``
         means no draw (see :meth:`demand_amplitude`).
         """
-        limits = np.asarray(limits, dtype=np.float64)
-        n = limits.shape[0]
+        n = len(limits)
         if n == 0:
             return None
-        free = limits >= self.limit_threshold
-        room = float(free.sum()) / n
-        amplitude = np.where(
-            free, self.jitter_free * room, self.jitter_limited
-        )
-        if not amplitude.any():
-            return None
-        return amplitude
+        threshold = self.limit_threshold
+        free = [li >= threshold for li in limits]
+        free_amp = self.jitter_free * (float(free.count(True)) / n)
+        limited = self.jitter_limited
+        amplitude = [free_amp if f else limited for f in free]
+        return amplitude if any(amplitude) else None
 
     def demand_noise(
         self,
         rng: np.random.Generator,
-        limits: np.ndarray,
-        amplitude: np.ndarray | None = None,
-    ) -> np.ndarray:
+        limits: Sequence[float],
+        amplitude: Sequence[float] | None = None,
+    ) -> list[float]:
         """Multiplicative demand factors, one per container.
 
         Containers competing freely (limit above :attr:`limit_threshold`)
@@ -156,17 +150,14 @@ class ContentionModel:
         """
         if amplitude is None:
             amplitude = self.demand_amplitude(limits)
-        n = np.asarray(limits).shape[0]
-        if amplitude is None:
-            return np.ones(n, dtype=np.float64)
-        return 1.0 + rng.uniform(-1.0, 1.0, size=n) * amplitude
+        return _noise(rng, len(limits), amplitude)
 
     def weight_noise(
         self,
         rng: np.random.Generator,
-        limits: np.ndarray,
-        amplitude: np.ndarray | None = None,
-    ) -> np.ndarray:
+        limits: Sequence[float],
+        amplitude: Sequence[float] | None = None,
+    ) -> list[float]:
         """Fair-share weight perturbations for the allocator's phase 1.
 
         Models the kernel scheduler's imperfect instantaneous fairness;
@@ -175,7 +166,15 @@ class ContentionModel:
         """
         if amplitude is None:
             amplitude = self.weight_amplitude(limits)
-        n = np.asarray(limits).shape[0]
-        if amplitude is None:
-            return np.ones(n, dtype=np.float64)
-        return 1.0 + rng.uniform(-1.0, 1.0, size=n) * amplitude
+        return _noise(rng, len(limits), amplitude)
+
+
+def _noise(
+    rng: np.random.Generator, n: int, amplitude: Sequence[float] | None
+) -> list[float]:
+    """``1 + u · amplitude`` per container, ``u`` one uniform draw of *n*
+    values on ``[-1, 1)`` (no draw at all for a ``None`` amplitude)."""
+    if amplitude is None:
+        return [1.0] * n
+    draws = rng.uniform(-1.0, 1.0, size=n).tolist()
+    return [1.0 + x for x in map(mul, draws, amplitude)]

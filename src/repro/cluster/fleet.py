@@ -6,22 +6,19 @@ reallocates and observes.  :class:`FleetTicker` registers an engine-level
 batcher (:meth:`repro.simcore.engine.Simulator.register_batcher`) for
 ``METRIC_SAMPLE``, so every tick — a lone worker's as a batch of one, or
 all the workers of a fleet whose shared sampling grid lands them on one
-instant — runs as one :func:`fleet_tick`: settlement and reallocation
-over a packed ``(worker, container)`` arena, then each recorder's
-sampling.  The runner always arms it.  Without a ticker (a hand-wired
-simulation) each recorder's tick runs the same :func:`fleet_tick` as a
-batch of one, through :meth:`MetricsRecorder.sample_now`.
+instant — runs as one :func:`fleet_tick`: settlement, reallocation
+through one segmented allocation, then each recorder's sampling.  The
+runner always arms it.  Without a ticker (a hand-wired simulation) each
+recorder's tick runs the same :func:`fleet_tick` as a batch of one,
+through :meth:`MetricsRecorder.sample_now`.
 
-The pass has three phases.  Only the first two pack work across workers,
-where packing measurably pays on a fleet; everything else runs each
-worker's or recorder's own code:
+The pass has three phases.  Only reallocation gathers work across
+workers; everything else runs each worker's or recorder's own code:
 
-* **Settle** — pack every stale worker's active-container footprint
-  arrays (workers admit only plain ``ResourceSpec`` footprints, so every
-  worker packs) into contiguous arrays with per-worker segment offsets,
-  compute the rows with the worker's own :func:`settle_rows` (per-row
-  ``eff``/``dt`` arrays instead of per-worker scalars) and apply each
-  segment through :meth:`Worker._apply_settle`.
+* **Settle** — each stale worker runs its own :meth:`Worker.settle`, a
+  float loop over its containers.  (A packed ``(worker, container)``
+  numpy arena did this until the worker moved to Python floats; on 256
+  one-container workers the per-worker loop measured faster.)
 * **Reallocate** — run each worker's ``_realloc_begin`` (version bump +
   per-worker jitter draws, preserving every RNG stream's draw order),
   hand all allocator inputs to
@@ -54,11 +51,10 @@ Bit-identity invariants
   per-worker RNG streams, so reordering the *cross-worker* interleaving
   of settle/reallocate/sample cannot change any per-worker state.
 * Every fused stage runs the same code objects as the per-worker path
-  on identical inputs (``settle_rows`` — whose packed per-row arrays
-  give the same per-element IEEE ops as per-worker scalars —
-  ``_apply_settle``, ``_realloc_begin``/``_realloc_finish``,
-  ``CpuAllocator.allocate`` per pool, ``BusSampler.read``) — equal
-  inputs ⇒ equal bits, so a batch of many and batches of one agree.
+  on identical inputs (``Worker.settle``,
+  ``_realloc_begin``/``_realloc_finish``, ``CpuAllocator.allocate`` per
+  pool, ``BusSampler.read``) — equal inputs ⇒ equal bits, so a batch of
+  many and batches of one agree.
 * Workers already settled or poked at this instant are skipped exactly
   as their own ``settle()``/``poke()`` would no-op.
 """
@@ -68,9 +64,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.cluster.worker import Worker, settle_rows
+from repro.cluster.worker import Worker
 from repro.simcore.engine import Simulator
 from repro.simcore.events import Event, EventKind
 
@@ -88,59 +82,15 @@ __all__ = [
 
 
 def fleet_settle(workers: list[Worker]) -> None:
-    """Settle every worker up to now in one packed numpy pass.
-
-    Equivalent to ``for w in workers: w.settle()`` bit for bit: the
-    rows are :func:`settle_rows` over the packed arena with per-row
-    ``eff``/``dt``, and each worker applies its own segment.  Empty pools
-    just advance their clock; a lone worker left to settle uses its own
-    ``settle()``.
-    """
+    """Settle every stale worker up to now through its own
+    :meth:`Worker.settle`; workers already settled at this instant are
+    skipped, as their ``settle()`` would no-op."""
     if not workers:
         return
     now = workers[0].sim.now
-    segments: list[tuple[Worker, tuple, float, float]] = []
     for w in workers:
-        dt = now - w._last_settle
-        if dt <= 0:
-            continue
-        if not w._active:
-            w._last_settle = now
-            continue
-        arrays, mem = w._footprint_state()
-        segments.append((w, arrays, mem, dt))
-    if len(segments) <= 1:
-        for w, _, _, _ in segments:
+        if w._last_settle < now:
             w.settle()
-        return
-    lens = [len(w._active) for w, _, _, _ in segments]
-    packed = tuple(
-        np.concatenate([arrays[k] for _, arrays, _, _ in segments])
-        for k in range(4)
-    )
-    effs = np.repeat(
-        np.array(
-            [
-                w.contention.efficiency(n, mem)
-                for (w, _, mem, _), n in zip(segments, lens)
-            ],
-            dtype=np.float64,
-        ),
-        lens,
-    )
-    dts = np.repeat(
-        np.array([dt for _, _, _, dt in segments], dtype=np.float64), lens
-    )
-    allocs = np.concatenate([w._allocs for w, _, _, _ in segments])
-    work, contrib = settle_rows(allocs, packed, effs, dts)
-    work_l = work.tolist()
-    contrib_l = contrib.tolist()
-    off = 0
-    for (w, _, _, dt), n in zip(segments, lens):
-        end = off + n
-        w._apply_settle(work_l[off:end], contrib_l[off:end], dt)
-        w._last_settle = now
-        off = end
 
 
 def fleet_reallocate(workers: list[Worker]) -> None:

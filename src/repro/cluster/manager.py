@@ -1259,10 +1259,6 @@ class Manager:
         """Workers currently in the fleet (draining ones included)."""
         return len(self.workers)
 
-    def migration_count(self, label: str) -> int:
-        """How many times a job has been migrated (0 if never)."""
-        return self.migrations.get(label, 0)
-
     @property
     def total_migrations(self) -> int:
         """Migrations executed so far, cluster-wide."""

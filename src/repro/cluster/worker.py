@@ -18,16 +18,30 @@ exact, with no time-stepping error.
 
 Hot-path notes
 --------------
-Footprints must be plain :class:`ResourceSpec` objects (:meth:`launch
-<Worker.launch>` and :meth:`attach <Worker.attach>` raise
-:class:`ConfigError` otherwise), so settlement, reallocation and exit
-projection all read them as one set of per-resource numpy arrays.
-Settlement computes per-container work and cgroup usage rows over those
-arrays and applies them in bulk.  Exits run on **one timer per worker**:
-each reallocation re-projects every running job's finish time into a
-cid-keyed table of ``(t_finish, seq)`` projections.  A projection whose
-recomputed finish time is exactly unchanged keeps its seq; a new or
-moved one reserves a fresh seq
+Per-container state is Python floats, not numpy arrays: the pools are
+one to a few dozen containers, where numpy's per-call constant costs more
+than the arithmetic.  Footprints must be plain :class:`ResourceSpec`
+objects (:meth:`launch <Worker.launch>` and :meth:`attach <Worker.attach>`
+raise :class:`ConfigError` otherwise), so settlement, reallocation and
+exit projection all read them as one cached set of per-resource lists;
+the shares are one list aligned with the active set.  Settlement is one
+float loop per container, reallocation builds its allocator inputs as
+lists (numpy only draws the jitter), and the allocator returns a list.
+Each element goes through the same IEEE operations, in the same order,
+as the elementwise numpy form of the same step, which the golden
+fixtures were generated with; the parity fuzz in
+``tests/cluster/test_worker.py`` holds the loops to test copies of
+those forms, bit for bit, and :meth:`Worker.load` sums the shares in
+``ndarray.sum()``'s pairwise order.  The loops assume finite inputs:
+``a if a < d else d`` does not propagate a NaN as ``np.minimum`` does.
+``ResourceSpec`` range-checks every footprint field, container limits
+reject NaN, and the allocator rejects NaN limits and demands, so none
+reaches them.
+
+Exits run on **one timer per worker**: each reallocation re-projects
+every running job's finish time into a cid-keyed table of ``(t_finish,
+seq)`` projections.  A projection whose recomputed finish time is
+exactly unchanged keeps its seq; a new or moved one reserves a fresh seq
 (:func:`~repro.simcore.events.reserve_seq`) exactly where a
 per-container exit event used to be pushed.  The worker keeps a single
 live ``CONTAINER_EXIT`` in the queue, keyed ``(time, PRIORITY_EXIT,
@@ -38,30 +52,33 @@ fraction of the pushes and cancels.
 
 Every recorder sampling tick runs through the fused fleet pass
 (:mod:`repro.cluster.fleet`), which settles and reallocates all workers
-sampling at one instant together — a single worker is a one-segment
-pass.  The pass reuses this class's pieces rather than copying them:
-:func:`settle_rows` is the settlement arithmetic (per-worker scalars or
-packed per-row arrays give the same per-element IEEE ops) and
-:meth:`Worker._apply_settle` its per-container apply loop; reallocation
-is split into :meth:`Worker._realloc_begin` (version bump, active set,
-jitter draws → allocator inputs) and :meth:`Worker._realloc_finish`
-(apply shares, then project exits and re-arm the exit timer through
-:meth:`Worker._reschedule_exits`, the one exit projection).  The plain
-:meth:`Worker._reallocate` is exactly ``begin → allocate → finish``; the
-fleet pass swaps only the middle step for one segmented allocation.
+sampling at one instant together — a single worker is a batch of one.
+The pass reuses this class's pieces rather than copying them: each
+stale worker settles through its own :meth:`Worker.settle`;
+reallocation is split into :meth:`Worker._realloc_begin` (version bump,
+active set, jitter draws → allocator inputs) and
+:meth:`Worker._realloc_finish` (apply shares, then project exits and
+re-arm the exit timer through :meth:`Worker._reschedule_exits`, the one
+exit projection).  The plain :meth:`Worker._reallocate` is exactly
+``begin → allocate → finish``; the fleet pass swaps only the middle step
+for one segmented allocation.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-
-import numpy as np
+from collections.abc import Iterable
+from operator import mul
 
 from repro.cluster.contention import ContentionModel
 from repro.cluster.obsbus import ObservationBus
 from repro.cluster.pool import ContainerPool
-from repro.containers.allocator import AllocationMode, CpuAllocator
+from repro.containers.allocator import (
+    AllocationMode,
+    CpuAllocator,
+    _pairwise_sum,
+)
 from repro.containers.container import Container, Workload
 from repro.containers.runtime import ContainerRuntime
 from repro.containers.spec import ResourceSpec
@@ -70,48 +87,26 @@ from repro.simcore.engine import Simulator
 from repro.simcore.equeue import EventHandle
 from repro.simcore.events import PRIORITY_EXIT, Event, EventKind, reserve_seq
 
-__all__ = ["Worker", "settle_rows"]
+__all__ = ["Worker"]
 
 #: Work residue below which a job counts as finished (float hygiene).
 _FINISH_EPS = 1e-6
 
 
-def settle_rows(
-    allocs: np.ndarray,
-    arrays: tuple[np.ndarray, ...],
-    eff: float | np.ndarray,
-    dt: float | np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Settlement's ``(work, cgroup contribution)`` rows for one interval.
-
-    *arrays* are the footprint ``(demands, mems, blkios, netios)``
-    arrays aligned with *allocs*; *eff* and *dt* are one worker's
-    scalars, or per-row arrays when several workers are packed together
-    — either way the same per-element IEEE ops in the same order:
-    ``work = (alloc · eff) · dt`` and ``contrib = usage · dt`` with
-    ``usage = (min(alloc, demand), mem, blkio·scale, netio·scale)``.
-    """
-    demands, mems, blkios, netios = arrays
-    work = allocs * eff * dt
-    rates = np.minimum(allocs, demands)
-    scales = rates / demands
-    contrib = np.empty((len(allocs), 4), dtype=np.float64)
-    contrib[:, 0] = rates * dt
-    contrib[:, 1] = mems * dt
-    contrib[:, 2] = blkios * scales * dt
-    contrib[:, 3] = netios * scales * dt
-    return work, contrib
-
-
 def _require_plain_footprint(job: Workload) -> None:
     """Reject a footprint that is not a plain :class:`ResourceSpec`:
-    the worker reads footprints as packed arrays, so a subclass's
+    the worker reads footprints as per-resource lists, so a subclass's
     overrides would be silently ignored."""
     if type(job.footprint) is not ResourceSpec:
         raise ConfigError(
             f"footprint must be a plain ResourceSpec, "
             f"got {type(job.footprint).__name__}"
         )
+
+
+def _clamp_demands(demands: Iterable[float]) -> list[float]:
+    """Each demand clamped into ``[1e-3, 1]`` (a NaN stays NaN)."""
+    return [1.0 if d > 1.0 else (1e-3 if d < 1e-3 else d) for d in demands]
 
 
 class Worker:
@@ -193,7 +188,8 @@ class Worker:
         #: its eligible set with it.
         self.slot_hook = None
         self._active: list[Container] = []
-        self._allocs = np.zeros(0, dtype=np.float64)
+        #: CPU shares of the active set, aligned with ``_active``.
+        self._allocs: list[float] = []
         #: Exit projections, cid → ``(t_finish, seq)``, and the one
         #: queued ``CONTAINER_EXIT`` standing for the earliest of them.
         self._exits: dict[int, tuple[float, int]] = {}
@@ -206,7 +202,7 @@ class Worker:
         self._last_poke: tuple[float, int] | None = None
         #: The shared observation fan-out for this worker's containers.
         self.obsbus = ObservationBus(self)
-        #: Cached footprint state (objects, per-resource arrays, resident
+        #: Cached footprint state (objects, per-resource lists, resident
         #: memory) for the active set, keyed on the runtime's table/limit
         #: version *and* re-verified by footprint object identity, so a
         #: workload swapping its footprint between settles is picked up
@@ -498,30 +494,36 @@ class Worker:
     # -- settlement -----------------------------------------------------------------
 
     def settle(self) -> None:
-        """Integrate progress from ``_last_settle`` to now (vectorized)."""
+        """Integrate progress from ``_last_settle`` to now.
+
+        Per container, in active-set order: ``work = (alloc · eff) · dt``
+        and the cgroup row ``usage · dt`` with ``usage = (min(alloc,
+        demand), mem, blkio·scale, netio·scale)`` and ``scale = min(alloc,
+        demand) / demand``.
+        """
         now = self.sim.now
         dt = now - self._last_settle
         if dt <= 0:
             return
-        if self._active:
-            arrays, mem = self._footprint_state()
-            eff = self.contention.efficiency(len(self._active), mem)
-            work, contrib = settle_rows(self._allocs, arrays, eff, dt)
-            self._apply_settle(work.tolist(), contrib.tolist(), dt)
+        active = self._active
+        if active:
+            (demands, mems, blkios, netios), mem = self._footprint_state()
+            eff = self.contention.efficiency(len(active), mem)
+            for container, a, d, m, b, io in zip(
+                active, self._allocs, demands, mems, blkios, netios
+            ):
+                rate = a if a < d else d
+                scale = rate / d
+                container.job.advance(a * eff * dt)
+                container.cgroup.settle_add(
+                    dt, (rate * dt, m * dt, b * scale * dt, io * scale * dt)
+                )
         self._last_settle = now
 
-    def _apply_settle(
-        self, work: list[float], contrib: list[list[float]], dt: float
-    ) -> None:
-        """Deliver one settlement's Python-float rows to the active containers."""
-        for container, delivered, row in zip(self._active, work, contrib):
-            container.job.advance(delivered)
-            container.cgroup.settle_add(dt, row)
+    def _footprint_state(self) -> tuple[tuple[list[float], ...], float]:
+        """``(per-resource lists, resident memory)`` for the active set.
 
-    def _footprint_state(self) -> tuple[tuple[np.ndarray, ...], float]:
-        """``(per-resource arrays, resident memory)`` for the active set.
-
-        The arrays are ``(demands, mems, blkios, netios)`` read from the
+        The lists are ``(demands, mems, blkios, netios)`` read from the
         plain :class:`ResourceSpec` footprints :meth:`launch` and
         :meth:`attach` admit.  Cached per runtime table version *and*
         re-verified against footprint object identity on every hit, so a
@@ -542,15 +544,15 @@ class Worker:
             else:
                 return cached[2], cached[3]
         footprints = [c.job.footprint for c in active]
-        arrays = (
-            np.array([fp.cpu_demand for fp in footprints], dtype=np.float64),
-            np.array([fp.memory for fp in footprints], dtype=np.float64),
-            np.array([fp.blkio for fp in footprints], dtype=np.float64),
-            np.array([fp.netio for fp in footprints], dtype=np.float64),
+        lists = (
+            [float(fp.cpu_demand) for fp in footprints],
+            [float(fp.memory) for fp in footprints],
+            [float(fp.blkio) for fp in footprints],
+            [float(fp.netio) for fp in footprints],
         )
         mem = float(sum(fp.memory for fp in footprints))
-        self._fp_cache = (rv, footprints, arrays, mem)
-        return arrays, mem
+        self._fp_cache = (rv, footprints, lists, mem)
+        return lists, mem
 
     def _reallocate(self) -> None:
         """Recompute CPU shares for the current pool and reschedule exits."""
@@ -565,7 +567,7 @@ class Worker:
 
     def _realloc_begin(
         self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, float] | None:
+    ) -> tuple[list[float], list[float], list[float] | None, float] | None:
         """First half of a reallocation: version bump + allocator inputs.
 
         Bumps the state-version, refreshes the active set, and draws this
@@ -582,7 +584,7 @@ class Worker:
         running = self.runtime.running()
         self._active = running
         if not running:
-            self._allocs = np.zeros(0, dtype=np.float64)
+            self._allocs = []
             self._cancel_all_exits()
             return None
         rv = self.runtime.version
@@ -590,16 +592,15 @@ class Worker:
         if cached is not None and cached[0] == rv:
             _, limits, amp_demand, amp_weight = cached
         else:
-            limits = np.array([c.limits.cpu for c in running], dtype=np.float64)
-            limits.flags.writeable = False
-            # Jitter amplitudes are pure functions of the limit vector,
+            limits = [float(c.limits.cpu) for c in running]
+            # Jitter amplitudes are pure functions of the limit list,
             # so they ride the same cache (None ⇒ no draw at all, the
             # ideal-contention replay contract).
             amp_demand = self.contention.demand_amplitude(limits)
             amp_weight = self.contention.weight_amplitude(limits)
             self._limits_cache = (rv, limits, amp_demand, amp_weight)
-        arrays, mem = self._footprint_state()
-        demands = arrays[0]
+        lists, mem = self._footprint_state()
+        demands = lists[0]
         # Two jitter channels, both limit-sensitive (free competition is
         # noisier): demand noise models throughput wobble of the training
         # loop; weight noise models the kernel's imperfect instantaneous
@@ -609,21 +610,20 @@ class Worker:
             demand_noise = self.contention.demand_noise(
                 rng, limits, amp_demand
             )
-            demands = np.minimum(np.maximum(demands * demand_noise, 1e-3), 1.0)
+            demands = _clamp_demands(map(mul, demands, demand_noise))
         else:
             # Zero amplitude draws nothing (ideal-contention replay
             # contract); multiplying by all-ones noise is the identity.
             # The clamp is then a pure function of the footprint demand
-            # array, so it rides an identity-keyed cache: a workload
-            # swapping its footprint rebuilds the array (new object) and
+            # list, so it rides an identity-keyed cache: a workload
+            # swapping its footprint rebuilds the list (new object) and
             # misses; everything else reuses the identical clamped bits.
             clamped = self._demand_clamp_cache
             if clamped is not None and clamped[0] is demands:
                 demands = clamped[1]
             else:
                 source = demands
-                demands = np.minimum(np.maximum(demands, 1e-3), 1.0)
-                demands.flags.writeable = False
+                demands = _clamp_demands(demands)
                 self._demand_clamp_cache = (source, demands)
         if amp_weight is not None:
             weights = self.contention.weight_noise(rng, limits, amp_weight)
@@ -631,13 +631,12 @@ class Worker:
             weights = None
         return limits, demands, weights, mem
 
-    def _realloc_finish(self, alloc: np.ndarray, mem: float) -> None:
+    def _realloc_finish(self, alloc: list[float], mem: float) -> None:
         """Second half of a reallocation: apply *alloc* + reschedule exits."""
         self._allocs = alloc
-        shares = alloc.tolist()
-        for container, share in zip(self._active, shares):
+        for container, share in zip(self._active, alloc):
             container.current_alloc = share
-        self._reschedule_exits(shares, mem)
+        self._reschedule_exits(alloc, mem)
 
     def _cancel_all_exits(self) -> None:
         """Drop every projection and cancel the exit timer."""
@@ -790,11 +789,16 @@ class Worker:
 
     def allocations(self) -> dict[int, float]:
         """Current CPU allocation per running container id."""
-        return {c.cid: float(a) for c, a in zip(self._active, self._allocs)}
+        return {c.cid: a for c, a in zip(self._active, self._allocs)}
 
     def load(self) -> float:
-        """Sum of current allocations (0 … capacity)."""
-        return float(self._allocs.sum()) if self._allocs.size else 0.0
+        """Sum of current allocations (0 … capacity).
+
+        Summed in ``ndarray.sum()``'s pairwise order, which placement and
+        the rebalancer sort workers on; a left fold differs past eight
+        containers.
+        """
+        return _pairwise_sum(self._allocs)
 
     def memory_used(self) -> float:
         """Total resident memory of running containers (fraction of RAM).

@@ -31,22 +31,25 @@ Forms
 :meth:`CpuAllocator.allocate` (both phases) each run over Python floats
 for pools up to ``_SCALAR_MAX`` containers, where numpy's per-call
 constant would dominate, and as whole-array numpy steps beyond it.  The
-scalar form converts its inputs to lists once on the way in and its
-result to an array once on the way out; both phases, the phase-2
-residual and every intermediate sum stay on lists in between
-(:func:`_fill` is the list core both phases share).  The two forms run
-the same operations in the same order, and every scalar sum goes
-through :func:`_pairwise_sum`, which reproduces ``ndarray.sum()``'s
-pairwise order bit for bit (not a left fold, and not Python 3.12's
-compensated ``sum()``), so they are bit-identical; the tests pin them at
-every pool size up to 1 000.  A one-container pool, the common fleet
-shape, takes the short scalar chain :meth:`CpuAllocator._allocate_one`.
+scalar form of ``allocate`` takes lists of Python floats as they are
+(any other sequence is converted once) and returns a list; both phases,
+the phase-2 residual and every intermediate sum stay on lists
+(:func:`_fill` is the list core both phases share).  ``allocate``
+returns a list from the numpy form too, so its callers see one type.
+The two forms run the same operations in the same order, and every
+scalar sum goes through :func:`_pairwise_sum`, which reproduces
+``ndarray.sum()``'s pairwise order bit for bit (not a left fold, and
+not Python 3.12's compensated ``sum()``), so they are bit-identical;
+the tests pin them at every pool size up to 1 000.  A one-container
+pool, the common fleet shape, takes the short scalar chain
+:meth:`CpuAllocator._allocate_one`.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from itertools import accumulate
 
 import numpy as np
@@ -174,14 +177,20 @@ def water_fill(
     return np.array(_fill(capacity, ceil, wts), dtype=np.float64)
 
 
-def _weight_list(weights: np.ndarray | None, n: int) -> list[float] | None:
+def _as_list(values: Sequence[float]) -> list[float]:
+    """*values* as a list of Python floats; a list passes through as is."""
+    if type(values) is list:
+        return values
+    return np.asarray(values, dtype=np.float64).tolist()
+
+
+def _weight_list(weights: Sequence[float] | None, n: int) -> list[float] | None:
     """*weights* as a checked list of ``n`` positive floats (or ``None``)."""
     if weights is None:
         return None
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (n,):
+    wts = _as_list(weights)
+    if len(wts) != n:
         raise AllocationError("weights and ceilings shape mismatch")
-    wts = weights.tolist()
     if min(wts) <= 0 or _has_nan(wts):
         raise AllocationError("weights must be strictly positive")
     return wts
@@ -315,11 +324,15 @@ class CpuAllocator:
     def allocate(
         self,
         capacity: float,
-        limits: np.ndarray,
-        demands: np.ndarray,
-        weights: np.ndarray | None = None,
-    ) -> np.ndarray:
+        limits: Sequence[float],
+        demands: Sequence[float],
+        weights: Sequence[float] | None = None,
+    ) -> list[float]:
         """Compute per-container CPU allocations.
+
+        The inputs are lists of Python floats (taken as they are, and
+        never modified: the worker passes its cached lists) or
+        array-likes (converted once).
 
         Parameters
         ----------
@@ -338,24 +351,27 @@ class CpuAllocator:
 
         Returns
         -------
-        numpy.ndarray
+        list[float]
             Allocations satisfying ``alloc <= demands`` always,
             ``alloc <= limits·capacity`` in hard mode, and work conservation
             (``sum == min(capacity, demands.sum())``) in soft mode.
             Out-of-range or NaN inputs and a non-finite capacity raise
             :class:`AllocationError`.
         """
-        limits = np.asarray(limits, dtype=np.float64)
-        demands = np.asarray(demands, dtype=np.float64)
-        if limits.shape != demands.shape:
+        n = len(limits)
+        if len(demands) != n:
             raise AllocationError("limits and demands shape mismatch")
-        n = limits.shape[0]
         if n == 0:
-            return np.zeros(0, dtype=np.float64)
+            return []
         if n > _SCALAR_MAX:
-            return self._allocate_vector(capacity, limits, demands, weights)
-        lim = limits.tolist()
-        dem = demands.tolist()
+            return self._allocate_vector(
+                capacity,
+                np.asarray(limits, dtype=np.float64),
+                np.asarray(demands, dtype=np.float64),
+                weights,
+            ).tolist()
+        lim = _as_list(limits)
+        dem = _as_list(demands)
         if min(lim) <= 0 or max(lim) > 1.0 + 1e-12 or _has_nan(lim):
             raise AllocationError(f"limits must lie in (0, 1]: {limits!r}")
         if min(dem) < 0 or _has_nan(dem):
@@ -381,10 +397,7 @@ class CpuAllocator:
                         for a, extra in zip(alloc, _fill(spare, residual, None))
                     ]
 
-        return np.array(
-            [min(a, da) for a, da in zip(alloc, demand_abs)],
-            dtype=np.float64,
-        )
+        return [min(a, da) for a, da in zip(alloc, demand_abs)]
 
     def _allocate_vector(self, capacity, limits, demands, weights) -> np.ndarray:
         """:meth:`allocate` as whole-array numpy steps, for large pools."""
@@ -422,16 +435,11 @@ class CpuAllocator:
         capacity: float,
         limit: float,
         demand: float,
-        weights: np.ndarray | None,
-    ) -> np.ndarray:
+        weights: Sequence[float] | None,
+    ) -> list[float]:
         """:meth:`allocate` of a one-container pool, as scalar operations."""
         _check_capacity(capacity)
-        if weights is not None:
-            weights = np.asarray(weights, dtype=np.float64)
-            if weights.shape != (1,):
-                raise AllocationError("weights and ceilings shape mismatch")
-            if not weights[0] > 0:  # NaN-safe
-                raise AllocationError("weights must be strictly positive")
+        _weight_list(weights, 1)  # checked only: one weight changes nothing
         dem_abs = min(demand, 1.0) * capacity
         ceil = min(limit * capacity, dem_abs)
         alloc = ceil if ceil > 0.0 else 0.0
@@ -439,15 +447,15 @@ class CpuAllocator:
             residual = dem_abs - alloc
             if residual > 1e-12:
                 alloc = alloc + residual
-        return np.array([min(alloc, dem_abs)], dtype=np.float64)
+        return [min(alloc, dem_abs)]
 
     def allocate_segmented(
         self,
         capacities: list[float],
-        limits_seq: list[np.ndarray],
-        demands_seq: list[np.ndarray],
-        weights_seq: list[np.ndarray | None],
-    ) -> list[np.ndarray]:
+        limits_seq: list[Sequence[float]],
+        demands_seq: list[Sequence[float]],
+        weights_seq: list[Sequence[float] | None],
+    ) -> list[list[float]]:
         """Allocate many independent worker pools.
 
         Each index describes one worker's pool: its capacity, limit and

@@ -36,7 +36,7 @@ class Workload(Protocol):
         """Static resource footprint (demand ceiling, memory, I/O).
 
         Must be a plain :class:`ResourceSpec`, not a subclass: workers
-        read footprints as packed per-resource arrays and reject any
+        read footprints as cached per-resource lists and reject any
         other type at launch and attach with :class:`ConfigError`.
         """
         ...

@@ -122,7 +122,7 @@ class ResourceSpec:
     A grant of ``alloc`` CPU turns into usage ``min(alloc, cpu_demand)``
     CPU, resident ``memory``, and I/O scaled by the achieved fraction of
     ``cpu_demand`` (a faster training loop streams batches faster); the
-    worker applies that rule in :func:`repro.cluster.worker.settle_rows`.
+    worker applies that rule in :meth:`repro.cluster.worker.Worker.settle`.
     """
 
     cpu_demand: float = 1.0

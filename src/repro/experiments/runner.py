@@ -249,7 +249,7 @@ def run_cluster(
 
     sim = Simulator(seed=cfg.seed, trace=cfg.trace)
     # Every recorder tick — and every set of same-instant ticks across
-    # workers — runs as one fused settle + segmented reallocate + packed
+    # workers — runs as one fused settle + segmented reallocate +
     # sampling pass (see repro.cluster.fleet).
     FleetTicker(sim).arm()
 

@@ -127,7 +127,7 @@ def two_thousand_job(
     The fused fleet-tick workload: the same per-worker arrival pressure
     as :func:`two_hundred_job` (mean gap 3 s over 8 workers ⇒ 0.375 s
     over 64) sustained for ~10× the job count, so every sampling instant
-    finds most of a 64-node fleet busy and the fleet engine's packed
+    finds most of a 64-node fleet busy and the fleet engine's fused
     settle/reallocate pass has real width.  One slot per worker — the
     dedicated-node shape large training jobs actually get — keeps the
     admission queue live for the whole stream and makes fleet *width*

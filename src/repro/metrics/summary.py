@@ -292,10 +292,6 @@ class RunSummary:
 
     # -- rebalancing ---------------------------------------------------------------
 
-    def migration_count(self, label: str) -> int:
-        """How many times *label* was migrated (0 if never)."""
-        return self.migrations.get(label, 0)
-
     def total_migrations(self) -> int:
         """Migrations executed across the whole run."""
         return sum(self.migrations.values())

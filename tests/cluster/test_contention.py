@@ -34,26 +34,35 @@ class TestEfficiency:
 class TestJitter:
     def test_ideal_has_no_noise(self):
         model = ContentionModel.ideal()
-        noise = model.demand_noise(np.random.default_rng(0), np.ones(5))
-        assert np.all(noise == 1.0)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        noise = model.demand_noise(rng, [1.0] * 5)
+        assert noise == [1.0] * 5
+        assert model.weight_noise(rng, [1.0] * 5) == [1.0] * 5
+        assert rng.bit_generator.state == state  # no draw at all
 
     def test_free_competition_noisier_than_limited(self):
         model = ContentionModel(jitter_free=0.1, jitter_limited=0.01)
         rng = np.random.default_rng(0)
-        limits = np.array([1.0] * 500 + [0.2] * 500)
+        limits = [1.0] * 500 + [0.2] * 500
         noise = model.demand_noise(rng, limits)
-        free_spread = np.abs(noise[:500] - 1.0).mean()
-        limited_spread = np.abs(noise[500:] - 1.0).mean()
+        assert all(type(v) is float for v in noise)
+        free_spread = np.mean([abs(v - 1.0) for v in noise[:500]])
+        limited_spread = np.mean([abs(v - 1.0) for v in noise[500:]])
         assert free_spread > 3 * limited_spread
 
     def test_noise_bounded_by_amplitude(self):
         model = ContentionModel(jitter_free=0.06, jitter_limited=0.015)
-        noise = model.demand_noise(np.random.default_rng(1), np.ones(100))
-        assert np.all(np.abs(noise - 1.0) <= 0.06 + 1e-12)
+        noise = model.demand_noise(np.random.default_rng(1), [1.0] * 100)
+        assert len(noise) == 100
+        assert all(abs(v - 1.0) <= 0.06 + 1e-12 for v in noise)
 
     def test_empty_input(self):
         model = ContentionModel()
-        assert model.demand_noise(np.random.default_rng(0), np.ones(0)).shape == (0,)
+        assert model.demand_noise(np.random.default_rng(0), []) == []
+        assert model.weight_noise(np.random.default_rng(0), []) == []
+        assert model.demand_amplitude([]) is None
+        assert model.weight_amplitude([]) is None
 
 
 class TestValidation:

@@ -171,7 +171,7 @@ class TestEngineBatching:
 
 class TestFleetSettleParity:
     @pytest.mark.parametrize("contention", [ContentionModel.ideal, None])
-    # (0, 2) leaves one settle segment: the singleton path calls settle().
+    # (0, 2): an empty pool beside a busy one.
     @pytest.mark.parametrize("jobs_per_worker", [(2, 1, 3), (0, 2)])
     def test_matches_per_worker_settle_bitwise(
         self, contention, jobs_per_worker
@@ -226,7 +226,8 @@ class TestFleetReallocateParity:
         sim, workers = _build_fleet(6, jobs_per_worker=(0, 2))
         sim.clock.advance_to(2.0)
         fleet_reallocate(workers)
-        assert workers[0]._allocs.shape == (0,)
+        assert workers[0]._allocs == []
+        assert workers[0].allocations() == {}
         assert workers[0]._last_poke == (2.0, workers[0].version)
 
 
@@ -255,7 +256,7 @@ class TestAllocateSegmented:
             got = allocator.allocate_segmented(caps, lims, dems, wts)
             for c, li, d, w, alloc in zip(caps, lims, dems, wts, got):
                 want = allocator.allocate(c, li, d, w)
-                assert alloc.tolist() == want.tolist()
+                assert alloc == want
 
     def test_all_singleton_segments_match_per_pool_allocate(self):
         """A batch of one-container pools, the common fleet shape."""
@@ -265,7 +266,7 @@ class TestAllocateSegmented:
         caps, lims, dems, wts = self._random_segments(rng, sizes)
         got = allocator.allocate_segmented(caps, lims, dems, wts)
         for c, li, d, w, alloc in zip(caps, lims, dems, wts, got):
-            assert alloc.tolist() == allocator.allocate(c, li, d, w).tolist()
+            assert alloc == allocator.allocate(c, li, d, w)
 
     def test_invalid_limits_raise_like_the_serial_path(self):
         allocator = CpuAllocator(AllocationMode.SOFT)

@@ -6,16 +6,22 @@ times can be asserted analytically.
 
 from __future__ import annotations
 
+import copy
+from math import inf, nan
+
 import numpy as np
 import pytest
 
-from repro.cluster.worker import Worker, settle_rows
+import repro.cluster.worker as worker_mod
+from repro.cluster.worker import Worker
 from repro.containers.allocator import AllocationMode
 from repro.cluster.contention import ContentionModel
+from repro.containers.cgroup import CgroupAccount
 from repro.containers.spec import ResourceSpec
-from repro.errors import ConfigError
+from repro.errors import AllocationError, ConfigError
 from repro.simcore.engine import Simulator
 from repro.simcore.events import EventKind
+from repro.workloads.job import TrainingJob
 from tests.conftest import make_linear_job
 
 
@@ -312,17 +318,211 @@ class TestOneExitTimer:
         assert all(c.exited for w in workers for c in w.runtime.all_containers())
 
 
-class TestSettleRows:
-    def test_scalar_eff_dt_match_repeated_arrays_bitwise(self):
-        """One worker's scalars and a packed pass's per-row arrays give
-        the same bits — why the fused settle can share the arithmetic."""
-        rng = np.random.default_rng(5)
-        allocs = rng.uniform(0.0, 1.0, 7)
-        arrays = tuple(rng.uniform(0.05, 1.0, 7) for _ in range(4))
-        eff, dt = 0.9137, 2.718
-        scalar = settle_rows(allocs, arrays, eff, dt)
-        packed = settle_rows(
-            allocs, arrays, np.repeat(eff, 7), np.repeat(dt, 7)
+# -- numpy oracles ---------------------------------------------------------
+#
+# Test copies of the numpy forms the worker's list loops replaced.  The
+# list forms must reproduce them bit for bit: every golden fixture and
+# sampling digest was generated with them.
+
+
+def _settle_rows_oracle(allocs, arrays, eff, dt):
+    """Settlement's ``(work, cgroup contribution)`` rows as numpy arrays."""
+    demands, mems, blkios, netios = arrays
+    work = allocs * eff * dt
+    rates = np.minimum(allocs, demands)
+    scales = rates / demands
+    contrib = np.empty((len(allocs), 4), dtype=np.float64)
+    contrib[:, 0] = rates * dt
+    contrib[:, 1] = mems * dt
+    contrib[:, 2] = blkios * scales * dt
+    contrib[:, 3] = netios * scales * dt
+    return work, contrib
+
+
+def _amplitudes_oracle(model, limits):
+    """``ContentionModel``'s demand and weight amplitudes as numpy arrays
+    (``None``: no draw)."""
+    free = limits >= model.limit_threshold
+    demand = np.where(free, model.jitter_free, model.jitter_limited)
+    room = float(free.sum()) / limits.shape[0]
+    weight = np.where(free, model.jitter_free * room, model.jitter_limited)
+    return (
+        demand if demand.any() else None,
+        weight if weight.any() else None,
+    )
+
+
+def _noise_oracle(rng, amplitude, n):
+    """``ContentionModel``'s multiplicative noise as a numpy array."""
+    if amplitude is None:
+        return np.ones(n, dtype=np.float64)
+    return 1.0 + rng.uniform(-1.0, 1.0, size=n) * amplitude
+
+
+def _clamp_oracle(demands):
+    """The worker's numpy demand clamp into ``[1e-3, 1]``."""
+    return np.minimum(np.maximum(demands, 1e-3), 1.0)
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def _random_worker(rng, n: int, jitter: bool) -> tuple[Simulator, Worker]:
+    """A worker running *n* long jobs with random footprints, limits and
+    contention (random ``eff``; jitter amplitudes zero unless *jitter*)."""
+    sim = Simulator(seed=int(rng.integers(1 << 30)), trace=False)
+    contention = ContentionModel(
+        overhead=float(rng.uniform(0.0, 0.2)),
+        jitter_free=float(rng.uniform(0.01, 0.3)) if jitter else 0.0,
+        jitter_limited=float(rng.choice([0.0, rng.uniform(0.0, 0.1)]))
+        if jitter else 0.0,
+        swap_penalty=float(rng.choice([0.0, rng.uniform(0.0, 2.0)])),
+    )
+    worker = Worker(sim, contention=contention)
+    for k in range(n):
+        job = make_linear_job(f"j{k}", total_work=1e9)
+        job._footprint = ResourceSpec(
+            cpu_demand=float(rng.choice([1.0, 5e-4, rng.uniform(1e-3, 1.0)])),
+            memory=float(rng.uniform(0.0, min(1.0, 3.0 / n))),
+            blkio=float(rng.uniform(0.0, 1.0)),
+            netio=float(rng.choice([0.0, rng.uniform(0.0, 1.0)])),
         )
-        for a, b in zip(scalar, packed):
-            assert a.tobytes() == b.tobytes()
+        worker.launch(job)
+    worker.batch_update({
+        c.cid: float(rng.choice([1.0, rng.uniform(0.05, 1.0)]))
+        for c in worker.running_containers()
+    })
+    return sim, worker
+
+
+class TestNumpyParity:
+    """The worker's list forms against the numpy oracles, 1–64
+    containers, jitter on and off, compared as ``float.hex``."""
+
+    @pytest.mark.parametrize("jitter", [False, True], ids=["ideal", "jitter"])
+    def test_settle_matches_numpy_oracle(self, jitter, monkeypatch):
+        delivered: list[float] = []
+        rows: list[tuple] = []
+        advance = TrainingJob.advance
+        settle_add = CgroupAccount.settle_add
+        monkeypatch.setattr(
+            TrainingJob, "advance",
+            lambda job, w: (delivered.append(w), advance(job, w))[1],
+        )
+        monkeypatch.setattr(
+            CgroupAccount, "settle_add",
+            lambda acct, dt, row: (rows.append(row), settle_add(acct, dt, row))[1],
+        )
+        rng = np.random.default_rng(41 + jitter)
+        for n in range(1, 65):
+            sim, worker = _random_worker(rng, n, jitter)
+            if n % 2:
+                # Shares on both sides of the demands, not only granted ones.
+                worker._allocs = rng.uniform(0.0, 1.2, n).tolist()
+            footprints = [c.job.footprint for c in worker.running_containers()]
+            arrays = tuple(
+                np.array([getattr(fp, f) for fp in footprints])
+                for f in ("cpu_demand", "memory", "blkio", "netio")
+            )
+            eff = worker.contention.efficiency(
+                n, float(sum(fp.memory for fp in footprints))
+            )
+            dt = float(rng.exponential(5.0))
+            work, contrib = _settle_rows_oracle(
+                np.array(worker._allocs), arrays, eff, dt
+            )
+            sim.clock.advance_to(dt)
+            delivered.clear()
+            rows.clear()
+            worker.settle()
+            assert _hex(delivered) == _hex(work), n
+            assert [_hex(r) for r in rows] == [_hex(r) for r in contrib], n
+
+    @pytest.mark.parametrize("jitter", [False, True], ids=["ideal", "jitter"])
+    def test_reallocation_inputs_match_numpy_oracle(self, jitter):
+        """Limits, the demand noise and clamp, the weight noise, and the
+        RNG stream's position after the draws."""
+        rng = np.random.default_rng(43 + jitter)
+        for n in range(1, 65):
+            sim, worker = _random_worker(rng, n, jitter)
+            for step in range(3):  # later passes hit the worker's caches
+                sim.clock.advance_to(float(step + 1))
+                oracle_rng = copy.deepcopy(worker._rng)
+                limits, demands, weights, mem = worker._realloc_begin()
+                active = worker._active
+                lim = np.array([c.limits.cpu for c in active])
+                dem = np.array([c.job.footprint.cpu_demand for c in active])
+                amp_demand, amp_weight = _amplitudes_oracle(worker.contention, lim)
+                if amp_demand is not None:
+                    dem = dem * _noise_oracle(oracle_rng, amp_demand, n)
+                assert _hex(limits) == _hex(lim), n
+                assert _hex(demands) == _hex(_clamp_oracle(dem)), n
+                if amp_weight is None:
+                    assert weights is None
+                else:
+                    want = _noise_oracle(oracle_rng, amp_weight, n)
+                    assert _hex(weights) == _hex(want), n
+                assert (
+                    worker._rng.bit_generator.state
+                    == oracle_rng.bit_generator.state
+                )
+                worker._realloc_finish(
+                    worker.allocator.allocate(
+                        worker.capacity, limits, demands, weights
+                    ),
+                    mem,
+                )
+
+    def test_demand_clamp_edges_match_numpy(self):
+        values = [
+            -inf, -0.0, 0.0, 5e-4, np.nextafter(1e-3, 0.0), 1e-3, 0.5, 1.0,
+            np.nextafter(1.0, 2.0), 1.5, inf, nan,
+        ]
+        got = worker_mod._clamp_demands([float(v) for v in values])
+        assert _hex(got) == _hex(_clamp_oracle(np.array(values)))
+
+    def test_load_matches_numpy_sum(self):
+        """``load()`` is ``ndarray.sum()``'s pairwise order, which a left
+        fold leaves past eight containers."""
+        rng = np.random.default_rng(47)
+        worker = Worker(Simulator(seed=0, trace=False))
+        assert worker.load() == 0.0
+        for n in range(1, 300):
+            shares = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-8, 1, n)
+            worker._allocs = shares.tolist()
+            assert worker.load().hex() == float(shares.sum()).hex(), n
+        for n in (1, 9, 64):
+            _, worker = _random_worker(rng, n, jitter=True)
+            shares = np.array(worker._allocs)
+            assert worker.load().hex() == float(shares.sum()).hex(), n
+            cids = [c.cid for c in worker.running_containers()]
+            assert worker.allocations() == dict(zip(cids, worker._allocs))
+
+
+class TestFiniteInputs:
+    """The list loops assume finite limits, demands and footprints
+    (``a if a < d else d`` does not propagate NaN as ``np.minimum``
+    did).  ``ResourceSpec`` range-checks every footprint field (see
+    ``test_spec.py``); these are the limit and allocator guards."""
+
+    def test_nan_limit_rejected_before_reallocation(self, sim, ideal_worker):
+        c = ideal_worker.launch(make_linear_job("a"))
+        ideal_worker.launch(make_linear_job("b"))
+        before = (ideal_worker.version, list(ideal_worker._allocs))
+        with pytest.raises(ConfigError):
+            ideal_worker.update_limit(c.cid, nan)
+        assert (ideal_worker.version, ideal_worker._allocs) == before
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_allocator_rejects_nan_in_the_worker_form(self, ideal_worker, n):
+        """A NaN demand survives the demand clamp, then the allocator
+        rejects it, as it does a NaN limit (lists, as the worker calls)."""
+        allocate = ideal_worker.allocator.allocate
+        ones = [1.0] * n
+        demands = worker_mod._clamp_demands([nan] + [0.5] * (n - 1))
+        assert demands[0] != demands[0]
+        with pytest.raises(AllocationError):
+            allocate(1.0, ones, demands)
+        with pytest.raises(AllocationError):
+            allocate(1.0, [nan] + ones[1:], ones)

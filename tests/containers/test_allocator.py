@@ -113,13 +113,13 @@ class TestCpuAllocator:
             1.0, np.array([0.1, 0.1]), np.array([1.0, 1.0])
         )
         # Limits sum to 0.2 but demand is full: soft mode fills the node.
-        assert alloc.sum() == pytest.approx(1.0)
+        assert np.sum(alloc) == pytest.approx(1.0)
 
     def test_hard_mode_wastes_capacity(self):
         alloc = CpuAllocator(AllocationMode.HARD).allocate(
             1.0, np.array([0.1, 0.1]), np.array([1.0, 1.0])
         )
-        assert alloc.sum() == pytest.approx(0.2)
+        assert np.sum(alloc) == pytest.approx(0.2)
 
     def test_demand_always_respected(self):
         alloc = CpuAllocator(AllocationMode.SOFT).allocate(
@@ -152,7 +152,8 @@ class TestCpuAllocator:
         assert alloc[2] == pytest.approx(0.375)
 
     def test_empty(self):
-        assert CpuAllocator().allocate(1.0, np.zeros(0), np.zeros(0)).shape == (0,)
+        assert CpuAllocator().allocate(1.0, np.zeros(0), np.zeros(0)) == []
+        assert CpuAllocator().allocate(1.0, [], []) == []
 
     def test_invalid_limits_raise(self):
         with pytest.raises(AllocationError):
@@ -182,7 +183,7 @@ class TestCpuAllocator:
     def test_property_soft_conserves_hard_caps(self, pairs, mode):
         limits = np.array([p[0] for p in pairs])
         demands = np.array([p[1] for p in pairs])
-        alloc = CpuAllocator(mode).allocate(1.0, limits, demands)
+        alloc = np.asarray(CpuAllocator(mode).allocate(1.0, limits, demands))
         assert np.all(alloc <= demands + 1e-9)
         assert alloc.sum() <= 1.0 + 1e-9
         if mode is AllocationMode.HARD:
@@ -193,12 +194,17 @@ class TestCpuAllocator:
 
 
 def _both_forms(monkeypatch, call):
-    """``call()`` in the scalar forms, then in the numpy forms, as lists."""
+    """``call()`` in the scalar forms, then in the numpy forms, as lists
+    (``allocate`` returns a list of Python floats from both)."""
     out = []
     for bound in (10**9, 0):
         with monkeypatch.context() as m:
             m.setattr(alloc_mod, "_SCALAR_MAX", bound)
-            out.append(call().tolist())
+            result = call()
+            if isinstance(result, np.ndarray):
+                result = result.tolist()
+            assert all(type(v) is float for v in result)
+            out.append(result)
     return out
 
 
@@ -285,6 +291,28 @@ class TestScalarPathBitParity:
                 capacity, limits, demands, weights
             ))
             assert ref == got, n
+
+    @pytest.mark.parametrize("mode", [AllocationMode.SOFT, AllocationMode.HARD])
+    def test_list_inputs_match_array_inputs(self, mode, monkeypatch):
+        """Lists (the worker's form, taken as they are) and arrays
+        (converted once) give the same bits in both forms."""
+        rng = np.random.default_rng(17)
+        allocator = CpuAllocator(mode)
+        for trial in range(300):
+            n = [1, 2, 8, 64, 65][trial % 5]
+            limits, demands, weights = _random_pool(rng, n, trial)
+            as_lists = (
+                limits.tolist(), demands.tolist(),
+                None if weights is None else weights.tolist(),
+            )
+            from_arrays = _both_forms(monkeypatch, lambda: allocator.allocate(
+                1.0, limits, demands, weights
+            ))
+            from_lists = _both_forms(monkeypatch, lambda: allocator.allocate(
+                1.0, *as_lists
+            ))
+            assert from_lists == from_arrays, trial
+            assert as_lists[0] == limits.tolist()  # inputs left untouched
 
     @pytest.mark.parametrize("mode", [AllocationMode.SOFT, AllocationMode.HARD])
     def test_one_container_chain_matches_general_path(self, mode, monkeypatch):

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+from math import inf, nan
+
 import numpy as np
 import pytest
 
-from repro.cluster.worker import settle_rows
+from repro.cluster.contention import ContentionModel
+from repro.cluster.worker import Worker
 from repro.containers.spec import ResourceSpec, ResourceType, ResourceVector
 from repro.errors import ConfigError
+from repro.simcore.engine import Simulator
+from tests.conftest import make_linear_job
 
 
 class TestResourceType:
@@ -67,6 +72,15 @@ class TestResourceSpec:
         with pytest.raises(ConfigError):
             ResourceSpec(cpu_demand=0.0)
 
+    @pytest.mark.parametrize("field", ["cpu_demand", "memory", "blkio", "netio"])
+    @pytest.mark.parametrize("value", [nan, inf, -inf])
+    def test_rejects_non_finite_fields(self, field, value):
+        """The worker's settle and clamp loops assume finite footprints
+        (``a if a < d else d`` does not propagate NaN as ``np.minimum``
+        did); the range check is what guarantees it."""
+        with pytest.raises(ConfigError):
+            ResourceSpec(**{field: value})
+
     def test_usage_caps_cpu_at_demand(self):
         usage = _usage(ResourceSpec(cpu_demand=0.35, memory=0.2, blkio=0.1), 0.9)
         assert usage.cpu == pytest.approx(0.35)
@@ -85,11 +99,14 @@ class TestResourceSpec:
 
 
 def _usage(spec: ResourceSpec, alloc: float) -> ResourceVector:
-    """Usage rate of *spec* granted *alloc* CPU, read off the worker's
-    settlement rows (one container, unit efficiency, unit interval)."""
-    arrays = tuple(
-        np.array([value])
-        for value in (spec.cpu_demand, spec.memory, spec.blkio, spec.netio)
-    )
-    _, contrib = settle_rows(np.array([alloc]), arrays, 1.0, 1.0)
-    return ResourceVector.from_array(contrib[0])
+    """Usage rate of *spec* granted *alloc* CPU, read off one worker
+    settlement (one container, unit efficiency, unit interval)."""
+    sim = Simulator(seed=0, trace=False)
+    worker = Worker(sim, contention=ContentionModel.ideal())
+    job = make_linear_job(total_work=1e9)
+    job._footprint = spec
+    container = worker.launch(job)
+    worker._allocs = [alloc]  # grant exactly *alloc* for the interval
+    sim.clock.advance_to(1.0)
+    worker.settle()
+    return container.cgroup.totals
