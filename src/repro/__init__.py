@@ -37,8 +37,6 @@ from repro.cluster import (
     PlacementPolicy,
     RebalancePolicy,
     Worker,
-    make_placement,
-    make_rebalance,
 )
 from repro.config import FlowConConfig, SimulationConfig
 from repro.containers import AllocationMode, ContainerRuntime
@@ -94,8 +92,6 @@ __all__ = [
     "heterogeneous_cluster",
     "imbalanced_cluster",
     "make_job",
-    "make_placement",
-    "make_rebalance",
     "random_fifteen_job",
     "random_five_job",
     "random_ten_job",

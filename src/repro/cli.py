@@ -27,10 +27,7 @@ import numpy as np
 from repro.analysis.compare import compare_runs
 from repro.analysis.sweeps import sweep_grid
 from repro.baselines.na import NAPolicy
-from repro.cluster.admission import ADMISSIONS
-from repro.cluster.autoscale import AUTOSCALERS
-from repro.cluster.placement import PLACEMENTS
-from repro.cluster.rebalance import REBALANCERS
+from repro.cluster.axes import AXES
 from repro.config import FlowConConfig, SimulationConfig
 from repro.core.policy import FlowConPolicy
 from repro.errors import ConfigError, ExperimentError, UnknownPolicyError
@@ -241,16 +238,47 @@ def _cluster_setup(args, **sim_fields):
         seed=args.seed, trace=False, max_containers=args.slots,
         **sim_fields,
     )
-    cluster = dict(
-        n_workers=args.workers,
-        placement=args.placement,
-        rebalance=args.rebalance,
-        admission=args.admission,
-        autoscale=args.autoscale,
-        failures=args.failures,
-        fabric=args.fabric,
-    )
-    return sim_cfg, cluster
+    cluster = {name: getattr(args, name) for name in AXES}
+    return sim_cfg, dict(n_workers=args.workers, **cluster)
+
+
+#: The footer line of each axis whose run counters a compare report
+#: prints when the axis is off its default, from the NA and FlowCon
+#: summaries.
+_AXIS_FOOTERS = {
+    "autoscale": lambda na, fc: (
+        f"fleet: peak {na.peak_fleet()} workers (NA), "
+        f"{fc.peak_fleet()} (FlowCon); "
+        f"{na.fleet_changes()} scale events (NA)"
+    ),
+    "failures": lambda na, fc: (
+        f"failures: {na.total_retries()} crash-restarts / "
+        f"{len(na.failed_jobs)} exhausted (NA), "
+        f"{fc.total_retries()} / {len(fc.failed_jobs)} (FlowCon)"
+    ),
+    "fabric": lambda na, fc: (
+        f"fabric: {na.message_retries():.0f} resends / "
+        f"{na.messages_dropped():.0f} drops (NA), "
+        f"{fc.message_retries():.0f} / "
+        f"{fc.messages_dropped():.0f} (FlowCon)"
+    ),
+}
+
+
+def _print_footer(args, na, fc, axes) -> None:
+    """Per-tenant p95 queue delays, then the footer line of every axis
+    in *axes* that the run moved off its default."""
+    if args.tenant_weights:
+        print()
+        for tenant in sorted(_parse_tenant_weights(args.tenant_weights)):
+            print(
+                f"tenant {tenant}: p95 queue delay "
+                f"NA {na.summary.p95_queue_delay(tenant):.1f}s, "
+                f"FlowCon {fc.summary.p95_queue_delay(tenant):.1f}s"
+            )
+    for name in axes:
+        if getattr(args, name) != AXES[name].default:
+            print(_AXIS_FOOTERS[name](na.summary, fc.summary))
 
 
 def _cmd_compare(args) -> int:
@@ -306,34 +334,7 @@ def _cmd_compare(args) -> int:
     print(f"\nwins {report.wins}/{report.n_jobs}; "
           f"best {report.best[0]} {report.best[1]:+.1f}%; "
           f"worst {report.worst[0]} {report.worst[1]:+.1f}%")
-    if args.tenant_weights:
-        print()
-        for tenant in sorted(_parse_tenant_weights(args.tenant_weights)):
-            print(
-                f"tenant {tenant}: p95 queue delay "
-                f"NA {na.summary.p95_queue_delay(tenant):.1f}s, "
-                f"FlowCon {fc.summary.p95_queue_delay(tenant):.1f}s"
-            )
-    if args.autoscale != "none":
-        print(
-            f"fleet: peak {na.summary.peak_fleet()} workers (NA), "
-            f"{fc.summary.peak_fleet()} (FlowCon); "
-            f"{na.summary.fleet_changes()} scale events (NA)"
-        )
-    if args.failures != "none":
-        print(
-            f"failures: {na.summary.total_retries()} crash-restarts / "
-            f"{len(na.summary.failed_jobs)} exhausted (NA), "
-            f"{fc.summary.total_retries()} / "
-            f"{len(fc.summary.failed_jobs)} (FlowCon)"
-        )
-    if args.fabric != "ideal":
-        print(
-            f"fabric: {na.summary.message_retries():.0f} resends / "
-            f"{na.summary.messages_dropped():.0f} drops (NA), "
-            f"{fc.summary.message_retries():.0f} / "
-            f"{fc.summary.messages_dropped():.0f} (FlowCon)"
-        )
+    _print_footer(args, na, fc, _AXIS_FOOTERS)
     return 0
 
 
@@ -366,28 +367,7 @@ def _print_streaming_compare(args, fc_cfg, na, fc) -> int:
     ]:
         rows.append([metric, getter(na.summary), getter(fc.summary)])
     print(render_table(["metric", "NA", "FlowCon"], rows))
-    if args.tenant_weights:
-        print()
-        for tenant in sorted(_parse_tenant_weights(args.tenant_weights)):
-            print(
-                f"tenant {tenant}: p95 queue delay "
-                f"NA {na.summary.p95_queue_delay(tenant):.1f}s, "
-                f"FlowCon {fc.summary.p95_queue_delay(tenant):.1f}s"
-            )
-    if args.failures != "none":
-        print(
-            f"failures: {na.summary.total_retries()} crash-restarts / "
-            f"{len(na.summary.failed_jobs)} exhausted (NA), "
-            f"{fc.summary.total_retries()} / "
-            f"{len(fc.summary.failed_jobs)} (FlowCon)"
-        )
-    if args.fabric != "ideal":
-        print(
-            f"fabric: {na.summary.message_retries():.0f} resends / "
-            f"{na.summary.messages_dropped():.0f} drops (NA), "
-            f"{fc.summary.message_retries():.0f} / "
-            f"{fc.summary.messages_dropped():.0f} (FlowCon)"
-        )
+    _print_footer(args, na, fc, ("failures", "fabric"))
     return 0
 
 
@@ -444,30 +424,21 @@ def build_parser() -> argparse.ArgumentParser:
     cluster = argparse.ArgumentParser(add_help=False)
     cluster.add_argument("--workers", type=int, default=1,
                          help="simulated cluster size")
-    cluster.add_argument("--placement", choices=sorted(PLACEMENTS),
-                         default="spread", help="container placement policy")
-    cluster.add_argument("--rebalance", choices=sorted(REBALANCERS),
-                         default="none", help="container rebalance policy")
     cluster.add_argument("--slots", type=int, default=None,
                          help="admission slots per worker, autoscaled "
                               "workers included (default unbounded; a "
                               "bound makes --admission/--autoscale matter)")
-    cluster.add_argument("--admission", choices=sorted(ADMISSIONS),
-                         default="fifo",
-                         help="admission-queue drain policy (who waits "
-                              "least when the cluster is full)")
-    cluster.add_argument("--autoscale", choices=sorted(AUTOSCALERS),
-                         default="none",
-                         help="worker-fleet autoscaling from queue "
-                              "depth/backlog signals")
-    cluster.add_argument("--failures", default="none", metavar="SPEC",
-                         help="failure-injector spec, optionally with a "
-                              "durability suffix (e.g. none, random, "
-                              "rolling:checkpoint(60))")
-    cluster.add_argument("--fabric", default="ideal", metavar="SPEC",
-                         help="control-plane fabric spec, optionally with a "
-                              "retry suffix (e.g. ideal, drop(0.05), "
-                              "\"partition(30..90):retry(max=5,base=0.5)\")")
+    for axis in AXES.values():
+        names = sorted(axis.registry)
+        if axis.parse is None:
+            cluster.add_argument(f"--{axis.name}", choices=names,
+                                 default=axis.default, help=axis.help)
+        else:
+            # Free-form specs: the run path validates them (see main).
+            cluster.add_argument(
+                f"--{axis.name}", default=axis.default, metavar="SPEC",
+                help=f"{axis.help}; names: {', '.join(names)}",
+            )
     cluster.add_argument("--profile", action="store_true",
                          help="run under cProfile and dump the top 25 "
                               "cumulative-time functions to stderr")

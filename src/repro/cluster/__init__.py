@@ -21,6 +21,10 @@ Key classes
     :class:`~repro.cluster.autoscale.AutoscalePolicy`.  Each job has one
     :class:`~repro.cluster.manager.JobRecord` whose state moves only
     along the manager's table of legal transitions.
+:mod:`~repro.cluster.axes`
+    The table of the six policy axes (placement, rebalance, admission,
+    autoscale, failures, fabric) and the one resolver that turns a
+    name, spec or ``None`` into a policy for any of them.
 :mod:`~repro.cluster.admission`
     Admission policies ordering the pending queue: fifo (default),
     strict priority classes, weighted fair queueing across tenants,
@@ -50,7 +54,6 @@ from repro.cluster.admission import (
     PriorityAdmission,
     SjfAdmission,
     WfqAdmission,
-    make_admission,
 )
 from repro.cluster.autoscale import (
     AUTOSCALERS,
@@ -58,8 +61,8 @@ from repro.cluster.autoscale import (
     NoAutoscale,
     ProgressAutoscale,
     QueueDepthAutoscale,
-    make_autoscale,
 )
+from repro.cluster.axes import AXES, Axis, resolve
 from repro.cluster.contention import ContentionModel
 from repro.cluster.manager import JobRecord, Manager
 from repro.cluster.placement import (
@@ -70,7 +73,6 @@ from repro.cluster.placement import (
     ProgressPlacement,
     RandomPlacement,
     SpreadPlacement,
-    make_placement,
 )
 from repro.cluster.pool import ContainerPool, PoolDelta
 from repro.cluster.rebalance import (
@@ -80,7 +82,6 @@ from repro.cluster.rebalance import (
     NoRebalance,
     ProgressAwareRebalance,
     RebalancePolicy,
-    make_rebalance,
 )
 from repro.cluster.submission import JobSubmission
 from repro.cluster.worker import Worker
@@ -88,9 +89,11 @@ from repro.cluster.worker import Worker
 __all__ = [
     "ADMISSIONS",
     "AUTOSCALERS",
+    "AXES",
     "AdmissionPolicy",
     "AffinityPlacement",
     "AutoscalePolicy",
+    "Axis",
     "BinPackPlacement",
     "ContainerPool",
     "ContentionModel",
@@ -117,8 +120,5 @@ __all__ = [
     "SpreadPlacement",
     "WfqAdmission",
     "Worker",
-    "make_admission",
-    "make_autoscale",
-    "make_placement",
-    "make_rebalance",
+    "resolve",
 ]

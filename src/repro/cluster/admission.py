@@ -53,11 +53,11 @@ idling free memory behind an oversized head.
 All policies are deterministic: ties break on a monotonic enqueue
 sequence number, so replaying a run with the same seed reproduces every
 drain decision bit-for-bit.  Policies hold per-run state, so build a
-fresh instance per run — :func:`make_admission` resolves a registry name
-(``"fifo"``, ``"backfill"``, ``"priority"``, ``"wfq"``, ``"sjf"``),
-which is also what keeps batch tasks picklable: tasks carry the *name*,
-each worker process materializes the policy (tenant weights ride the
-submissions themselves).
+fresh instance per run — :func:`~repro.cluster.axes.resolve` turns an
+:data:`ADMISSIONS` name into one, which is also what keeps batch tasks
+picklable: tasks carry the *name*, each worker process materializes the
+policy (tenant weights ride the submissions themselves, or a
+``WfqAdmission(tenant_weights=...)`` instance overrides them).
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ import heapq
 from collections import deque
 from typing import TYPE_CHECKING, Mapping
 
-from repro.errors import ClusterError, ConfigError, UnknownPolicyError
+from repro.errors import ClusterError, ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (manager ← worker)
     from repro.cluster.submission import JobSubmission
@@ -81,7 +81,6 @@ __all__ = [
     "WfqAdmission",
     "SjfAdmission",
     "ADMISSIONS",
-    "make_admission",
 ]
 
 #: Tenant key used for submissions without an explicit tenant.
@@ -455,39 +454,3 @@ ADMISSIONS: dict[str, type[AdmissionPolicy]] = {
     "wfq": WfqAdmission,
     "sjf": SjfAdmission,
 }
-
-
-def make_admission(
-    admission: str | AdmissionPolicy | None,
-    *,
-    tenant_weights: Mapping[str, float] | None = None,
-) -> AdmissionPolicy:
-    """Resolve a policy name (or pass through an instance) to a policy.
-
-    ``None`` means the historical default, :class:`FifoAdmission`.
-    ``tenant_weights`` applies to the ``"wfq"`` policy (it is an error
-    to combine it with any other name or with a ready-made instance).
-    """
-    if isinstance(admission, AdmissionPolicy):
-        if tenant_weights:
-            raise ClusterError(
-                "tenant_weights cannot be combined with a policy instance; "
-                "construct WfqAdmission(tenant_weights=...) directly"
-            )
-        return admission
-    if admission is None:
-        admission = "fifo"
-    try:
-        cls = ADMISSIONS[admission]
-    except (KeyError, TypeError):
-        raise UnknownPolicyError(
-            f"unknown admission {admission!r}; choose from {sorted(ADMISSIONS)}"
-        ) from None
-    if tenant_weights:
-        if cls is not WfqAdmission:
-            raise ClusterError(
-                f"tenant_weights only applies to admission='wfq', "
-                f"got {admission!r}"
-            )
-        return WfqAdmission(tenant_weights=tenant_weights)
-    return cls()

@@ -43,9 +43,9 @@ Three policies ship:
 All policies are deterministic: deltas derive only from manager state,
 and provisioning runs through the simulator's event queue.  Policies
 hold per-run state, so build a fresh instance per run —
-:func:`make_autoscale` resolves a registry name (``"none"``,
-``"queue_depth"``, ``"progress"``), which keeps batch tasks picklable:
-tasks carry the *name*, each worker process materializes the policy.
+:func:`~repro.cluster.axes.resolve` turns an :data:`AUTOSCALERS` name
+into one, which keeps batch tasks picklable: tasks carry the *name*,
+each worker process materializes the policy.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from __future__ import annotations
 import abc
 from typing import TYPE_CHECKING
 
-from repro.errors import ClusterError, ConfigError, UnknownPolicyError
+from repro.errors import ClusterError, ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (manager ← worker)
     from repro.cluster.manager import Manager
@@ -64,7 +64,6 @@ __all__ = [
     "QueueDepthAutoscale",
     "ProgressAutoscale",
     "AUTOSCALERS",
-    "make_autoscale",
 ]
 
 
@@ -296,24 +295,3 @@ AUTOSCALERS: dict[str, type[AutoscalePolicy]] = {
     "queue_depth": QueueDepthAutoscale,
     "progress": ProgressAutoscale,
 }
-
-
-def make_autoscale(
-    autoscale: str | AutoscalePolicy | None,
-) -> AutoscalePolicy:
-    """Resolve a policy name (or pass through an instance) to a policy.
-
-    ``None`` means the historical default, :class:`NoAutoscale`.
-    """
-    if autoscale is None:
-        return NoAutoscale()
-    if isinstance(autoscale, AutoscalePolicy):
-        return autoscale
-    try:
-        cls = AUTOSCALERS[autoscale]
-    except (KeyError, TypeError):
-        raise UnknownPolicyError(
-            f"unknown autoscale {autoscale!r}; "
-            f"choose from {sorted(AUTOSCALERS)}"
-        ) from None
-    return cls()

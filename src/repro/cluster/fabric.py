@@ -37,6 +37,7 @@ the registry, exactly like the other five axes.
 from __future__ import annotations
 
 import abc
+import math
 import re
 from dataclasses import dataclass
 from collections import deque
@@ -64,7 +65,7 @@ __all__ = [
     "IdealFabric",
     "FaultyFabric",
     "FABRICS",
-    "make_fabric",
+    "parse_fabric",
 ]
 
 #: Every message kind the manager sends through the fabric.
@@ -132,7 +133,7 @@ class RetryPolicy:
     more seconds (the slow audit a real control plane runs against
     worker state) before declaring the message failed and invoking its
     ``on_fail`` handler.  ``max_retries=0`` is the fire-once
-    ``"noretry"`` baseline.
+    ``"noretry"`` baseline; ``cap=inf`` is uncapped backoff.
     """
 
     max_retries: int = 5
@@ -147,13 +148,20 @@ class RetryPolicy:
             raise ConfigError(
                 f"max_retries must be >= 0, got {self.max_retries!r}"
             )
-        if self.base <= 0 or self.factor < 1.0 or self.cap < self.base:
+        if not (
+            0 < self.base < math.inf
+            and 1.0 <= self.factor < math.inf
+            and self.cap >= self.base
+        ):
             raise ConfigError(
-                "retry needs base > 0, factor >= 1, cap >= base; got "
-                f"base={self.base!r} factor={self.factor!r} cap={self.cap!r}"
+                "retry needs finite base > 0 and factor >= 1, cap >= base; "
+                f"got base={self.base!r} factor={self.factor!r} "
+                f"cap={self.cap!r}"
             )
-        if self.jitter < 0 or self.reconcile < 0:
-            raise ConfigError("jitter and reconcile must be >= 0")
+        if not (
+            0 <= self.jitter < math.inf and 0 <= self.reconcile < math.inf
+        ):
+            raise ConfigError("jitter and reconcile must be finite and >= 0")
 
     def timeout(self, attempt: int) -> float:
         """Deterministic (pre-jitter) timeout for 0-based *attempt*."""
@@ -205,6 +213,10 @@ class DelayFault(NetworkFault):
     def __init__(self, dist: str = "const", *params: float) -> None:
         self.dist = dist
         self.params = tuple(float(p) for p in params)
+        if not all(math.isfinite(p) for p in self.params):
+            raise ConfigError(
+                f"delay parameters must be finite, got {params!r}"
+            )
         if dist == "const":
             if len(self.params) != 1 or self.params[0] < 0:
                 raise ConfigError(
@@ -345,9 +357,9 @@ class GrayLinkFault(NetworkFault):
     name = "gray_link"
 
     def __init__(self, worker: str, factor: float) -> None:
-        if float(factor) <= 1.0:
+        if not 1.0 < float(factor) < math.inf:
             raise ConfigError(
-                f"gray_link factor must be > 1, got {factor!r}"
+                f"gray_link factor must be > 1 and finite, got {factor!r}"
             )
         self.worker = str(worker)
         self.factor = float(factor)
@@ -651,6 +663,15 @@ _RETRY_FIELDS = {
 }
 
 
+def _number(text: str, what: str) -> float:
+    """``float(text)``, or a :class:`~repro.errors.ConfigError` naming
+    *what* needed the number."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"{what} needs a number, got {text!r}") from None
+
+
 def _parse_retry(spec: str) -> RetryPolicy:
     """Parse ``retry(k=v,...)`` / ``noretry[(reconcile=...)]``."""
     text = spec.strip()
@@ -674,14 +695,14 @@ def _parse_retry(spec: str) -> RetryPolicy:
                     f"bad retry parameter {part.strip()!r}; "
                     f"choose from {sorted(set(_RETRY_FIELDS))}"
                 )
-            try:
-                kwargs[field] = float(value)
-            except ValueError:
-                raise ConfigError(
-                    f"retry parameter {key}= needs a number, got {value!r}"
-                ) from None
+            kwargs[field] = _number(value, f"retry parameter {key}=")
     if "max_retries" in kwargs:
-        kwargs["max_retries"] = int(kwargs["max_retries"])
+        max_retries = kwargs["max_retries"]
+        if not max_retries.is_integer():
+            raise ConfigError(
+                f"retry max= needs a whole number, got {max_retries!r}"
+            )
+        kwargs["max_retries"] = int(max_retries)
     if name == "noretry":
         if set(kwargs) - {"reconcile"}:
             raise ConfigError(
@@ -704,16 +725,18 @@ def _parse_fault(spec: str) -> NetworkFault:
             f"(or a fabric name from {sorted(FABRICS)})"
         )
     parts = [p.strip() for p in args.split(",") if p.strip()]
+    what = f"fabric fault {text!r}"
     if cls is DelayFault:
         if not parts:
             raise ConfigError("delay() needs at least one parameter")
+        dist = "const"
         if parts[0] in ("const", "exp", "uniform"):
-            return DelayFault(parts[0], *[float(p) for p in parts[1:]])
-        return DelayFault("const", *[float(p) for p in parts])
+            dist, parts = parts[0], parts[1:]
+        return DelayFault(dist, *[_number(p, what) for p in parts])
     if cls is DropFault or cls is DuplicateFault:
         if len(parts) != 1:
             raise ConfigError(f"{name}(p) needs exactly one probability")
-        return cls(float(parts[0]))
+        return cls(_number(parts[0], what))
     if cls is PartitionFault:
         if not parts:
             raise ConfigError(
@@ -730,36 +753,27 @@ def _parse_fault(spec: str) -> NetworkFault:
                 w.strip() for w in "|".join(parts[1:]).split("|") if w.strip()
             )
         return PartitionFault(
-            (float(window.group(1)), float(window.group(2))), workers
+            (_number(window.group(1), what), _number(window.group(2), what)),
+            workers,
         )
     # gray_link(worker, factor)
     if len(parts) != 2:
         raise ConfigError("gray_link(worker,factor) needs two parameters")
-    return GrayLinkFault(parts[0], float(parts[1]))
+    return GrayLinkFault(parts[0], _number(parts[1], what))
 
 
-def make_fabric(fabric: FabricPolicy | str | None) -> FabricPolicy:
-    """Resolve a fabric spec into a policy.
+def parse_fabric(spec: str) -> FabricPolicy:
+    """Parse a fabric spec into a policy.
 
-    Accepts a policy instance, ``None`` (⇒ ideal), a registry name
-    (``"ideal"``, ``"faulty"``), or a fault-plan string
-    ``"<fault>[+<fault>...][:<retry>]"`` — e.g.
+    A spec is a registry name (``"ideal"``, ``"faulty"``) or a
+    fault-plan string ``"<fault>[+<fault>...][:<retry>]"`` — e.g.
     ``"partition(25..55):retry(max=8,base=0.5)"``,
     ``"drop(0.05)+delay(exp,0.2)"``, ``"duplicate(0.2):noretry"``.
     Unknown names raise :class:`~repro.errors.UnknownPolicyError`
-    listing the registry, like every other axis.
+    listing the registry, like every other axis.  This is the fabric
+    axis' parser in :data:`~repro.cluster.axes.AXES`.
     """
-    if fabric is None:
-        return IdealFabric()
-    if isinstance(fabric, FabricPolicy):
-        return fabric
-    if not isinstance(fabric, str):
-        raise UnknownPolicyError(
-            f"unknown fabric {fabric!r}; choose from {sorted(FABRICS)} "
-            f"or a fault plan over {sorted(NETWORK_FAULTS)}"
-        )
-    text = fabric.strip()
-    plan_text, sep, retry_text = text.partition(":")
+    plan_text, sep, retry_text = spec.strip().partition(":")
     plan_text = plan_text.strip()
     cls = FABRICS.get(plan_text)
     if cls is IdealFabric:

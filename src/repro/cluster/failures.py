@@ -18,9 +18,10 @@ admission, placement, rebalancing and autoscaling:
 Both are pluggable through string specs — ``"rolling"``,
 ``"rolling:checkpoint"``, ``"az_outage:checkpoint(60)"`` — so every entry
 point (``run_cluster(failures=)``, which the batch and sweep entry
-points forward unchanged, and CLI ``--failures``) shares one grammar.  ``"none"`` is
-short-circuited by the manager exactly like the other axes, keeping the
-no-failure path bit-identical to a build without this module.
+points forward unchanged, and CLI ``--failures``) shares one grammar,
+:func:`parse_failures`.  ``"none"`` is short-circuited by the manager
+exactly like the other axes, keeping the no-failure path bit-identical
+to a build without this module.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ __all__ = [
     "AzOutage",
     "SlowNode",
     "FAILURES",
-    "make_failures",
+    "parse_failures",
 ]
 
 _FAULT_KINDS = ("crash", "slow")
@@ -163,9 +164,10 @@ class CheckpointDurability(DurabilityModel):
     name = "checkpoint"
 
     def __init__(self, interval: float = 30.0) -> None:
-        if interval <= 0:
+        if not 0 < interval < math.inf:
             raise ConfigError(
-                f"checkpoint interval must be positive, got {interval!r}"
+                "checkpoint interval must be positive and finite, "
+                f"got {interval!r}"
             )
         self.interval = float(interval)
         self._checkpoints: dict[int, float] = {}
@@ -514,34 +516,25 @@ FAILURES: dict[str, type[FailureInjector]] = {
 }
 
 
-def make_failures(
-    failures: FailureInjector | str | None,
-) -> FailureInjector:
-    """Resolve a failures spec into an injector.
+def parse_failures(spec: str) -> FailureInjector:
+    """Parse a failures spec into an injector.
 
-    Accepts an injector instance, ``None`` (⇒ no failures), or a string
-    ``"<name>"`` / ``"<name>:<durability>"`` where ``<name>`` is a
-    :data:`FAILURES` key and ``<durability>`` a :func:`make_durability`
-    spec — e.g. ``"rolling"``, ``"az_outage:checkpoint"``,
-    ``"rolling:checkpoint(60)"``.  Unknown names raise
-    :class:`~repro.errors.UnknownPolicyError` listing the registry.
+    A spec is ``"<name>"`` or ``"<name>:<durability>"``, where
+    ``<name>`` is a :data:`FAILURES` key and ``<durability>`` a
+    :func:`make_durability` spec — e.g. ``"rolling"``,
+    ``"az_outage:checkpoint"``, ``"rolling:checkpoint(60)"``.  Unknown
+    names raise :class:`~repro.errors.UnknownPolicyError` listing the
+    registry.  This is the failures axis' parser in
+    :data:`~repro.cluster.axes.AXES`.
     """
-    if failures is None:
-        return NoFailures()
-    if isinstance(failures, FailureInjector):
-        return failures
-    if not isinstance(failures, str):
-        raise UnknownPolicyError(
-            f"unknown failures {failures!r}; choose from {sorted(FAILURES)}"
-        )
-    name, _, durability = failures.partition(":")
+    name, sep, durability = spec.partition(":")
     cls = FAILURES.get(name.strip())
     if cls is None:
         raise UnknownPolicyError(
-            f"unknown failures {failures!r}; choose from {sorted(FAILURES)} "
+            f"unknown failures {spec!r}; choose from {sorted(FAILURES)} "
             "(optionally ':<durability>', e.g. 'rolling:checkpoint(60)')"
         )
-    if not durability:
+    if not sep:
         return cls()
     if cls is NoFailures:
         raise ConfigError("failures 'none' takes no durability spec")

@@ -62,8 +62,8 @@ with bit-exact remaining work).  Each move passes the job through the
 ``migrating`` state and adds to its record's ``migrations`` count and
 ``migration_delay`` (in-flight checkpoint/restore seconds), surfaced
 through :class:`~repro.metrics.summary.RunSummary`.  The default
-``"none"`` policy is short-circuited entirely, preserving bit-identical
-behaviour with the pre-rebalancing manager.
+never-migrate policy is short-circuited entirely, preserving
+bit-identical behaviour with the pre-rebalancing manager.
 
 Autoscaling
 -----------
@@ -78,7 +78,7 @@ a worker still hosting containers is marked *draining* (no placements,
 no migration targets; composes with rebalancing, which may actively move
 its containers off) and is retired at its first empty moment.  The
 fleet-size timeline lands in :attr:`fleet_timeline` and rides
-:class:`~repro.metrics.summary.RunSummary`.  The default ``"none"``
+:class:`~repro.metrics.summary.RunSummary`.  The default fixed-fleet
 policy is short-circuited entirely: bit-identical to the fixed-fleet
 manager.
 
@@ -100,7 +100,7 @@ Fail-slow faults degrade the victim's capacity in place.  Recovery
 (``WORKER_RECOVER``) re-arms the node like an autoscale provision: it
 rejoins empty, :attr:`recover_hooks` fire (the runner restarts the
 recorder and attaches a fresh scheduling policy), and the queue drains
-into the recovered capacity.  The default ``"none"`` injector is
+into the recovered capacity.  The default fair-weather injector is
 short-circuited entirely: bit-identical to the failure-free manager.
 
 Message fabric
@@ -130,37 +130,13 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Sequence
 
-from repro.cluster.admission import (
-    AdmissionPolicy,
-    make_admission,
-)
-from repro.cluster.autoscale import (
-    AutoscalePolicy,
-    NoAutoscale,
-    make_autoscale,
-)
-from repro.cluster.fabric import (
-    MANAGER,
-    FabricPolicy,
-    make_fabric,
-)
-from repro.cluster.failures import (
-    FailureInjector,
-    NoFailures,
-    WorkerFault,
-    make_failures,
-)
-from repro.cluster.placement import (
-    EligibleWorkers,
-    PlacementPolicy,
-    make_placement,
-)
-from repro.cluster.rebalance import (
-    Migration,
-    NoRebalance,
-    RebalancePolicy,
-    make_rebalance,
-)
+from repro.cluster.admission import AdmissionPolicy
+from repro.cluster.autoscale import AutoscalePolicy, NoAutoscale
+from repro.cluster.axes import AXES, resolve
+from repro.cluster.fabric import MANAGER, FabricPolicy
+from repro.cluster.failures import FailureInjector, NoFailures, WorkerFault
+from repro.cluster.placement import EligibleWorkers, PlacementPolicy
+from repro.cluster.rebalance import Migration, NoRebalance, RebalancePolicy
 from repro.cluster.submission import JobSubmission
 from repro.cluster.worker import Worker
 from repro.errors import ClusterError
@@ -243,39 +219,17 @@ class Manager:
         The simulation engine.
     workers:
         The cluster's initial workers (non-empty, unique names).
-    placement:
-        A :class:`~repro.cluster.placement.PlacementPolicy` instance or
-        registry name (``"spread"``, ``"binpack"``, ``"random"``,
-        ``"affinity"``, ``"progress"``); ``None`` means spread, the
-        historical default.
-    rebalance:
-        A :class:`~repro.cluster.rebalance.RebalancePolicy` instance or
-        registry name (``"none"``, ``"migrate"``, ``"progress"``);
-        ``None`` means no rebalancing, the historical default.
-    admission:
-        An :class:`~repro.cluster.admission.AdmissionPolicy` instance or
-        registry name (``"fifo"``, ``"backfill"``, ``"priority"``,
-        ``"wfq"``, ``"sjf"``); ``None`` means FIFO, the historical
-        default (bit-identical to the pre-extraction hardcoded deque).
-    autoscale:
-        An :class:`~repro.cluster.autoscale.AutoscalePolicy` instance or
-        registry name (``"none"``, ``"queue_depth"``, ``"progress"``);
-        ``None`` means a fixed fleet, the historical default.
-    failures:
-        A :class:`~repro.cluster.failures.FailureInjector` instance or
-        spec string (``"none"``, ``"random"``, ``"rolling"``,
-        ``"az_outage"``, ``"slow"``, optionally with a durability suffix
-        like ``"rolling:checkpoint(60)"``); ``None`` means fair weather,
-        the historical default.
-    fabric:
-        A :class:`~repro.cluster.fabric.FabricPolicy` instance or spec
-        string (``"ideal"``, or a fault plan like
-        ``"partition(25..55):retry(max=8,base=0.5)"``); ``None`` means
-        the ideal fabric, bit-identical to the direct-call manager.
+    placement, rebalance, admission, autoscale, failures, fabric:
+        The six policy axes.  Each takes a policy instance, a registry
+        name (or, for failures and fabric, a spec string), or ``None``
+        for the axis default, the historical behaviour; every axis's
+        base class, registry, default and spec parser is one row of
+        :data:`~repro.cluster.axes.AXES`, and :func:`~repro.cluster.
+        axes.resolve` builds the policy once, here.
     worker_factory:
         ``name -> Worker`` builder for autoscale-provisioned nodes;
         required (:class:`~repro.errors.ClusterError` otherwise) when
-        ``autoscale`` is anything but ``"none"``.
+        an autoscale policy is armed.
     stream_sink:
         Optional :class:`~repro.metrics.sketch.StreamMetrics`.  When
         given, the manager runs in bounded memory: delays fold into the
@@ -307,21 +261,21 @@ class Manager:
             raise ClusterError(f"duplicate worker names: {names}")
         self.sim = sim
         self.workers = list(workers)
-        self.placement = make_placement(placement)
+        self.placement = resolve(AXES["placement"], placement)
         self.placement.bind(sim)
-        self.rebalance = make_rebalance(rebalance)
+        self.rebalance = resolve(AXES["rebalance"], rebalance)
         self.rebalance.bind(sim)
-        self.admission = make_admission(admission)
+        self.admission = resolve(AXES["admission"], admission)
         self.admission.bind(sim)
-        self.autoscale = make_autoscale(autoscale)
+        self.autoscale = resolve(AXES["autoscale"], autoscale)
         if worker_factory is None and not isinstance(self.autoscale, NoAutoscale):
             raise ClusterError(
                 f"autoscale policy {self.autoscale.name!r} needs a "
                 "worker_factory to build the workers it provisions"
             )
         self.autoscale.bind(sim, len(self.workers))
-        self.failures = make_failures(failures)
-        self.fabric = make_fabric(fabric)
+        self.failures = resolve(AXES["failures"], failures)
+        self.fabric = resolve(AXES["fabric"], fabric)
         self.worker_factory = worker_factory
         # Checkpoint pruning stays enabled even with rebalancing armed:
         # a migrated container's new-node observers are window-seeded at
@@ -634,9 +588,10 @@ class Manager:
         with a fit probe over the current eligible workers.  The default
         policies ignore the probe (bit-identical to the historical
         unconditional ``pop``, and placement still sees every eligible
-        worker); fit-aware policies (``"backfill"``) use it to release
-        out of order, and their releases are placed on the workers the
-        probe accepted.
+        worker); fit-aware policies such as
+        :class:`~repro.cluster.admission.BackfillAdmission` use it to
+        release out of order, and their releases are placed on the
+        workers the probe accepted.
         """
         eligible = self._eligible
         while len(self.admission):
@@ -689,7 +644,7 @@ class Manager:
     def _rebalance_pass(self) -> None:
         """Plan and execute migrations for the current cluster state."""
         if isinstance(self.rebalance, NoRebalance):
-            # Short-circuit: "none" runs must be bit-identical to the
+            # Short-circuit: default runs must be bit-identical to the
             # pre-rebalancing manager — no sampling, no planning.
             return
         if len(self.workers) < 2:
@@ -802,7 +757,7 @@ class Manager:
     def _autoscale_pass(self) -> None:
         """Consult the autoscale policy and apply its fleet delta."""
         if isinstance(self.autoscale, NoAutoscale):
-            # Short-circuit: "none" runs must be bit-identical to the
+            # Short-circuit: default runs must be bit-identical to the
             # fixed-fleet manager — no planning, no timeline churn.
             return
         self._retire_drained()

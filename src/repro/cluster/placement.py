@@ -21,11 +21,9 @@ run with the same seed and workload reproduces every placement decision
 bit-for-bit.
 
 Policies hold per-run state (the RNG stream), so build a fresh instance
-per run — :func:`make_placement` resolves a registry name
-(``"spread"``, ``"binpack"``, ``"random"``, ``"affinity"``,
-``"progress"``) into one,
-which is also what keeps batch tasks picklable: tasks carry the *name*,
-each worker process materializes the policy.
+per run — :func:`~repro.cluster.axes.resolve` turns a :data:`PLACEMENTS`
+name into one, which is also what keeps batch tasks picklable: tasks
+carry the *name*, each worker process materializes the policy.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from bisect import bisect_left, insort
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.cluster.signals import ProgressObserver
-from repro.errors import ClusterError, UnknownPolicyError
+from repro.errors import ClusterError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (worker ← manager)
     from repro.cluster.submission import JobSubmission
@@ -51,7 +49,6 @@ __all__ = [
     "AffinityPlacement",
     "ProgressPlacement",
     "PLACEMENTS",
-    "make_placement",
 ]
 
 
@@ -353,21 +350,3 @@ PLACEMENTS: dict[str, type[PlacementPolicy]] = {
     "affinity": AffinityPlacement,
     "progress": ProgressPlacement,
 }
-
-
-def make_placement(placement: str | PlacementPolicy | None) -> PlacementPolicy:
-    """Resolve a policy name (or pass through an instance) to a policy.
-
-    ``None`` means the historical default, :class:`SpreadPlacement`.
-    """
-    if placement is None:
-        return SpreadPlacement()
-    if isinstance(placement, PlacementPolicy):
-        return placement
-    try:
-        cls = PLACEMENTS[placement]
-    except (KeyError, TypeError):
-        raise UnknownPolicyError(
-            f"unknown placement {placement!r}; choose from {sorted(PLACEMENTS)}"
-        ) from None
-    return cls()

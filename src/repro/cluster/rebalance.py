@@ -39,10 +39,10 @@ Three policies ship:
 All policies are deterministic under a fixed simulation seed: plans
 derive only from simulator state and break ties lexicographically by
 worker name and numerically by cid.  Policies hold per-run state, so
-build a fresh instance per run — :func:`make_rebalance` resolves a
-registry name (``"none"``, ``"migrate"``, ``"progress"``), which is also
-what keeps batch tasks picklable: tasks carry the *name*, each worker
-process materializes the policy.
+build a fresh instance per run — :func:`~repro.cluster.axes.resolve`
+turns a :data:`REBALANCERS` name into one, which is also what keeps
+batch tasks picklable: tasks carry the *name*, each worker process
+materializes the policy.
 
 ``migration_delay`` models checkpoint/restore cost: with a positive
 delay the container is detached immediately, the target admission slot
@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 from repro.cluster.signals import ProgressObserver
-from repro.errors import ClusterError, ConfigError, UnknownPolicyError
+from repro.errors import ClusterError, ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (manager ← worker)
     from repro.containers.container import Container
@@ -80,7 +80,6 @@ __all__ = [
     "MigrateOnExit",
     "ProgressAwareRebalance",
     "REBALANCERS",
-    "make_rebalance",
 ]
 
 
@@ -467,23 +466,3 @@ REBALANCERS: dict[str, type[RebalancePolicy]] = {
     "migrate": MigrateOnExit,
     "progress": ProgressAwareRebalance,
 }
-
-
-def make_rebalance(
-    rebalance: str | RebalancePolicy | None,
-) -> RebalancePolicy:
-    """Resolve a policy name (or pass through an instance) to a policy.
-
-    ``None`` means the historical default, :class:`NoRebalance`.
-    """
-    if rebalance is None:
-        return NoRebalance()
-    if isinstance(rebalance, RebalancePolicy):
-        return rebalance
-    try:
-        cls = REBALANCERS[rebalance]
-    except (KeyError, TypeError):
-        raise UnknownPolicyError(
-            f"unknown rebalance {rebalance!r}; choose from {sorted(REBALANCERS)}"
-        ) from None
-    return cls()

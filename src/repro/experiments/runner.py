@@ -163,42 +163,18 @@ def run_cluster(
     n_workers:
         Cluster size (≥ 1); inferred from ``capacities`` when that is
         given and ``n_workers`` is left at 1.
-    placement:
-        Placement policy instance or registry name (``"spread"``,
-        ``"binpack"``, ``"random"``, ``"affinity"``, ``"progress"``);
-        default spread.
-    rebalance:
-        Rebalance policy instance or registry name (``"none"``,
-        ``"migrate"``, ``"progress"``); default ``"none"``, the
-        historical never-migrate behaviour.
-    admission:
-        Admission policy instance or registry name (``"fifo"``,
-        ``"backfill"``, ``"priority"``, ``"wfq"``, ``"sjf"``); default
-        ``"fifo"``, the historical strict-arrival-order behaviour.
-    autoscale:
-        Autoscale policy instance or registry name (``"none"``,
-        ``"queue_depth"``, ``"progress"``); default ``"none"``, the
-        historical fixed fleet.  Provisioned workers clone the *config*
-        shape (``cfg.capacity``/``cfg.max_containers``); each gets its
-        own recorder and a fresh policy instance from the factory,
-        exactly like the initial fleet.
-    failures:
-        Failure-injector instance or spec string (``"none"``,
-        ``"random"``, ``"rolling"``, ``"az_outage"``, ``"slow"``, with an
-        optional durability suffix like ``"rolling:checkpoint(60)"``);
-        default ``"none"``, the historical fair-weather behaviour.  Jobs
-        whose retry budget a crash plan exhausts land in
-        ``summary.failed_jobs`` instead of the completions.
-    fabric:
-        Control-plane fabric instance or spec string (``"ideal"``, or a
-        network fault plan like
-        ``"partition(25..55):retry(max=8,base=0.5)"`` or
-        ``"drop(0.05)+delay(exp,0.2)"``; see
-        :mod:`repro.cluster.fabric`); default ``"ideal"``, the historical
-        inline-delivery behaviour, bit-identical to the direct-call
-        manager.  Jobs whose placement messages exhaust both the
-        fabric's retries and their own retry budget land in
-        ``summary.failed_jobs``; per-message counters surface on
+    placement, rebalance, admission, autoscale, failures, fabric:
+        The six policy axes, passed to the
+        :class:`~repro.cluster.manager.Manager` unchanged: each a policy
+        instance, a registry name (a spec string for failures and
+        fabric), or ``None`` for the historical default.
+        :data:`~repro.cluster.axes.AXES` lists every axis's names,
+        default and spec grammar.  Provisioned workers clone the
+        *config* shape (``cfg.capacity``/``cfg.max_containers``) and get
+        their own recorder and policy instance, exactly like the initial
+        fleet.  Jobs that a crash plan or a lossy fabric leaves with no
+        retry budget land in ``summary.failed_jobs`` instead of the
+        completions; per-message fabric counters surface on
         ``summary.fabric_stats``.
     capacities:
         Optional per-worker CPU capacities for heterogeneous clusters.

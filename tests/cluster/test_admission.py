@@ -13,8 +13,8 @@ from repro.cluster.admission import (
     PriorityAdmission,
     SjfAdmission,
     WfqAdmission,
-    make_admission,
 )
+from repro.cluster.axes import AXES, resolve
 from repro.cluster.contention import ContentionModel
 from repro.cluster.manager import Manager
 from repro.cluster.submission import JobSubmission
@@ -192,25 +192,16 @@ class TestAdmissionPolicies:
             "backfill", "fifo", "priority", "sjf", "wfq",
         ]
 
-    def test_make_admission_defaults_to_fifo(self):
-        assert isinstance(make_admission(None), FifoAdmission)
+    def test_resolve_defaults_to_fifo(self):
+        assert isinstance(resolve(AXES["admission"], None), FifoAdmission)
 
-    def test_make_admission_rejects_unknown(self):
+    def test_resolve_rejects_unknown(self):
         with pytest.raises(ClusterError):
-            make_admission("lifo")
+            resolve(AXES["admission"], "lifo")
 
-    def test_make_admission_passes_instance_through(self):
+    def test_resolve_passes_instance_through(self):
         policy = WfqAdmission(tenant_weights={"a": 2.0})
-        assert make_admission(policy) is policy
-
-    def test_tenant_weights_require_wfq(self):
-        with pytest.raises(ClusterError):
-            make_admission("fifo", tenant_weights={"a": 1.0})
-        with pytest.raises(ClusterError):
-            make_admission(FifoAdmission(), tenant_weights={"a": 1.0})
-        policy = make_admission("wfq", tenant_weights={"a": 3.0})
-        assert isinstance(policy, WfqAdmission)
-        assert policy.tenant_weights == {"a": 3.0}
+        assert resolve(AXES["admission"], policy) is policy
 
     def test_bad_tenant_weight_rejected(self):
         with pytest.raises(ConfigError):
@@ -219,7 +210,7 @@ class TestAdmissionPolicies:
     def test_pop_on_empty_raises(self):
         for name in ADMISSIONS:
             with pytest.raises(ClusterError):
-                make_admission(name).pop()
+                ADMISSIONS[name]().pop()
 
     def test_fifo_is_arrival_order(self):
         subs = [_submission(f"J{i}", float(i)) for i in range(5)]
@@ -317,7 +308,7 @@ class TestAdmissionPolicies:
 
     def test_queued_preview_matches_drain_order(self):
         for name in ADMISSIONS:
-            policy = make_admission(name)
+            policy = ADMISSIONS[name]()
             subs = [
                 _submission("slow", 0.0, work=80.0, priority=1),
                 _submission("fast", 1.0, work=10.0, tenant="t", weight=2.0),
@@ -338,7 +329,7 @@ class TestAdmissionPolicies:
         """Non-fit-aware policies release unconditionally — the probe is
         advisory, preserving bit-identical historical drains."""
         for name in ("fifo", "priority"):
-            policy = make_admission(name)
+            policy = ADMISSIONS[name]()
             policy.push(_submission("only", 0.0))
             released = policy.pop_fitting(lambda sub: False)
             assert released is not None and released.label == "only"
@@ -352,7 +343,7 @@ class TestFitAwareHeapAdmission:
         return lambda sub: sub.label in allowed
 
     def test_sjf_backfills_next_shortest_fitting(self):
-        policy = make_admission("sjf")
+        policy = SjfAdmission()
         policy.push(_submission("short", 0.0, work=10.0))
         policy.push(_submission("mid", 0.0, work=20.0))
         policy.push(_submission("long", 0.0, work=30.0))
@@ -364,7 +355,7 @@ class TestFitAwareHeapAdmission:
         assert [s.label for s in policy.queued()] == ["short", "long"]
 
     def test_sjf_fitting_head_is_plain_key_order(self):
-        policy = make_admission("sjf")
+        policy = SjfAdmission()
         for label, work in (("b", 20.0), ("a", 10.0), ("c", 30.0)):
             policy.push(_submission(label, 0.0, work=work))
         order = [
@@ -374,7 +365,7 @@ class TestFitAwareHeapAdmission:
         assert policy.backfills == 0
 
     def test_sjf_aging_suspends_backfill(self):
-        policy = make_admission("sjf")
+        policy = SjfAdmission()
         policy.max_skips = 2
         policy.push(_submission("head", 0.0, work=1.0))
         fits = self._fits_by_label("f1", "f2", "f3")
@@ -390,16 +381,16 @@ class TestFitAwareHeapAdmission:
         assert policy.pop_fitting(fits).label == "f3"
 
     def test_sjf_nothing_fits_returns_none(self):
-        policy = make_admission("sjf")
+        policy = SjfAdmission()
         policy.push(_submission("a", 0.0))
         assert policy.pop_fitting(lambda sub: False) is None
         assert len(policy) == 1
-        assert make_admission("sjf").pop_fitting(lambda sub: True) is None
+        assert SjfAdmission().pop_fitting(lambda sub: True) is None
 
     def test_wfq_backfill_advances_virtual_time(self):
         """An out-of-order release moves vtime to its finish tag, the
         same rule as an in-order pop."""
-        policy = make_admission("wfq")
+        policy = WfqAdmission()
         policy.push(_submission("h1", 0.0, tenant="heavy"))
         policy.push(_submission("h2", 0.0, tenant="heavy"))
         policy.push(_submission("lite", 0.0, tenant="light", weight=0.25))
@@ -418,7 +409,7 @@ class TestFitAwareHeapAdmission:
         assert tags["late"] == pytest.approx(5.0)
 
     def test_wfq_head_fit_pops_in_key_order(self):
-        policy = make_admission("wfq")
+        policy = WfqAdmission()
         policy.push(_submission("h1", 0.0, tenant="heavy"))
         policy.push(_submission("l1", 0.0, tenant="light", weight=2.0))
         assert policy.pop_fitting(lambda sub: True).label == "l1"

@@ -9,8 +9,8 @@ from repro.cluster.autoscale import (
     NoAutoscale,
     ProgressAutoscale,
     QueueDepthAutoscale,
-    make_autoscale,
 )
+from repro.cluster.axes import AXES, resolve
 from repro.cluster.contention import ContentionModel
 from repro.cluster.manager import Manager
 from repro.cluster.submission import JobSubmission
@@ -61,15 +61,15 @@ class TestRegistry:
         assert sorted(AUTOSCALERS) == ["none", "progress", "queue_depth"]
 
     def test_default_is_none(self):
-        assert isinstance(make_autoscale(None), NoAutoscale)
+        assert isinstance(resolve(AXES["autoscale"], None), NoAutoscale)
 
     def test_unknown_rejected(self):
         with pytest.raises(ClusterError):
-            make_autoscale("manual")
+            resolve(AXES["autoscale"], "manual")
 
     def test_instance_passes_through(self):
         policy = QueueDepthAutoscale(up_threshold=2)
-        assert make_autoscale(policy) is policy
+        assert resolve(AXES["autoscale"], policy) is policy
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigError):

@@ -2,7 +2,7 @@
 
 Three layers:
 
-* **Grammar** — ``make_fabric`` spec parsing: registry names, fault
+* **Grammar** — ``parse_fabric`` spec parsing: registry names, fault
   plans, retry/noretry suffixes, and every malformed-spec error path
   (unknown names raise :class:`~repro.errors.UnknownPolicyError`
   listing the registry, bad parameters raise
@@ -23,10 +23,13 @@ Three layers:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.cluster.autoscale import QueueDepthAutoscale
+from repro.cluster.axes import AXES, resolve
 from repro.cluster.contention import ContentionModel
 from repro.cluster.fabric import (
     FABRICS,
@@ -40,7 +43,7 @@ from repro.cluster.fabric import (
     NETWORK_FAULTS,
     PartitionFault,
     RetryPolicy,
-    make_fabric,
+    parse_fabric,
 )
 from repro.cluster.failures import ScriptedFailures, WorkerFault
 from repro.cluster.manager import Manager
@@ -59,27 +62,27 @@ from tests.conftest import make_linear_job
 
 class TestSpecGrammar:
     def test_none_is_ideal(self):
-        assert isinstance(make_fabric(None), IdealFabric)
+        assert isinstance(resolve(AXES["fabric"], None), IdealFabric)
 
     def test_ideal_by_name(self):
-        assert isinstance(make_fabric("ideal"), IdealFabric)
+        assert isinstance(parse_fabric("ideal"), IdealFabric)
 
     def test_instance_passes_through(self):
         fabric = FaultyFabric([DropFault(0.1)])
-        assert make_fabric(fabric) is fabric
+        assert resolve(AXES["fabric"], fabric) is fabric
 
     def test_ideal_rejects_reliability_suffix(self):
         with pytest.raises(ConfigError, match="takes no reliability"):
-            make_fabric("ideal:retry(max=3)")
+            parse_fabric("ideal:retry(max=3)")
 
     def test_faulty_by_name_has_defaults(self):
-        fabric = make_fabric("faulty")
+        fabric = parse_fabric("faulty")
         assert isinstance(fabric, FaultyFabric)
         assert fabric.faults == []
         assert fabric.retry == RetryPolicy()
 
     def test_single_drop_term(self):
-        fabric = make_fabric("drop(0.3)")
+        fabric = parse_fabric("drop(0.3)")
         assert isinstance(fabric, FaultyFabric)
         (fault,) = fabric.faults
         assert isinstance(fault, DropFault)
@@ -87,37 +90,37 @@ class TestSpecGrammar:
         assert fabric.retry == RetryPolicy()
 
     def test_delay_bare_value_is_const(self):
-        (fault,) = make_fabric("delay(0.5)").faults
+        (fault,) = parse_fabric("delay(0.5)").faults
         assert (fault.dist, fault.params) == ("const", (0.5,))
 
     def test_delay_explicit_const_token(self):
         # Regression: the 'const' token used to reach float() and crash.
-        (fault,) = make_fabric("delay(const,0.05)").faults
+        (fault,) = parse_fabric("delay(const,0.05)").faults
         assert (fault.dist, fault.params) == ("const", (0.05,))
 
     def test_delay_exp_and_uniform(self):
-        (exp,) = make_fabric("delay(exp,0.3)").faults
+        (exp,) = parse_fabric("delay(exp,0.3)").faults
         assert (exp.dist, exp.params) == ("exp", (0.3,))
-        (uni,) = make_fabric("delay(uniform,0.1,0.2)").faults
+        (uni,) = parse_fabric("delay(uniform,0.1,0.2)").faults
         assert (uni.dist, uni.params) == ("uniform", (0.1, 0.2))
 
     def test_partition_auto_dark_group(self):
-        (fault,) = make_fabric("partition(10..20)").faults
+        (fault,) = parse_fabric("partition(10..20)").faults
         assert isinstance(fault, PartitionFault)
         assert fault.window == (10.0, 20.0)
         assert fault.workers is None
 
     def test_partition_explicit_workers(self):
-        (fault,) = make_fabric("partition(10..20,w0|w1)").faults
+        (fault,) = parse_fabric("partition(10..20,w0|w1)").faults
         assert fault.workers == ("w0", "w1")
 
     def test_gray_link(self):
-        (fault,) = make_fabric("gray_link(worker-3,4)").faults
+        (fault,) = parse_fabric("gray_link(worker-3,4)").faults
         assert isinstance(fault, GrayLinkFault)
         assert (fault.worker, fault.factor) == ("worker-3", 4.0)
 
     def test_compound_plan_with_retry(self):
-        fabric = make_fabric(
+        fabric = parse_fabric(
             "drop(0.1)+delay(exp,0.2)"
             ":retry(max=3,base=0.25,factor=3,cap=2,jitter=0,reconcile=10)"
         )
@@ -128,43 +131,62 @@ class TestSpecGrammar:
         )
 
     def test_noretry_suffix(self):
-        fabric = make_fabric("duplicate(0.2):noretry")
+        fabric = parse_fabric("duplicate(0.2):noretry")
         assert fabric.retry.max_retries == 0
 
     def test_noretry_accepts_reconcile(self):
-        fabric = make_fabric("drop(0.1):noretry(reconcile=5)")
+        fabric = parse_fabric("drop(0.1):noretry(reconcile=5)")
         assert fabric.retry.max_retries == 0
         assert fabric.retry.reconcile == 5.0
 
     def test_noretry_rejects_other_parameters(self):
         with pytest.raises(ConfigError, match="reconcile"):
-            make_fabric("drop(0.1):noretry(max=3)")
+            parse_fabric("drop(0.1):noretry(max=3)")
 
     def test_unknown_fault_lists_registry(self):
         with pytest.raises(UnknownPolicyError) as err:
-            make_fabric("teleport(0.5)")
+            parse_fabric("teleport(0.5)")
         for name in NETWORK_FAULTS:
             assert name in str(err.value)
 
     def test_unknown_reliability_name(self):
         with pytest.raises(UnknownPolicyError, match="noretry"):
-            make_fabric("drop(0.1):often")
+            parse_fabric("drop(0.1):often")
 
     def test_non_string_non_policy_rejected(self):
         with pytest.raises(UnknownPolicyError):
-            make_fabric(42)
+            resolve(AXES["fabric"], 42)
 
     def test_bad_retry_parameter_name(self):
         with pytest.raises(ConfigError, match="bogus"):
-            make_fabric("drop(0.1):retry(bogus=1)")
+            parse_fabric("drop(0.1):retry(bogus=1)")
 
     def test_bad_retry_parameter_value(self):
         with pytest.raises(ConfigError, match="needs a number"):
-            make_fabric("drop(0.1):retry(max=lots)")
+            parse_fabric("drop(0.1):retry(max=lots)")
+
+    @pytest.mark.parametrize("spec", [
+        "delay(nan)", "delay(exp,inf)", "gray_link(worker-0,nan)",
+        "gray_link(worker-0,inf)", "drop(0.1):retry(base=nan)",
+        "drop(0.1):retry(reconcile=nan)", "drop(0.1):retry(max=nan)",
+        "drop(0.1):retry(max=2.7)", "drop(0.1):retry(max=inf)",
+        "drop(x)", "delay(exp,soon)", "gray_link(worker-0,big)",
+        "partition(1.2.3..5)",
+    ])
+    def test_bad_number_in_spec_rejected(self, spec):
+        # Every number a spec carries is checked while it is parsed:
+        # none may fail later as a scheduling error or a bare
+        # ValueError.
+        with pytest.raises(ConfigError):
+            parse_fabric(spec)
+
+    def test_uncapped_retry_spec_parses(self):
+        retry = parse_fabric("drop(0.1):retry(max=3,cap=inf)").retry
+        assert [retry.timeout(n) for n in range(4)] == [0.5, 1.0, 2.0, 4.0]
 
     def test_partition_needs_window(self):
         with pytest.raises(ConfigError, match="window"):
-            make_fabric("partition(20)")
+            parse_fabric("partition(20)")
 
     def test_registries(self):
         assert sorted(FABRICS) == ["faulty", "ideal"]
@@ -184,6 +206,11 @@ class TestValidation:
             {"base": 0.0},
             {"factor": 0.5},
             {"base": 4.0, "cap": 2.0},
+            {"base": math.nan},
+            {"base": math.inf, "cap": math.inf},
+            {"factor": math.nan},
+            {"factor": math.inf},
+            {"cap": math.nan},
         ],
     )
     def test_retry_rejects_bad_backoff_shape(self, kwargs):
@@ -195,6 +222,10 @@ class TestValidation:
             RetryPolicy(jitter=-0.1)
         with pytest.raises(ConfigError):
             RetryPolicy(reconcile=-1.0)
+        for field in ("jitter", "reconcile"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ConfigError, match="finite"):
+                    RetryPolicy(**{field: value})
 
     def test_drop_probability_range(self):
         with pytest.raises(ConfigError, match=r"\[0, 1\]"):
@@ -208,13 +239,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="lo < hi"):
             PartitionFault((30.0, 20.0))
 
-    def test_gray_link_factor_above_one(self):
+    @pytest.mark.parametrize("factor", [1.0, math.nan, math.inf])
+    def test_gray_link_factor_above_one(self, factor):
         with pytest.raises(ConfigError, match="> 1"):
-            GrayLinkFault("w0", 1.0)
+            GrayLinkFault("w0", factor)
 
     @pytest.mark.parametrize(
         "args", [("const",), ("const", -1.0), ("exp",), ("exp", 0.0),
-                 ("uniform", 0.5), ("uniform", 2.0, 1.0), ("gauss", 1.0)]
+                 ("uniform", 0.5), ("uniform", 2.0, 1.0), ("gauss", 1.0),
+                 ("const", math.nan), ("const", math.inf),
+                 ("exp", math.inf), ("uniform", 0.0, math.inf)]
     )
     def test_delay_parameter_shapes(self, args):
         with pytest.raises(ConfigError):
@@ -252,7 +286,7 @@ class TestDescribe:
     def test_fabric_descriptions(self):
         assert IdealFabric().describe() == "ideal"
         assert FaultyFabric().describe().startswith("clean:retry(")
-        fabric = make_fabric("drop(0.1)+delay(exp,0.2):noretry")
+        fabric = parse_fabric("drop(0.1)+delay(exp,0.2):noretry")
         assert fabric.describe() == "drop(0.1)+delay(exp,0.2):noretry"
 
     def test_ideal_fabric_delivers_inline(self):
@@ -308,7 +342,7 @@ def _chaos_run(seed: int, fabric):
             contention=ContentionModel.ideal(), max_containers=2,
         )
 
-    fabric = make_fabric(fabric)
+    fabric = resolve(AXES["fabric"], fabric)
     manager = Manager(
         sim,
         workers,

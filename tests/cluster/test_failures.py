@@ -13,12 +13,14 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import math
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.baselines.na import NAPolicy
-from repro.cluster.admission import make_admission
-from repro.cluster.autoscale import make_autoscale
+from repro.cluster.axes import AXES, resolve
 from repro.cluster.contention import ContentionModel
 from repro.cluster.failures import (
     DURABILITIES,
@@ -33,11 +35,10 @@ from repro.cluster.failures import (
     SlowNode,
     WorkerFault,
     make_durability,
-    make_failures,
+    parse_failures,
 )
 from repro.cluster.manager import Manager
-from repro.cluster.placement import make_placement
-from repro.cluster.rebalance import MigrateOnExit, Migration, make_rebalance
+from repro.cluster.rebalance import MigrateOnExit, Migration
 from repro.cluster.submission import JobSubmission
 from repro.cluster.worker import Worker
 from repro.config import FlowConConfig, SimulationConfig
@@ -111,7 +112,7 @@ class TestSpecParsing:
         model = CheckpointDurability(interval=7.0)
         assert make_durability(model) is model
         injector = RollingRestart()
-        assert make_failures(injector) is injector
+        assert resolve(AXES["failures"], injector) is injector
 
     def test_checkpoint_interval_argument(self):
         model = make_durability("checkpoint(60)")
@@ -127,27 +128,38 @@ class TestSpecParsing:
         with pytest.raises(ConfigError):
             make_durability("checkpoint(soon)")
 
-    def test_checkpoint_interval_must_be_positive(self):
+    @pytest.mark.parametrize("interval", [0.0, math.nan, math.inf])
+    def test_checkpoint_interval_must_be_positive(self, interval):
         with pytest.raises(ConfigError):
-            CheckpointDurability(interval=0.0)
+            CheckpointDurability(interval=interval)
 
     def test_failures_spec_with_durability_suffix(self):
-        injector = make_failures("rolling:checkpoint(60)")
+        injector = parse_failures("rolling:checkpoint(60)")
         assert isinstance(injector, RollingRestart)
         assert isinstance(injector.durability, CheckpointDurability)
         assert injector.durability.interval == 60.0
         assert injector.describe() == "rolling+checkpoint(60s)"
 
     def test_bare_name_defaults_to_lost(self):
-        injector = make_failures("az_outage")
+        injector = parse_failures("az_outage")
         assert isinstance(injector, AzOutage)
         assert isinstance(injector.durability, LostDurability)
 
     def test_none_spec_takes_no_durability(self):
-        assert isinstance(make_failures("none"), NoFailures)
-        assert isinstance(make_failures(None), NoFailures)
+        assert isinstance(parse_failures("none"), NoFailures)
+        assert isinstance(resolve(AXES["failures"], None), NoFailures)
         with pytest.raises(ConfigError):
-            make_failures("none:lost")
+            parse_failures("none:lost")
+
+    @pytest.mark.parametrize("spec", [
+        "none:", "rolling:", "rolling: ", "rolling:checkpoint(nan)",
+        "rolling:checkpoint(inf)", "slow:checkpoint(-inf)",
+    ])
+    def test_bad_durability_suffix_rejected(self, spec):
+        # An empty suffix and a non-finite interval fail here, at
+        # parse time, not as a scheduling error mid-run.
+        with pytest.raises((ConfigError, UnknownPolicyError)):
+            parse_failures(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +174,15 @@ class TestUnknownPolicyNames:
     @pytest.mark.parametrize(
         "resolver, registry_keys",
         [
-            (make_placement,
+            (partial(resolve, AXES["placement"]),
              ["affinity", "binpack", "progress", "random", "spread"]),
-            (make_rebalance, ["migrate", "none", "progress"]),
-            (make_admission, ["backfill", "fifo", "priority", "sjf", "wfq"]),
-            (make_autoscale, ["none", "progress", "queue_depth"]),
-            (make_failures,
+            (partial(resolve, AXES["rebalance"]),
+             ["migrate", "none", "progress"]),
+            (partial(resolve, AXES["admission"]),
+             ["backfill", "fifo", "priority", "sjf", "wfq"]),
+            (partial(resolve, AXES["autoscale"]),
+             ["none", "progress", "queue_depth"]),
+            (partial(resolve, AXES["failures"]),
              ["az_outage", "none", "random", "rolling", "slow"]),
             (make_durability, ["checkpoint", "lost"]),
         ],
@@ -187,10 +202,11 @@ class TestUnknownPolicyNames:
         # catching ClusterError keep working.
         assert issubclass(UnknownPolicyError, ValueError)
         assert issubclass(UnknownPolicyError, ClusterError)
-        for resolver in (make_placement, make_rebalance, make_admission,
-                         make_autoscale, make_failures, make_durability):
+        for axis in AXES.values():
             with pytest.raises(ValueError):
-                resolver("definitely-not-a-policy")
+                resolve(axis, "definitely-not-a-policy")
+        with pytest.raises(ValueError):
+            make_durability("definitely-not-a-policy")
 
 
 # ---------------------------------------------------------------------------

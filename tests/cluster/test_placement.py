@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cluster.axes import AXES, resolve
 from repro.cluster.contention import ContentionModel
 from repro.cluster.manager import Manager
 from repro.cluster.placement import (
@@ -15,7 +16,6 @@ from repro.cluster.placement import (
     ProgressPlacement,
     RandomPlacement,
     SpreadPlacement,
-    make_placement,
 )
 from repro.cluster.submission import JobSubmission
 from repro.cluster.worker import Worker
@@ -54,20 +54,20 @@ def _worker_of(manager, label):
 class TestRegistry:
     def test_names_resolve(self):
         for name, cls in PLACEMENTS.items():
-            policy = make_placement(name)
+            policy = resolve(AXES["placement"], name)
             assert isinstance(policy, cls)
             assert policy.name == name
 
     def test_none_is_spread(self):
-        assert isinstance(make_placement(None), SpreadPlacement)
+        assert isinstance(resolve(AXES["placement"], None), SpreadPlacement)
 
     def test_instance_passes_through(self):
         policy = BinPackPlacement()
-        assert make_placement(policy) is policy
+        assert resolve(AXES["placement"], policy) is policy
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ClusterError):
-            make_placement("zigzag")
+            resolve(AXES["placement"], "zigzag")
 
 
 class TestSpread:

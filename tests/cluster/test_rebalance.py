@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.axes import AXES, resolve
 from repro.cluster.contention import ContentionModel
 from repro.cluster.manager import Manager
 from repro.cluster.rebalance import (
@@ -11,7 +12,6 @@ from repro.cluster.rebalance import (
     MigrateOnExit,
     NoRebalance,
     ProgressAwareRebalance,
-    make_rebalance,
 )
 from repro.cluster.submission import JobSubmission
 from repro.cluster.worker import Worker
@@ -166,12 +166,12 @@ class TestReservations:
 class TestPolicyValidation:
     def test_registry_and_factory(self):
         assert sorted(REBALANCERS) == ["migrate", "none", "progress"]
-        assert isinstance(make_rebalance(None), NoRebalance)
-        assert isinstance(make_rebalance("migrate"), MigrateOnExit)
+        assert isinstance(resolve(AXES["rebalance"], None), NoRebalance)
+        assert isinstance(resolve(AXES["rebalance"], "migrate"), MigrateOnExit)
         policy = ProgressAwareRebalance()
-        assert make_rebalance(policy) is policy
+        assert resolve(AXES["rebalance"], policy) is policy
         with pytest.raises(ClusterError):
-            make_rebalance("gandiva")
+            resolve(AXES["rebalance"], "gandiva")
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigError):

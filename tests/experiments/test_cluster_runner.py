@@ -344,6 +344,10 @@ class TestClusterShapes:
         ("failures", "rolling:checkpoint(soon)"),
         ("fabric", "carrier-pigeon"),
         ("fabric", "drop(1.5)"),
+        ("failures", "rolling:"),
+        ("failures", "rolling:checkpoint(nan)"),
+        ("fabric", "delay(nan)"),
+        ("fabric", "gray_link(worker-0,inf)"),
     ])
     def test_bad_policy_spec_fails_before_the_run(self, axis, spec):
         with pytest.raises((UnknownPolicyError, ConfigError)):

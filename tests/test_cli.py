@@ -23,36 +23,6 @@ class TestParser:
         assert args.jobs == 10 and args.alpha == 0.10
         assert args.placement == "spread" and args.rebalance == "none"
 
-    def test_rebalance_choices(self):
-        args = build_parser().parse_args(
-            ["compare", "--workers", "2", "--rebalance", "progress"]
-        )
-        assert args.rebalance == "progress"
-        args = build_parser().parse_args(
-            ["sweep", "--workers", "2", "--rebalance", "migrate"]
-        )
-        assert args.rebalance == "migrate"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["compare", "--rebalance", "gandiva"])
-
-    def test_admission_and_autoscale_choices(self):
-        args = build_parser().parse_args(["compare"])
-        assert args.admission == "fifo" and args.autoscale == "none"
-        args = build_parser().parse_args(
-            ["compare", "--admission", "wfq", "--autoscale", "queue_depth"]
-        )
-        assert args.admission == "wfq"
-        assert args.autoscale == "queue_depth"
-        args = build_parser().parse_args(
-            ["sweep", "--admission", "sjf", "--autoscale", "progress"]
-        )
-        assert args.admission == "sjf"
-        assert args.autoscale == "progress"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["compare", "--admission", "lifo"])
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["compare", "--autoscale", "manual"])
-
     def test_profile_flag_parses(self):
         assert build_parser().parse_args(["compare"]).profile is False
         assert build_parser().parse_args(
@@ -184,7 +154,8 @@ class TestCommands:
         (["--failures", "meteor-strike"], ["meteor-strike", "'rolling'"]),
         (["--fabric", "carrier-pigeon"], ["carrier-pigeon", "'partition'"]),
         (["--slots", "0"], ["max_containers"]),
-    ], ids=["failures", "fabric", "slots"])
+        (["--fabric", "drop(0.1):retry(max=nan)"], ["max=", "nan"]),
+    ], ids=["failures", "fabric", "slots", "retry-max-nan"])
     def test_bad_cluster_option_is_a_clean_cli_error(
         self, capsys, flags, names
     ):
