@@ -94,11 +94,17 @@ class WorkerFault:
             raise ConfigError(
                 f"fault kind must be one of {_FAULT_KINDS}, got {self.kind!r}"
             )
-        if self.time < 0:
-            raise ConfigError(f"fault time must be >= 0, got {self.time!r}")
-        if self.recover_after is not None and self.recover_after <= 0:
+        # isfinite first: NaN compares false with everything.
+        if not math.isfinite(self.time) or self.time < 0:
             raise ConfigError(
-                f"recover_after must be positive, got {self.recover_after!r}"
+                f"fault time must be finite and >= 0, got {self.time!r}"
+            )
+        if self.recover_after is not None and (
+            not math.isfinite(self.recover_after) or self.recover_after <= 0
+        ):
+            raise ConfigError(
+                "recover_after must be positive and finite, "
+                f"got {self.recover_after!r}"
             )
         if self.kind == "slow" and not 0.0 < self.capacity_factor < 1.0:
             raise ConfigError(

@@ -32,10 +32,13 @@ workers; everything else runs each worker's or recorder's own code:
   ``observe()`` would open it.  Each container's window is read through
   the recorder's own
   :meth:`BusSampler.read <repro.cluster.obsbus.BusSampler.read>`, the
-  one place the window rule lives.  Step series then append through
-  :meth:`StepSeries.append <repro.metrics.timeseries.StepSeries.append>`,
-  growth histories advance through :meth:`EfficiencyHistory.observe_usage
-  <repro.core.efficiency.EfficiencyHistory.observe_usage>`.  Each
+  one place the window rule lives.  The read's CPU and growth-resource
+  means, the container's CPU limit and its job's training progress go
+  into the container's trace as one raw row; nothing else is computed
+  on the tick.  The step series,
+  ``E(t)`` (``job.eval_at(progress)``) and growth efficiency are built
+  from those rows when a series is read
+  (:class:`~repro.metrics.recorder.ContainerTrace`).  Each
   recorder then schedules its next sample with its own
   ``_schedule_sample`` (the ticker's batch handler, or ``_on_sample``).
 
@@ -149,8 +152,10 @@ def fleet_sample(recorders: list["MetricsRecorder"]) -> int:
     * Every window is read through the recorder's own
       :meth:`BusSampler.read`; zero-length windows skip the container
       entirely.
-    * Series append through ``StepSeries.append`` and growth histories
-      advance through ``EfficiencyHistory.observe_usage``.
+    * Each read adds one raw row — ``now``, the CPU and growth-resource
+      window means, the CPU limit and the job's progress — to the
+      container's :class:`~repro.metrics.recorder.ContainerTrace`; its
+      series, ``E(t)`` and growth are built from the rows when read.
 
     Returns the number of window means read (instrumentation).
     """
@@ -161,29 +166,19 @@ def fleet_sample(recorders: list["MetricsRecorder"]) -> int:
         r.worker.obsbus.begin_pass(containers)
         read = r._sampler.read
         traces = r.traces
-        tracker = r._tracker
-        res_idx = tracker.resource.index
+        idx = r.resource.index
         for container in containers:
-            cid = container.cid
-            trace = traces.get(cid)
+            trace = traces.get(container.cid)
             if trace is None:
                 trace = r._trace_for(container)
             row = read(container, now)
             if row is None:
                 continue  # zero-length window: duplicate poll, skip
             total += 1
-            trace.cpu_usage.append(now, row[0])
-            trace.cpu_limit.append(now, container.limits.cpu)
-            try:
-                ev_val = container.job.eval_value()
-            except Exception:  # job may not expose E(t)
-                ev_val = None
-            if ev_val is None:
-                continue
-            trace.eval_value.append(now, ev_val)
-            grown = tracker.history(cid).observe_usage(now, ev_val, row[res_idx])
-            if grown is not None:
-                trace.growth.append(now, grown.growth)
+            trace._pending.extend(
+                (now, row[0], row[idx], container.limits.cpu,
+                 container.job.progress)
+            )
     return total
 
 

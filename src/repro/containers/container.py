@@ -27,8 +27,11 @@ _cid_counter = itertools.count(1)
 class Workload(Protocol):
     """What the container substrate requires of a job.
 
-    :class:`repro.workloads.job.TrainingJob` is the canonical
-    implementation; tests use lightweight stand-ins.
+    :class:`repro.workloads.job.TrainingJob` is the canonical (and only)
+    implementation.  The worker reads the footprint and advances the
+    job; observers read ``eval_value()``; a dense metrics recorder stores
+    ``progress`` on each tick and calls ``eval_at`` only when its series
+    are read, so ``E`` must be a pure function of progress.
     """
 
     @property
@@ -54,8 +57,20 @@ class Workload(Protocol):
         """Consume delivered CPU-seconds, moving training forward."""
         ...
 
+    @property
+    def progress(self) -> float:
+        """Post-warm-up training progress in [0, 1]."""
+        ...
+
     def eval_value(self) -> float:
-        """Current value of the job's evaluation function ``E(t)``."""
+        """Current value of the job's evaluation function ``E(t)``;
+        equal to ``eval_at(progress)``."""
+        ...
+
+    def eval_at(self, progress: float) -> float:
+        """``E`` at a given *progress*, a pure function of it: dense
+        metrics recorders store the progress on each tick and evaluate
+        ``E`` only when their series are read."""
         ...
 
 

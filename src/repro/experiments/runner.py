@@ -93,11 +93,12 @@ class RunResult:
         }
 
     def trace(self, label: str) -> ContainerTrace:
-        """A job's recorded trace, wherever in the cluster it ran."""
+        """A job's recorded trace, wherever in the cluster it ran: the
+        first recorder (in worker order) whose label index holds it."""
         for recorder in self.recorders.values():
-            for trace in recorder.traces.values():
-                if trace.label == label:
-                    return trace
+            cid = recorder._labels.get(label)
+            if cid is not None:
+                return recorder.traces[cid]
         raise ExperimentError(f"no trace recorded for label {label!r}")
 
     def completion_times(self) -> dict[str, float]:

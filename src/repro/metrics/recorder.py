@@ -16,6 +16,14 @@ same-instant ticks across workers through the fleet ticker, and
 :meth:`sample_now` — what a hand-wired simulation's ticks fire, and the
 public one-shot sample — runs it as a batch of one.
 
+Recording pays only for what is read: a dense tick stores one raw row
+per container in its :class:`ContainerTrace` (time, window means,
+limit, training progress) and evaluates nothing.  ``E(t)``, the growth
+efficiency and the four step series are built from those rows when a
+series is first read, with the same functions in the same order, so
+they are bit-identical to series built on the tick.  Runs whose traces
+nobody reads (perfbench, batch records) never build them.
+
 Streaming mode
 --------------
 ``MetricsRecorder(..., streaming=True)`` trades per-container series for
@@ -33,13 +41,12 @@ default dense mode is untouched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from repro.cluster.fleet import fleet_tick
 from repro.cluster.worker import Worker
-from repro.containers.container import Container
+from repro.containers.container import Container, Workload
 from repro.containers.spec import ResourceType
-from repro.core.efficiency import GrowthTracker
+from repro.core.efficiency import EfficiencyHistory
 from repro.errors import MetricsError
 from repro.metrics.summary import CompletionRecord, RunSummary
 from repro.metrics.timeseries import StepSeries
@@ -48,17 +55,100 @@ from repro.simcore.events import PRIORITY_SAMPLE, Event, EventKind
 __all__ = ["ContainerTrace", "MetricsRecorder"]
 
 
-@dataclass
 class ContainerTrace:
-    """All step series recorded for one container."""
+    """All step series recorded for one container, built when read.
 
-    cid: int
-    label: str
-    image: str
-    cpu_usage: StepSeries = field(default_factory=lambda: StepSeries("cpu"))
-    cpu_limit: StepSeries = field(default_factory=lambda: StepSeries("limit"))
-    eval_value: StepSeries = field(default_factory=lambda: StepSeries("eval"))
-    growth: StepSeries = field(default_factory=lambda: StepSeries("growth"))
+    A dense recorder's tick does not touch the series.  It extends the
+    trace's flat pending list by one five-value raw row: ``time``, CPU
+    window mean, the growth resource's window mean (both from
+    :meth:`BusSampler.read <repro.cluster.obsbus.BusSampler.read>`), CPU
+    limit and the job's training progress; the exit hook adds ``time,
+    0.0, None, None, None``.  Reading :attr:`cpu_usage`,
+    :attr:`cpu_limit`, :attr:`eval_value` or :attr:`growth` first folds
+    the pending rows, in tick order, into the four :class:`StepSeries`:
+    ``E = job.eval_at(progress)``, growth through the trace's own
+    :class:`EfficiencyHistory`, and every point through
+    :meth:`StepSeries.append`, so the monotonic-time check and the
+    equal-time overwrite rule run at read time, not on the tick.  Folded
+    rows are dropped, so a read in mid-run followed by more ticks builds
+    the same bits as one read at the end.  (Flat floats rather than a
+    tuple per row: tuples are tracked by the cyclic garbage collector,
+    and a tuple per container-sample cost both memory and collector
+    time.)
+    """
+
+    __slots__ = (
+        "cid", "label", "image", "_job", "_pending", "_history",
+        "_cpu_usage", "_cpu_limit", "_eval_value", "_growth",
+    )
+
+    def __init__(
+        self, cid: int, label: str, image: str, job: Workload
+    ) -> None:
+        self.cid = cid
+        self.label = label
+        self.image = image
+        self._job = job
+        self._pending: list[float | None] = []
+        self._history = EfficiencyHistory(cid=cid)
+        self._cpu_usage = StepSeries("cpu")
+        self._cpu_limit = StepSeries("limit")
+        self._eval_value = StepSeries("eval")
+        self._growth = StepSeries("growth")
+
+    @property
+    def cpu_usage(self) -> StepSeries:
+        """Mean CPU usage over each sampling window (0.0 from exit on)."""
+        if self._pending:
+            self._fold()
+        return self._cpu_usage
+
+    @property
+    def cpu_limit(self) -> StepSeries:
+        """CPU limit at each sample."""
+        if self._pending:
+            self._fold()
+        return self._cpu_limit
+
+    @property
+    def eval_value(self) -> StepSeries:
+        """Evaluation function ``E(t)`` at each sample."""
+        if self._pending:
+            self._fold()
+        return self._eval_value
+
+    @property
+    def growth(self) -> StepSeries:
+        """Growth efficiency (Eq. 2) from the second sample on."""
+        if self._pending:
+            self._fold()
+        return self._growth
+
+    def _fold(self) -> None:
+        """Fold the pending rows into the series.  The cursor drops only
+        rows folded in full, so a row that raises stays pending."""
+        pending = self._pending
+        usage = self._cpu_usage
+        limit = self._cpu_limit
+        evals = self._eval_value
+        growth = self._growth
+        observe = self._history.observe_usage
+        eval_at = self._job.eval_at
+        done = 0
+        it = iter(pending)
+        try:
+            for t, cpu, used, cpu_limit, progress in zip(it, it, it, it, it):
+                usage.append(t, cpu)
+                if cpu_limit is not None:  # not an exit row
+                    limit.append(t, cpu_limit)
+                    e = eval_at(progress)
+                    evals.append(t, e)
+                    grown = observe(t, e, used)
+                    if grown is not None:
+                        growth.append(t, grown.growth)
+                done += 5
+        finally:
+            del pending[:done]
 
 
 class MetricsRecorder:
@@ -104,7 +194,7 @@ class MetricsRecorder:
         self.sink = sink
         self.traces: dict[int, ContainerTrace] = {}
         self.completions: list[CompletionRecord] = []
-        self._tracker = GrowthTracker(resource)
+        self.resource = resource
         self._sampler = worker.obsbus.sampler()
         self._labels: dict[str, int] = {}
         self._handle = None
@@ -188,13 +278,13 @@ class MetricsRecorder:
                     completion_time=container.completion_time(),
                 )
             # Exited containers leave no recorder state behind — the
-            # bounded-memory guarantee is exactly this pair of forgets.
+            # bounded-memory guarantee is exactly this forget (streaming
+            # recorders keep no traces, so no growth history either).
             self._sampler.forget(container.cid)
-            self._tracker.forget(container.cid)
             return
         trace = self.traces.get(container.cid)
         if trace is not None:
-            trace.cpu_usage.append(self.worker.sim.now, 0.0)
+            trace._pending.extend((self.worker.sim.now, 0.0, None, None, None))
         self.completions.append(
             CompletionRecord(
                 label=container.name,
@@ -210,7 +300,10 @@ class MetricsRecorder:
         trace = self.traces.get(container.cid)
         if trace is None:
             trace = ContainerTrace(
-                cid=container.cid, label=container.name, image=container.image
+                cid=container.cid,
+                label=container.name,
+                image=container.image,
+                job=container.job,
             )
             self.traces[container.cid] = trace
             # First trace wins the label (labels are unique per run; the

@@ -102,7 +102,13 @@ class TrainingJob:
 
     def eval_value(self) -> float:
         """Current evaluation-function reading ``E``."""
-        return float(self.curve.value(self.progress))
+        return self.eval_at(self.progress)
+
+    def eval_at(self, progress: float) -> float:
+        """``E`` at a given post-warm-up *progress* — a pure function of
+        the progress float and the (immutable) curve, so a reading taken
+        later from a recorded progress has the bits ``eval_value`` had."""
+        return float(self.curve.value(progress))
 
     # -- derived views -----------------------------------------------------------
 

@@ -754,8 +754,9 @@ def _tracked_state(manager, recorders) -> int:
     Everything here is state a *dense* run grows per job and a streaming
     run must forget: placement records (popped on exit), the runtime's
     container table (reaped on exit), the pool's arrival/finish journals
-    (compacted on exit), recorder traces (never created) and the
-    sampler/tracker windows (forgotten on exit).  The admission queue is
+    (compacted on exit), recorder traces and their label index (never
+    created; each trace holds its own growth history and raw rows) and
+    the sampler windows (forgotten on exit).  The admission queue is
     deliberately excluded — a backlog is *live* work, not bookkeeping.
     """
     state = len(manager.placements)
@@ -765,7 +766,7 @@ def _tracked_state(manager, recorders) -> int:
     for recorder in recorders:
         state += len(recorder.traces)
         state += len(recorder._sampler._last_sample)
-        state += len(recorder._tracker._histories)
+        state += len(recorder._labels)
     return state
 
 
@@ -914,13 +915,13 @@ def _run_streaming_checked(
     assert all(not r.traces for r in recorders)
     if failures is None and autoscale is None and rebalance == "none":
         # Without crash/migration/retire churn every container exits on
-        # the worker that launched it, so the sampler/tracker forgets
-        # must have drained completely.  (A migrated-away container
-        # leaves one stale window float on its *source* sampler — O(1)
-        # per migration, same as dense mode — so churny runs rely on
-        # the peak witness instead.)
+        # the worker that launched it, so the sampler forgets must have
+        # drained completely, and no label was ever indexed.  (A
+        # migrated-away container leaves one stale window float on its
+        # *source* sampler — O(1) per migration, same as dense mode — so
+        # churny runs rely on the peak witness instead.)
         assert all(not r._sampler._last_sample for r in recorders)
-        assert all(not r._tracker._histories for r in recorders)
+        assert all(not r._labels for r in recorders)
     times = [t for t, _ in manager.fleet_timeline]
     assert times == sorted(times)
     assert manager.fleet_timeline[-1][1] == len(manager.workers)

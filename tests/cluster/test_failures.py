@@ -85,13 +85,19 @@ class TestWorkerFault:
         with pytest.raises(ConfigError):
             WorkerFault(worker="w0", time=5.0, kind="explode")
 
-    def test_negative_time_rejected(self):
+    @pytest.mark.parametrize(
+        "time", [-1.0, math.nan, math.inf, -math.inf]
+    )
+    def test_negative_time_rejected(self, time):
         with pytest.raises(ConfigError):
-            WorkerFault(worker="w0", time=-1.0)
+            WorkerFault(worker="w0", time=time)
 
-    def test_nonpositive_recovery_rejected(self):
+    @pytest.mark.parametrize(
+        "recover_after", [0.0, math.nan, math.inf, -math.inf]
+    )
+    def test_nonpositive_recovery_rejected(self, recover_after):
         with pytest.raises(ConfigError):
-            WorkerFault(worker="w0", time=1.0, recover_after=0.0)
+            WorkerFault(worker="w0", time=1.0, recover_after=recover_after)
 
     def test_slow_needs_fractional_capacity(self):
         with pytest.raises(ConfigError):

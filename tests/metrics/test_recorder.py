@@ -4,9 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.worker import Worker
+from repro.core.efficiency import EfficiencyHistory
 from repro.errors import MetricsError
 from repro.metrics.recorder import MetricsRecorder
+from repro.metrics.timeseries import StepSeries
+from repro.simcore.engine import Simulator
+from repro.simcore.events import PRIORITY_TICK
+from repro.workloads.job import TrainingJob
 from tests.conftest import make_linear_job
+
+SERIES = ("cpu_usage", "cpu_limit", "eval_value", "growth")
 
 
 class TestRecorder:
@@ -83,3 +91,108 @@ class TestRecorder:
         tb = recorder.trace_by_label("b")
         assert ta.cpu_usage.value_at(10.0) == pytest.approx(0.5)
         assert tb.cpu_usage.value_at(10.0) == pytest.approx(0.5)
+
+
+def _staggered_run(read_at=()):
+    """Three jobs on a jittered worker, exiting at different times; the
+    first is finished just before the tick at t=20, so that tick samples
+    it and its exit follows at the same instant.  The series of every
+    trace are read at each time in *read_at*, then the run goes on."""
+    sim = Simulator(seed=11)
+    worker = Worker(sim)  # default contention model: jitter on
+    recorder = MetricsRecorder(worker, sample_interval=5.0)
+    recorder.start()
+    jobs = [
+        make_linear_job(f"j{i}", total_work=w)
+        for i, w in enumerate((30.0, 55.0, 80.0))
+    ]
+    for job in jobs:
+        worker.launch(job)
+    first = jobs[0]
+    sim.schedule(
+        20.0,
+        lambda _event: first.advance(first.remaining_work()),
+        priority=PRIORITY_TICK,
+    )
+    for t in read_at:
+        sim.run(until=t)
+        for trace in recorder.traces.values():
+            for name in SERIES:
+                getattr(trace, name)
+    sim.run(until=250.0)
+    return recorder
+
+
+def _hex_series(recorder):
+    out = {}
+    for trace in recorder.traces.values():
+        for name in SERIES:
+            times, values = getattr(trace, name).arrays()
+            out[trace.label, name] = (
+                [t.hex() for t in times.tolist()],
+                [v.hex() for v in values.tolist()],
+            )
+    return out
+
+
+class TestLazyBuild:
+    def test_mid_run_reads_build_the_same_bits(self):
+        """Series read at several instants mid-run and again at the end
+        equal, bit for bit, a twin run read only at the end."""
+        read_once = _staggered_run()
+        read_often = _staggered_run(read_at=(7.5, 20.0, 20.0, 33.3, 45.0))
+        once = _hex_series(read_once)
+        assert _hex_series(read_often) == once
+        assert len(once) == 12
+        assert all(len(once[label, "growth"][1]) >= 2
+                   for label in ("j0", "j1", "j2"))
+        assert len(read_once.completions) == 3
+        finished = {c.label: c.finished for c in read_once.completions}
+        assert finished["j0"] == 20.0
+        assert finished["j0"] < finished["j1"] < finished["j2"]
+        # j0 was sampled at 20 (an E point there) and its exit row at the
+        # same instant overwrote that sample's usage with 0.0: one usage
+        # point per sample instant, the last one 0.0.
+        trace = read_once.trace_by_label("j0")
+        times = trace.cpu_usage.arrays()[0].tolist()
+        assert times == trace.eval_value.arrays()[0].tolist()
+        assert times[-1] == 20.0
+        assert trace.cpu_usage.value_at(20.0) == 0.0
+
+    def test_ticks_build_nothing_until_read(self, monkeypatch):
+        """A dense tick appends no series point, evaluates no E(t) and
+        grows no efficiency history; the first read does all three."""
+        calls = {"append": 0, "eval": 0, "observe": 0}
+
+        def counting(key, original):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            StepSeries, "append", counting("append", StepSeries.append))
+        monkeypatch.setattr(
+            TrainingJob, "eval_value",
+            counting("eval", TrainingJob.eval_value))
+        monkeypatch.setattr(
+            TrainingJob, "eval_at", counting("eval", TrainingJob.eval_at))
+        monkeypatch.setattr(
+            EfficiencyHistory, "observe_usage",
+            counting("observe", EfficiencyHistory.observe_usage))
+        sim = Simulator(seed=3)
+        worker = Worker(sim)
+        recorder = MetricsRecorder(worker, sample_interval=5.0)
+        recorder.start()
+        for i, work in enumerate((20.0, 45.0, 70.0)):
+            worker.launch(make_linear_job(f"j{i}", total_work=work))
+        sim.run(until=200.0)
+        assert len(recorder.completions) == 3
+        assert calls == {"append": 0, "eval": 0, "observe": 0}
+        assert all(
+            not trace._history.seeded for trace in recorder.traces.values()
+        )
+        n_growth = len(recorder.trace_by_label("j2").growth)
+        assert n_growth >= 2
+        assert calls["append"] > n_growth
+        assert calls["eval"] > 0 and calls["observe"] > n_growth

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
+from repro.workloads.models import make_job, zoo_keys
 from tests.conftest import make_linear_job
 
 
@@ -39,6 +40,20 @@ class TestProgress:
         assert job.eval_value() == pytest.approx(1.0)
         job.advance(25.0)
         assert job.eval_value() == pytest.approx(0.75)
+
+    def test_eval_at_matches_eval_value(self):
+        """``eval_at(progress)`` has the bits ``eval_value()`` has, on a
+        warm-up linear job and on every zoo curve."""
+        jobs = [make_linear_job(total_work=100.0, warmup=10.0)]
+        jobs += [make_job(key) for key in zoo_keys()]
+        for job in jobs:
+            step = job.total_work / 7.3
+            while True:
+                expected = job.eval_value().hex()
+                assert job.eval_at(job.progress).hex() == expected
+                if job.finished:
+                    break
+                job.advance(step)
 
 
 class TestWarmup:
