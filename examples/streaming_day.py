@@ -2,22 +2,18 @@
 """Streaming a diurnal day: lazy arrivals, sketch-based SLO metrics.
 
 Production workloads are streams, not lists: a day of arrivals follows
-a diurnal rate curve, flash crowds spike it, and job sizes are heavy-
-tailed.  The generator family behind ``make_stream`` models all of
-that *lazily* — each :class:`WorkloadSpec` is drawn on demand from a
-seeded recipe, so a million-job day never materializes a million-entry
-list, and iterating the same stream twice (or after pickling) is
-bit-identical:
+a diurnal rate curve.  The ``"diurnal"`` stream family behind
+``make_stream`` models it *lazily* — each :class:`WorkloadSpec` is
+drawn on demand from a seeded recipe, so a million-job day never
+materializes a million-entry list, and iterating the same stream twice
+(or after pickling) is bit-identical:
 
-    make_stream("diurnal",     n_jobs=...,  # sinusoidal rate
-                mean_gap=3.0, peak_to_trough=4.0, period=600.0)
-    make_stream("flash_crowd", n_jobs=...)  # Poisson + seeded bursts
-    make_stream("pareto_mix",  n_jobs=...)  # heavy-tailed job sizes
-    make_stream("poisson",     n_jobs=...)  # flat baseline
-    # every family takes tenants=(("name", share, weight), ...)
+    make_stream("diurnal", n_jobs=...,  # sinusoidal rate
+                mean_gap=3.0, peak_to_trough=4.0, period=600.0,
+                tenants=(("name", share, weight), ...))
 
 Pairing a stream with ``SimulationConfig(streaming_metrics=True)``
-swaps the per-job metrics for mergeable quantile sketches: queue
+swaps the per-job metrics for quantile sketches: queue
 delays and completions fold into O(1)-memory aggregates (p50/p95/p99
 within a certified rank-error bound, rolling/peak throughput,
 per-tenant views) while the *dynamics* stay bit-identical to a dense
@@ -26,13 +22,10 @@ run — same makespan, same totals, same completion events.
 This example runs the ``diurnal_cluster`` scenario both ways, checks
 the aggregates agree, and prints the streaming run's SLO report.
 
-The same switches ride the CLI:
+The CLI runs the same stream family with per-job output:
 
-    python -m repro compare --workload diurnal --jobs 400 \
-        --streaming-metrics --slots 2 --workers 8 --admission wfq
-
-(``--workload`` accepts any stream family; ``--streaming-metrics``
-prints the sketch-backed SLO table instead of per-job output.)
+    python -m repro compare --workload diurnal --jobs 40 \
+        --slots 2 --workers 8 --admission wfq
 
 Run:
     python examples/streaming_day.py

@@ -8,7 +8,7 @@
 """
 
 from repro.analysis.compare import ComparisonReport, compare_runs
-from repro.analysis.listdynamics import dwell_times, list_timeline
+from repro.analysis.listdynamics import dwell_times
 from repro.analysis.overhead import OverheadSample, overhead_study
 from repro.analysis.robustness import SeedStudyResult, seed_study
 from repro.analysis.sweeps import SweepCell, SweepGrid, sweep_grid
@@ -21,7 +21,6 @@ __all__ = [
     "SweepGrid",
     "compare_runs",
     "dwell_times",
-    "list_timeline",
     "overhead_study",
     "seed_study",
     "sweep_grid",

@@ -1,10 +1,9 @@
 """NL/WL/CL occupancy over time.
 
 Algorithm 1's behaviour is easiest to understand as the flow of
-containers through the three lists.  :func:`list_timeline` reconstructs
-per-list occupancy step series from the transition journal a
-:class:`~repro.core.lists.ContainerLists` keeps, and
-:func:`dwell_times` aggregates how long containers spend in each list —
+containers through the three lists.  :func:`dwell_times` replays the
+transition journal a :class:`~repro.core.lists.ContainerLists` keeps and
+aggregates how long containers spend in each list —
 the quantity that explains who gets throttled for how much of their
 life (the ``ext.list_dynamics`` claim row).
 """
@@ -15,32 +14,8 @@ from collections import defaultdict
 
 from repro.core.lists import ContainerLists, ListName
 from repro.errors import ExperimentError
-from repro.metrics.timeseries import StepSeries
 
-__all__ = ["list_timeline", "dwell_times"]
-
-
-def list_timeline(lists: ContainerLists) -> dict[ListName, StepSeries]:
-    """Occupancy count of each list over time.
-
-    Built by replaying the transition journal; the returned series step
-    at every transition instant.
-    """
-    series = {name: StepSeries(name.value) for name in ListName}
-    counts = {name: 0 for name in ListName}
-    if not lists.transitions:
-        raise ExperimentError("no list transitions recorded")
-    t0 = lists.transitions[0].time
-    for name in ListName:
-        series[name].append(t0, 0.0)
-    for tr in lists.transitions:
-        if tr.source is not None:
-            counts[tr.source] -= 1
-            series[tr.source].append(tr.time, counts[tr.source])
-        if tr.target is not None:
-            counts[tr.target] += 1
-            series[tr.target].append(tr.time, counts[tr.target])
-    return series
+__all__ = ["dwell_times"]
 
 
 def dwell_times(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import math
 import pstats
 import sys
 from functools import partial
@@ -203,7 +204,8 @@ def _parse_tenant_weights(pairs: list[str]) -> dict[str, float]:
             weight = float(value)
         except ValueError:
             weight = 0.0
-        if not sep or not name or weight <= 0:
+        # isfinite first: NaN compares false with everything.
+        if not sep or not name or not math.isfinite(weight) or weight <= 0:
             raise ExperimentError(
                 f"bad tenant weight {pair!r}; expected NAME=POSITIVE_WEIGHT"
             )
@@ -227,7 +229,7 @@ def _assign_tenants(specs, weights: dict[str, float]):
     ]
 
 
-def _cluster_setup(args, **sim_fields):
+def _cluster_setup(args):
     """The substrate config and ``run_cluster`` keywords of the shared
     cluster options.
 
@@ -235,8 +237,7 @@ def _cluster_setup(args, **sim_fields):
     initial fleet and autoscaled workers read.
     """
     sim_cfg = SimulationConfig(
-        seed=args.seed, trace=False, max_containers=args.slots,
-        **sim_fields,
+        seed=args.seed, trace=False, max_containers=args.slots
     )
     cluster = {name: getattr(args, name) for name in AXES}
     return sim_cfg, dict(n_workers=args.workers, **cluster)
@@ -265,9 +266,9 @@ _AXIS_FOOTERS = {
 }
 
 
-def _print_footer(args, na, fc, axes) -> None:
+def _print_footer(args, na, fc) -> None:
     """Per-tenant p95 queue delays, then the footer line of every axis
-    in *axes* that the run moved off its default."""
+    that the run moved off its default."""
     if args.tenant_weights:
         print()
         for tenant in sorted(_parse_tenant_weights(args.tenant_weights)):
@@ -276,7 +277,7 @@ def _print_footer(args, na, fc, axes) -> None:
                 f"NA {na.summary.p95_queue_delay(tenant):.1f}s, "
                 f"FlowCon {fc.summary.p95_queue_delay(tenant):.1f}s"
             )
-    for name in axes:
+    for name in _AXIS_FOOTERS:
         if getattr(args, name) != AXES[name].default:
             print(_AXIS_FOOTERS[name](na.summary, fc.summary))
 
@@ -302,14 +303,10 @@ def _cmd_compare(args) -> int:
         specs = _assign_tenants(
             specs, _parse_tenant_weights(args.tenant_weights)
         )
-    sim_cfg, cluster = _cluster_setup(
-        args, streaming_metrics=args.streaming_metrics
-    )
+    sim_cfg, cluster = _cluster_setup(args)
     fc_cfg = FlowConConfig(alpha=args.alpha, itval=args.itval)
     na = run_cluster(specs, NAPolicy, sim_cfg, **cluster)
     fc = run_cluster(specs, partial(FlowConPolicy, fc_cfg), sim_cfg, **cluster)
-    if args.streaming_metrics:
-        return _print_streaming_compare(args, fc_cfg, na, fc)
     report = compare_runs(na.summary, fc.summary,
                           treatment_name=fc_cfg.describe())
     where = (
@@ -334,40 +331,7 @@ def _cmd_compare(args) -> int:
     print(f"\nwins {report.wins}/{report.n_jobs}; "
           f"best {report.best[0]} {report.best[1]:+.1f}%; "
           f"worst {report.worst[0]} {report.worst[1]:+.1f}%")
-    _print_footer(args, na, fc, _AXIS_FOOTERS)
-    return 0
-
-
-def _print_streaming_compare(args, fc_cfg, na, fc) -> int:
-    """Aggregate report for ``--streaming-metrics`` compare runs.
-
-    Streaming mode deliberately never keeps per-job records, so the
-    per-job Δ table is unavailable; everything here comes from the
-    bounded-memory sketch aggregates.
-    """
-    print(render_header(
-        f"{fc_cfg.describe()} vs NA — {args.jobs} jobs, streaming "
-        f"aggregates (±{na.summary.stream.rank_error_bound():.3%} rank error)"
-    ))
-    rows = []
-    for metric, getter in [
-        ("completed jobs", lambda s: s.n_completed),
-        ("makespan (s)", lambda s: round(s.makespan, 2)),
-        ("mean queue delay (s)", lambda s: round(s.mean_queue_delay(), 2)),
-        ("p50 queue delay (s)",
-         lambda s: round(s.quantile_queue_delay(0.50), 2)),
-        ("p95 queue delay (s)",
-         lambda s: round(s.quantile_queue_delay(0.95), 2)),
-        ("p99 queue delay (s)",
-         lambda s: round(s.quantile_queue_delay(0.99), 2)),
-        ("rolling throughput (jobs/s)",
-         lambda s: round(s.slo_report()["rolling_throughput"], 3)),
-        ("peak throughput (jobs/s)",
-         lambda s: round(s.slo_report()["peak_throughput"], 3)),
-    ]:
-        rows.append([metric, getter(na.summary), getter(fc.summary)])
-    print(render_table(["metric", "NA", "FlowCon"], rows))
-    _print_footer(args, na, fc, ("failures", "fabric"))
+    _print_footer(args, na, fc)
     return 0
 
 
@@ -458,14 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["random"] + sorted(STREAM_FAMILIES),
                        default="random",
                        help="workload source: 'random' draws an eager "
-                            "random mix; any other choice builds a lazy "
-                            "arrival stream from the generator family "
-                            "(diurnal, flash_crowd, pareto_mix, poisson)")
-    p_cmp.add_argument("--streaming-metrics", action="store_true",
-                       help="record sketch-based bounded-memory aggregates "
-                            "(p50/p95/p99, rolling throughput) instead of "
-                            "per-job records; memory stays O(1) per "
-                            "container regardless of --jobs")
+                            "random mix; 'diurnal' builds a lazy "
+                            "day/night arrival stream")
 
     p_sweep = sub.add_parser("sweep", parents=[cluster],
                              help="alpha x itval grid")

@@ -21,11 +21,12 @@ Five policies ship:
   so runs are bit-identical to the pre-extraction manager (pinned by
   both golden fixtures).
 * :class:`BackfillAdmission` (``"backfill"``) — FIFO with conservative
-  backfill: when the head job's memory footprint would overcommit every
-  eligible worker, later jobs that *do* fit cleanly may jump it (the
-  manager supplies the fit probe, built from the same eligible-worker
-  set placement chooses from).  An aging bound caps how many times the
-  head can be jumped, so large jobs are delayed but never starved.
+  backfill: the key-ordered heap keyed on arrival order alone, so when
+  the head job's memory footprint would overcommit every eligible
+  worker, later jobs that *do* fit cleanly may jump it (the manager
+  supplies the fit probe, built from the same eligible-worker set
+  placement chooses from).  An aging bound caps how many times the head
+  can be jumped, so large jobs are delayed but never starved.
 * :class:`PriorityAdmission` (``"priority"``) — strict priority classes
   (:attr:`~repro.cluster.submission.JobSubmission.priority`, higher
   first) with FIFO tie-break inside a class.
@@ -44,11 +45,12 @@ Five policies ship:
   analytic stand-in for expected remaining epochs).  Minimizes mean
   queue delay at the cost of fairness to large jobs.
 
-``wfq`` and ``sjf`` also honour the memory-fit probe: a head whose
-footprint fits no eligible worker is jumped by the best-keyed later
-job that does fit, under the same ``max_skips`` aging bound as
-``backfill``, so key order composes with fit-aware release instead of
-idling free memory behind an oversized head.
+``backfill``, ``wfq`` and ``sjf`` share one fit-aware release rule
+(:meth:`_HeapAdmission.pop_fitting`): a head whose footprint fits no
+eligible worker is jumped by the best-keyed later job that does fit,
+under one ``max_skips`` aging bound, so key order composes with
+fit-aware release instead of idling free memory behind an oversized
+head.
 
 All policies are deterministic: ties break on a monotonic enqueue
 sequence number, so replaying a run with the same seed reproduces every
@@ -64,6 +66,7 @@ from __future__ import annotations
 
 import abc
 import heapq
+import math
 from collections import deque
 from typing import TYPE_CHECKING, Mapping
 
@@ -119,7 +122,8 @@ class AdmissionPolicy(abc.ABC):
         releases :meth:`pop`'s choice unconditionally — the historical
         behaviour, where release order is the policy's alone and
         overcommit is the contention model's problem.  Fit-aware
-        policies (:class:`BackfillAdmission`) override this; returning
+        policies (:class:`_HeapAdmission` with ``fit_aware``) override
+        this; returning
         ``None`` tells the manager nothing releasable fits and the
         drain pass must stop.
         """
@@ -174,96 +178,21 @@ class FifoAdmission(AdmissionPolicy):
         return len(self._queue)
 
 
-class BackfillAdmission(AdmissionPolicy):
-    """FIFO with conservative memory backfill and an anti-starvation bound.
-
-    Drains in arrival order like :class:`FifoAdmission` — until the head
-    job fails the manager's fit probe (its memory footprint would
-    overcommit every eligible worker).  Then the earliest *later* job
-    that does fit cleanly is released instead, so small jobs flow around
-    a large head instead of idling free memory behind it.
-
-    Parameters
-    ----------
-    max_skips:
-        How many times the queue head may be jumped before backfill
-        suspends (default 16).  Once exhausted, nothing is released
-        until the head itself fits: the head waits for at most
-        ``max_skips`` backfills plus one clean slot, so no job is
-        starved no matter how many small jobs keep arriving.
-
-    The skip budget belongs to the *current head*: it resets whenever
-    the head is released (fit or aged-out), never when new work arrives.
-    ``backfills`` counts total out-of-order releases (observability).
-    """
-
-    name = "backfill"
-
-    def __init__(self, *, max_skips: int = 16) -> None:
-        if max_skips < 0:
-            raise ConfigError(
-                f"max_skips must be >= 0, got {max_skips!r}"
-            )
-        self._queue: deque["JobSubmission"] = deque()
-        self.max_skips = max_skips
-        self._head_skips = 0
-        #: Out-of-order releases performed so far.
-        self.backfills = 0
-
-    def push(self, submission: "JobSubmission") -> None:
-        self._queue.append(submission)
-
-    def pop(self) -> "JobSubmission":
-        if not self._queue:
-            raise ClusterError("admission queue is empty")
-        self._head_skips = 0
-        return self._queue.popleft()
-
-    def pop_fitting(self, fits) -> "JobSubmission | None":
-        queue = self._queue
-        if not queue:
-            return None
-        if fits(queue[0]):
-            self._head_skips = 0
-            return queue.popleft()
-        if self._head_skips >= self.max_skips:
-            # The head has been jumped max_skips times: backfill
-            # suspends until the head itself fits, so capacity frees in
-            # its direction instead of being re-captured by newcomers.
-            return None
-        for i in range(1, len(queue)):
-            if fits(queue[i]):
-                self._head_skips += 1
-                self.backfills += 1
-                submission = queue[i]
-                del queue[i]
-                return submission
-        return None
-
-    def queued(self) -> list["JobSubmission"]:
-        return list(self._queue)
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def describe(self) -> str:
-        return f"backfill (max_skips={self.max_skips})"
-
-
 class _HeapAdmission(AdmissionPolicy):
-    """Shared machinery for key-ordered policies (priority, wfq, sjf).
+    """Shared machinery for key-ordered policies (backfill, priority,
+    wfq, sjf).
 
     Subclasses provide :meth:`_key`; ties always break on the enqueue
     sequence number, i.e. FIFO within a key class, which is also what
     makes every drain deterministic.
 
-    Setting :attr:`fit_aware` composes the key order with
-    :class:`BackfillAdmission`'s memory-fit probe: when the drain-order
-    head fails the probe, the best-keyed *later* entry that fits cleanly
-    releases instead, bounded by the same ``max_skips`` aging rule so a
-    large head is delayed at most ``max_skips`` backfills before the
-    drain suspends in its favour.  Key order is preserved among the
-    jobs that fit; only non-fitting entries are jumped.
+    Setting :attr:`fit_aware` composes the key order with the manager's
+    memory-fit probe: when the drain-order head fails the probe, the
+    best-keyed *later* entry that fits cleanly releases instead, bounded
+    by the one ``max_skips`` aging rule, so a large head is delayed at
+    most ``max_skips`` backfills before the drain suspends in its
+    favour.  Key order is preserved among the jobs that fit; only
+    non-fitting entries are jumped.
     """
 
     #: When true, :meth:`pop_fitting` backfills past a non-fitting head
@@ -271,9 +200,12 @@ class _HeapAdmission(AdmissionPolicy):
     fit_aware = False
 
     def __init__(self, *, max_skips: int = 16) -> None:
-        if max_skips < 0:
+        # An int, never a bool: NaN, inf or 1.5 would bend the aging
+        # bound (``_head_skips >= nan`` is never true).
+        if (isinstance(max_skips, bool) or not isinstance(max_skips, int)
+                or max_skips < 0):
             raise ConfigError(
-                f"max_skips must be >= 0, got {max_skips!r}"
+                f"max_skips must be an int >= 0, got {max_skips!r}"
             )
         self._heap: list[tuple] = []
         self._seq = 0
@@ -308,16 +240,17 @@ class _HeapAdmission(AdmissionPolicy):
             return self.pop()
         if not self._heap:
             return None
-        ordered = sorted(self._heap)
-        if fits(ordered[0][-1]):
+        if fits(self._heap[0][-1]):
             # Popping via pop() keeps subclass bookkeeping (wfq's
             # virtual time) on the common path.
             return self.pop()
         if self._head_skips >= self.max_skips:
-            # Aged out: nothing releases until the head itself fits,
-            # exactly BackfillAdmission's anti-starvation rule.
+            # Aged out: backfill suspends until the head itself fits,
+            # so capacity frees in its direction instead of being
+            # re-captured by newcomers.
             return None
-        for entry in ordered[1:]:
+        # The heap's head is the sorted head; sort only to backfill.
+        for entry in sorted(self._heap)[1:]:
             if fits(entry[-1]):
                 self._head_skips += 1
                 self.backfills += 1
@@ -329,6 +262,41 @@ class _HeapAdmission(AdmissionPolicy):
 
     def __len__(self) -> int:
         return len(self._heap)
+
+
+class BackfillAdmission(_HeapAdmission):
+    """FIFO with conservative memory backfill and an anti-starvation bound.
+
+    The heap keyed on the enqueue sequence alone, i.e. arrival order,
+    with :class:`_HeapAdmission`'s fit-aware release: until the head job
+    fails the manager's fit probe (its memory footprint would overcommit
+    every eligible worker) it drains like :class:`FifoAdmission`; then
+    the earliest *later* job that does fit cleanly is released instead,
+    so small jobs flow around a large head instead of idling free memory
+    behind it.
+
+    Parameters
+    ----------
+    max_skips:
+        How many times the queue head may be jumped before backfill
+        suspends (default 16).  Once exhausted, nothing is released
+        until the head itself fits: the head waits for at most
+        ``max_skips`` backfills plus one clean slot, so no job is
+        starved no matter how many small jobs keep arriving.
+
+    The skip budget belongs to the *current head*: it resets whenever
+    the head is released (fit or aged-out), never when new work arrives.
+    ``backfills`` counts total out-of-order releases (observability).
+    """
+
+    name = "backfill"
+    fit_aware = True
+
+    def _key(self, submission: "JobSubmission") -> tuple:
+        return ()
+
+    def describe(self) -> str:
+        return f"backfill (max_skips={self.max_skips})"
 
 
 class PriorityAdmission(_HeapAdmission):
@@ -400,9 +368,11 @@ class WfqAdmission(_HeapAdmission):
         super().__init__()
         weights = dict(tenant_weights) if tenant_weights else {}
         for tenant, weight in weights.items():
-            if weight <= 0:
+            # isfinite first: NaN compares false with everything.
+            if not math.isfinite(weight) or weight <= 0:
                 raise ConfigError(
-                    f"tenant weight must be positive, got {tenant}={weight!r}"
+                    f"tenant weight must be positive and finite, got "
+                    f"{tenant}={weight!r}"
                 )
         self.tenant_weights = weights
         self._vtime = 0.0

@@ -10,7 +10,7 @@ caused it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.containers.container import Container
 from repro.errors import UnknownContainerError
@@ -65,23 +65,9 @@ class ContainerPool:
         """Algorithm 2's ``T(i)`` — live container count."""
         return len(self._members)
 
-    def members(self) -> list[Container]:
-        """Live containers in cid order."""
-        return sorted(self._members.values(), key=lambda c: c.cid)
-
     def cids(self) -> set[int]:
         """Live container ids."""
         return set(self._members)
-
-    def get(self, cid: int) -> Container:
-        """Live container by id."""
-        try:
-            return self._members[cid]
-        except KeyError:
-            raise UnknownContainerError(cid) from None
-
-    def __contains__(self, cid: int) -> bool:
-        return cid in self._members
 
     def delta_since(self, known_cids: set[int]) -> PoolDelta:
         """Difference between the live set and a previously observed set."""
@@ -102,10 +88,9 @@ class ContainerPool:
         Streaming runs compact after every exit so the journals track
         recent churn instead of the whole run (the bounded-memory
         guarantee).  ``total_arrivals``/``total_finishes`` keep counting
-        compacted entries, but ``arrivals_since``/``finishes_since``
-        cannot reach behind the newest compaction floor — acceptable
-        because the worker-monitor listeners diff live membership via
-        :meth:`delta_since` rather than replaying the journals.
+        compacted entries; the worker-monitor listeners diff live
+        membership via :meth:`delta_since` rather than replaying the
+        journals.
         """
         keep_arrivals = [e for e in self._arrivals if e.time > before]
         keep_finishes = [e for e in self._finishes if e.time > before]
@@ -116,14 +101,6 @@ class ContainerPool:
         self._arrivals = keep_arrivals
         self._finishes = keep_finishes
         return dropped_arrivals + dropped_finishes
-
-    def arrivals_since(self, t: float) -> list[int]:
-        """Cids that arrived strictly after time *t*."""
-        return [e.cid for e in self._arrivals if e.time > t]
-
-    def finishes_since(self, t: float) -> list[int]:
-        """Cids that finished strictly after time *t*."""
-        return [e.cid for e in self._finishes if e.time > t]
 
     def total_arrivals(self) -> int:
         """Number of containers ever added (compacted entries included)."""

@@ -65,15 +65,11 @@ class FlowConConfig:
         systematically starves young jobs whose metric scale is small —
         the ``ablation.nl_literal`` claim row).
     listeners_enabled:
-        Algorithm 2's background listeners.  Disabled ⇒ purely periodic
-        Algorithm 1 (ablation quantifying arrival-reaction latency).
-    listener_poll_interval:
-        Poll cadence for the listeners when event subscription is not
-        used.  The default 1 s models a lightweight background thread.
-    event_driven_listeners:
-        When ``True`` (default) listeners subscribe to pool changes and
-        react immediately — the behaviour the paper intends ("track the
-        container states in real-time"); ``False`` forces polling.
+        Algorithm 2's background listeners, subscribed to the worker's
+        pool changes so they react in the same instant — the behaviour
+        the paper intends ("track the container states in real-time").
+        Disabled ⇒ purely periodic Algorithm 1 (the ``ablation.listeners``
+        claim row quantifies the arrival-reaction latency).
     """
 
     alpha: float = 0.05
@@ -86,15 +82,12 @@ class FlowConConfig:
     min_samples: int = 2
     nl_full_limit: bool = True
     listeners_enabled: bool = True
-    listener_poll_interval: float = 1.0
-    event_driven_listeners: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         # NaN compares false with everything, so reject it (and inf) first.
-        for name in ("itval", "beta", "backoff_factor", "max_itval",
-                     "listener_poll_interval"):
+        for name in ("itval", "beta", "backoff_factor", "max_itval"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
@@ -110,8 +103,6 @@ class FlowConConfig:
             raise ConfigError("max_itval must be at least itval")
         if self.min_samples < 1:
             raise ConfigError("min_samples must be at least 1")
-        if self.listener_poll_interval <= 0:
-            raise ConfigError("listener_poll_interval must be positive")
 
     def with_params(self, **kwargs) -> "FlowConConfig":
         """Functional update, e.g. ``cfg.with_params(alpha=0.10)``."""

@@ -65,11 +65,6 @@ class UsageWindow:
     t_end: float
     mean: ResourceVector
 
-    @property
-    def duration(self) -> float:
-        """Window length in seconds."""
-        return self.t_end - self.t_start
-
 
 class CgroupAccount:
     """Cumulative resource counters for a single container.

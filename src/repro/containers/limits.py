@@ -15,7 +15,7 @@ limits matter to the algorithms and are preserved here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.containers.spec import ResourceType
 from repro.errors import ConfigError
@@ -52,10 +52,6 @@ class LimitSet:
         self._journal: list[LimitUpdate] = []
 
     # -- reads -------------------------------------------------------------
-
-    def get(self, resource: ResourceType = ResourceType.CPU) -> float:
-        """Current limit for *resource*."""
-        return self._limits[resource]
 
     @property
     def cpu(self) -> float:
@@ -94,15 +90,6 @@ class LimitSet:
         self._limits[resource] = clamped
         self._journal.append(LimitUpdate(time, resource, old, clamped))
         return True
-
-    def set_cpu(self, value: float, *, time: float = 0.0) -> bool:
-        """Shorthand for updating the CPU limit."""
-        return self.set(ResourceType.CPU, value, time=time)
-
-    def reset(self, *, time: float = 0.0) -> None:
-        """Lift every limit back to 1.0 (free competition)."""
-        for resource in ResourceType.ordered():
-            self.set(resource, 1.0, time=time)
 
     def as_dict(self) -> dict[str, float]:
         """Plain-dict snapshot keyed by resource name."""

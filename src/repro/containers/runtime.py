@@ -33,8 +33,6 @@ class ContainerRuntime:
     def __init__(self, clock: Callable[[], float]) -> None:
         self._clock = clock
         self._containers: dict[int, Container] = {}
-        #: Observers notified on lifecycle changes: (event, container).
-        self._listeners: list[Callable[[str, Container], None]] = []
         #: Monotonic table/limit version; bumped on any membership or
         #: limit change, keying the ``ps`` caches and the worker's
         #: allocation-input caches.
@@ -57,7 +55,6 @@ class ContainerRuntime:
         container.start(now)
         self._containers[container.cid] = container
         self.version += 1
-        self._notify("run", container)
         return container
 
     def update(
@@ -90,7 +87,6 @@ class ContainerRuntime:
             )
         if changed:
             self.version += 1
-            self._notify("update", container)
         return changed
 
     def ps(self, *, all_states: bool = False) -> list[Container]:
@@ -126,7 +122,6 @@ class ContainerRuntime:
             )
         del self._containers[cid]
         self.version += 1
-        self._notify("remove", container)
         return container
 
     def release(self, cid: int) -> Container:
@@ -143,7 +138,6 @@ class ContainerRuntime:
             )
         del self._containers[cid]
         self.version += 1
-        self._notify("release", container)
         return container
 
     def adopt(self, container: Container) -> Container:
@@ -158,7 +152,6 @@ class ContainerRuntime:
             )
         self._containers[container.cid] = container
         self.version += 1
-        self._notify("adopt", container)
         return container
 
     # -- internal / worker-facing ---------------------------------------------
@@ -175,7 +168,6 @@ class ContainerRuntime:
         container = self.get(cid)
         container.mark_exited(self._clock())
         self.version += 1
-        self._notify("exit", container)
         return container
 
     def running(self) -> list[Container]:
@@ -191,13 +183,3 @@ class ContainerRuntime:
 
     def __iter__(self) -> Iterable[Container]:
         return iter(self.ps(all_states=True))
-
-    # -- events ----------------------------------------------------------------
-
-    def subscribe(self, callback: Callable[[str, Container], None]) -> None:
-        """Register a lifecycle observer (``event`` in run/update/exit/remove)."""
-        self._listeners.append(callback)
-
-    def _notify(self, event: str, container: Container) -> None:
-        for listener in self._listeners:
-            listener(event, container)

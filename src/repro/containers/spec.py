@@ -61,13 +61,6 @@ class ResourceVector:
         )
 
     @classmethod
-    def from_array(cls, arr: np.ndarray) -> "ResourceVector":
-        """Inverse of :meth:`as_array`."""
-        if arr.shape != (4,):
-            raise ConfigError(f"resource array must have shape (4,), got {arr.shape}")
-        return cls.from_row(arr.tolist())
-
-    @classmethod
     def from_row(cls, row: Sequence[float]) -> "ResourceVector":
         """A vector from four floats in :meth:`ResourceType.ordered` order.
 
@@ -78,27 +71,6 @@ class ResourceVector:
         self = object.__new__(cls)
         self.__dict__.update(cpu=cpu, memory=memory, blkio=blkio, netio=netio)
         return self
-
-    def get(self, resource: ResourceType) -> float:
-        """Value along one resource dimension."""
-        return getattr(self, resource.value)
-
-    def replace(self, resource: ResourceType, value: float) -> "ResourceVector":
-        """Functional single-field update."""
-        fields = {r.value: self.get(r) for r in ResourceType.ordered()}
-        fields[resource.value] = float(value)
-        return ResourceVector(**fields)
-
-    def scaled(self, factor: float) -> "ResourceVector":
-        """Multiply every dimension by *factor*."""
-        return ResourceVector.from_array(self.as_array() * factor)
-
-    def __add__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector.from_array(self.as_array() + other.as_array())
-
-    def dominates(self, other: "ResourceVector") -> bool:
-        """Component-wise ``>=`` comparison."""
-        return bool(np.all(self.as_array() >= other.as_array() - 1e-12))
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,10 @@ continuously and, on any membership change,
   from whichever list held them, release their resources, reset ``itval``
   and immediately run Algorithm 1.
 
-:class:`Listener` implements one poll iteration as a pure-ish step over a
+:class:`Listener` implements one iteration as a pure-ish step over a
 :class:`~repro.core.worker_monitor.WorkerMonitor` observation; the
-:class:`~repro.core.executor.Executor` wires its reports to actual
-Algorithm 1 interrupts, in both event-driven and polling modes.
+:class:`~repro.core.executor.Executor` runs it on every pool change and
+wires its reports to actual Algorithm 1 interrupts.
 """
 
 from __future__ import annotations

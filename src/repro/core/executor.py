@@ -16,8 +16,9 @@ Responsibilities implemented here:
 * listener interrupts — on a pool-change report, reset ``itval`` to its
   initial value, run Algorithm 1 immediately, and restart the tick timer
   (Algorithm 2 lines 8–9 / 16–17);
-* listener scheduling itself — event-driven (subscribed to worker launch
-  and exit hooks) or periodic polling, per configuration.
+* listener scheduling itself — event-driven, subscribed to the worker's
+  launch and exit hooks, so a pool change is seen in the same instant
+  (the paper's listeners "track the container states in real-time").
 """
 
 from __future__ import annotations
@@ -30,12 +31,7 @@ from repro.core.lists import ContainerLists
 from repro.core.monitor import ContainerMonitor
 from repro.core.worker_monitor import WorkerMonitor
 from repro.simcore.equeue import EventHandle
-from repro.simcore.events import (
-    PRIORITY_LISTENER,
-    PRIORITY_TICK,
-    Event,
-    EventKind,
-)
+from repro.simcore.events import PRIORITY_TICK, Event, EventKind
 
 __all__ = ["Executor"]
 
@@ -62,7 +58,6 @@ class Executor:
         self.interrupts = 0
         self.backoffs = 0
         self._tick_handle: EventHandle | None = None
-        self._poll_handle: EventHandle | None = None
         self._started = False
         self._hooks_installed = False
 
@@ -77,10 +72,7 @@ class Executor:
         # Baseline the worker monitor on the current pool so pre-existing
         # containers are treated as arrivals on the first listener step.
         if self.config.listeners_enabled:
-            if self.config.event_driven_listeners:
-                self._install_hooks()
-            else:
-                self._schedule_poll()
+            self._install_hooks()
         self._schedule_tick()
 
     def stop(self) -> None:
@@ -89,9 +81,6 @@ class Executor:
         if self._tick_handle is not None:
             self.sim.cancel(self._tick_handle)
             self._tick_handle = None
-        if self._poll_handle is not None:
-            self.sim.cancel(self._poll_handle)
-            self._poll_handle = None
 
     # -- periodic Algorithm 1 -----------------------------------------------------
 
@@ -147,29 +136,12 @@ class Executor:
     # -- listeners ---------------------------------------------------------------------
 
     def _install_hooks(self) -> None:
-        """Event-driven mode: react to pool changes instantly."""
+        """React to pool changes instantly."""
         if self._hooks_installed:
             return
         self._hooks_installed = True
         self.worker.launch_hooks.append(lambda _c: self._listener_step())
         self.worker.exit_hooks.append(lambda _c: self._listener_step())
-
-    def _schedule_poll(self) -> None:
-        if self._poll_handle is not None:
-            self.sim.cancel(self._poll_handle)
-        self._poll_handle = self.sim.schedule_in(
-            self.config.listener_poll_interval,
-            self._on_poll,
-            kind=EventKind.LISTENER_POLL,
-            priority=PRIORITY_LISTENER,
-        )
-
-    def _on_poll(self, _event: Event) -> None:
-        if not self._started:
-            return
-        self._poll_handle = None
-        self._listener_step()
-        self._schedule_poll()
 
     def _listener_step(self) -> None:
         """One Algorithm 2 iteration; interrupt on pool change."""

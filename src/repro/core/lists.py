@@ -73,43 +73,15 @@ class ContainerLists:
         self._members[source].discard(cid)
         self.transitions.append(ListTransition(time, cid, source, None))
 
-    def clear(self) -> None:
-        """Empty all lists (used when a policy detaches)."""
-        for members in self._members.values():
-            members.clear()
-        self._where.clear()
-
     # -- queries ------------------------------------------------------------------
 
     def where(self, cid: int) -> ListName | None:
         """Which list holds *cid* (``None`` if untracked)."""
         return self._where.get(cid)
 
-    def members(self, name: ListName) -> set[int]:
-        """A copy of one list's membership."""
-        return set(self._members[name])
-
-    def tracked(self) -> set[int]:
-        """All containers currently in any list."""
-        return set(self._where)
-
     def counts(self) -> dict[ListName, int]:
         """Sizes of the three lists."""
         return {name: len(members) for name, members in self._members.items()}
-
-    def all_completing(self) -> bool:
-        """Algorithm 1 line 14: is every tracked container in CL?
-
-        Vacuously false when nothing is tracked (an empty worker has
-        nothing to back off from).
-        """
-        return bool(self._where) and all(
-            name is ListName.CL for name in self._where.values()
-        )
-
-    def in_list(self, cid: int, name: ListName) -> bool:
-        """Membership test."""
-        return cid in self._members[name]
 
     # -- internals -------------------------------------------------------------------
 

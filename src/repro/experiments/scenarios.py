@@ -272,18 +272,6 @@ class ClusterScenario:
             return self.stream
         return list(self.specs)
 
-    @property
-    def tenant_names(self) -> tuple[str, ...]:
-        """Distinct tenants appearing in the workload, sorted."""
-        if self.stream is not None:
-            tenants = dict(self.stream.params).get("tenants")
-            if not tenants:
-                return ()
-            return tuple(sorted({name for name, _, _ in tenants}))
-        return tuple(
-            sorted({s.tenant for s in self.specs if s.tenant is not None})
-        )
-
 
 def heterogeneous_cluster(
     seed: int = 42, *, n_jobs: int = 60

@@ -1,16 +1,13 @@
-"""Telemetry: time series, recorders, summaries, export.
+"""Telemetry: time series, recorders, summaries.
 
-The experiments need three data products, all produced here:
+The experiments need two data products, both produced here:
 
 * **traces** — per-container CPU usage / limit / evaluation-function /
   growth-efficiency step series (Figs. 7–8, 10–11, 13–16);
 * **summaries** — completion times, makespan, overlaps and reduction
-  percentages (Figs. 3–6, 9, 12, 17 and Table 2);
-* **exports** — CSV/JSON serialization so bench output can be archived
-  and re-plotted outside this repository.
+  percentages (Figs. 3–6, 9, 12, 17 and Table 2).
 """
 
-from repro.metrics.export import series_to_csv, summary_to_json
 from repro.metrics.recorder import ContainerTrace, MetricsRecorder
 from repro.metrics.sketch import QuantileSketch, RollingThroughput, StreamMetrics
 from repro.metrics.summary import (
@@ -34,6 +31,4 @@ __all__ = [
     "jitter_index",
     "overlap_duration",
     "reduction_pct",
-    "series_to_csv",
-    "summary_to_json",
 ]

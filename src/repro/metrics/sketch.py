@@ -5,11 +5,11 @@ a p95 at the end: a run that long needs metrics whose memory is
 independent of run length.  This module provides
 the three pieces the streaming metrics mode is built from:
 
-* :class:`QuantileSketch` — a mergeable KLL-style quantile sketch over
+* :class:`QuantileSketch` — a KLL-style quantile sketch over
   numpy-backed level buffers.  Compaction is **deterministic** (an
   alternating odd/even survivor parity per level instead of a coin
-  flip), so equal streams produce bit-equal sketches, merges are
-  reproducible, and no RNG state leaks into seeded simulations.  The
+  flip), so equal streams produce bit-equal sketches and no RNG state
+  leaks into seeded simulations.  The
   price of determinism is a conservative worst-case rank-error bound
   (see :meth:`QuantileSketch.rank_error_bound`); in practice the
   alternation makes consecutive compaction errors cancel and observed
@@ -38,7 +38,7 @@ __all__ = ["QuantileSketch", "RollingThroughput", "StreamMetrics"]
 
 
 class QuantileSketch:
-    """Mergeable quantile sketch with deterministic KLL-style compaction.
+    """Quantile sketch with deterministic KLL-style compaction.
 
     Values accumulate in a weight-1 buffer; when it fills (``k`` items)
     it is sorted and pushed into a chain of sorted numpy levels where
@@ -49,8 +49,8 @@ class QuantileSketch:
     behind at its own level), so ``n`` is always the true count.
 
     Memory is O(k · log(n/k)); every operation is deterministic, so two
-    sketches fed the same stream are equal element-for-element and
-    :meth:`merge` is reproducible across runs and processes.
+    sketches fed the same stream are equal element-for-element across
+    runs and processes.
     """
 
     def __init__(self, k: int = 256) -> None:
@@ -74,35 +74,6 @@ class QuantileSketch:
         self._n += 1
         if len(self._buf) >= self.k:
             self._flush()
-
-    def extend(self, values) -> None:
-        """Fold an iterable of values into the sketch."""
-        for value in values:
-            self.add(value)
-
-    def merge(self, other: "QuantileSketch") -> "QuantileSketch":
-        """Fold *other* into this sketch (returns self).
-
-        The merged sketch covers the concatenated streams; its error
-        bound is the sum of both inputs' incurred compaction error plus
-        whatever the merge's own compactions add — still certified by
-        :meth:`rank_error_bound`.
-        """
-        if not isinstance(other, QuantileSketch):
-            raise MetricsError(f"cannot merge {type(other).__name__}")
-        if other.k != self.k:
-            raise MetricsError(
-                f"cannot merge sketches with k={self.k} and k={other.k}"
-            )
-        self._n += other._n
-        self._err_units += other._err_units
-        self._buf.extend(other._buf)
-        for level, arr in enumerate(other._levels):
-            if arr.size:
-                self._insert(arr.copy(), level)
-        if len(self._buf) >= self.k:
-            self._flush()
-        return self
 
     # -- compaction ---------------------------------------------------------
 
@@ -354,12 +325,6 @@ class StreamMetrics:
             return self.total_queue_delay / self.n_placed
         n, total, _ = self._tenant_entry(tenant)
         return total / n
-
-    def mean_completion_time(self) -> float:
-        """Mean job completion time."""
-        if self.n_completed == 0:
-            raise MetricsError("no completions observed yet")
-        return self.total_completion_time / self.n_completed
 
     def quantile_completion_time(self, q: float) -> float:
         """Completion-time quantile (live)."""

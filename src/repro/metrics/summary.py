@@ -173,10 +173,6 @@ class RunSummary:
 
     # -- multi-tenant fairness ------------------------------------------------------
 
-    def tenant_of(self, label: str) -> str | None:
-        """Owning tenant of one job (``None`` outside multi-tenant runs)."""
-        return self.tenants.get(label)
-
     def tenant_labels(self, tenant: str) -> list[str]:
         """Labels belonging to *tenant*, sorted."""
         return sorted(l for l, t in self.tenants.items() if t == tenant)
@@ -237,10 +233,6 @@ class RunSummary:
     def failed_labels(self) -> list[str]:
         """Labels that exhausted their retry budget, sorted."""
         return sorted(self.failed_jobs)
-
-    def retry_count(self, label: str) -> int:
-        """Crash-restarts consumed by one job (0 if it never crashed)."""
-        return self.retries.get(label, 0)
 
     def total_retries(self) -> int:
         """Crash-restarts executed across the whole run."""
@@ -304,10 +296,6 @@ class RunSummary:
         """In-flight seconds *label* spent migrating (0.0 if never)."""
         return self.migration_delays.get(label, 0.0)
 
-    def total_migration_delay(self) -> float:
-        """Sum of all jobs' in-flight migration seconds."""
-        return float(sum(self.migration_delays.values()))
-
     # -- derived ---------------------------------------------------------------------
 
     def interval_of(self, label: str) -> tuple[float, float]:
@@ -326,21 +314,6 @@ class RunSummary:
         lo = max(start for start, _ in intervals)
         hi = min(end for _, end in intervals)
         return max(0.0, hi - lo)
-
-    def total_concurrency_seconds(self) -> float:
-        """∫ (active jobs − 1)⁺ dt — aggregate overlap pressure."""
-        self._dense_only("total_concurrency_seconds")
-        edges = sorted(
-            {c.submitted for c in self.completions}
-            | {c.finished for c in self.completions}
-        )
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            active = sum(
-                1 for c in self.completions if c.submitted <= lo and c.finished >= hi
-            )
-            total += max(0, active - 1) * (hi - lo)
-        return total
 
 
 def reduction_pct(baseline: float, improved: float) -> float:

@@ -48,18 +48,5 @@ class SimClock:
         self._now = max(self._now, float(t))
         return elapsed
 
-    def advance_by(self, dt: float) -> float:
-        """Move the clock forward by *dt* seconds (must be >= 0)."""
-        if dt < 0.0:
-            raise ClockError(f"negative clock increment {dt!r}")
-        self._now += float(dt)
-        return self._now
-
-    def reset(self, start: float = 0.0) -> None:
-        """Rewind the clock (only for reuse across independent runs)."""
-        if start < 0.0:
-            raise ClockError(f"clock cannot reset to negative time {start!r}")
-        self._now = float(start)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimClock(now={self._now:.6g})"

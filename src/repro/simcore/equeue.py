@@ -112,19 +112,6 @@ class EventQueue:
             self._dead -= 1
         raise EventQueueError("pop from an empty event queue")
 
-    def clear(self) -> None:
-        """Drop every event, live or dead.
-
-        Outstanding handles are cancelled so that a stale ``cancel()``
-        issued after the clear is a no-op instead of corrupting the live
-        count (the handle would otherwise still read as alive).
-        """
-        for entry in self._heap:
-            entry[-1].cancelled = True
-        self._heap.clear()
-        self._live = 0
-        self._dead = 0
-
     # -- compaction --------------------------------------------------------
 
     def _maybe_compact(self) -> None:

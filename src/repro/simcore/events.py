@@ -52,8 +52,6 @@ class EventKind(enum.Enum):
     MESSAGE = "message"
     #: A periodic scheduling-policy tick (Algorithm 1 cadence).
     SCHEDULER_TICK = "scheduler_tick"
-    #: A listener poll (Algorithm 2 cadence).
-    LISTENER_POLL = "listener_poll"
     #: A metrics sampling instant.
     METRIC_SAMPLE = "metric_sample"
     #: Anything else (tests, ad-hoc callbacks).
@@ -132,6 +130,5 @@ class Event:
 # next; policy work last.
 PRIORITY_EXIT = -20
 PRIORITY_ARRIVAL = -10
-PRIORITY_LISTENER = 0
 PRIORITY_TICK = 10
 PRIORITY_SAMPLE = 20

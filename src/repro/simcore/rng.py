@@ -47,11 +47,6 @@ class RngRegistry:
         self._root_seed = int(seed)
         self._streams: dict[str, np.random.Generator] = {}
 
-    @property
-    def root_seed(self) -> int:
-        """The root seed all streams are derived from."""
-        return self._root_seed
-
     def stream(self, name: str) -> np.random.Generator:
         """Return the (cached) generator for stream *name*."""
         gen = self._streams.get(name)
@@ -59,19 +54,6 @@ class RngRegistry:
             gen = np.random.default_rng(derive_seed(self._root_seed, name))
             self._streams[name] = gen
         return gen
-
-    def fresh(self, name: str) -> np.random.Generator:
-        """Return a *newly reset* generator for *name* (drops cached state)."""
-        self._streams.pop(name, None)
-        return self.stream(name)
-
-    def spawn(self, name: str) -> "RngRegistry":
-        """Create a child registry whose root seed derives from *name*.
-
-        Useful for giving each experiment repetition its own independent
-        but reproducible universe of streams.
-        """
-        return RngRegistry(derive_seed(self._root_seed, f"spawn:{name}"))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

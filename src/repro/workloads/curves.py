@@ -91,19 +91,6 @@ class ConvergenceCurve(abc.ABC):
         out = 1.0 - self._raw(arr)
         return float(out) if np.isscalar(p) or np.ndim(p) == 0 else out
 
-    def slope(self, p: float, dp: float = 1e-6) -> float:
-        """Numerical ``dE/dp`` at *p* (central difference, clipped to [0,1])."""
-        lo = max(0.0, p - dp)
-        hi = min(1.0, p + dp)
-        if hi <= lo:
-            raise CurveError("degenerate slope window")
-        return (float(self.value(hi)) - float(self.value(lo))) / (hi - lo)
-
-    @property
-    def decreasing(self) -> bool:
-        """Whether the curve descends (loss-like) rather than rises."""
-        return self.e0 > self.e_final
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"{type(self).__name__}(e0={self.e0:.4g}, e_final={self.e_final:.4g})"

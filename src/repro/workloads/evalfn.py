@@ -43,20 +43,6 @@ class EvalKind(enum.Enum):
         return EvalDirection.MINIMIZE
 
 
-#: Typical (start, converged) values per kind, used as defaults when a
-#: model profile does not override them.  The absolute numbers only set the
-#: scale of G traces (cf. the 10× scale difference between Fig. 13 and
-#: Fig. 14); the dynamics depend on the curve shape.
-_DEFAULT_RANGE: dict[EvalKind, tuple[float, float]] = {
-    EvalKind.RECONSTRUCTION_LOSS: (550.0, 100.0),
-    EvalKind.CROSS_ENTROPY: (2.30, 0.08),
-    EvalKind.SOFTMAX_ACCURACY: (0.10, 0.97),
-    EvalKind.SQUARED_LOSS: (1.00, 0.04),
-    EvalKind.QUADRATIC_LOSS: (0.90, 0.05),
-    EvalKind.INCEPTION_SCORE: (1.00, 8.00),
-}
-
-
 @dataclass(frozen=True)
 class EvalFunction:
     """A concrete evaluation function: kind + value range.
@@ -92,12 +78,6 @@ class EvalFunction:
                 f"{self.kind.value} is maximized but start {self.start!r} "
                 f"> converged {self.converged!r}"
             )
-
-    @classmethod
-    def default(cls, kind: EvalKind) -> "EvalFunction":
-        """Canonical instance for *kind* with typical value range."""
-        start, converged = _DEFAULT_RANGE[kind]
-        return cls(kind=kind, start=start, converged=converged)
 
     @property
     def direction(self) -> EvalDirection:

@@ -9,21 +9,16 @@ lists of :class:`WorkloadSpec`, reproducibly from a seeded stream.
 Beyond the paper's materialized lists, :func:`make_stream` builds
 **lazy** trace-shaped workloads as :class:`WorkloadStream`\\ s — a
 family name plus parameters plus a seed, yielding specs one at a time so
-a million-job day never exists as a list.  Four families:
+a million-job day never exists as a list.  :data:`STREAM_FAMILIES` holds
+one family, ``"diurnal"``: a sinusoidal day/night rate via Poisson
+thinning (the ``diurnal_cluster`` scenario, ``examples/streaming_day.py``
+and the host-time benchmark's fleet day all draw from it).
 
-* ``"poisson"`` — constant-rate open arrivals (the lazy sibling of
-  :meth:`WorkloadGenerator.poisson_mix`, with a per-arrival draw order);
-* ``"diurnal"`` — sinusoidal day/night rate via Poisson thinning;
-* ``"flash_crowd"`` — baseline Poisson plus seeded burst epochs during
-  which the rate multiplies;
-* ``"pareto_mix"`` — constant-rate arrivals with heavy-tailed
-  (bounded Pareto) job sizes.
-
-Every family draws *per arrival* from one seeded generator, so iterating
+The family draws *per arrival* from one seeded generator, so iterating
 a stream twice — or materializing it with
 :meth:`WorkloadStream.materialize` — is bit-identical by construction,
-and every family composes with a weighted tenant mix (one extra draw per
-job when ``tenants`` is given).
+and it composes with a weighted tenant mix (one extra draw per job when
+``tenants`` is given).
 """
 
 from __future__ import annotations
@@ -321,34 +316,6 @@ def _positive(name: str, value: float) -> float:
     return float(value)
 
 
-def _poisson_stream(
-    rng: np.random.Generator,
-    n_jobs: int,
-    *,
-    mean_gap: float = 3.0,
-    start: float = 0.0,
-    work_scale: float = 1.0,
-    pool=None,
-    tenants=None,
-) -> Iterator[WorkloadSpec]:
-    """Constant-rate open arrivals, one draw pair (gap, key) per job."""
-    mean_gap = _positive("mean_gap", mean_gap)
-    _positive("work_scale", work_scale)
-    if start < 0:
-        raise WorkloadError(f"negative start time {start!r}")
-    pool = _checked_pool(pool)
-    tenants = _checked_tenants(tenants)
-
-    def gen():
-        t = start
-        for i in range(1, n_jobs + 1):
-            t += rng.exponential(mean_gap)
-            key = pool[int(rng.integers(0, len(pool)))]
-            yield _spec(rng, i, key, t, work_scale, tenants)
-
-    return gen()
-
-
 def _diurnal_stream(
     rng: np.random.Generator,
     n_jobs: int,
@@ -400,108 +367,9 @@ def _diurnal_stream(
     return gen()
 
 
-def _flash_crowd_stream(
-    rng: np.random.Generator,
-    n_jobs: int,
-    *,
-    mean_gap: float = 3.0,
-    burst_every: float = 600.0,
-    burst_duration: float = 60.0,
-    burst_factor: float = 8.0,
-    start: float = 0.0,
-    work_scale: float = 1.0,
-    pool=None,
-    tenants=None,
-) -> Iterator[WorkloadSpec]:
-    """Baseline Poisson plus seeded burst epochs.
-
-    Burst start offsets are themselves seeded draws (Exp(burst_every)
-    after the previous burst ends), generated lazily as simulated time
-    reaches them; during a burst the rate multiplies by
-    ``burst_factor``.  Sampling is thinning at the burst rate, so the
-    baseline/burst boundary is exact.
-    """
-    mean_gap = _positive("mean_gap", mean_gap)
-    burst_every = _positive("burst_every", burst_every)
-    burst_duration = _positive("burst_duration", burst_duration)
-    _positive("work_scale", work_scale)
-    if burst_factor < 1.0:
-        raise WorkloadError(
-            f"burst_factor must be >= 1, got {burst_factor!r}"
-        )
-    if start < 0:
-        raise WorkloadError(f"negative start time {start!r}")
-    pool = _checked_pool(pool)
-    tenants = _checked_tenants(tenants)
-    lam_base = 1.0 / mean_gap
-    lam_max = lam_base * burst_factor
-
-    def gen():
-        t = start
-        burst_start = start + rng.exponential(burst_every)
-        burst_end = burst_start + burst_duration
-        for i in range(1, n_jobs + 1):
-            while True:
-                t += rng.exponential(1.0 / lam_max)
-                while t > burst_end:
-                    burst_start = burst_end + rng.exponential(burst_every)
-                    burst_end = burst_start + burst_duration
-                lam_t = lam_max if t >= burst_start else lam_base
-                if rng.random() * lam_max <= lam_t:
-                    break
-            key = pool[int(rng.integers(0, len(pool)))]
-            yield _spec(rng, i, key, t, work_scale, tenants)
-
-    return gen()
-
-
-def _pareto_mix_stream(
-    rng: np.random.Generator,
-    n_jobs: int,
-    *,
-    mean_gap: float = 3.0,
-    shape: float = 1.5,
-    scale_floor: float = 0.25,
-    size_cap: float = 20.0,
-    start: float = 0.0,
-    pool=None,
-    tenants=None,
-) -> Iterator[WorkloadSpec]:
-    """Constant-rate arrivals with heavy-tailed job sizes.
-
-    ``work_scale`` is bounded Pareto: ``min(cap, floor·(1 + Lomax(α)))``
-    — most jobs stay near ``scale_floor``, a heavy tail runs ``cap/floor``
-    times longer.  α ≤ 1 (infinite mean) is allowed; the cap bounds it.
-    """
-    mean_gap = _positive("mean_gap", mean_gap)
-    shape = _positive("shape", shape)
-    scale_floor = _positive("scale_floor", scale_floor)
-    if size_cap < scale_floor:
-        raise WorkloadError(
-            f"size_cap {size_cap!r} must be >= scale_floor {scale_floor!r}"
-        )
-    if start < 0:
-        raise WorkloadError(f"negative start time {start!r}")
-    pool = _checked_pool(pool)
-    tenants = _checked_tenants(tenants)
-
-    def gen():
-        t = start
-        for i in range(1, n_jobs + 1):
-            t += rng.exponential(mean_gap)
-            key = pool[int(rng.integers(0, len(pool)))]
-            scale = min(size_cap, scale_floor * (1.0 + rng.pareto(shape)))
-            yield _spec(rng, i, key, t, scale, tenants)
-
-    return gen()
-
-
 #: family name → stream builder ``(rng, n_jobs, **params) -> iterator``.
 STREAM_FAMILIES = {
-    "poisson": _poisson_stream,
     "diurnal": _diurnal_stream,
-    "flash_crowd": _flash_crowd_stream,
-    "pareto_mix": _pareto_mix_stream,
 }
 
 

@@ -124,26 +124,9 @@ class TrainingJob:
         """Nominal current iteration index."""
         return int(round(self.progress * self.total_iterations))
 
-    @property
-    def in_warmup(self) -> bool:
-        """Whether the job is still in framework start-up."""
-        return self.work_done < self.warmup_work
-
     def improvement_fraction(self) -> float:
         """Fraction of the metric's total improvement achieved so far."""
         return float(self.curve.improvement_fraction(self.progress))
-
-    def clone(self) -> "TrainingJob":
-        """Fresh, unstarted copy of this job (same parameters)."""
-        return TrainingJob(
-            name=self.name,
-            total_work=self.total_work,
-            curve=self.curve,
-            evalfn=self.evalfn,
-            footprint=self._footprint,
-            warmup_work=self.warmup_work,
-            total_iterations=self.total_iterations,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

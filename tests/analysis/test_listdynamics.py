@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.listdynamics import dwell_times, list_timeline
+from repro.analysis.listdynamics import dwell_times
 from repro.core.lists import ContainerLists, ListName
 from repro.errors import ExperimentError
 
@@ -18,26 +18,6 @@ def journal():
     lists.place(1, ListName.CL, time=40.0)
     lists.remove(1, time=60.0)
     return lists
-
-
-class TestListTimeline:
-    def test_counts_step_at_transitions(self, journal):
-        series = list_timeline(journal)
-        nl = series[ListName.NL]
-        assert nl.value_at(5.0) == 1
-        assert nl.value_at(15.0) == 2
-        assert nl.value_at(25.0) == 1  # cid 1 moved to WL
-
-    def test_wl_and_cl_windows(self, journal):
-        series = list_timeline(journal)
-        assert series[ListName.WL].value_at(30.0) == 1
-        assert series[ListName.WL].value_at(45.0) == 0
-        assert series[ListName.CL].value_at(50.0) == 1
-        assert series[ListName.CL].value_at(60.0) == 0
-
-    def test_empty_journal_rejected(self):
-        with pytest.raises(ExperimentError):
-            list_timeline(ContainerLists())
 
 
 class TestDwellTimes:
@@ -72,5 +52,4 @@ class TestDwellTimes:
         # The fast-converging job spent real time in CL; the linear job
         # never left NL.
         assert sum(dwell[ListName.CL].values()) > 0
-        series = list_timeline(executor.lists)
-        assert series[ListName.NL].value_at(5.0) >= 1
+        assert sum(dwell[ListName.NL].values()) > 0

@@ -203,9 +203,10 @@ class TestAdmissionPolicies:
         policy = WfqAdmission(tenant_weights={"a": 2.0})
         assert resolve(AXES["admission"], policy) is policy
 
-    def test_bad_tenant_weight_rejected(self):
+    @pytest.mark.parametrize("weight", [0.0, float("nan"), float("inf")])
+    def test_bad_tenant_weight_rejected(self, weight):
         with pytest.raises(ConfigError):
-            WfqAdmission(tenant_weights={"a": 0.0})
+            WfqAdmission(tenant_weights={"a": weight})
 
     def test_pop_on_empty_raises(self):
         for name in ADMISSIONS:
@@ -490,9 +491,15 @@ class TestBackfillAdmission:
         policy.push(_submission("fit", 1.0))
         assert policy.pop_fitting(self._fits_by_label("fit")) is None
 
-    def test_bad_max_skips_rejected(self):
+    @pytest.mark.parametrize("policy", [BackfillAdmission, SjfAdmission])
+    @pytest.mark.parametrize(
+        "value", [-1, float("nan"), float("inf"), 1.5, True]
+    )
+    def test_bad_max_skips_rejected(self, policy, value):
+        # NaN would silently disable the aging bound (``>= nan`` is
+        # never true); floats and bools are not skip counts.
         with pytest.raises(ConfigError):
-            BackfillAdmission(max_skips=-1)
+            policy(max_skips=value)
 
     def test_describe_names_the_bound(self):
         assert BackfillAdmission(max_skips=4).describe() == (

@@ -727,12 +727,8 @@ _STREAM_TENANTS = (("alpha", 2.0, 1.0), ("beta", 1.0, 2.0), ("gamma", 1.0, 1.0))
 
 def _stream_submissions(family: str, n_jobs: int, seed: int):
     """A lazy generator-family workload as a JobSubmission iterator."""
-    params = {"mean_gap": 2.0, "tenants": _STREAM_TENANTS}
-    if family == "pareto_mix":
-        params["size_cap"] = 2.0
-    else:
-        params["work_scale"] = 0.25
-    stream = make_stream(family, n_jobs=n_jobs, seed=seed, **params)
+    stream = make_stream(family, n_jobs=n_jobs, seed=seed, mean_gap=2.0,
+                         work_scale=0.25, tenants=_STREAM_TENANTS)
     return (
         JobSubmission(
             label=spec.label,
@@ -976,11 +972,11 @@ class TestStreamingMatrixInvariants:
     def test_admission_rebalance_axes(self, admission, rebalance, seed):
         first, _ = _run_streaming_checked(
             seed, "spread", rebalance,
-            admission=admission, family="flash_crowd",
+            admission=admission,
         )
         second, _ = _run_streaming_checked(
             seed, "spread", rebalance,
-            admission=admission, family="flash_crowd",
+            admission=admission,
         )
         assert first == second
 
@@ -993,10 +989,10 @@ class TestStreamingMatrixInvariants:
         their retry budget land in ``failed``; everything else still
         completes exactly once and the sketches stay deterministic."""
         first, _ = _run_streaming_checked(
-            seed, "spread", "none", failures=failures, family="pareto_mix"
+            seed, "spread", "none", failures=failures
         )
         second, _ = _run_streaming_checked(
-            seed, "spread", "none", failures=failures, family="pareto_mix"
+            seed, "spread", "none", failures=failures
         )
         assert first == second
 
@@ -1010,7 +1006,6 @@ class TestStreamingMatrixInvariants:
                 autoscale=QueueDepthAutoscale(
                     up_threshold=2, provision_delay=5.0, cooldown=0.0
                 ),
-                family="poisson",
             )
 
         assert run()[0] == run()[0]
@@ -1035,10 +1030,10 @@ class TestStreamingMatrixInvariants:
         accounting holds, sketches stay deterministic, and completed
         jobs still leave no bookkeeping behind."""
         first, _ = _run_streaming_checked(
-            seed, "spread", "none", fabric=fabric, family="poisson"
+            seed, "spread", "none", fabric=fabric
         )
         second, _ = _run_streaming_checked(
-            seed, "spread", "none", fabric=fabric, family="poisson"
+            seed, "spread", "none", fabric=fabric
         )
         assert first == second
 
@@ -1053,7 +1048,6 @@ class TestStreamingMatrixInvariants:
                     up_threshold=2, provision_delay=5.0, cooldown=0.0
                 ),
                 failures="random:checkpoint(20)",
-                family="diurnal",
             )
 
         assert run()[0] == run()[0]
@@ -1098,7 +1092,6 @@ class TestStreamingBoundedMemory:
         kw = dict(
             admission="wfq",
             failures="random:checkpoint",
-            family="poisson",
             shape=self._SHAPE,
         )
         _, small = _run_streaming_checked(1, "spread", "none", n_jobs=30, **kw)
@@ -1118,7 +1111,6 @@ class TestStreamingBoundedMemory:
                 autoscale=QueueDepthAutoscale(
                     up_threshold=2, provision_delay=5.0, cooldown=0.0
                 ),
-                family="poisson",
                 shape=self._SHAPE,
             )[1]
 

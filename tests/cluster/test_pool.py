@@ -30,26 +30,11 @@ class TestMembership:
         removed = pool.discard(c.cid, 5.0)
         assert removed is c
         assert pool.count() == 0
-        assert c.cid not in pool
+        assert c.cid not in pool.cids()
 
     def test_discard_unknown_raises(self):
         with pytest.raises(UnknownContainerError):
             ContainerPool().discard(12345, 0.0)
-
-    def test_get(self):
-        pool = ContainerPool()
-        c = _container()
-        pool.add(c, 0.0)
-        assert pool.get(c.cid) is c
-        with pytest.raises(UnknownContainerError):
-            pool.get(999999)
-
-    def test_members_sorted_by_cid(self):
-        pool = ContainerPool()
-        a, b = _container("a"), _container("b")
-        pool.add(b, 0.0)
-        pool.add(a, 0.0)
-        assert [c.cid for c in pool.members()] == sorted([a.cid, b.cid])
 
 
 class TestDeltas:
@@ -88,21 +73,6 @@ class TestDeltas:
 
 
 class TestJournals:
-    def test_arrivals_since(self):
-        pool = ContainerPool()
-        a, b = _container(), _container()
-        pool.add(a, 1.0)
-        pool.add(b, 5.0)
-        assert pool.arrivals_since(1.0) == [b.cid]
-        assert pool.arrivals_since(0.0) == [a.cid, b.cid]
-
-    def test_finishes_since(self):
-        pool = ContainerPool()
-        a = _container()
-        pool.add(a, 0.0)
-        pool.discard(a.cid, 3.0)
-        assert pool.finishes_since(2.0) == [a.cid]
-        assert pool.finishes_since(3.0) == []
 
     def test_totals(self):
         pool = ContainerPool()

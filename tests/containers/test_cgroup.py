@@ -65,7 +65,7 @@ class TestWindows:
         acct = CgroupAccount()
         settle_usage(acct, 8.0, cpu=0.5)
         window = acct.window_between(0.0, 8.0)
-        assert window.duration == pytest.approx(8.0)
+        assert window.t_end - window.t_start == pytest.approx(8.0)
         assert window.mean.cpu == pytest.approx(0.5)
 
 

@@ -14,23 +14,22 @@ from repro.errors import ConfigError
 class TestLimitSet:
     def test_defaults_to_free_competition(self):
         limits = LimitSet()
-        for r in ResourceType.ordered():
-            assert limits.get(r) == 1.0
+        assert limits.as_dict() == {r.value: 1.0 for r in ResourceType}
 
     def test_set_and_get(self):
         limits = LimitSet()
-        assert limits.set_cpu(0.25, time=5.0)
+        assert limits.set(ResourceType.CPU, 0.25, time=5.0)
         assert limits.cpu == 0.25
 
     def test_unchanged_value_returns_false(self):
         limits = LimitSet()
-        limits.set_cpu(0.5)
-        assert not limits.set_cpu(0.5)
+        limits.set(ResourceType.CPU, 0.5)
+        assert not limits.set(ResourceType.CPU, 0.5)
 
     def test_journal_records_updates(self):
         limits = LimitSet()
-        limits.set_cpu(0.5, time=1.0)
-        limits.set_cpu(0.25, time=2.0)
+        limits.set(ResourceType.CPU, 0.5, time=1.0)
+        limits.set(ResourceType.CPU, 0.25, time=2.0)
         journal = limits.journal
         assert [(u.time, u.old, u.new) for u in journal] == [
             (1.0, 1.0, 0.5),
@@ -39,35 +38,27 @@ class TestLimitSet:
 
     def test_clamps_above_one(self):
         limits = LimitSet()
-        limits.set_cpu(5.0)
+        limits.set(ResourceType.CPU, 5.0)
         assert limits.cpu == 1.0
 
     def test_clamps_to_min_quantum(self):
         limits = LimitSet()
-        limits.set_cpu(1e-9)
+        limits.set(ResourceType.CPU, 1e-9)
         assert limits.cpu == MIN_LIMIT
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ConfigError):
-            LimitSet().set_cpu(0.0)
+            LimitSet().set(ResourceType.CPU, 0.0)
         with pytest.raises(ConfigError):
-            LimitSet().set_cpu(-0.5)
+            LimitSet().set(ResourceType.CPU, -0.5)
 
     def test_rejects_nan(self):
         with pytest.raises(ConfigError):
-            LimitSet().set_cpu(math.nan)
+            LimitSet().set(ResourceType.CPU, math.nan)
 
     def test_rejects_non_numeric(self):
         with pytest.raises(ConfigError):
-            LimitSet().set_cpu("half")  # type: ignore[arg-type]
-
-    def test_reset_restores_defaults(self):
-        limits = LimitSet()
-        limits.set_cpu(0.2)
-        limits.set(ResourceType.MEMORY, 0.3)
-        limits.reset(time=9.0)
-        assert limits.cpu == 1.0
-        assert limits.get(ResourceType.MEMORY) == 1.0
+            LimitSet().set(ResourceType.CPU, "half")  # type: ignore[arg-type]
 
     def test_as_dict(self):
         d = LimitSet().as_dict()

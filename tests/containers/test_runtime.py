@@ -72,21 +72,3 @@ class TestRemoveAndNotify:
         runtime.remove(c.cid)
         with pytest.raises(UnknownContainerError):
             runtime.get(c.cid)
-
-
-class TestEvents:
-    def test_lifecycle_notifications(self, runtime):
-        events = []
-        runtime.subscribe(lambda ev, c: events.append(ev))
-        c = runtime.run(make_linear_job())
-        runtime.update(c.cid, cpus=0.5)
-        runtime.mark_exited(c.cid)
-        runtime.remove(c.cid)
-        assert events == ["run", "update", "exit", "remove"]
-
-    def test_noop_update_not_notified(self, runtime):
-        events = []
-        runtime.subscribe(lambda ev, c: events.append(ev))
-        c = runtime.run(make_linear_job())
-        runtime.update(c.cid, cpus=1.0)
-        assert events == ["run"]

@@ -51,6 +51,22 @@ class TestEq2:
 
 
 class TestEfficiencyHistory:
+    @given(
+        st.floats(min_value=-1e3, max_value=1e3),
+        st.floats(min_value=-1e3, max_value=1e3),
+        st.floats(min_value=1e-3, max_value=1e3),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_inline_form_matches_eq1_and_eq2(self, e0, e1, dt, usage):
+        """The sampling hot path's inline Eq. 1 / Eq. 2 equal the
+        validated definitions bit for bit."""
+        hist = EfficiencyHistory(cid=1)
+        hist.observe_usage(0.0, e0, usage)
+        sample = hist.observe_usage(dt, e1, usage)
+        p = progress_score(e0, e1, dt)
+        assert sample.progress == p
+        assert sample.growth == growth_efficiency(p, usage)
+
     def test_first_observation_seeds_baseline(self):
         hist = EfficiencyHistory(cid=1)
         assert hist.observe_usage(0.0, 1.0, 0.5) is None

@@ -64,17 +64,6 @@ class TestListenerInterrupts:
         ideal_worker.launch(make_linear_job(total_work=1000.0))
         assert ex.itval == 20.0
 
-    def test_polling_mode(self, sim, ideal_worker):
-        ex = _executor(
-            ideal_worker,
-            event_driven_listeners=False,
-            listener_poll_interval=1.0,
-        )
-        ideal_worker.launch(make_linear_job(total_work=1000.0))
-        assert ex.runs == 0  # not synchronous in polling mode
-        sim.run(until=1.5)
-        assert ex.runs == 1  # first poll noticed the arrival
-
     def test_listeners_disabled(self, sim, ideal_worker):
         ex = _executor(ideal_worker, listeners_enabled=False)
         ideal_worker.launch(make_linear_job(total_work=1000.0))

@@ -13,14 +13,14 @@ class TestPlacement:
         lists = ContainerLists()
         lists.place(1, ListName.NL)
         assert lists.where(1) is ListName.NL
-        assert lists.in_list(1, ListName.NL)
+        assert lists._members[ListName.NL] == {1}
 
     def test_move_between_lists(self):
         lists = ContainerLists()
         lists.place(1, ListName.NL)
         lists.place(1, ListName.WL, time=5.0)
         assert lists.where(1) is ListName.WL
-        assert not lists.in_list(1, ListName.NL)
+        assert lists._members[ListName.NL] == set()
 
     def test_same_list_placement_is_noop(self):
         lists = ContainerLists()
@@ -57,27 +57,6 @@ class TestQueries:
         lists.place(3, ListName.CL)
         assert lists.counts() == {ListName.NL: 2, ListName.WL: 0, ListName.CL: 1}
 
-    def test_all_completing_requires_members(self):
-        lists = ContainerLists()
-        assert not lists.all_completing()  # vacuously false
-        lists.place(1, ListName.CL)
-        assert lists.all_completing()
-        lists.place(2, ListName.NL)
-        assert not lists.all_completing()
-
-    def test_tracked_and_members_are_copies(self):
-        lists = ContainerLists()
-        lists.place(1, ListName.NL)
-        members = lists.members(ListName.NL)
-        members.add(999)
-        assert 999 not in lists.members(ListName.NL)
-
-    def test_clear(self):
-        lists = ContainerLists()
-        lists.place(1, ListName.NL)
-        lists.clear()
-        assert lists.tracked() == set()
-
 
 class TestInvariant:
     @given(
@@ -100,7 +79,7 @@ class TestInvariant:
                 lists.place(cid, target)
         seen: dict[int, int] = {}
         for name in ListName:
-            for cid in lists.members(name):
+            for cid in lists._members[name]:
                 seen[cid] = seen.get(cid, 0) + 1
         assert all(count == 1 for count in seen.values())
-        assert set(seen) == lists.tracked()
+        assert set(seen) == set(lists._where)

@@ -62,7 +62,7 @@ class TestMultiTenant:
         from repro.experiments.scenarios import multi_tenant
 
         sc = multi_tenant(seed=3)
-        assert sc.tenant_names == ("batch", "interactive")
+        assert {s.tenant for s in sc.specs} == {"batch", "interactive"}
         assert sc.admission == "wfq"
         interactive = [s for s in sc.specs if s.tenant == "interactive"]
         batch = [s for s in sc.specs if s.tenant == "batch"]

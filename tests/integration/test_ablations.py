@@ -47,18 +47,6 @@ class TestListenerAblation:
             < without.completion_times()["Job-3"]
         )
 
-    def test_polling_listeners_close_to_event_driven(self):
-        event = _run(FlowConConfig(event_driven_listeners=True))
-        polled = _run(
-            FlowConConfig(
-                event_driven_listeners=False, listener_poll_interval=1.0
-            )
-        )
-        for label in event.completion_times():
-            a = event.completion_times()[label]
-            b = polled.completion_times()[label]
-            assert abs(a - b) / a < 0.05
-
 
 class TestFloorAblation:
     def test_floor_bounds_converged_job_limit(self):

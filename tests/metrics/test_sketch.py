@@ -73,40 +73,33 @@ def _streams():
                      shapes, seeds, sizes)
 
 
+def _fill(sketch: QuantileSketch, values) -> None:
+    for value in values:
+        sketch.add(value)
+
+
 class TestQuantileSketchAccuracy:
     @settings(max_examples=60, deadline=None)
     @given(_streams(), st.sampled_from([16, 64, 256]))
     def test_within_certified_rank_window(self, values, k):
         sketch = QuantileSketch(k=k)
-        sketch.extend(values)
+        _fill(sketch, values)
         assert sketch.n == len(values)
         _assert_within_rank_window(sketch, values)
-
-    @settings(max_examples=30, deadline=None)
-    @given(_streams(), st.integers(min_value=1, max_value=5999))
-    def test_merge_of_split_stream_within_window(self, values, cut):
-        cut = min(cut, len(values))
-        left, right = QuantileSketch(k=64), QuantileSketch(k=64)
-        left.extend(values[:cut])
-        right.extend(values[cut:])
-        merged = left.merge(right)
-        assert merged is left
-        assert merged.n == len(values)
-        _assert_within_rank_window(merged, values)
 
     @settings(max_examples=30, deadline=None)
     @given(_streams())
     def test_deterministic_equal_streams_equal_state(self, values):
         a, b = QuantileSketch(k=32), QuantileSketch(k=32)
-        a.extend(values)
-        b.extend(values)
+        _fill(a, values)
+        _fill(b, values)
         assert a.state() == b.state()
 
     def test_bound_grows_slowly_and_is_honest_at_scale(self):
         rng = np.random.default_rng(7)
         values = rng.pareto(1.5, 200_000) * 5.0
         sketch = QuantileSketch(k=256)
-        sketch.extend(values)
+        _fill(sketch, values)
         # log2(n/k)/k regime: ~3.7 % certified at 200k values with
         # k=256 (the docstring's ~5 % at n=10⁶ figure scales down).
         assert sketch.rank_error_bound() < 0.05
@@ -115,7 +108,7 @@ class TestQuantileSketchAccuracy:
     def test_exact_below_k(self):
         values = [5.0, 1.0, 3.0, 2.0, 4.0]
         sketch = QuantileSketch(k=8)
-        sketch.extend(values)
+        _fill(sketch, values)
         assert sketch.rank_error_bound() == 0.0
         assert sketch.quantile(0.0) == 1.0
         assert sketch.quantile(1.0) == 5.0
@@ -136,14 +129,6 @@ class TestQuantileSketchErrors:
         sketch.add(1.0)
         with pytest.raises(MetricsError, match=r"\[0, 1\]"):
             sketch.quantile(1.5)
-
-    def test_mismatched_k_merge_rejected(self):
-        with pytest.raises(MetricsError, match="k=64 and k=128"):
-            QuantileSketch(k=64).merge(QuantileSketch(k=128))
-
-    def test_merge_non_sketch_rejected(self):
-        with pytest.raises(MetricsError, match="cannot merge list"):
-            QuantileSketch().merge([1.0, 2.0])
 
 
 class TestRollingThroughput:

@@ -65,10 +65,6 @@ class TestRunSummary:
         with pytest.raises(MetricsError):
             summary.overlap("a")
 
-    def test_total_concurrency_seconds(self):
-        summary = RunSummary([rec("a", 0.0, 10.0), rec("b", 5.0, 15.0)])
-        assert summary.total_concurrency_seconds() == pytest.approx(5.0)
-
 
 class TestHelpers:
     def test_reduction_pct(self):

@@ -38,21 +38,3 @@ class TestSimClock:
         # Within float tolerance: treated as "now".
         assert clock.advance_to(10.0 - 1e-12) == 0.0
         assert clock.now == 10.0
-
-    def test_advance_by(self):
-        clock = SimClock(1.0)
-        clock.advance_by(2.5)
-        assert clock.now == 3.5
-
-    def test_advance_by_negative_raises(self):
-        with pytest.raises(ClockError):
-            SimClock().advance_by(-0.1)
-
-    def test_reset(self):
-        clock = SimClock(9.0)
-        clock.reset()
-        assert clock.now == 0.0
-
-    def test_reset_negative_raises(self):
-        with pytest.raises(ClockError):
-            SimClock().reset(-2.0)

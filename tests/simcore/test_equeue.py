@@ -71,35 +71,6 @@ class TestCancellation:
     def test_peek_empty_returns_none(self):
         assert EventQueue().peek_time() is None
 
-    def test_clear(self):
-        q = EventQueue()
-        q.push(Event(time=1.0))
-        q.clear()
-        assert len(q) == 0 and q.peek_time() is None
-
-    def test_cancel_after_clear_is_noop(self):
-        """Regression: clear() must cancel outstanding handles.
-
-        A handle from before the clear used to stay marked alive, so a
-        later cancel() drove the live count negative and the queue
-        reported empty while holding real events.
-        """
-        q = EventQueue()
-        stale = q.push(Event(time=1.0))
-        q.clear()
-        q.cancel(stale)
-        assert len(q) == 0
-        q.push(Event(time=2.0, payload="real"))
-        assert len(q) == 1
-        assert bool(q)
-        assert q.pop().payload == "real"
-
-    def test_clear_marks_handles_dead(self):
-        q = EventQueue()
-        handles = [q.push(Event(time=float(i))) for i in range(5)]
-        q.clear()
-        assert all(not h.alive for h in handles)
-
 
 class TestEqualEventKeys:
     """Entries sharing an event's ``(time, priority, seq)`` order without

@@ -45,20 +45,3 @@ class TestRngRegistry:
         r2.stream("newcomer")  # consume nothing from "x"
         second = r2.stream("x").random(4)
         assert np.array_equal(first, second)
-
-    def test_fresh_resets_stream_state(self):
-        rngs = RngRegistry(5)
-        first = rngs.stream("x").random(4)
-        again = rngs.fresh("x").random(4)
-        assert np.array_equal(first, again)
-
-    def test_spawn_is_reproducible_and_distinct(self):
-        parent = RngRegistry(5)
-        childa = parent.spawn("rep-0").stream("x").random(4)
-        childb = RngRegistry(5).spawn("rep-0").stream("x").random(4)
-        other = parent.spawn("rep-1").stream("x").random(4)
-        assert np.array_equal(childa, childb)
-        assert not np.allclose(childa, other)
-
-    def test_root_seed_property(self):
-        assert RngRegistry(17).root_seed == 17

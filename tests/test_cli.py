@@ -78,7 +78,8 @@ class TestParser:
         assert _parse_tenant_weights(["a=2", "b=0.5"]) == {
             "a": 2.0, "b": 0.5,
         }
-        for bad in (["a"], ["=2"], ["a=0"], ["a=-1"], ["a=x"]):
+        for bad in (["a"], ["=2"], ["a=0"], ["a=-1"], ["a=x"],
+                    ["a=nan"], ["a=inf"]):
             with pytest.raises(ExperimentError):
                 _parse_tenant_weights(bad)
 
@@ -237,6 +238,19 @@ class TestCommands:
         assert main(["bench-report", "--dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "BENCH_" in err
+
+    def test_compare_diurnal_stream(self, capsys):
+        assert main(["compare", "--workload", "diurnal", "--jobs", "6"]) == 0
+        out = capsys.readouterr().out
+        assert "on 6 jobs" in out
+        for label in ("Job-1", "Job-6", "makespan", "wins"):
+            assert label in out
+
+    def test_streaming_metrics_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--workload", "diurnal", "--streaming-metrics"])
+        assert exc.value.code == 2
+        assert "--streaming-metrics" in capsys.readouterr().err
 
     def test_compare_with_wfq_tenants(self, capsys):
         assert main([

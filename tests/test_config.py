@@ -41,12 +41,8 @@ class TestFlowConConfig:
         with pytest.raises(ConfigError):
             FlowConConfig(min_samples=0)
 
-    def test_poll_interval_positive(self):
-        with pytest.raises(ConfigError):
-            FlowConConfig(listener_poll_interval=0.0)
-
     @pytest.mark.parametrize("field", [
-        "itval", "beta", "backoff_factor", "max_itval", "listener_poll_interval",
+        "itval", "beta", "backoff_factor", "max_itval",
     ])
     @pytest.mark.parametrize("value", [nan, inf, -inf])
     def test_non_finite_rejected(self, field, value):

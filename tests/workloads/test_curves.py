@@ -124,17 +124,6 @@ class TestValidation:
 
 
 class TestSlopeAndDirection:
-    def test_slope_sign_for_loss(self):
-        curve = ExponentialCurve(1.0, 0.0, tau=0.3)
-        assert curve.slope(0.1) < 0
-
-    def test_slope_sign_for_accuracy(self):
-        curve = SigmoidCurve(0.1, 0.9, midpoint=0.3, steepness=8)
-        assert curve.slope(0.3) > 0
-
-    def test_decreasing_flag(self):
-        assert ExponentialCurve(1.0, 0.0).decreasing
-        assert not SigmoidCurve(0.1, 0.9).decreasing
 
     def test_piecewise_interpolates_exactly(self):
         curve = PiecewiseLinearCurve([(0.0, 1.0), (0.5, 0.4), (1.0, 0.0)])

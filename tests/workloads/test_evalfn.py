@@ -24,10 +24,6 @@ class TestEvalKind:
 
 
 class TestEvalFunction:
-    def test_default_ranges_valid_for_all_kinds(self):
-        for kind in EvalKind:
-            fn = EvalFunction.default(kind)
-            assert fn.total_change > 0
 
     def test_direction_mismatch_rejected(self):
         with pytest.raises(ConfigError):

@@ -116,8 +116,8 @@ class TestBadWorkloadInput:
             ),
             lambda: make_job("mnist@tensorflow", work_scale=float("nan")),
             lambda: make_job("mnist@tensorflow", size_jitter=float("nan")),
-            lambda: make_stream("poisson", n_jobs=3, mean_gap=float("nan")),
-            lambda: make_stream("poisson", n_jobs=3, work_scale=float("inf")),
+            lambda: make_stream("diurnal", n_jobs=3, mean_gap=float("nan")),
+            lambda: make_stream("diurnal", n_jobs=3, work_scale=float("inf")),
         ],
         ids=[
             "spec-submit-nan", "spec-submit-negative", "spec-work-scale-nan",

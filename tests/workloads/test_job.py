@@ -60,7 +60,6 @@ class TestWarmup:
     def test_no_progress_signal_during_warmup(self):
         job = make_linear_job(total_work=100.0, warmup=20.0)
         job.advance(10.0)
-        assert job.in_warmup
         assert job.eval_value() == pytest.approx(1.0)
         assert job.progress == 0.0
 
@@ -85,14 +84,6 @@ class TestValidation:
         job = make_linear_job(total_work=100.0)
         job.advance(50.0)
         assert job.iteration == 500  # of 1000
-
-    def test_clone_is_fresh(self):
-        job = make_linear_job(total_work=100.0)
-        job.advance(70.0)
-        copy = job.clone()
-        assert copy.work_done == 0.0
-        assert copy.total_work == job.total_work
-        assert copy.name == job.name
 
 
 class TestProperties:

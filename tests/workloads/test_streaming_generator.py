@@ -43,7 +43,7 @@ class TestStreamDeterminism:
         ]
 
     def test_pickle_round_trip_regenerates_identically(self):
-        stream = make_stream("flash_crowd", n_jobs=30, seed=4)
+        stream = make_stream("diurnal", n_jobs=30, seed=4)
         clone = pickle.loads(pickle.dumps(stream))
         assert [_key(s) for s in clone] == [_key(s) for s in stream]
 
@@ -68,47 +68,9 @@ class TestStreamShape:
         assert len(stream) == 100_000
         assert stream.describe() == "diurnal-100000@7"
 
-    def test_pareto_mix_scales_are_capped_and_floored(self):
-        specs = list(make_stream(
-            "pareto_mix", n_jobs=300, seed=1,
-            shape=1.5, scale_floor=0.25, size_cap=20.0,
-        ))
-        scales = np.array([s.work_scale for s in specs])
-        assert scales.min() >= 0.25
-        assert scales.max() <= 20.0
-        # Heavy tail: some draws must actually exceed the floor region.
-        assert (scales > 1.0).any()
-
-    def test_flash_crowd_bursts_raise_local_rate(self):
-        specs = list(make_stream(
-            "flash_crowd", n_jobs=2000, seed=0,
-            mean_gap=3.0, burst_every=600.0, burst_duration=60.0,
-            burst_factor=8.0,
-        ))
-        times = np.array([s.submit_time for s in specs])
-        # Burst epochs are seeded exponential draws, so test the
-        # *shape*: bin at the burst duration and compare against a
-        # burst-free Poisson stream of the same baseline rate.  The 8x
-        # crests must push the densest bin and the bin-count dispersion
-        # far beyond anything the flat stream produces.
-        flat = np.array([
-            s.submit_time
-            for s in make_stream("poisson", n_jobs=2000, seed=0,
-                                 mean_gap=3.0)
-        ])
-
-        def peak_and_dispersion(ts):
-            counts = np.bincount((ts / 60.0).astype(int))
-            return counts.max(), counts.var() / counts.mean()
-
-        crowd_peak, crowd_disp = peak_and_dispersion(times)
-        flat_peak, flat_disp = peak_and_dispersion(flat)
-        assert crowd_peak > 2.0 * flat_peak
-        assert crowd_disp > 3.0 * flat_disp
-
     def test_tenant_mix_follows_shares(self):
         specs = list(make_stream(
-            "poisson", n_jobs=4000, seed=5, tenants=TENANTS,
+            "diurnal", n_jobs=4000, seed=5, tenants=TENANTS,
         ))
         drawn = [s.tenant for s in specs]
         frac_batch = drawn.count("batch") / len(drawn)
@@ -117,7 +79,7 @@ class TestStreamShape:
         assert weights == {"batch": 1.0, "interactive": 4.0}
 
     def test_without_tenants_field_is_none(self):
-        specs = list(make_stream("poisson", n_jobs=10, seed=0))
+        specs = list(make_stream("diurnal", n_jobs=10, seed=0))
         assert all(s.tenant is None for s in specs)
 
 
@@ -128,7 +90,7 @@ class TestStreamValidation:
 
     def test_nonpositive_n_jobs_rejected(self):
         with pytest.raises(WorkloadError):
-            make_stream("poisson", n_jobs=0)
+            make_stream("diurnal", n_jobs=0)
 
     def test_bad_params_fail_eagerly(self):
         # make_stream() pulls the first arrival up front, so a bad
@@ -138,10 +100,10 @@ class TestStreamValidation:
 
     def test_unknown_pool_entry_rejected(self):
         with pytest.raises(WorkloadError):
-            make_stream("poisson", n_jobs=10, pool=("bert@jax",))
+            make_stream("diurnal", n_jobs=10, pool=("bert@jax",))
 
     def test_stream_is_frozen(self):
-        stream = make_stream("poisson", n_jobs=10)
+        stream = make_stream("diurnal", n_jobs=10)
         with pytest.raises(AttributeError):
             stream.n_jobs = 99
 
@@ -149,4 +111,4 @@ class TestStreamValidation:
         assert make_stream("diurnal", n_jobs=10, seed=3) == make_stream(
             "diurnal", n_jobs=10, seed=3
         )
-        assert isinstance(make_stream("poisson", n_jobs=1), WorkloadStream)
+        assert isinstance(make_stream("diurnal", n_jobs=1), WorkloadStream)
