@@ -265,13 +265,13 @@ def _checked_tenants(tenants) -> tuple[tuple[str, float, float], ...] | None:
     out = []
     for entry in tenants:
         name, share, weight = entry
-        if share <= 0:
-            raise WorkloadError(f"tenant share must be positive, got {share!r}")
-        if weight <= 0:
-            raise WorkloadError(
-                f"tenant weight must be positive, got {weight!r}"
-            )
-        out.append((str(name), float(share), float(weight)))
+        # Finite too: a NaN share never wins the draw, an inf one
+        # swallows every other tenant's.
+        out.append((
+            str(name),
+            _positive("tenant share", share),
+            _positive("tenant weight", weight),
+        ))
     if not out:
         raise WorkloadError("tenant mix must not be empty")
     return tuple(out)
@@ -340,12 +340,14 @@ def _diurnal_stream(
     period = _positive("period", period)
     mean_gap = _positive("mean_gap", mean_gap)
     _positive("work_scale", work_scale)
-    if peak_to_trough < 1.0:
+    # NaN or inf here would make every thinning draw a rejection, so
+    # the first arrival would never come.
+    if not math.isfinite(peak_to_trough) or peak_to_trough < 1.0:
         raise WorkloadError(
-            f"peak_to_trough must be >= 1, got {peak_to_trough!r}"
+            f"peak_to_trough must be finite and >= 1, got {peak_to_trough!r}"
         )
-    if start < 0:
-        raise WorkloadError(f"negative start time {start!r}")
+    if not math.isfinite(start) or start < 0:
+        raise WorkloadError(f"start must be finite and >= 0, got {start!r}")
     pool = _checked_pool(pool)
     tenants = _checked_tenants(tenants)
     lam_mean = 1.0 / mean_gap
@@ -424,8 +426,9 @@ def make_stream(
             f"unknown stream family {family!r}; "
             f"choose from {sorted(STREAM_FAMILIES)}"
         )
-    if n_jobs <= 0:
-        raise WorkloadError(f"n_jobs must be positive, got {n_jobs!r}")
+    if (isinstance(n_jobs, bool) or not isinstance(n_jobs, numbers.Integral)
+            or n_jobs <= 0):
+        raise WorkloadError(f"n_jobs must be a positive int, got {n_jobs!r}")
     stream = WorkloadStream(
         family=family,
         n_jobs=int(n_jobs),

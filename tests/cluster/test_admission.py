@@ -4,6 +4,8 @@ wfq / sjf)."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.cluster.admission import (
@@ -415,6 +417,117 @@ class TestFitAwareHeapAdmission:
         policy.push(_submission("l1", 0.0, tenant="light", weight=2.0))
         assert policy.pop_fitting(lambda sub: True).label == "l1"
         assert policy.backfills == 0
+
+
+class _ReferenceQueue:
+    """The documented release rule, written out independently.
+
+    Keys are computed here from the submissions (arrival order,
+    priority class, remaining work, or WFQ finish tags with their own
+    virtual clock), never read back from the policy under test.
+    """
+
+    def __init__(self, name, fit_aware, max_skips):
+        self.name = name
+        self.fit_aware = fit_aware
+        self.max_skips = max_skips
+        self.entries = []  # (key, submission)
+        self.seq = 0
+        self.skips = 0
+        self.backfills = 0
+        self.vtime = 0.0
+        self.last_finish = {}
+
+    def push(self, sub):
+        if self.name in ("fifo", "backfill"):
+            key = ()
+        elif self.name == "priority":
+            key = (-sub.priority,)
+        elif self.name == "sjf":
+            key = (sub.job.remaining_work(),)
+        else:  # wfq
+            tenant = sub.tenant or "default"
+            start = max(self.vtime, self.last_finish.get(tenant, 0.0))
+            key = (start + 1.0 / sub.weight,)
+            self.last_finish[tenant] = key[0]
+        self.entries.append(((*key, self.seq), sub))
+        self.seq += 1
+
+    def order(self):
+        return [sub for _key, sub in sorted(self.entries, key=lambda e: e[0])]
+
+    def _release(self, sub):
+        entry = next(e for e in self.entries if e[1] is sub)
+        self.entries.remove(entry)
+        if self.name == "wfq":
+            self.vtime = max(self.vtime, entry[0][0])
+        return sub
+
+    def pop_fitting(self, fits):
+        order = self.order()
+        if not order:
+            return None
+        head = order[0]
+        if not self.fit_aware or fits(head):
+            self.skips = 0
+            return self._release(head)
+        if self.skips >= self.max_skips:
+            return None
+        for sub in order[1:]:
+            if fits(sub):
+                self.skips += 1
+                self.backfills += 1
+                return self._release(sub)
+        return None
+
+
+class TestReferenceModel:
+    """Random push/release interleavings against :class:`_ReferenceQueue`."""
+
+    WEIGHTS = {"a": 1.0, "b": 2.0, "c": 0.5}
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("name", sorted(ADMISSIONS))
+    def test_matches_reference_release_rule(self, name, seed):
+        rng = random.Random(seed)
+        policy = ADMISSIONS[name]()
+        fit_aware = getattr(policy, "fit_aware", False)
+        if fit_aware:
+            policy.max_skips = 2  # age out often
+        ref = _ReferenceQueue(name, fit_aware, 2)
+        pushed, released = [], []
+        for step in range(240):
+            if rng.random() < 0.55 or not len(ref.entries):
+                tenant = rng.choice(sorted(self.WEIGHTS))
+                sub = _submission(
+                    f"J{step}", float(step),
+                    work=float(rng.choice([10, 20, 30, 40])),
+                    tenant=tenant, weight=self.WEIGHTS[tenant],
+                    priority=rng.choice([0, 1, 2]),
+                )
+                policy.push(sub)
+                ref.push(sub)
+                pushed.append(sub.label)
+            else:
+                fitting = {
+                    e[1].label for e in ref.entries if rng.random() < 0.5
+                }
+                fits = lambda sub: sub.label in fitting  # noqa: E731
+                got = policy.pop_fitting(fits)
+                want = ref.pop_fitting(fits)
+                assert got is want, f"step {step}"
+                if got is not None:
+                    released.append(got.label)
+            assert [s.label for s in policy.queued()] == [
+                s.label for s in ref.order()
+            ]
+            assert len(policy) == len(ref.entries)
+        assert getattr(policy, "backfills", 0) == ref.backfills
+        if fit_aware:
+            assert ref.backfills > 0  # the interleaving did backfill
+        while len(policy):
+            released.append(policy.pop_fitting(lambda sub: True).label)
+        assert sorted(released) == sorted(pushed)
 
 
 class TestBackfillAdmission:

@@ -8,6 +8,7 @@ arrival times; and the tenant mix draws follow the declared shares.
 
 from __future__ import annotations
 
+import math
 import pickle
 
 import numpy as np
@@ -19,8 +20,22 @@ from repro.workloads.generator import (
     WorkloadStream,
     make_stream,
 )
+from repro.workloads.models import PAPER_POOL
 
 TENANTS = (("batch", 3.0, 1.0), ("interactive", 1.0, 4.0))
+NAN, INF = float("nan"), float("inf")
+
+#: ``diurnal`` parameter sets spanning each knob the family takes.
+PARAM_SETS = {
+    "default": {},
+    "flat": {"peak_to_trough": 1.0},
+    "steep": {"peak_to_trough": 16.0},
+    "short_period": {"period": 60.0, "mean_gap": 0.5},
+    "late_start": {"start": 5000.0},
+    "scaled": {"work_scale": 0.25},
+    "tenants": {"tenants": TENANTS},
+    "pool": {"pool": ("gru@tensorflow", "vae@pytorch")},
+}
 
 
 def _key(spec):
@@ -51,6 +66,101 @@ class TestStreamDeterminism:
         a = make_stream("diurnal", n_jobs=30, seed=0)
         b = make_stream("diurnal", n_jobs=30, seed=1)
         assert [s.submit_time for s in a] != [s.submit_time for s in b]
+
+
+class TestParameterSets:
+    """Every knob of ``diurnal`` keeps the stream contract."""
+
+    @pytest.mark.parametrize("name", sorted(PARAM_SETS))
+    def test_regenerates_identically(self, name):
+        stream = make_stream("diurnal", n_jobs=60, seed=3, **PARAM_SETS[name])
+        assert [_key(s) for s in stream] == [_key(s) for s in stream]
+        clone = pickle.loads(pickle.dumps(stream))
+        assert [_key(s) for s in clone] == [_key(s) for s in stream]
+
+    @pytest.mark.parametrize("name", sorted(PARAM_SETS))
+    def test_times_start_after_offset_and_never_decrease(self, name):
+        params = PARAM_SETS[name]
+        specs = list(make_stream("diurnal", n_jobs=60, seed=1, **params))
+        times = [s.submit_time for s in specs]
+        assert times == sorted(times)
+        assert times[0] > params.get("start", 0.0)
+        assert all(math.isfinite(t) for t in times)
+        assert [s.label for s in specs] == [f"Job-{i}" for i in range(1, 61)]
+
+    @pytest.mark.parametrize("name", sorted(PARAM_SETS))
+    def test_specs_carry_the_parameters(self, name):
+        params = PARAM_SETS[name]
+        specs = list(make_stream("diurnal", n_jobs=200, seed=2, **params))
+        assert {s.work_scale for s in specs} == {params.get("work_scale", 1.0)}
+        pool = set(params.get("pool", PAPER_POOL))
+        assert {s.model_key for s in specs} <= pool
+        if "pool" in params:
+            # 200 draws over two keys reach both.
+            assert {s.model_key for s in specs} == pool
+        tenants = params.get("tenants")
+        if tenants is None:
+            assert {(s.tenant, s.weight) for s in specs} == {(None, 1.0)}
+        else:
+            assert {(s.tenant, s.weight) for s in specs} == {
+                (name, weight) for name, _share, weight in tenants
+            }
+
+
+class TestDiurnalRate:
+    """The thinning sampler draws the rate it documents.
+
+    ``period`` is a twentieth of the expected horizon, so each run
+    averages over twenty day/night cycles.
+    """
+
+    N = 4000
+
+    def _times(self, seed, mean_gap=1.0, **params):
+        period = self.N * mean_gap / 20
+        return np.array([
+            s.submit_time for s in make_stream(
+                "diurnal", n_jobs=self.N, seed=seed, mean_gap=mean_gap,
+                period=period, **params,
+            )
+        ]), period
+
+    @pytest.mark.parametrize("rho", [1.0, 2.0, 4.0, 16.0])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_mean_gap_independent_of_peak_to_trough(self, rho, seed):
+        times, _ = self._times(seed, mean_gap=2.0, peak_to_trough=rho)
+        # N gaps of mean 2.0: the relative spread is 1/sqrt(N) ~ 1.6 %.
+        assert times[-1] / self.N == pytest.approx(2.0, rel=0.05)
+
+    @pytest.mark.parametrize("rho", [1.0, 2.0, 4.0, 16.0])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_day_half_outdraws_night_half(self, rho, seed):
+        times, period = self._times(seed, peak_to_trough=rho)
+        day = int(((times % period) < period / 2).sum())
+        night = self.N - day
+        # ∫(1 + a·sin) over the rising half-period over the falling one.
+        a = (rho - 1.0) / (rho + 1.0)
+        expected = (1 + 2 * a / math.pi) / (1 - 2 * a / math.pi)
+        assert day / night == pytest.approx(expected, rel=0.12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_flat_day_is_homogeneous_poisson(self, seed):
+        times, _ = self._times(seed, peak_to_trough=1.0)
+        gaps = np.diff(times, prepend=0.0)
+        # Exponential gaps: coefficient of variation 1.
+        assert gaps.std() / gaps.mean() == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize("scale", [0.5, 3.0, 60.0])
+    def test_times_scale_with_mean_gap_and_period(self, scale):
+        base = [s.submit_time for s in make_stream(
+            "diurnal", n_jobs=100, seed=4, mean_gap=1.0, period=500.0,
+        )]
+        scaled = [s.submit_time for s in make_stream(
+            "diurnal", n_jobs=100, seed=4, mean_gap=scale,
+            period=500.0 * scale,
+        )]
+        # Same draws, one time unit: every arrival stretches by ``scale``.
+        assert scaled == pytest.approx([t * scale for t in base], rel=1e-9)
 
 
 class TestStreamShape:
@@ -101,6 +211,44 @@ class TestStreamValidation:
     def test_unknown_pool_entry_rejected(self):
         with pytest.raises(WorkloadError):
             make_stream("diurnal", n_jobs=10, pool=("bert@jax",))
+
+    @pytest.mark.parametrize("param, value", [
+        *[(p, v) for p in ("period", "mean_gap", "work_scale")
+          for v in (0.0, -1.0, NAN, INF)],
+        *[("peak_to_trough", v) for v in (0.5, NAN, INF)],
+        *[("start", v) for v in (-1.0, NAN, INF)],
+    ])
+    def test_bad_scalar_param_rejected(self, param, value):
+        # Rejected at construction: a non-finite peak_to_trough or start
+        # would otherwise spin the thinning loop forever.
+        with pytest.raises(WorkloadError, match=param):
+            make_stream("diurnal", n_jobs=10, **{param: value})
+
+    @pytest.mark.parametrize("tenants", [
+        (("a", 0.0, 1.0),),
+        (("a", -1.0, 1.0),),
+        (("a", 1.0, 1.0), ("b", NAN, 1.0)),
+        (("a", 1.0, 1.0), ("b", INF, 1.0)),
+        (("a", 1.0, 0.0),),
+        (("a", 1.0, NAN),),
+        (("a", 1.0, INF),),
+        (),
+    ], ids=[
+        "share-0", "share-neg", "share-nan", "share-inf",
+        "weight-0", "weight-nan", "weight-inf", "empty",
+    ])
+    def test_bad_tenant_mix_rejected(self, tenants):
+        with pytest.raises(WorkloadError, match="tenant"):
+            make_stream("diurnal", n_jobs=10, tenants=tenants)
+
+    @pytest.mark.parametrize("n_jobs", [-5, 1.5, NAN, True, "10"])
+    def test_bad_n_jobs_rejected(self, n_jobs):
+        with pytest.raises(WorkloadError, match="n_jobs"):
+            make_stream("diurnal", n_jobs=n_jobs)
+
+    def test_empty_pool_rejected(self):
+        with pytest.raises(WorkloadError, match="pool"):
+            make_stream("diurnal", n_jobs=10, pool=())
 
     def test_stream_is_frozen(self):
         stream = make_stream("diurnal", n_jobs=10)
