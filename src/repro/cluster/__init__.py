@@ -41,7 +41,7 @@ Key classes
     depth and expected-work backlog: none (default), queue_depth, and
     progress.
 :class:`~repro.cluster.pool.ContainerPool`
-    Arrival/finish journal the worker-monitor listeners poll.
+    Live container set the worker-monitor listeners diff.
 :class:`~repro.cluster.contention.ContentionModel`
     Interference model: per-concurrent-container efficiency loss and
     demand jitter under free competition.

@@ -1,11 +1,11 @@
-"""The container pool and its change journal.
+"""The container pool.
 
 §3.2.2: FlowCon's worker monitor does not watch individual jobs — it
 watches the *pool*, comparing the container count between listener
 iterations (Algorithm 2's ``T(i)``).  :class:`ContainerPool` keeps the set
-of live containers plus arrival/finish journals so listeners can both
-detect a change (``c = T(i) − T(i−1)``) and identify *which* containers
-caused it.
+of live containers so listeners can both detect a change
+(``c = T(i) − T(i−1)``) and identify *which* containers caused it, plus
+arrival/finish totals.
 """
 
 from __future__ import annotations
@@ -27,36 +27,28 @@ class PoolDelta:
     removed: tuple[int, ...] = ()
 
 
-@dataclass
-class _JournalEntry:
-    time: float
-    cid: int
-
-
 class ContainerPool:
-    """Live container membership with arrival/finish journals."""
+    """Live container membership with arrival/finish totals."""
 
     def __init__(self) -> None:
         self._members: dict[int, Container] = {}
-        self._arrivals: list[_JournalEntry] = []
-        self._finishes: list[_JournalEntry] = []
-        self._compacted_arrivals = 0
-        self._compacted_finishes = 0
+        self._arrivals = 0
+        self._finishes = 0
 
     # -- mutation (worker-driven) ---------------------------------------------
 
-    def add(self, container: Container, time: float) -> None:
+    def add(self, container: Container) -> None:
         """Register a newly launched container."""
         self._members[container.cid] = container
-        self._arrivals.append(_JournalEntry(time, container.cid))
+        self._arrivals += 1
 
-    def discard(self, cid: int, time: float) -> Container:
+    def discard(self, cid: int) -> Container:
         """Remove a finished container, returning it."""
         try:
             container = self._members.pop(cid)
         except KeyError:
             raise UnknownContainerError(cid) from None
-        self._finishes.append(_JournalEntry(time, cid))
+        self._finishes += 1
         return container
 
     # -- queries (listener-driven) ----------------------------------------------
@@ -80,38 +72,18 @@ class ContainerPool:
             removed=removed,
         )
 
-    # -- journals -----------------------------------------------------------------
-
-    def compact(self, before: float) -> int:
-        """Drop journal entries at or before *before*; totals survive.
-
-        Streaming runs compact after every exit so the journals track
-        recent churn instead of the whole run (the bounded-memory
-        guarantee).  ``total_arrivals``/``total_finishes`` keep counting
-        compacted entries; the worker-monitor listeners diff live
-        membership via :meth:`delta_since` rather than replaying the
-        journals.
-        """
-        keep_arrivals = [e for e in self._arrivals if e.time > before]
-        keep_finishes = [e for e in self._finishes if e.time > before]
-        dropped_arrivals = len(self._arrivals) - len(keep_arrivals)
-        dropped_finishes = len(self._finishes) - len(keep_finishes)
-        self._compacted_arrivals += dropped_arrivals
-        self._compacted_finishes += dropped_finishes
-        self._arrivals = keep_arrivals
-        self._finishes = keep_finishes
-        return dropped_arrivals + dropped_finishes
+    # -- totals -------------------------------------------------------------------
 
     def total_arrivals(self) -> int:
-        """Number of containers ever added (compacted entries included)."""
-        return self._compacted_arrivals + len(self._arrivals)
+        """Number of containers ever added."""
+        return self._arrivals
 
     def total_finishes(self) -> int:
-        """Number of containers ever finished (compacted entries included)."""
-        return self._compacted_finishes + len(self._finishes)
+        """Number of containers ever finished."""
+        return self._finishes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ContainerPool(live={len(self._members)}, "
-            f"arrived={len(self._arrivals)}, finished={len(self._finishes)})"
+            f"arrived={self._arrivals}, finished={self._finishes})"
         )

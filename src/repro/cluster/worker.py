@@ -215,9 +215,9 @@ class Worker:
         #: Hooks invoked after a container launches: f(container).
         self.launch_hooks: list = []
         #: Streaming-metrics mode (set by the manager): ``docker rm``
-        #: every exited container once the exit hooks have consumed it,
-        #: and compact the pool journals — resident state then tracks
-        #: the *live* set, not the whole run's history.
+        #: every exited container once the exit hooks have consumed it —
+        #: resident state then tracks the *live* set, not the whole
+        #: run's history.
         self.reap_exited = False
 
     # -- public operations -------------------------------------------------------
@@ -247,7 +247,7 @@ class Worker:
             name = getattr(job, "name", None)
         container = self.runtime.run(job, name=name, image=image)
         self._refresh_slots()
-        self.pool.add(container, self.sim.now)
+        self.pool.add(container)
         if self.sim.trace_enabled:
             self.sim.trace(
                 "worker.launch",
@@ -312,8 +312,8 @@ class Worker:
         Settles first, so every CPU-second delivered up to now is already
         in the job and its cgroup counters; the container leaves carrying
         both, which is what makes its remaining work bit-exact wherever
-        it reattaches.  The exit projection is dropped, the pool
-        journals the departure (the worker monitor sees it exactly like a
+        it reattaches.  The exit projection is dropped, the container
+        leaves the pool (the worker monitor sees it exactly like a
         finish — the container is gone from *this* node), and the
         remaining pool is reallocated.  No exit hooks fire: the job has
         not completed.
@@ -327,7 +327,7 @@ class Worker:
         self._exits.pop(cid, None)
         self.runtime.release(cid)
         self._refresh_slots()
-        self.pool.discard(cid, self.sim.now)
+        self.pool.discard(cid)
         if self.sim.trace_enabled:
             self.sim.trace(
                 "worker.detach",
@@ -359,7 +359,7 @@ class Worker:
         self.settle()
         self.runtime.adopt(container)
         self._refresh_slots()
-        self.pool.add(container, self.sim.now)
+        self.pool.add(container)
         # This node's existing subscribers start their windows at the
         # attach instant rather than reaching back to the container's
         # creation on its old node — the bus can then keep pruning
@@ -396,7 +396,7 @@ class Worker:
         orphans = self.runtime.running()
         for container in orphans:
             self.runtime.release(container.cid)
-            self.pool.discard(container.cid, self.sim.now)
+            self.pool.discard(container.cid)
         self._reserved = 0
         self._draining = False
         self._refresh_slots()
@@ -733,7 +733,7 @@ class Worker:
         if exited:
             self.runtime.mark_exited(cid)
             self._refresh_slots()
-            self.pool.discard(cid, self.sim.now)
+            self.pool.discard(cid)
             if self.sim.trace_enabled:
                 self.sim.trace(
                     "worker.exit",
@@ -756,7 +756,6 @@ class Worker:
                 # the bus cache hit/miss pattern (and with it every
                 # prune/window decision) matches a non-reaping run.
                 self.runtime.remove(cid)
-                self.pool.compact(self.sim.now)
 
     # -- views ----------------------------------------------------------------------
 

@@ -357,6 +357,22 @@ class TestFitAwareHeapAdmission:
         # Key order is preserved among the remaining jobs.
         assert [s.label for s in policy.queued()] == ["short", "long"]
 
+    @pytest.mark.parametrize("last, taken", [(7, 11), (30, 10)])
+    def test_backfill_deep_in_the_heap_keeps_drain_order(self, last, taken):
+        # Pushed in this order the heap array is the list itself.  A
+        # release from deep inside it must restore heap order in either
+        # direction: refilling the 11's slot with the last entry (7)
+        # leaves it under the 10, refilling the 10's (30) leaves it above
+        # the 11 and 12; either left in place breaks the drain order.
+        works = (1, 10, 2, 11, 12, 3, 4, 13, 14, 15, 16, 8, 20, 22, last)
+        policy = SjfAdmission()
+        for work in works:
+            policy.push(_submission(f"w{work}", 0.0, work=float(work)))
+        fits = self._fits_by_label(f"w{taken}")
+        assert policy.pop_fitting(fits).label == f"w{taken}"
+        order = [policy.pop().label for _ in range(len(policy))]
+        assert order == [f"w{w}" for w in sorted(works) if w != taken]
+
     def test_sjf_fitting_head_is_plain_key_order(self):
         policy = SjfAdmission()
         for label, work in (("b", 20.0), ("a", 10.0), ("c", 30.0)):
@@ -526,7 +542,11 @@ class TestReferenceModel:
         if fit_aware:
             assert ref.backfills > 0  # the interleaving did backfill
         while len(policy):
-            released.append(policy.pop_fitting(lambda sub: True).label)
+            # The drain replays the reference order too: a backfill that
+            # left the heap out of order shows here as a wrong pop.
+            got = policy.pop_fitting(lambda sub: True)
+            assert got is ref.pop_fitting(lambda sub: True)
+            released.append(got.label)
         assert sorted(released) == sorted(pushed)
 
 

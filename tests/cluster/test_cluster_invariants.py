@@ -749,16 +749,15 @@ def _tracked_state(manager, recorders) -> int:
 
     Everything here is state a *dense* run grows per job and a streaming
     run must forget: placement records (popped on exit), the runtime's
-    container table (reaped on exit), the pool's arrival/finish journals
-    (compacted on exit), recorder traces and their label index (never
-    created; each trace holds its own growth history and raw rows) and
-    the sampler windows (forgotten on exit).  The admission queue is
-    deliberately excluded — a backlog is *live* work, not bookkeeping.
+    container table (reaped on exit), recorder traces and their label
+    index (never created; each trace holds its own growth history and
+    raw rows) and the sampler windows (forgotten on exit).  The
+    admission queue is deliberately excluded — a backlog is *live*
+    work, not bookkeeping.
     """
     state = len(manager.placements)
     for worker in manager.workers:
         state += len(worker.runtime._containers)
-        state += len(worker.pool._arrivals) + len(worker.pool._finishes)
     for recorder in recorders:
         state += len(recorder.traces)
         state += len(recorder._sampler._last_sample)
@@ -1065,11 +1064,10 @@ class TestStreamingBoundedMemory:
         """Tripling the stream must not grow the peak tracked state.
 
         On a fixed 4-worker × 2-slot cluster at most 8 containers are
-        ever live, so placements/runtime/journals/sampler windows are
-        all bounded by a shape constant.  A single per-job leak —
-        un-reaped exited containers, un-compacted journals, per-job
-        placement records — would grow the peak linearly with the
-        stream and trip the slack immediately.
+        ever live, so placements/runtime/sampler windows are all bounded
+        by a shape constant.  A single per-job leak — un-reaped exited
+        containers, per-job placement records — would grow the peak
+        linearly with the stream and trip the slack immediately.
         """
         _, small = _run_streaming_checked(
             0, "spread", "none", family=family, n_jobs=30,

@@ -19,22 +19,22 @@ def _container(name="c"):
 class TestMembership:
     def test_add_and_count(self):
         pool = ContainerPool()
-        pool.add(_container(), 1.0)
-        pool.add(_container(), 2.0)
+        pool.add(_container())
+        pool.add(_container())
         assert pool.count() == 2
 
     def test_discard_removes(self):
         pool = ContainerPool()
         c = _container()
-        pool.add(c, 1.0)
-        removed = pool.discard(c.cid, 5.0)
+        pool.add(c)
+        removed = pool.discard(c.cid)
         assert removed is c
         assert pool.count() == 0
         assert c.cid not in pool.cids()
 
     def test_discard_unknown_raises(self):
         with pytest.raises(UnknownContainerError):
-            ContainerPool().discard(12345, 0.0)
+            ContainerPool().discard(12345)
 
 
 class TestDeltas:
@@ -42,7 +42,7 @@ class TestDeltas:
         pool = ContainerPool()
         before = pool.cids()
         c = _container()
-        pool.add(c, 1.0)
+        pool.add(c)
         delta = pool.delta_since(before)
         assert delta.count_change == 1
         assert delta.added == (c.cid,)
@@ -51,9 +51,9 @@ class TestDeltas:
     def test_delta_detects_finishes(self):
         pool = ContainerPool()
         c = _container()
-        pool.add(c, 0.0)
+        pool.add(c)
         before = pool.cids()
-        pool.discard(c.cid, 2.0)
+        pool.discard(c.cid)
         delta = pool.delta_since(before)
         assert delta.count_change == -1
         assert delta.removed == (c.cid,)
@@ -61,11 +61,11 @@ class TestDeltas:
     def test_delta_mixed(self):
         pool = ContainerPool()
         a = _container("a")
-        pool.add(a, 0.0)
+        pool.add(a)
         before = pool.cids()
         b = _container("b")
-        pool.add(b, 1.0)
-        pool.discard(a.cid, 1.0)
+        pool.add(b)
+        pool.discard(a.cid)
         delta = pool.delta_since(before)
         assert delta.count_change == 0
         assert delta.added == (b.cid,)
@@ -77,8 +77,8 @@ class TestJournals:
     def test_totals(self):
         pool = ContainerPool()
         a, b = _container(), _container()
-        pool.add(a, 0.0)
-        pool.add(b, 0.0)
-        pool.discard(a.cid, 1.0)
+        pool.add(a)
+        pool.add(b)
+        pool.discard(a.cid)
         assert pool.total_arrivals() == 2
         assert pool.total_finishes() == 1

@@ -2,8 +2,10 @@
 
 The contract under test: a :class:`WorkloadStream` is a frozen recipe —
 iterating it twice, materializing it, or regenerating it in another
-process yields bit-identical specs; every family produces non-decreasing
-arrival times; and the tenant mix draws follow the declared shares.
+process yields bit-identical specs; every parameter set produces
+non-decreasing arrival times after its start offset and carries its
+parameters into the specs; and the tenant mix draws follow the declared
+shares.
 """
 
 from __future__ import annotations
@@ -15,11 +17,7 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workloads.generator import (
-    STREAM_FAMILIES,
-    WorkloadStream,
-    make_stream,
-)
+from repro.workloads.generator import WorkloadStream, make_stream
 from repro.workloads.models import PAPER_POOL
 
 TENANTS = (("batch", 3.0, 1.0), ("interactive", 1.0, 4.0))
@@ -44,21 +42,23 @@ def _key(spec):
 
 
 class TestStreamDeterminism:
-    @pytest.mark.parametrize("family", sorted(STREAM_FAMILIES))
+    @pytest.mark.parametrize("name", sorted(PARAM_SETS))
     @pytest.mark.parametrize("seed", range(3))
-    def test_iterating_twice_is_bit_identical(self, family, seed):
-        stream = make_stream(family, n_jobs=50, seed=seed)
+    def test_iterating_twice_is_bit_identical(self, name, seed):
+        stream = make_stream("diurnal", n_jobs=50, seed=seed,
+                             **PARAM_SETS[name])
         assert [_key(s) for s in stream] == [_key(s) for s in stream]
 
-    @pytest.mark.parametrize("family", sorted(STREAM_FAMILIES))
-    def test_materialize_equals_lazy_iteration(self, family):
-        stream = make_stream(family, n_jobs=40, seed=9, tenants=TENANTS)
+    @pytest.mark.parametrize("name", sorted(PARAM_SETS))
+    def test_materialize_equals_lazy_iteration(self, name):
+        stream = make_stream("diurnal", n_jobs=40, seed=9, **PARAM_SETS[name])
         assert [_key(s) for s in stream.materialize()] == [
             _key(s) for s in stream
         ]
 
-    def test_pickle_round_trip_regenerates_identically(self):
-        stream = make_stream("diurnal", n_jobs=30, seed=4)
+    @pytest.mark.parametrize("name", sorted(PARAM_SETS))
+    def test_pickle_round_trip_regenerates_identically(self, name):
+        stream = make_stream("diurnal", n_jobs=30, seed=4, **PARAM_SETS[name])
         clone = pickle.loads(pickle.dumps(stream))
         assert [_key(s) for s in clone] == [_key(s) for s in stream]
 
@@ -66,45 +66,6 @@ class TestStreamDeterminism:
         a = make_stream("diurnal", n_jobs=30, seed=0)
         b = make_stream("diurnal", n_jobs=30, seed=1)
         assert [s.submit_time for s in a] != [s.submit_time for s in b]
-
-
-class TestParameterSets:
-    """Every knob of ``diurnal`` keeps the stream contract."""
-
-    @pytest.mark.parametrize("name", sorted(PARAM_SETS))
-    def test_regenerates_identically(self, name):
-        stream = make_stream("diurnal", n_jobs=60, seed=3, **PARAM_SETS[name])
-        assert [_key(s) for s in stream] == [_key(s) for s in stream]
-        clone = pickle.loads(pickle.dumps(stream))
-        assert [_key(s) for s in clone] == [_key(s) for s in stream]
-
-    @pytest.mark.parametrize("name", sorted(PARAM_SETS))
-    def test_times_start_after_offset_and_never_decrease(self, name):
-        params = PARAM_SETS[name]
-        specs = list(make_stream("diurnal", n_jobs=60, seed=1, **params))
-        times = [s.submit_time for s in specs]
-        assert times == sorted(times)
-        assert times[0] > params.get("start", 0.0)
-        assert all(math.isfinite(t) for t in times)
-        assert [s.label for s in specs] == [f"Job-{i}" for i in range(1, 61)]
-
-    @pytest.mark.parametrize("name", sorted(PARAM_SETS))
-    def test_specs_carry_the_parameters(self, name):
-        params = PARAM_SETS[name]
-        specs = list(make_stream("diurnal", n_jobs=200, seed=2, **params))
-        assert {s.work_scale for s in specs} == {params.get("work_scale", 1.0)}
-        pool = set(params.get("pool", PAPER_POOL))
-        assert {s.model_key for s in specs} <= pool
-        if "pool" in params:
-            # 200 draws over two keys reach both.
-            assert {s.model_key for s in specs} == pool
-        tenants = params.get("tenants")
-        if tenants is None:
-            assert {(s.tenant, s.weight) for s in specs} == {(None, 1.0)}
-        else:
-            assert {(s.tenant, s.weight) for s in specs} == {
-                (name, weight) for name, _share, weight in tenants
-            }
 
 
 class TestDiurnalRate:
@@ -164,14 +125,35 @@ class TestDiurnalRate:
 
 
 class TestStreamShape:
-    @pytest.mark.parametrize("family", sorted(STREAM_FAMILIES))
-    def test_times_non_decreasing_labels_in_order(self, family):
-        specs = list(make_stream(family, n_jobs=80, seed=2))
+    @pytest.mark.parametrize("name", sorted(PARAM_SETS))
+    def test_times_non_decreasing_labels_in_order(self, name):
+        params = PARAM_SETS[name]
+        specs = list(make_stream("diurnal", n_jobs=80, seed=2, **params))
         times = [s.submit_time for s in specs]
         assert times == sorted(times)
+        assert times[0] > params.get("start", 0.0)
+        assert all(math.isfinite(t) for t in times)
         assert [s.label for s in specs] == [
             f"Job-{i + 1}" for i in range(80)
         ]
+
+    @pytest.mark.parametrize("name", sorted(PARAM_SETS))
+    def test_specs_carry_the_parameters(self, name):
+        params = PARAM_SETS[name]
+        specs = list(make_stream("diurnal", n_jobs=200, seed=2, **params))
+        assert {s.work_scale for s in specs} == {params.get("work_scale", 1.0)}
+        pool = set(params.get("pool", PAPER_POOL))
+        assert {s.model_key for s in specs} <= pool
+        if "pool" in params:
+            # 200 draws over two keys reach both.
+            assert {s.model_key for s in specs} == pool
+        tenants = params.get("tenants")
+        if tenants is None:
+            assert {(s.tenant, s.weight) for s in specs} == {(None, 1.0)}
+        else:
+            assert {(s.tenant, s.weight) for s in specs} == {
+                (name, weight) for name, _share, weight in tenants
+            }
 
     def test_len_and_describe(self):
         stream = make_stream("diurnal", n_jobs=100_000, seed=7)

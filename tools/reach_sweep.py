@@ -1,21 +1,23 @@
 """Reachability sweep: which ``src/repro`` functions no shipped route enters.
 
-    python tools/reach_sweep.py [--root DIR] [--no-bench]
+    python tools/reach_sweep.py [--root DIR]
 
 Runs every route below in its own subprocess with a ``sitecustomize``
 (written to a temporary directory put first on ``PYTHONPATH``) that
 installs a ``sys.setprofile`` hook and, at exit, writes every
-``src/repro`` code object that was entered.  Nothing in ``src/``
-changes.  Function-body lines are then counted with ``ast``: the body
-without its docstring, each nested def counted on its own.  Prints the
-unreached share and the unreached functions, largest first.
+``src/repro`` code object that was entered.  Process-pool children end
+through ``os._exit``, which skips ``atexit``, so the hook wraps
+``os._exit`` to write first.  Nothing in ``src/`` changes.
+Function-body lines are then counted with ``ast``: the body without its
+docstring, each nested def counted on its own.  Prints the unreached
+share and the unreached functions, largest first.
 
 Routes: ``repro list``/``zoo``/``table 1``/``fig 12``/``compare``/
 ``sweep``/``validate``; every example but ``parallel_batch_study.py``
-(it fans out to processes); one 3 s untraced perfbench run per workload
-at seed 0; CI's execute-only bench step.  The bench step alone takes
-about 4 minutes under the hook on a 2-core host; ``--no-bench`` skips
-it (the share is then not comparable).
+(it fans out over every core); one 3 s untraced perfbench run per
+workload at seed 0; CI's execute-only bench step (its file list read
+from ``.github/workflows/ci.yml``).  The bench step alone takes about
+4 minutes under the hook on a 2-core host.
 """
 
 from __future__ import annotations
@@ -40,7 +42,11 @@ def _dump():
         for c in _seen:
             if c.co_filename.startswith(_src):
                 fh.write("%s\\t%d\\t%s\\n" % (c.co_filename, c.co_firstlineno, c.co_name))
+def _exit(code, _real=os._exit):
+    _dump()
+    _real(code)
 atexit.register(_dump)
+os._exit = _exit
 sys.setprofile(_hook)
 threading.setprofile(_hook)
 """
@@ -49,18 +55,20 @@ CLI = [["list"], ["zoo"], ["table", "1"], ["fig", "12"], ["compare"],
 WORKLOADS = ["paper_flowcon", "fleet_day", "chaos_mix"]
 
 
-def routes(root: Path, bench: bool) -> list[list[str]]:
+def routes(root: Path) -> list[list[str]]:
     py = sys.executable
     out = [[py, "-m", "repro", *args] for args in CLI]
     out += [[py, str(f)] for f in sorted((root / "examples").glob("*.py"))
             if f.name != "parallel_batch_study.py"]
     out += [[py, "perfbench/run.py", "--workload", w, "--seed", "0",
              "--seconds", "3", "--trace", "0"] for w in WORKLOADS]
-    if bench:
-        ci = (root / ".github/workflows/ci.yml").read_text()
-        files = sorted(set(l.split()[0] for l in ci.splitlines()
-                           if l.strip().startswith("benchmarks/bench_")))
-        out.append([py, "-m", "pytest", *files, "--benchmark-disable", "-q"])
+    ci = (root / ".github/workflows/ci.yml").read_text()
+    files = sorted(set(l.split()[0] for l in ci.splitlines()
+                       if l.strip().startswith("benchmarks/bench_")))
+    if not files:
+        # An empty list would run the whole test suite instead.
+        raise SystemExit("error: no benchmarks/bench_* lines in ci.yml")
+    out.append([py, "-m", "pytest", *files, "--benchmark-disable", "-q"])
     return out
 
 
@@ -97,7 +105,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", type=Path,
                     default=Path(__file__).resolve().parent.parent)
-    ap.add_argument("--no-bench", action="store_true")
     args = ap.parse_args()
     root = args.root.resolve()
     src = root / "src" / "repro"
@@ -107,7 +114,7 @@ def main() -> int:
         env = dict(os.environ, REACH_SRC=str(src), REACH_OUT=out,
                    PYTHONPATH=f"{hook}{os.pathsep}{root / 'src'}")
         failed = 0
-        for cmd in routes(root, not args.no_bench):
+        for cmd in routes(root):
             done = subprocess.run(cmd, cwd=root, env=env, text=True,
                                   capture_output=True)
             print(f"exit {done.returncode}: {' '.join(cmd[1:])}", flush=True)
