@@ -41,7 +41,7 @@ from repro.experiments.scenarios import (
 )
 
 _SEED = 42
-_CFG = SimulationConfig(seed=_SEED, trace=False)
+_CFG = SimulationConfig(seed=_SEED)
 _ADMISSIONS = ("fifo", "priority", "wfq", "sjf")
 
 
@@ -50,7 +50,7 @@ def _mt_run(admission="wfq", seed=_SEED):
     return run_cluster(
         list(sc.specs),
         NAPolicy,
-        SimulationConfig(seed=seed, trace=False),
+        SimulationConfig(seed=seed),
         capacities=sc.capacities,
         max_containers=sc.max_containers,
         admission=admission,
@@ -116,7 +116,7 @@ def test_perf_admission_fifo_throughput_parity(benchmark):
         return run_cluster(
             two_hundred_job(seed=0),
             NAPolicy,
-            SimulationConfig(seed=0, trace=False),
+            SimulationConfig(seed=0),
             n_workers=8,
             max_containers=4,
             admission=admission,
@@ -174,7 +174,7 @@ def test_perf_admission_batch_parity():
 def test_perf_admission_elastic_fleet():
     """Queue-driven autoscaling collapses the burst backlog."""
     sc = elastic_cluster(seed=_SEED)
-    cfg = SimulationConfig(seed=_SEED, trace=False, max_containers=3)
+    cfg = SimulationConfig(seed=_SEED, max_containers=3)
     rows = []
     results = {}
     for autoscale in ("none", "queue_depth"):

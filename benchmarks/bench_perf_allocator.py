@@ -35,7 +35,7 @@ def test_perf_allocate_small_pool(benchmark, n):
 
 @pytest.mark.parametrize("n", [1, 3, 8, 32])
 def test_perf_worker_settle_and_poke(benchmark, n):
-    sim = Simulator(seed=0, trace=False)
+    sim = Simulator(seed=0)
     worker = Worker(sim)
     specs = [spec for seed in range(4) for spec in random_ten_job(seed=seed)]
     for spec in specs[:n]:

@@ -29,7 +29,7 @@ def _batch_inputs():
     seeds = list(range(_N_SCENARIOS))
     specs_list = [random_five_job(seed=s) for s in seeds]
     factory = partial(FlowConPolicy, FlowConConfig(alpha=0.10, itval=20.0))
-    cfg = SimulationConfig(trace=False)
+    cfg = SimulationConfig()
     return specs_list, factory, cfg, seeds
 
 

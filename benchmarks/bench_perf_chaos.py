@@ -47,7 +47,7 @@ def _chaos_run(failures, seed=_SEED):
     return run_cluster(
         list(sc.specs),
         NAPolicy,
-        SimulationConfig(seed=seed, trace=False),
+        SimulationConfig(seed=seed),
         capacities=sc.capacities,
         max_containers=sc.max_containers,
         failures=failures,
@@ -113,7 +113,7 @@ def test_perf_chaos_az_outage_recovers():
     result = run_cluster(
         list(sc.specs),
         NAPolicy,
-        SimulationConfig(seed=_SEED, trace=False),
+        SimulationConfig(seed=_SEED),
         capacities=sc.capacities,
         max_containers=sc.max_containers,
         failures=sc.failures,
@@ -134,7 +134,7 @@ def test_perf_chaos_no_failure_fast_path(benchmark):
         return run_cluster(
             two_hundred_job(seed=0),
             NAPolicy,
-            SimulationConfig(seed=0, trace=False),
+            SimulationConfig(seed=0),
             n_workers=8,
             max_containers=4,
             failures=failures,

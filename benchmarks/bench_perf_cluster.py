@@ -25,7 +25,7 @@ from repro.experiments.scenarios import two_hundred_job
 
 _N_WORKERS = 8
 _SLOTS = 4
-_CFG = SimulationConfig(seed=0, trace=False)
+_CFG = SimulationConfig(seed=0)
 
 
 def _specs():

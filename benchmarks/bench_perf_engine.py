@@ -19,7 +19,7 @@ def test_perf_full_ten_job_flowcon_run(benchmark):
         return run_scenario(
             specs,
             FlowConPolicy(FlowConConfig(alpha=0.10, itval=20.0)),
-            SimulationConfig(seed=42, trace=False),
+            SimulationConfig(seed=42),
         )
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
@@ -31,7 +31,7 @@ def test_perf_full_ten_job_na_run(benchmark):
 
     def run():
         return run_scenario(
-            specs, NAPolicy(), SimulationConfig(seed=42, trace=False)
+            specs, NAPolicy(), SimulationConfig(seed=42)
         )
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)

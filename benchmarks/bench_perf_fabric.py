@@ -51,7 +51,7 @@ def _partition_run(fabric=None, seed=_SEED):
     return run_cluster(
         list(sc.specs),
         NAPolicy,
-        SimulationConfig(seed=seed, trace=False),
+        SimulationConfig(seed=seed),
         capacities=sc.capacities,
         max_containers=sc.max_containers,
         fabric=fabric if fabric is not None else sc.fabric,
@@ -66,7 +66,7 @@ def test_perf_fabric_ideal_parity(benchmark):
         return run_cluster(
             two_hundred_job(seed=0),
             NAPolicy,
-            SimulationConfig(seed=0, trace=False),
+            SimulationConfig(seed=0),
             n_workers=8,
             max_containers=4,
             fabric=fabric,
@@ -162,7 +162,7 @@ def test_perf_fabric_gray_link_drains():
     result = run_cluster(
         list(sc.specs),
         NAPolicy,
-        SimulationConfig(seed=_SEED, trace=False),
+        SimulationConfig(seed=_SEED),
         capacities=sc.capacities,
         max_containers=sc.max_containers,
         fabric=sc.fabric,

@@ -69,7 +69,6 @@ def _day_run(n_jobs: int, *, streaming: bool = True, seed: int = 0):
         NAPolicy,
         SimulationConfig(
             seed=seed,
-            trace=False,
             fleet_mode=True,
             streaming_metrics=streaming,
             contention=ContentionModel.ideal(),

@@ -49,7 +49,7 @@ def _flowcon_run():
     return run_scenario(
         random_ten_job(seed=42),
         FlowConPolicy(FlowConConfig(alpha=0.10, itval=20.0)),
-        SimulationConfig(seed=42, trace=False),
+        SimulationConfig(seed=42),
     )
 
 
@@ -102,7 +102,7 @@ def test_perf_obsbus_single_query_per_tick():
     from repro.cluster.worker import Worker
     from repro.simcore.engine import Simulator
 
-    sim = Simulator(seed=3, trace=False)
+    sim = Simulator(seed=3)
     fresh = Worker(sim)
     for spec in random_ten_job(seed=3)[:6]:
         fresh.launch(spec.build_job(), name=spec.label)
@@ -138,7 +138,7 @@ def test_perf_obsbus_checkpoint_bound_poisson():
     result = run_cluster(
         two_hundred_job(seed=0),
         NAPolicy,
-        SimulationConfig(seed=0, trace=False),
+        SimulationConfig(seed=0),
         n_workers=8,
         max_containers=4,
     )

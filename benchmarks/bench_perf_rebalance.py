@@ -37,7 +37,7 @@ def _run(rebalance="progress", seed=_SEED):
     return run_cluster(
         list(sc.specs),
         NAPolicy,
-        SimulationConfig(seed=seed, trace=False),
+        SimulationConfig(seed=seed),
         capacities=sc.capacities,
         max_containers=sc.max_containers,
         rebalance=rebalance,
@@ -100,7 +100,7 @@ def test_perf_rebalance_deterministic():
 def test_perf_rebalance_batch_parity():
     """Serial vs process-pool batch execution never changes results."""
     sc = imbalanced_cluster(seed=_SEED)
-    cfg = SimulationConfig(seed=_SEED, trace=False)
+    cfg = SimulationConfig(seed=_SEED)
     direct = _run()
     [serial] = run_many(
         [list(sc.specs)], NAPolicy, cfg, workers=1, seeds=[_SEED],

@@ -42,7 +42,7 @@ def durability_comparison() -> None:
         result = run_cluster(
             list(sc.specs),
             NAPolicy,
-            SimulationConfig(seed=SEED, trace=False),
+            SimulationConfig(seed=SEED),
             capacities=sc.capacities,
             max_containers=sc.max_containers,
             failures=failures,
@@ -77,7 +77,7 @@ def scripted_outage() -> None:
     result = run_cluster(
         list(sc.specs),
         NAPolicy,
-        SimulationConfig(seed=SEED, trace=False),
+        SimulationConfig(seed=SEED),
         capacities=sc.capacities,
         max_containers=sc.max_containers,
         failures=injector,
@@ -109,7 +109,7 @@ def fail_slow() -> None:
         result = run_cluster(
             list(sc.specs),
             NAPolicy,
-            SimulationConfig(seed=SEED, trace=False),
+            SimulationConfig(seed=SEED),
             capacities=sc.capacities,
             max_containers=sc.max_containers,
             rebalance=rebalance,

@@ -15,12 +15,7 @@ Run:
     python examples/custom_model_replay.py
 """
 
-from repro import (
-    FlowConPolicy,
-    NAPolicy,
-    SimulationConfig,
-    run_scenario,
-)
+from repro import FlowConPolicy, NAPolicy
 from repro.cluster.submission import JobSubmission
 from repro.cluster.manager import Manager
 from repro.cluster.worker import Worker
@@ -66,7 +61,7 @@ def build_custom_job() -> TrainingJob:
 
 def run_policy(policy) -> dict[str, float]:
     """Run the custom job against two zoo models under *policy*."""
-    sim = Simulator(seed=11, trace=False)
+    sim = Simulator(seed=11)
     worker = Worker(sim)
     manager = Manager(sim, [worker])
     recorder = MetricsRecorder(worker, sample_interval=5.0)
@@ -111,8 +106,8 @@ def main() -> None:
     ))
     print(
         "\nThe custom job's plateau briefly demotes it to WL/CL and its "
-        "second descent promotes it back to NL — watch the executor trace "
-        "with SimulationConfig(trace=True) to see the transitions."
+        "second descent promotes it back to NL — the FlowCon policy's "
+        "executor.lists.transitions records each move."
     )
 
 

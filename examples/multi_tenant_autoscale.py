@@ -35,7 +35,7 @@ from repro.experiments.scenarios import elastic_cluster, multi_tenant
 
 def fairness_demo() -> None:
     sc = multi_tenant(seed=42)
-    cfg = SimulationConfig(seed=42, trace=False)
+    cfg = SimulationConfig(seed=42)
     rows = []
     for admission in ("fifo", "priority", "wfq", "sjf"):
         result = run_cluster(
@@ -64,7 +64,7 @@ def fairness_demo() -> None:
 
 def autoscale_demo() -> None:
     sc = elastic_cluster(seed=42)
-    cfg = SimulationConfig(seed=42, trace=False, max_containers=3)
+    cfg = SimulationConfig(seed=42, max_containers=3)
     rows = []
     for autoscale in ("none", "queue_depth", "progress"):
         result = run_cluster(

@@ -24,7 +24,7 @@ import numpy as np
 
 
 def main() -> None:
-    sim = Simulator(seed=3, trace=False)
+    sim = Simulator(seed=3)
     workers = [Worker(sim, name=f"worker-{i}") for i in range(2)]
     manager = Manager(sim, workers)
 

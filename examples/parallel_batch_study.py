@@ -30,7 +30,7 @@ from repro.metrics.summary import reduction_pct
 
 def main(n_seeds: int = 6) -> None:
     workers = default_workers()
-    cfg = SimulationConfig(trace=False)
+    cfg = SimulationConfig()
     fc_cfg = FlowConConfig(alpha=0.10, itval=20.0)
 
     # -- 1. multi-seed study, interleaved NA/FlowCon pairs ------------------

@@ -27,7 +27,7 @@ def main() -> None:
         fixed_three_job(),
         alphas=alphas,
         itvals=itvals,
-        sim_config=SimulationConfig(seed=1, trace=False),
+        sim_config=SimulationConfig(seed=1),
         workers=default_workers(),
     )
 

@@ -45,7 +45,7 @@ def partition_comparison() -> None:
         result = run_cluster(
             list(sc.specs),
             NAPolicy,
-            SimulationConfig(seed=SEED, trace=False),
+            SimulationConfig(seed=SEED),
             capacities=sc.capacities,
             max_containers=sc.max_containers,
             fabric=fabric,
@@ -72,7 +72,7 @@ def gray_link() -> None:
     result = run_cluster(
         list(sc.specs),
         NAPolicy,
-        SimulationConfig(seed=SEED, trace=False),
+        SimulationConfig(seed=SEED),
         capacities=sc.capacities,
         max_containers=sc.max_containers,
         fabric=sc.fabric,
@@ -94,7 +94,7 @@ def inline_fault_plan() -> None:
     result = run_cluster(
         list(sc.specs),
         NAPolicy,
-        SimulationConfig(seed=SEED, trace=False),
+        SimulationConfig(seed=SEED),
         capacities=sc.capacities,
         max_containers=sc.max_containers,
         fabric="drop(0.1)+delay(exp,0.2):retry(max=6,base=0.3)",

@@ -23,7 +23,7 @@ from repro.experiments.report import render_header, render_table
 
 def main() -> None:
     specs = fixed_three_job()
-    sim_cfg = SimulationConfig(seed=1, trace=False)
+    sim_cfg = SimulationConfig(seed=1)
 
     na = run_scenario(specs, NAPolicy(), sim_cfg)
     flowcon = run_scenario(

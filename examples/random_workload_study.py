@@ -38,7 +38,7 @@ SCALES = [
 def main(seed: int = 42) -> None:
     for title, builder, fc_cfg in SCALES:
         specs = builder(seed)
-        sim_cfg = SimulationConfig(seed=seed, trace=False)
+        sim_cfg = SimulationConfig(seed=seed)
         na = run_scenario(specs, NAPolicy(), sim_cfg)
         fc = run_scenario(specs, FlowConPolicy(fc_cfg), sim_cfg)
         report = compare_runs(na.summary, fc.summary,

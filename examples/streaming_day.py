@@ -43,7 +43,7 @@ def run(streaming: bool):
     return run_cluster(
         scenario.workload,
         NAPolicy,
-        SimulationConfig(seed=42, trace=False, streaming_metrics=streaming),
+        SimulationConfig(seed=42, streaming_metrics=streaming),
         capacities=scenario.capacities,
         max_containers=scenario.max_containers,
         admission=scenario.admission,

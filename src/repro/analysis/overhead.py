@@ -51,7 +51,7 @@ def overhead_study(
         itvals = [10.0, 20.0, 40.0, 60.0]
     if not itvals:
         raise ExperimentError("overhead_study needs at least one itval")
-    cfg = sim_config if sim_config is not None else SimulationConfig(trace=False)
+    cfg = sim_config if sim_config is not None else SimulationConfig()
 
     samples: list[OverheadSample] = []
     for itval in itvals:

@@ -97,9 +97,7 @@ def seed_study(
     fc_cfg = flowcon if flowcon is not None else FlowConConfig(
         alpha=0.10, itval=20.0
     )
-    template = sim_template if sim_template is not None else SimulationConfig(
-        trace=False
-    )
+    template = sim_template if sim_template is not None else SimulationConfig()
 
     # Interleaved NA/FlowCon pairs, one pair per seed, one flat batch.
     specs_list, factories, run_seeds = [], [], []

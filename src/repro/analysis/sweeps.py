@@ -93,7 +93,7 @@ def sweep_grid(
     """
     if not alphas or not itvals:
         raise ExperimentError("sweep needs non-empty alpha and itval axes")
-    cfg = sim_config if sim_config is not None else SimulationConfig(trace=False)
+    cfg = sim_config if sim_config is not None else SimulationConfig()
     template = base_config if base_config is not None else FlowConConfig()
 
     grid_cfgs = [

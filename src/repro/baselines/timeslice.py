@@ -105,11 +105,6 @@ class TimeSlicePolicy(SchedulingPolicy):
                     for c in running
                 }
             )
-            self.worker.sim.trace(
-                "timeslice.rotate",
-                f"slice → {favored.name}",
-                cid=favored.cid,
-            )
         self._turn += 1
 
     def describe(self) -> str:

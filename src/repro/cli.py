@@ -236,9 +236,7 @@ def _cluster_setup(args):
     ``--slots`` sets ``SimulationConfig.max_containers``, which both the
     initial fleet and autoscaled workers read.
     """
-    sim_cfg = SimulationConfig(
-        seed=args.seed, trace=False, max_containers=args.slots
-    )
+    sim_cfg = SimulationConfig(seed=args.seed, max_containers=args.slots)
     cluster = {name: getattr(args, name) for name in AXES}
     return sim_cfg, dict(n_workers=args.workers, **cluster)
 

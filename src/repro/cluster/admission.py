@@ -103,7 +103,7 @@ class AdmissionPolicy(abc.ABC):
     name: str = "admission"
 
     def bind(self, sim: "Simulator") -> None:
-        """Attach to a run's simulator (clock, tracing); optional."""
+        """Attach to a run's simulator (its clock); optional."""
 
     @abc.abstractmethod
     def push(self, submission: "JobSubmission") -> None:

@@ -9,8 +9,8 @@ direct method calls.  This module makes that interaction an explicit
   detection — is sent through a :class:`FabricPolicy` as a typed
   :class:`Envelope`.
 * The default :class:`IdealFabric` delivers inline: no events, no RNG
-  draws, no traces — **bit-identical** to the historical direct-call
-  path (completion times, digests and ``events_processed`` included).
+  draws — **bit-identical** to the historical direct-call path
+  (completion times, digests and ``events_processed`` included).
 * :class:`FaultyFabric` applies a seeded-deterministic **fault plan** —
   :func:`delay`, :func:`drop`, :func:`duplicate`, :func:`partition`,
   :func:`gray_link` — to each link traversal, and a manager-side
@@ -421,10 +421,10 @@ class FabricPolicy(abc.ABC):
 class IdealFabric(FabricPolicy):
     """The lossless default: every message delivers inline, immediately.
 
-    No events are scheduled, no RNG streams are touched and nothing is
-    traced, so a run through the ideal fabric is bit-identical to the
-    historical direct-call manager — ``events_processed`` included —
-    at full throughput.  Only the send/deliver counters move.
+    No events are scheduled and no RNG streams are touched, so a run
+    through the ideal fabric is bit-identical to the historical
+    direct-call manager — ``events_processed`` included — at full
+    throughput.  Only the send/deliver counters move.
     """
 
     name = "ideal"
@@ -523,12 +523,6 @@ class FaultyFabric(FabricPolicy):
             fault.apply(self, msg, verdict)
         if verdict["dropped"]:
             self.messages_dropped += 1
-            if sim.trace_enabled:
-                sim.trace(
-                    "fabric.drop",
-                    f"{msg.kind} #{msg.msg_id} {msg.src}→{msg.dst} "
-                    f"lost (attempt {attempt + 1})",
-                )
         else:
             arrival = sim.now + verdict["latency"]
             if arrival > msg.last_arrival:
@@ -585,13 +579,6 @@ class FaultyFabric(FabricPolicy):
             return
         if attempt < self.retry.max_retries:
             self.message_retries += 1
-            if self.sim.trace_enabled:
-                self.sim.trace(
-                    "fabric.retry",
-                    f"{msg.kind} #{msg.msg_id} {msg.src}→{msg.dst} "
-                    f"timed out; retry {attempt + 1}"
-                    f"/{self.retry.max_retries}",
-                )
             self._attempt(msg, attempt + 1)
             return
         # Out of retries: reconcile strictly after the last possible
@@ -612,12 +599,6 @@ class FaultyFabric(FabricPolicy):
         msg.failed = True
         self.messages_failed += 1
         self.reconciliations += 1
-        if self.sim.trace_enabled:
-            self.sim.trace(
-                "fabric.fail",
-                f"{msg.kind} #{msg.msg_id} {msg.src}→{msg.dst} failed "
-                f"after {msg.attempts} attempts; reconciling",
-            )
         if msg.on_fail is not None:
             msg.on_fail()
 

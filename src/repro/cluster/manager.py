@@ -111,7 +111,7 @@ fault/recovery detection — is dispatched through a pluggable
 :class:`~repro.cluster.fabric.FabricPolicy` (sixth axis) as a typed
 message with a ``deliver`` effect and an optional ``on_fail``
 reconciliation handler.  The default :class:`~repro.cluster.fabric.
-IdealFabric` delivers inline (no events, no RNG, no traces), keeping
+IdealFabric` delivers inline (no events, no RNG draws), keeping
 behaviour bit-identical to the direct-call manager; a
 :class:`~repro.cluster.fabric.FaultyFabric` may delay, drop, duplicate
 or partition messages, with manager-side retry/backoff and
@@ -175,8 +175,13 @@ class JobRecord:
 
     ``worker_name`` and ``cid`` name the job's current host and
     container (after a crash, the last ones), ``placed_time`` and
-    ``queue_delay`` (``placed_time - submit_time``, 0.0 for jobs placed
-    on arrival) its latest placement.  ``migrations``,
+    ``queue_delay`` its latest placement.  ``queue_delay`` is the last
+    wait, not the sum of waits: ``placed_time - wait_start`` (0.0 for a
+    job placed on arrival), where ``wait_start`` is the job's latest
+    arrival, ``submit_time`` until a crash re-queues it and the
+    re-arrival instant after.  The durability model's restore delay is
+    not queueing: the job re-arrives when its restore ends, as a
+    migration books its restore under ``migration_delay``.  ``migrations``,
     ``migration_delay`` (in-flight checkpoint/restore seconds),
     ``retries`` and ``lost_work`` (CPU-seconds lost to crashes;
     ``None`` until a crash first orphans the job) add up over its whole
@@ -196,6 +201,7 @@ class JobRecord:
     submission: JobSubmission | None
     tenant: str | None
     submit_time: float
+    wait_start: float
     state: str = ARRIVED
     worker_name: str | None = None
     cid: int | None = None
@@ -346,7 +352,7 @@ class Manager:
         if label in self.jobs:
             raise ClusterError(f"duplicate job label {label!r}")
         time = submission.submit_time
-        record = JobRecord(label, submission, submission.tenant, time)
+        record = JobRecord(label, submission, submission.tenant, time, time)
         self.sim.schedule(
             time,
             on_arrival,
@@ -458,7 +464,7 @@ class Manager:
             submission.job, name=label, image=submission.image
         )
         now = self.sim.now
-        delay = now - record.submit_time
+        delay = now - record.wait_start
         record.worker_name = worker.name
         record.cid = container.cid
         record.placed_time = now
@@ -477,12 +483,6 @@ class Manager:
             # releases its bus subscriptions, so checkpoint pruning is no
             # longer pinned at its last sampling windows.
             self.placement.quiesce()
-        self.sim.trace(
-            "manager.place",
-            f"placed {label} on {worker.name}"
-            + (f" after {delay:.1f}s queued" if delay > 0 else ""),
-            cid=container.cid,
-        )
 
     def _place_undeliverable(
         self, record: JobRecord, worker: Worker, epoch: int
@@ -498,23 +498,10 @@ class Manager:
         """
         if worker.epoch == epoch and worker in self.workers:
             worker.release_reservation()
-        label = record.label
         if not self._retry(record):
-            if self.sim.trace_enabled:
-                self.sim.trace(
-                    "manager.fault",
-                    f"{label} failed permanently: place order "
-                    f"undeliverable after {record.retries} retries",
-                )
             if self.pending == 0:
                 self.placement.quiesce()
             return
-        if self.sim.trace_enabled:
-            self.sim.trace(
-                "manager.fault",
-                f"re-admitting {label} after undeliverable place order "
-                f"(retry {record.retries}/{record.submission.retry_budget})",
-            )
         self._admit(record)
 
     def _rearm_draining(self) -> None:
@@ -529,10 +516,6 @@ class Manager:
         for worker in self.workers:
             if worker.draining and worker.has_free_slot():
                 worker.draining = False
-                self.sim.trace(
-                    "manager.scale",
-                    f"re-armed draining {worker.name} for a queued arrival",
-                )
                 return
 
     def _on_arrival(self, event: Event) -> None:
@@ -549,10 +532,6 @@ class Manager:
             depth = len(self.admission)
             if depth > self.peak_queue_len:
                 self.peak_queue_len = depth
-            self.sim.trace(
-                "manager.queue",
-                f"queued {record.label} (cluster full, depth {depth})",
-            )
             self._autoscale_pass()
             return
         self._place(record, eligible)
@@ -690,13 +669,6 @@ class Manager:
             record.migration_delay += delay
         record.worker_name = move.target.name
         self._transition(record, MIGRATING)
-        if self.sim.trace_enabled:
-            self.sim.trace(
-                "manager.migrate",
-                f"migrating {label} {move.source.name} → {move.target.name}"
-                + (f" ({delay:.1f}s in flight)" if delay > 0 else ""),
-                cid=container.cid,
-            )
         if delay <= 0:
             self._send_attach(container, move.target)
             return
@@ -783,9 +755,6 @@ class Manager:
             if worker.draining:
                 # Cheaper than a boot: the node never actually left.
                 worker.draining = False
-                self.sim.trace(
-                    "manager.scale", f"re-armed draining {worker.name}"
-                )
                 self._drain_queue()
                 return True
         self._provisions_pending += 1
@@ -795,12 +764,6 @@ class Manager:
             "cloud",
             self._deliver_provision,
             self._provision_undeliverable,
-        )
-        self.sim.trace(
-            "manager.scale",
-            f"provisioning worker ({self.autoscale.provision_delay:.0f}s "
-            f"boot, fleet {len(self.workers)}"
-            f"+{self._provisions_pending} pending)",
         )
         return True
 
@@ -816,9 +779,6 @@ class Manager:
     def _provision_undeliverable(self) -> None:
         """A provision order was lost: give the signal back to the planner."""
         self._provisions_pending -= 1
-        self.sim.trace(
-            "manager.scale", "provision order lost in the fabric; replanning"
-        )
         self._autoscale_pass()
 
     def _on_provision(self, _event: Event) -> None:
@@ -830,10 +790,6 @@ class Manager:
         self.workers.append(worker)
         self._join(worker)
         self.fleet_timeline.append((self.sim.now, len(self.workers)))
-        self.sim.trace(
-            "manager.scale",
-            f"{name} joined the fleet (size {len(self.workers)})",
-        )
         for hook in self.provision_hooks:
             hook(worker)
         if self._drain_queue():
@@ -869,11 +825,6 @@ class Manager:
             # reservation means a migrated container is about to attach.
             if not worker.draining and worker.reserved == 0:
                 worker.draining = True
-                self.sim.trace(
-                    "manager.scale",
-                    f"draining {worker.name} "
-                    f"({len(worker.running_containers())} containers left)",
-                )
                 return True
         return False
 
@@ -895,10 +846,6 @@ class Manager:
             return
         worker.draining = False
         self._leave(worker)
-        self.sim.trace(
-            "manager.scale",
-            f"retired {worker.name} (fleet size {len(self.workers)})",
-        )
         for hook in self.retire_hooks:
             hook(worker)
 
@@ -948,11 +895,6 @@ class Manager:
         """Fail-slow: capacity degrades in place; containers keep running."""
         original = worker.capacity
         worker.set_capacity(original * fault.capacity_factor)
-        self.sim.trace(
-            "manager.fault",
-            f"{worker.name} degraded to {worker.capacity:g} CPU "
-            f"(×{fault.capacity_factor:g} fail-slow)",
-        )
         if fault.recover_after is not None:
             self.sim.schedule_in(
                 fault.recover_after,
@@ -976,10 +918,6 @@ class Manager:
         that later rejoins must come back at full health.
         """
         worker.set_capacity(capacity)
-        self.sim.trace(
-            "manager.fault",
-            f"{worker.name} recovered to {capacity:g} CPU",
-        )
 
     def _crash_worker(self, worker: Worker, fault: WorkerFault) -> None:
         """Fail-stop: detach the worker and resolve its orphans."""
@@ -997,13 +935,6 @@ class Manager:
         orphans = worker.crash() + stranded
         self._leave(worker)
         self.crashed_workers.add(worker.name)
-        if self.sim.trace_enabled:
-            self.sim.trace(
-                "manager.fault",
-                f"{worker.name} crashed "
-                f"({len(orphans)} containers orphaned, "
-                f"fleet size {len(self.workers)})",
-            )
         for hook in tuple(self.fail_hooks):
             hook(worker)
         for container in orphans:
@@ -1028,8 +959,7 @@ class Manager:
         the retry budget is exhausted, in which case the job fails and
         is never executed again.
         """
-        label = container.name
-        record = self.jobs[label]
+        record = self.jobs[container.name]
         self._transition(record, ORPHANED)
         resume_work, restore_delay = self.failures.durability.on_crash(
             container
@@ -1037,33 +967,16 @@ class Manager:
         lost = max(0.0, container.job.work_done - resume_work)
         record.lost_work = (record.lost_work or 0.0) + lost
         if not self._retry(record):
-            if self.sim.trace_enabled:
-                self.sim.trace(
-                    "manager.fault",
-                    f"{label} failed permanently after {record.retries} "
-                    f"retries ({record.lost_work:.1f} CPU-s lost)",
-                )
             return
         container.job.work_done = resume_work
+        record.wait_start = self.sim.now + restore_delay
         self.sim.schedule(
-            self.sim.now + restore_delay,
+            record.wait_start,
             self._on_arrival,
             kind=EventKind.JOB_ARRIVAL,
             priority=PRIORITY_ARRIVAL,
             payload=record,
         )
-        if self.sim.trace_enabled:
-            self.sim.trace(
-                "manager.fault",
-                f"re-queued {label} (retry {record.retries}"
-                f"/{record.submission.retry_budget}, resume from "
-                f"{resume_work:.1f} CPU-s"
-                + (
-                    f", {restore_delay:.1f}s restore" if restore_delay > 0
-                    else ""
-                )
-                + ")",
-            )
 
     def _on_worker_recover(self, event: Event) -> None:
         """A crashed worker reports itself back (through the fabric)."""
@@ -1078,11 +991,6 @@ class Manager:
         self.workers.append(worker)
         self._join(worker)
         self.fleet_timeline.append((self.sim.now, len(self.workers)))
-        self.sim.trace(
-            "manager.fault",
-            f"{worker.name} recovered and rejoined "
-            f"(fleet size {len(self.workers)})",
-        )
         for hook in tuple(self.recover_hooks):
             hook(worker)
         if self._drain_queue():

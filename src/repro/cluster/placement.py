@@ -183,7 +183,7 @@ class PlacementPolicy(abc.ABC):
     name: str = "placement"
 
     def bind(self, sim: "Simulator") -> None:
-        """Attach to a run's simulator (RNG streams, tracing)."""
+        """Attach to a run's simulator (its RNG streams)."""
 
     @abc.abstractmethod
     def select(

@@ -196,7 +196,7 @@ class RebalancePolicy(abc.ABC):
         return getattr(spec, "__name__", "callable")
 
     def bind(self, sim: "Simulator") -> None:
-        """Attach to a run's simulator (clock, RNG streams, tracing)."""
+        """Attach to a run's simulator (clock, RNG streams)."""
 
     @abc.abstractmethod
     def plan(self, workers: Sequence["Worker"]) -> list[Migration]:

@@ -248,12 +248,6 @@ class Worker:
         container = self.runtime.run(job, name=name, image=image)
         self._refresh_slots()
         self.pool.add(container)
-        if self.sim.trace_enabled:
-            self.sim.trace(
-                "worker.launch",
-                f"{self.name}: launched {container.name} ({image})",
-                cid=container.cid,
-            )
         self._reallocate()
         for hook in self.launch_hooks:
             hook(container)
@@ -328,12 +322,6 @@ class Worker:
         self.runtime.release(cid)
         self._refresh_slots()
         self.pool.discard(cid)
-        if self.sim.trace_enabled:
-            self.sim.trace(
-                "worker.detach",
-                f"{self.name}: detached {container.name} for migration",
-                cid=cid,
-            )
         self._reallocate()
         return container
 
@@ -365,12 +353,6 @@ class Worker:
         # creation on its old node — the bus can then keep pruning
         # checkpoint history even while migrations are armed.
         self.obsbus.seed_windows(container.cid, self.sim.now)
-        if self.sim.trace_enabled:
-            self.sim.trace(
-                "worker.attach",
-                f"{self.name}: attached migrated {container.name}",
-                cid=container.cid,
-            )
         self._reallocate()
         for hook in self.launch_hooks:
             hook(container)
@@ -401,12 +383,6 @@ class Worker:
         self._draining = False
         self._refresh_slots()
         self.epoch += 1
-        if self.sim.trace_enabled:
-            self.sim.trace(
-                "worker.crash",
-                f"{self.name}: crashed with {len(orphans)} containers "
-                "resident",
-            )
         self._reallocate()
         return orphans
 
@@ -423,11 +399,6 @@ class Worker:
             )
         self.settle()
         self.capacity = float(capacity)
-        if self.sim.trace_enabled:
-            self.sim.trace(
-                "worker.capacity",
-                f"{self.name}: capacity set to {self.capacity:g} CPU",
-            )
         self._reallocate()
 
     def reserve_slot(self) -> None:
@@ -734,13 +705,6 @@ class Worker:
             self.runtime.mark_exited(cid)
             self._refresh_slots()
             self.pool.discard(cid)
-            if self.sim.trace_enabled:
-                self.sim.trace(
-                    "worker.exit",
-                    f"{self.name}: {container.name} exited "
-                    f"(completion {container.completion_time():.1f}s)",
-                    cid=cid,
-                )
         self._reallocate()
         if exited:
             # Snapshot: a hook may mutate the list (the manager's exit

@@ -135,7 +135,9 @@ class SimulationConfig:
         Optional hard stop time for the simulation; ``None`` runs until
         all jobs complete.
     trace:
-        Keep a structured trace (disable for large sweeps).
+        Accepted and ignored, like ``fleet_mode``.  The simulator keeps
+        no event trace; a run's record is the metrics recorder, the
+        manager's job records and FlowCon's list transitions.
     max_containers:
         Default per-worker admission slots for runner-constructed
         workers.  ``None`` (historical behaviour) is unbounded; a bound

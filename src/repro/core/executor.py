@@ -98,10 +98,10 @@ class Executor:
         if not self._started:
             return
         self._tick_handle = None
-        self.run_algorithm(reason="interval")
+        self.run_algorithm()
         self._schedule_tick()
 
-    def run_algorithm(self, *, reason: str) -> Algorithm1Result:
+    def run_algorithm(self) -> Algorithm1Result:
         """Measure, run Algorithm 1, apply updates, manage back-off."""
         measurements = self.monitor.measure()
         result = run_algorithm1(
@@ -116,21 +116,7 @@ class Executor:
             )
             if new_itval > self.itval:
                 self.backoffs += 1
-                if self.sim.trace_enabled:
-                    self.sim.trace(
-                        "core.backoff",
-                        f"all containers completing; itval {self.itval:g} → "
-                        f"{new_itval:g}",
-                    )
             self.itval = new_itval
-        if self.sim.trace_enabled:
-            self.sim.trace(
-                "core.algorithm1",
-                f"run #{self.runs} ({reason}): "
-                f"{len(result.limit_updates)} updates, "
-                f"lists={ {k.value: v for k, v in self.lists.counts().items()} }",
-                updates=dict(result.limit_updates),
-            )
         return result
 
     # -- listeners ---------------------------------------------------------------------
@@ -154,11 +140,6 @@ class Executor:
             self.itval = self.config.itval
             for cid in report.completions:
                 self.monitor.forget(cid)
-            self.sim.trace(
-                "core.listener",
-                f"pool change (+{len(report.arrivals)}/-"
-                f"{len(report.completions)}); interrupting interval",
-            )
             # Lines 9 / 17: run Algorithm 1 now and restart the timer.
-            self.run_algorithm(reason="listener")
+            self.run_algorithm()
             self._schedule_tick()

@@ -33,7 +33,7 @@ class ListName(enum.Enum):
 
 @dataclass(frozen=True)
 class ListTransition:
-    """A recorded membership change (for traces and tests)."""
+    """A recorded membership change (read by the list-dynamics analysis)."""
 
     time: float
     cid: int

@@ -278,8 +278,7 @@ def run_many(
         configurations of a sweep).
     sim_config:
         Substrate template shared by every run; defaults to
-        ``SimulationConfig(trace=False)`` — batch runs rarely want the
-        memory cost of full traces.
+        ``SimulationConfig()``.
     workers:
         Process count for :func:`run_tasks`.
     seeds:
@@ -302,7 +301,7 @@ def run_many(
     n = len(specs_list)
     if n == 0:
         raise ExperimentError("run_many needs at least one workload")
-    cfg = sim_config if sim_config is not None else SimulationConfig(trace=False)
+    cfg = sim_config if sim_config is not None else SimulationConfig()
     _reject_policy_instance(policy_factory)
     if callable(policy_factory):
         factories: list[PolicyFactory] = [policy_factory] * n

@@ -60,7 +60,7 @@ class Claim:
 def _fixed_three(policy) -> RunResult:
     """The fixed 3-job schedule (seed 1) under *policy*."""
     return run_scenario(
-        fixed_three_job(), policy, SimulationConfig(seed=1, trace=False)
+        fixed_three_job(), policy, SimulationConfig(seed=1)
     )
 
 
@@ -84,7 +84,7 @@ def _softlimits() -> dict[str, RunResult]:
         mode.name: run_scenario(
             specs,
             StaticPartitionPolicy(),
-            SimulationConfig(seed=1, trace=False, allocation_mode=mode),
+            SimulationConfig(seed=1, allocation_mode=mode),
         )
         for mode in (AllocationMode.SOFT, AllocationMode.HARD)
     }
@@ -94,7 +94,7 @@ def _list_dynamics():
     """Per-list dwell times of a 10-job FlowCon-10%-20 run (seed 42)."""
     policy = FlowConPolicy(FlowConConfig(alpha=0.10, itval=20.0))
     run = run_scenario(
-        random_ten_job(seed=42), policy, SimulationConfig(seed=42, trace=False)
+        random_ten_job(seed=42), policy, SimulationConfig(seed=42)
     )
     return dwell_times(policy.executor.lists, end_time=run.makespan)
 
@@ -103,7 +103,7 @@ def _memory_pressure() -> dict[str, RunResult]:
     """The 10-job mix (seed 42) with a 0.5 swap penalty, NA vs FlowCon."""
     specs = random_ten_job(seed=42)
     cfg = SimulationConfig(
-        seed=42, trace=False, contention=ContentionModel(swap_penalty=0.5)
+        seed=42, contention=ContentionModel(swap_penalty=0.5)
     )
     return {
         "NA": run_scenario(specs, NAPolicy(), cfg),
@@ -120,7 +120,7 @@ def _multiworker() -> dict[int, RunResult]:
     )
     return {
         n: run_cluster(
-            specs, FlowConPolicy, SimulationConfig(seed=5, trace=False),
+            specs, FlowConPolicy, SimulationConfig(seed=5),
             n_workers=n,
         )
         for n in (1, 3)
@@ -178,12 +178,12 @@ EXPERIMENTS: dict[str, Callable[[], Any]] = {
     "ext_overhead": lambda: overhead_study(
         fixed_three_job(),
         itvals=[10.0, 20.0, 40.0, 60.0],
-        sim_config=SimulationConfig(seed=1, trace=False),
+        sim_config=SimulationConfig(seed=1),
     ),
     "ext_robustness": lambda: seed_study(
         random_ten_job,
         seeds=list(range(8)),
-        sim_template=SimulationConfig(trace=False),
+        sim_template=SimulationConfig(),
     ).summary(),
     "baseline_slaq": lambda: {
         "FlowCon": _fixed_three(FlowConPolicy()),

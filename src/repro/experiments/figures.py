@@ -141,7 +141,7 @@ def _fixed_sweep(
 ) -> SweepData:
     specs = fixed_three_job()
     job_names = {s.label: MODEL_ZOO[s.model_key].display_name for s in specs}
-    sim_cfg = SimulationConfig(seed=seed, trace=False)
+    sim_cfg = SimulationConfig(seed=seed)
 
     completion: dict[str, dict[str, float]] = {}
     makespan: dict[str, float] = {}
@@ -258,7 +258,7 @@ def fig7_cpu_flowcon_3job(seed: int = 1) -> TraceData:
     result = run_scenario(
         fixed_three_job(),
         FlowConPolicy(FlowConConfig(alpha=0.05, itval=20.0)),
-        SimulationConfig(seed=seed, trace=False, sample_interval=2.0),
+        SimulationConfig(seed=seed, sample_interval=2.0),
     )
     return _trace_data(result)
 
@@ -268,7 +268,7 @@ def fig8_cpu_na_3job(seed: int = 1) -> TraceData:
     result = run_scenario(
         fixed_three_job(),
         NAPolicy(),
-        SimulationConfig(seed=seed, trace=False, sample_interval=2.0),
+        SimulationConfig(seed=seed, sample_interval=2.0),
     )
     return _trace_data(result)
 
@@ -278,7 +278,7 @@ def fig10_cpu_flowcon_5job(seed: int = 42) -> TraceData:
     result = run_scenario(
         random_five_job(seed),
         FlowConPolicy(FlowConConfig(alpha=0.03, itval=30.0)),
-        SimulationConfig(seed=seed, trace=False, sample_interval=2.0),
+        SimulationConfig(seed=seed, sample_interval=2.0),
     )
     return _trace_data(result)
 
@@ -288,7 +288,7 @@ def fig11_cpu_na_5job(seed: int = 42) -> TraceData:
     result = run_scenario(
         random_five_job(seed),
         NAPolicy(),
-        SimulationConfig(seed=seed, trace=False, sample_interval=2.0),
+        SimulationConfig(seed=seed, sample_interval=2.0),
     )
     return _trace_data(result)
 
@@ -298,7 +298,7 @@ def fig15_cpu_flowcon_10job(seed: int = 42) -> TraceData:
     result = run_scenario(
         random_ten_job(seed),
         FlowConPolicy(FlowConConfig(alpha=0.10, itval=20.0)),
-        SimulationConfig(seed=seed, trace=False, sample_interval=2.0),
+        SimulationConfig(seed=seed, sample_interval=2.0),
     )
     return _trace_data(result)
 
@@ -308,7 +308,7 @@ def fig16_cpu_na_10job(seed: int = 42) -> TraceData:
     result = run_scenario(
         random_ten_job(seed),
         NAPolicy(),
-        SimulationConfig(seed=seed, trace=False, sample_interval=2.0),
+        SimulationConfig(seed=seed, sample_interval=2.0),
     )
     return _trace_data(result)
 
@@ -349,9 +349,7 @@ def _scale_experiment(
     sample_interval: float = 5.0,
 ) -> ScaleData:
     job_names = {s.label: MODEL_ZOO[s.model_key].display_name for s in specs}
-    sim_cfg = SimulationConfig(
-        seed=seed, trace=False, sample_interval=sample_interval
-    )
+    sim_cfg = SimulationConfig(seed=seed, sample_interval=sample_interval)
     completion: dict[str, dict[str, float]] = {}
     makespan: dict[str, float] = {}
     runs: dict[str, RunResult] = {}

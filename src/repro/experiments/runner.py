@@ -19,6 +19,7 @@ policy differs.  Multi-worker runs call :func:`run_cluster` directly.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -96,9 +97,8 @@ class RunResult:
         """A job's recorded trace, wherever in the cluster it ran: the
         first recorder (in worker order) whose label index holds it."""
         for recorder in self.recorders.values():
-            cid = recorder._labels.get(label)
-            if cid is not None:
-                return recorder.traces[cid]
+            with suppress(MetricsError):
+                return recorder.trace_by_label(label)
         raise ExperimentError(f"no trace recorded for label {label!r}")
 
     def completion_times(self) -> dict[str, float]:
@@ -224,7 +224,7 @@ def run_cluster(
     else:
         policy_factory = policy
 
-    sim = Simulator(seed=cfg.seed, trace=cfg.trace)
+    sim = Simulator(seed=cfg.seed)
     # Every recorder tick — and every set of same-instant ticks across
     # workers — runs as one fused settle + segmented reallocate +
     # sampling pass (see repro.cluster.fleet).
@@ -449,7 +449,7 @@ def scaling_study(
 
     if not cluster_sizes:
         raise ExperimentError("scaling_study needs at least one cluster size")
-    cfg = sim_config if sim_config is not None else SimulationConfig(trace=False)
+    cfg = sim_config if sim_config is not None else SimulationConfig()
     tasks = [
         RunTask(
             index=i,

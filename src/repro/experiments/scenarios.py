@@ -96,7 +96,7 @@ def fifty_job(
     (the 10-job density of U(0, 200) scaled ~3×) so a single node sees
     sustained deep oversubscription rather than one instantaneous burst.
     Intended for the vectorized settlement/exit-rescheduling hot path and
-    the multi-worker scaling studies; pair with ``trace=False`` configs.
+    the multi-worker scaling studies.
     """
     gen = WorkloadGenerator(_rng(seed, "random50"))
     return gen.random_mix(50, window=window)
@@ -112,7 +112,6 @@ def two_hundred_job(
     3 s ⇒ ~10 min of sustained load), so an 8-worker cluster with
     bounded admission slots sees real queueing — bursts outrun capacity
     and the manager's FIFO queue absorbs them.  Pair with
-    ``trace=False`` configs and
     :func:`~repro.experiments.runner.run_cluster`'s ``max_containers``.
     """
     gen = WorkloadGenerator(_rng(seed, "poisson200"))
@@ -132,7 +131,7 @@ def two_thousand_job(
     dedicated-node shape large training jobs actually get — keeps the
     admission queue live for the whole stream and makes fleet *width*
     (not per-node colocation depth, which is :func:`two_hundred_job`'s
-    axis) the thing being measured.  Pair with ``trace=False`` configs.
+    axis) the thing being measured.
     """
     gen = WorkloadGenerator(_rng(seed, "poisson2000"))
     return ClusterScenario(
@@ -202,7 +201,7 @@ def million_job_day(
     independent of the arrival count.
     ``benchmarks/bench_perf_million.py`` runs the CI-sized shape
     (``n_jobs=100_000``) and asserts bounded RSS against a 10× smaller
-    run.  Pair with ``trace=False, streaming_metrics=True`` configs.
+    run.  Pair with ``streaming_metrics=True`` configs.
     """
     mean_gap = 0.08 * (256.0 / n_workers)
     stream = make_stream(

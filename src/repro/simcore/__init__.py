@@ -19,8 +19,6 @@ Public surface
     Monotonic simulation clock.
 :class:`~repro.simcore.rng.RngRegistry`
     Named, independently-seeded ``numpy`` random streams.
-:class:`~repro.simcore.tracing.Tracer`
-    Structured, in-memory simulation trace.
 """
 
 from repro.simcore.clock import SimClock
@@ -28,7 +26,6 @@ from repro.simcore.engine import Simulator
 from repro.simcore.equeue import EventQueue
 from repro.simcore.events import Event, EventKind
 from repro.simcore.rng import RngRegistry
-from repro.simcore.tracing import TraceRecord, Tracer
 
 __all__ = [
     "Event",
@@ -37,6 +34,4 @@ __all__ = [
     "RngRegistry",
     "SimClock",
     "Simulator",
-    "TraceRecord",
-    "Tracer",
 ]

@@ -1,7 +1,7 @@
 """The discrete-event simulation loop.
 
-:class:`Simulator` owns the clock, the event queue, the RNG registry and
-the tracer, and exposes a tiny scheduling API.  Higher layers (container
+:class:`Simulator` owns the clock, the event queue and the RNG registry,
+and exposes a tiny scheduling API.  Higher layers (container
 runtime, cluster, FlowCon executor) are plain objects that hold a reference
 to the simulator and schedule callbacks on it; there are no coroutines or
 threads, which keeps replay fully deterministic.
@@ -36,7 +36,6 @@ from repro.simcore.clock import SimClock
 from repro.simcore.equeue import EventHandle, EventQueue
 from repro.simcore.events import Event, EventCallback, EventKind
 from repro.simcore.rng import RngRegistry
-from repro.simcore.tracing import Tracer
 
 __all__ = ["Simulator"]
 
@@ -48,8 +47,6 @@ class Simulator:
     ----------
     seed:
         Root seed for all random streams (see :class:`RngRegistry`).
-    trace:
-        Whether to keep a structured trace of the run.
     max_events:
         Hard cap on processed events; exceeded ⇒ :class:`SimulationError`.
     """
@@ -57,13 +54,11 @@ class Simulator:
     def __init__(
         self,
         seed: int = 0,
-        trace: bool = True,
         max_events: int = 5_000_000,
     ) -> None:
         self.clock = SimClock()
         self.queue = EventQueue()
         self.rngs = RngRegistry(seed)
-        self.tracer = Tracer(enabled=trace)
         self.max_events = int(max_events)
         self.events_processed = 0
         self._running = False
@@ -224,21 +219,6 @@ class Simulator:
     def run_until_empty(self) -> float:
         """Run with no horizon until the event queue drains."""
         return self.run(until=None)
-
-    @property
-    def trace_enabled(self) -> bool:
-        """Fast-path guard: whether tracing is active.
-
-        Hot paths check this before building trace messages so that
-        disabled-trace runs (large sweeps, benchmarks) skip the string
-        formatting entirely.
-        """
-        return self.tracer.enabled and not self.tracer.truncated
-
-    def trace(self, topic: str, message: str, **data: Any) -> None:
-        """Record a trace line stamped with the current time."""
-        if self.tracer.enabled:
-            self.tracer.record(self.clock.now, topic, message, **data)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

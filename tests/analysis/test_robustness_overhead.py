@@ -17,7 +17,7 @@ class TestSeedStudy:
         return seed_study(
             random_five_job,
             seeds=[0, 1, 2],
-            sim_template=SimulationConfig(trace=False),
+            sim_template=SimulationConfig(),
         )
 
     def test_one_row_per_seed(self, study):
@@ -44,7 +44,7 @@ class TestOverheadStudy:
         return overhead_study(
             fixed_three_job(),
             itvals=[20.0, 60.0],
-            sim_config=SimulationConfig(seed=1, trace=False),
+            sim_config=SimulationConfig(seed=1),
         )
 
     def test_grid_complete(self, samples):

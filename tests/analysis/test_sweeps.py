@@ -16,7 +16,7 @@ def grid():
         fixed_three_job(),
         alphas=[0.05, 0.10],
         itvals=[20.0, 40.0],
-        sim_config=SimulationConfig(seed=1, trace=False),
+        sim_config=SimulationConfig(seed=1),
     )
 
 
@@ -51,7 +51,7 @@ class TestSweepGrid:
             fixed_three_job(),
             alphas=[0.05],
             itvals=[20.0],
-            sim_config=SimulationConfig(seed=1, trace=False),
+            sim_config=SimulationConfig(seed=1),
             base_config=FlowConConfig(beta=None),
         )
         assert "FlowCon-5%-20" in grid.cells[0].report.treatment_name

@@ -58,7 +58,7 @@ def _mem_submission(label, t, memory, work=50.0):
 
 
 def _bounded_cluster(n=1, slots=1, seed=0, admission=None):
-    sim = Simulator(seed=seed, trace=False)
+    sim = Simulator(seed=seed)
     workers = [
         Worker(
             sim,
@@ -170,7 +170,7 @@ class TestAdmissionQueue:
         assert manager.queue_delays["Job-2"] == p2.queue_delay
 
     def test_unbounded_cluster_never_queues(self):
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         worker = Worker(sim, contention=ContentionModel.ideal())
         manager = Manager(sim, [worker])
         manager.submit_all(
@@ -642,7 +642,7 @@ class TestBackfillAdmission:
     def test_manager_backfills_around_memory_pressure(self):
         """End to end: a small job jumps a head that would overcommit
         the only worker with a free slot, and the head still completes."""
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         worker = Worker(
             sim,
             name="w0",
@@ -674,7 +674,7 @@ class TestBackfillAdmission:
 
     def test_manager_max_skips_zero_blocks_drain(self):
         """The aging knob at 0 degrades backfill to strict FIFO waiting."""
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         worker = Worker(
             sim,
             name="w0",
@@ -763,7 +763,7 @@ class TestManagerWithAdmissionPolicies:
 
 class TestSubmitStateLeak:
     def test_failed_schedule_leaves_label_reusable(self):
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         worker = Worker(sim, contention=ContentionModel.ideal())
         manager = Manager(sim, [worker])
         sim.run(until=20.0)

@@ -27,7 +27,7 @@ def _submission(label, t, work=50.0):
 
 
 def _cluster(n=1, slots=1, seed=0, autoscale=None, rebalance=None):
-    sim = Simulator(seed=seed, trace=False)
+    sim = Simulator(seed=seed)
     workers = [
         Worker(
             sim,

@@ -43,7 +43,7 @@ _UNKNOWN = {
     "fabric": "carrier-pigeon",
 }
 
-_CFG = SimulationConfig(seed=0, trace=False)
+_CFG = SimulationConfig(seed=0)
 
 
 def _two_jobs():
@@ -51,7 +51,7 @@ def _two_jobs():
 
 
 def _manager(**axes) -> Manager:
-    sim = Simulator(seed=0, trace=False)
+    sim = Simulator(seed=0)
 
     def worker(name: str) -> Worker:
         return Worker(sim, name=name, capacity=1.0,

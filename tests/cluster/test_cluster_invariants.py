@@ -167,7 +167,7 @@ def _run_checked(
     every recorded series bit-for-bit.
     """
     capacities, slots, jobs = _random_shape(seed)
-    sim = Simulator(seed=seed, trace=False)
+    sim = Simulator(seed=seed)
     workers = [
         Worker(
             sim,
@@ -791,7 +791,7 @@ def _run_streaming_checked(
         capacities, slots, _ = _random_shape(seed)
     else:
         capacities, slots = shape
-    sim = Simulator(seed=seed, trace=False)
+    sim = Simulator(seed=seed)
     workers = [
         Worker(
             sim,
@@ -1123,7 +1123,7 @@ def test_wfq_light_tenant_not_starved_by_flood():
     Bounded wait, witnessed concretely: the light tenant's lone job is
     placed before the heavy tenant's backlog is halfway drained.
     """
-    sim = Simulator(seed=0, trace=False)
+    sim = Simulator(seed=0)
     worker = Worker(
         sim, name="w0", contention=ContentionModel.ideal(), max_containers=1
     )

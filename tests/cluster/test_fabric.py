@@ -327,7 +327,7 @@ def _chaos_run(seed: int, fabric):
     fabric, sorted completion transcript and the manager.
     """
     rng = np.random.default_rng(seed)
-    sim = Simulator(seed=seed, trace=False)
+    sim = Simulator(seed=seed)
     workers = [
         Worker(
             sim, name=f"w{i}", capacity=1.0,
@@ -418,7 +418,7 @@ class TestSeedPurity:
         # jitter sequences from the dedicated "fabric" stream.
         draws = []
         for _ in range(2):
-            sim = Simulator(seed=11, trace=False)
+            sim = Simulator(seed=11)
             fabric = FaultyFabric([DropFault(1.0)])
             fabric.sim = sim
             fabric.rng = sim.rngs.stream("fabric")
@@ -454,7 +454,7 @@ class TestDuplicateIdempotence:
     def test_redelivery_after_success_is_suppressed(self):
         # Direct unit check: a second arrival of a delivered envelope
         # must not re-run the receiver effect.
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         fabric = FaultyFabric([DuplicateFault(1.0)])
         fabric.sim = sim
         fabric.rng = sim.rngs.stream("fabric")

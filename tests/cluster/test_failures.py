@@ -228,7 +228,7 @@ def _manager(sim, n_workers=3, failures=None, **kwargs):
 class TestFaultPlans:
     def test_random_plan_is_deterministic_per_seed(self):
         def draw(seed):
-            sim = Simulator(seed=seed, trace=False)
+            sim = Simulator(seed=seed)
             manager = _manager(sim)
             return RandomFailures(p_crash=0.8).plan(sim, manager)
 
@@ -237,7 +237,7 @@ class TestFaultPlans:
 
     def test_random_never_kills_whole_fleet_permanently(self):
         for seed in range(10):
-            sim = Simulator(seed=seed, trace=False)
+            sim = Simulator(seed=seed)
             manager = _manager(sim)
             plan = RandomFailures(p_crash=1.0, p_recover=0.0).plan(
                 sim, manager
@@ -246,7 +246,7 @@ class TestFaultPlans:
             assert any(f.recover_after is not None for f in plan)
 
     def test_rolling_covers_every_worker_in_sequence(self):
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         manager = _manager(sim, n_workers=4)
         plan = RollingRestart(start=60.0, interval=90.0).plan(sim, manager)
         assert [f.worker for f in plan] == ["w0", "w1", "w2", "w3"]
@@ -254,7 +254,7 @@ class TestFaultPlans:
         assert all(f.recover_after == 30.0 for f in plan)
 
     def test_az_outage_hits_fraction_simultaneously(self):
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         manager = _manager(sim, n_workers=5)
         plan = AzOutage(at=100.0, fraction=0.5, outage=50.0).plan(
             sim, manager
@@ -263,7 +263,7 @@ class TestFaultPlans:
         assert all(f.time == 100.0 and f.recover_after == 50.0 for f in plan)
 
     def test_slow_node_picks_one_victim(self):
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         manager = _manager(sim, n_workers=4)
         plan = SlowNode(at=30.0, factor=0.25).plan(sim, manager)
         assert len(plan) == 1
@@ -279,7 +279,7 @@ class TestFaultPlans:
 def _run_with_crash(durability, *, crash_at=20.0, recover_after=15.0,
                     work=60.0, retry_budget=3):
     """One job on one of two workers; its worker crashes mid-run."""
-    sim = Simulator(seed=0, trace=False)
+    sim = Simulator(seed=0)
     workers = [_worker(sim, "w0"), _worker(sim, "w1")]
     injector = ScriptedFailures(
         [WorkerFault(worker="w0", time=crash_at, recover_after=recover_after)],
@@ -348,7 +348,7 @@ class TestCrashRecovery:
         assert manager.in_flight == 0
 
     def test_recovered_worker_accepts_new_work(self):
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         workers = [_worker(sim, "w0", max_containers=1)]
         injector = ScriptedFailures(
             [WorkerFault(worker="w0", time=10.0, recover_after=5.0)],
@@ -366,7 +366,7 @@ class TestCrashRecovery:
         assert [w.name for w in manager.workers] == ["w0"]
 
     def test_fault_against_departed_worker_is_dropped(self):
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         workers = [_worker(sim, "w0"), _worker(sim, "w1")]
         injector = ScriptedFailures(
             [
@@ -394,7 +394,7 @@ class TestCrashRecovery:
 
 class TestFailSlow:
     def test_capacity_degrades_and_recovers(self):
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         workers = [_worker(sim, "w0")]
         injector = ScriptedFailures(
             [WorkerFault(worker="w0", time=10.0, kind="slow",
@@ -415,7 +415,7 @@ class TestFailSlow:
         assert manager.crashed_workers == set()
 
     def test_permanent_degradation_sticks(self):
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         workers = [_worker(sim, "w0")]
         injector = ScriptedFailures(
             [WorkerFault(worker="w0", time=10.0, kind="slow",
@@ -438,7 +438,7 @@ class TestCrashDuringMigration:
         it must not leak the container, the reservation, or the
         in-flight count — the traveller becomes an orphan of the crash
         and re-enters through admission like any other victim."""
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         w0, w1 = _worker(sim, "w0"), _worker(sim, "w1")
         injector = ScriptedFailures([], durability="lost")
         manager = Manager(
@@ -474,7 +474,7 @@ class TestCrashDuringMigration:
 
     def test_source_crash_after_departure_is_harmless(self):
         """Migrations *from* a node that then dies already left it."""
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         w0, w1 = _worker(sim, "w0"), _worker(sim, "w1")
         manager = Manager(
             sim,
@@ -525,7 +525,7 @@ class TestRunClusterRecovery:
         result = run_cluster(
             _chaos_specs(),
             policy_factory,
-            SimulationConfig(seed=0, trace=False),
+            SimulationConfig(seed=0),
             n_workers=2,
             failures=injector,
         )
@@ -539,7 +539,7 @@ class TestRunClusterRecovery:
             return run_cluster(
                 _chaos_specs(),
                 NAPolicy,
-                SimulationConfig(seed=0, trace=False),
+                SimulationConfig(seed=0),
                 n_workers=2,
                 failures=ScriptedFailures(
                     [WorkerFault(worker="worker-0", time=30.0,
@@ -554,7 +554,7 @@ class TestRunClusterRecovery:
 
     def test_explicit_none_matches_default_run(self):
         specs = _chaos_specs()
-        cfg = SimulationConfig(seed=0, trace=False)
+        cfg = SimulationConfig(seed=0)
         default = run_cluster(specs, NAPolicy, cfg, n_workers=2)
         explicit = run_cluster(specs, NAPolicy, cfg, n_workers=2,
                                failures="none")
@@ -575,7 +575,7 @@ class TestRunClusterRecovery:
         result = run_cluster(
             specs,
             NAPolicy,
-            SimulationConfig(seed=0, trace=False),
+            SimulationConfig(seed=0),
             n_workers=2,
             placement="spread",
             failures=injector,
@@ -588,9 +588,65 @@ class TestRunClusterRecovery:
         assert summary.failed_lost_work() > 0.0
 
 
+class TestRetryQueueDelay:
+    """A crash-retried job's queue delay is its wait since it re-arrived.
+
+    Job 1 of ``random_ten_job(0)`` runs on ``worker-0`` from t≈1 s until
+    the crash at 50 s; the time it ran is not queueing, and neither is a
+    checkpoint restore.  With unbounded slots every job is placed the
+    moment it (re-)arrives; with one slot per worker the retried job
+    really queues after it re-arrives.
+    """
+
+    CRASH = 50.0
+
+    def _run(self, durability, slots=None, streaming=False):
+        from repro.experiments.scenarios import random_ten_job
+
+        return run_cluster(
+            random_ten_job(0),
+            NAPolicy,
+            SimulationConfig(
+                seed=0, max_containers=slots, streaming_metrics=streaming
+            ),
+            n_workers=2,
+            placement="binpack",
+            failures=ScriptedFailures(
+                [WorkerFault("worker-0", self.CRASH)], durability=durability
+            ),
+        )
+
+    @pytest.mark.parametrize("slots", [None, 1])
+    @pytest.mark.parametrize("durability", ["lost", "checkpoint(10)"])
+    def test_delay_starts_at_re_arrival(self, durability, slots):
+        records = self._run(durability, slots).manager.jobs
+        retried = [r for r in records.values() if r.retries]
+        assert retried
+        for record in retried:
+            since_crash = record.placed_time - self.CRASH
+            if slots is None:
+                assert record.queue_delay == 0.0
+            else:
+                assert 0.0 < record.queue_delay <= since_crash
+            assert record.queue_delay == record.placed_time - record.wait_start
+            if durability == "lost":
+                assert record.wait_start == self.CRASH
+            else:
+                # The restore is booked as time off the queue.
+                assert record.wait_start > self.CRASH
+
+    @pytest.mark.parametrize("durability", ["lost", "checkpoint(10)"])
+    def test_streaming_sink_folds_the_same_delay(self, durability):
+        # With free slots nothing ever waits, retried jobs included.
+        stream = self._run(durability, streaming=True).summary.stream
+        assert stream.n_placed > 10
+        assert stream.total_queue_delay == 0.0
+        assert stream.max_queue_delay == 0.0
+
+
 class TestRecorderUnderRecovery:
     def test_restart_does_not_double_record(self):
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         worker = _worker(sim, "w0")
         recorder = MetricsRecorder(worker, sample_interval=5.0)
         recorder.start()

@@ -47,7 +47,7 @@ def _build_fleet(
     total_work: float = 300.0,
 ):
     """A small fleet with a deterministic mix of pool sizes."""
-    sim = Simulator(seed=seed, trace=False)
+    sim = Simulator(seed=seed)
     workers = []
     for i, n_jobs in enumerate(jobs_per_worker):
         w = Worker(
@@ -107,7 +107,7 @@ def _alloc_state(workers):
 
 class TestEngineBatching:
     def _sim(self):
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         fired: list = []
         batches: list = []
 
@@ -324,7 +324,7 @@ def _ticked_fleet(
     jobs_per_worker: int = 1,
     streaming: bool = False,
 ):
-    sim = Simulator(seed=0, trace=False)
+    sim = Simulator(seed=0)
     workers = [
         Worker(
             sim,

@@ -227,7 +227,7 @@ class TestBusSamplerRead:
 
 class TestPruning:
     def _drive(self, prune: bool, ticks: int = 120):
-        sim = Simulator(seed=11, trace=False)
+        sim = Simulator(seed=11)
         worker = Worker(sim)
         worker.obsbus.prune = prune
         c = worker.launch(make_linear_job(total_work=10_000.0))
@@ -248,7 +248,7 @@ class TestPruning:
         assert means_pruned == means_full  # pruning never changes a reading
 
     def test_begin_pass_counts_once_per_instant_and_prunes_every_16th(self):
-        sim = Simulator(seed=11, trace=False)
+        sim = Simulator(seed=11)
         worker = Worker(sim, contention=ContentionModel.ideal())
         c = worker.launch(make_linear_job(total_work=10_000.0))
         bus = worker.obsbus
@@ -277,7 +277,7 @@ class TestPruning:
         pruned history floor instead of crashing on the creation-time
         query the floor has outrun.
         """
-        sim = Simulator(seed=5, trace=False)
+        sim = Simulator(seed=5)
         worker = Worker(sim)
         c = worker.launch(make_linear_job(total_work=10_000.0))
         sampler = worker.obsbus.sampler()
@@ -314,7 +314,7 @@ class TestPruning:
         to the historical keep-everything behaviour rather than ever
         clamping another observer's first full-from-creation window.
         """
-        sim = Simulator(seed=2, trace=False)
+        sim = Simulator(seed=2)
         worker = Worker(sim)
         active = worker.obsbus.sampler()  # recorder-like, samples always
         idle = worker.obsbus.sampler()    # never samples at all
@@ -333,12 +333,12 @@ class TestPruning:
 
     def test_manager_keeps_pruning_enabled_for_rebalance_runs(self):
         """Migration-armed fleets prune too (windows seed at attach)."""
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         workers = [Worker(sim, name=f"w{i}", max_containers=4) for i in range(2)]
         Manager(sim, workers, rebalance="migrate")
         assert all(w.obsbus.prune for w in workers)
 
-        sim2 = Simulator(seed=0, trace=False)
+        sim2 = Simulator(seed=0)
         workers2 = [Worker(sim2, name=f"w{i}", max_containers=4) for i in range(2)]
         Manager(sim2, workers2, rebalance="none")
         assert all(w.obsbus.prune for w in workers2)
@@ -351,7 +351,7 @@ class TestPruning:
         not at the container's creation on the old node — so the target
         bus can keep pruning.
         """
-        sim = Simulator(seed=3, trace=False)
+        sim = Simulator(seed=3)
         src = Worker(sim, name="src")
         dst = Worker(sim, name="dst")
         dst_sampler = dst.obsbus.sampler()
@@ -376,7 +376,7 @@ class TestPruning:
         result = run_cluster(
             two_hundred_job(seed=0),
             NAPolicy,
-            SimulationConfig(seed=0, trace=False),
+            SimulationConfig(seed=0),
             n_workers=8,
             max_containers=4,
             rebalance="migrate",
@@ -394,7 +394,7 @@ class TestPruning:
         result = run_cluster(
             two_hundred_job(seed=0),
             NAPolicy,
-            SimulationConfig(seed=0, trace=False),
+            SimulationConfig(seed=0),
             n_workers=8,
             max_containers=4,
         )
@@ -453,7 +453,7 @@ class TestIdleObserverPruning:
         from repro.cluster.submission import JobSubmission
         from repro.metrics.recorder import MetricsRecorder
 
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         workers = [
             Worker(
                 sim,
@@ -522,7 +522,7 @@ class TestIdleObserverPruning:
         from repro.cluster.manager import Manager
         from repro.cluster.submission import JobSubmission
 
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         workers = [
             Worker(
                 sim,
@@ -568,7 +568,7 @@ class TestIdleObserverPruning:
         from repro.cluster.submission import JobSubmission
         from repro.metrics.recorder import MetricsRecorder
 
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         workers = [
             Worker(
                 sim,

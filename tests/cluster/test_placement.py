@@ -34,7 +34,7 @@ def _submission(label, t, work=200.0, image="repro/dl-job"):
 
 
 def _cluster(n=3, seed=0, placement=None, max_containers=None):
-    sim = Simulator(seed=seed, trace=False)
+    sim = Simulator(seed=seed)
     workers = [
         Worker(
             sim,
@@ -155,7 +155,7 @@ class TestAffinity:
 
     def test_instance_selection(self):
         # select() sees only eligible workers; affinity among them.
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         workers = [
             Worker(sim, name=f"w{i}", contention=ContentionModel.ideal())
             for i in range(2)
@@ -174,7 +174,7 @@ class TestProgress:
 
     def test_prefers_lowest_aggregate_progress(self):
         """New jobs land where existing jobs improve the least."""
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         fast = Worker(sim, name="wfast", contention=ContentionModel.ideal())
         slow = Worker(sim, name="wslow", contention=ContentionModel.ideal())
         # E falls 1→0 over total_work CPU-seconds: "quick" improves 100×
@@ -225,7 +225,7 @@ def _hand_fleet(seed):
     draining workers, named so that ``str`` order differs from numeric
     order ("worker-10" < "worker-2")."""
     rng = np.random.default_rng(seed)
-    sim = Simulator(seed=seed, trace=False)
+    sim = Simulator(seed=seed)
     numbers = rng.permutation(np.arange(1, 13))[: int(rng.integers(3, 9))]
     workers = [
         Worker(
@@ -300,7 +300,7 @@ class TestBucketPicks:
         # Numerically worker-2 < worker-10; the spread key compares names as
         # strings, so "worker-10" wins.  A bucket 0 ordered by number
         # would pick worker-2.
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         workers = [
             Worker(sim, name=name, contention=ContentionModel.ideal())
             for name in ("worker-2", "worker-10", "worker-9")
@@ -312,7 +312,7 @@ class TestBucketPicks:
             assert chosen is min(workers, key=_scan_spread_key)
 
     def test_busy_bucket_ties_on_load_break_by_str_name(self):
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         workers = [
             Worker(sim, name=name, contention=ContentionModel.ideal())
             for name in ("worker-2", "worker-10")
@@ -330,7 +330,7 @@ class TestBucketPicks:
         )
 
     def test_view_follows_slot_changes(self):
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         workers = [
             Worker(
                 sim, name=f"w{i}", contention=ContentionModel.ideal(),

@@ -50,13 +50,13 @@ class TestDetachAttach:
         with and without migration — completion times must match to the
         last bit.
         """
-        baseline = Simulator(seed=3, trace=False)
+        baseline = Simulator(seed=3)
         w = _worker(baseline, "solo")
         c0 = w.launch(make_linear_job("ref", 100.0, demand=1.0))
         baseline.run_until_empty()
         expected = c0.completion_time()
 
-        sim = Simulator(seed=3, trace=False)
+        sim = Simulator(seed=3)
         src = _worker(sim, "src")
         dst = _worker(sim, "dst")
         container = src.launch(make_linear_job("ref", 100.0, demand=1.0))
@@ -71,7 +71,7 @@ class TestDetachAttach:
         assert repr(container.completion_time()) == repr(expected)
 
     def test_detach_settles_and_keeps_cgroup_counters(self):
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         src = _worker(sim, "src")
         dst = _worker(sim, "dst")
         container = src.launch(make_linear_job("j", 100.0, demand=1.0))
@@ -85,7 +85,7 @@ class TestDetachAttach:
         assert container.cgroup.cpu_seconds() == pytest.approx(100.0)
 
     def test_detach_cancels_exit_and_source_journal(self):
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         src = _worker(sim, "src")
         dst = _worker(sim, "dst")
         container = src.launch(make_linear_job("j", 50.0))
@@ -100,7 +100,7 @@ class TestDetachAttach:
         assert container.exited
 
     def test_detach_non_running_raises(self):
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         w = _worker(sim, "w")
         container = w.launch(make_linear_job("j", 10.0))
         sim.run_until_empty()
@@ -109,7 +109,7 @@ class TestDetachAttach:
             w.detach(container.cid)
 
     def test_attach_requires_headroom(self):
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         src = _worker(sim, "src")
         dst = _worker(sim, "dst", slots=1)
         dst.launch(make_linear_job("resident", 50.0))
@@ -119,7 +119,7 @@ class TestDetachAttach:
             dst.attach(container)
 
     def test_attach_fires_launch_hooks(self):
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         src = _worker(sim, "src")
         dst = _worker(sim, "dst")
         seen = []
@@ -130,7 +130,7 @@ class TestDetachAttach:
         assert seen == ["j"]
 
     def test_adopt_duplicate_rejected(self):
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         w = _worker(sim, "w")
         container = w.launch(make_linear_job("j", 50.0))
         with pytest.raises(ContainerStateError):
@@ -139,7 +139,7 @@ class TestDetachAttach:
 
 class TestReservations:
     def test_reserved_slot_blocks_admission(self):
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         w = _worker(sim, "w", slots=1)
         w.reserve_slot()
         assert not w.has_headroom()
@@ -150,14 +150,14 @@ class TestReservations:
         w.launch(make_linear_job("j", 10.0))
 
     def test_reserve_without_headroom_raises(self):
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         w = _worker(sim, "w", slots=1)
         w.launch(make_linear_job("j", 10.0))
         with pytest.raises(CapacityError):
             w.reserve_slot()
 
     def test_release_underflow_raises(self):
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         w = _worker(sim, "w")
         with pytest.raises(CapacityError):
             w.release_reservation()
@@ -184,7 +184,7 @@ class TestPolicyValidation:
             NoRebalance(migration_delay=-1.0)
 
     def test_unbound_progress_policy_raises(self):
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         w = _worker(sim, "w")
         with pytest.raises(ClusterError):
             ProgressAwareRebalance().plan([w])
@@ -199,7 +199,7 @@ def _collect_completions(workers):
 
 class TestMigrateOnExit:
     def _cluster(self, rebalance):
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         workers = [_worker(sim, "w0"), _worker(sim, "w1")]
         manager = Manager(sim, workers, rebalance=rebalance)
         return sim, workers, manager
@@ -238,7 +238,7 @@ class TestMigrateOnExit:
         assert manager.migration_delays == {}
 
     def test_migration_respects_admission_slots(self):
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         workers = [
             _worker(sim, "w0", slots=2),
             _worker(sim, "w1", slots=2),
@@ -264,7 +264,7 @@ class TestMigrateOnExit:
 class TestProgressAwareRebalance:
     def _straggler_cluster(self, rebalance):
         """One full-speed and one quarter-speed worker."""
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         workers = [
             _worker(sim, "w0"),
             _worker(sim, "w1", capacity=0.25),
@@ -329,7 +329,7 @@ class TestProgressAwareRebalance:
             assert record.migration_delay == pytest.approx(4.0 * count)
 
     def test_balanced_homogeneous_cluster_never_churns(self):
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         workers = [_worker(sim, "w0"), _worker(sim, "w1")]
         manager = Manager(sim, workers, rebalance="progress")
         manager.submit_all(
@@ -362,7 +362,7 @@ class TestFootprintMigrationCost:
     def test_delay_for_constant_footprint_and_callable(self):
         from repro.cluster.rebalance import FOOTPRINT_DELAY_SCALE
 
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         w = _worker(sim, "w")
         heavy = w.launch(_memory_job("heavy", 50.0, memory=0.4))
         light = w.launch(_memory_job("light", 50.0, memory=0.1))
@@ -389,7 +389,7 @@ class TestFootprintMigrationCost:
             ProgressAwareRebalance(migration_delay="checkpoint")
         with pytest.raises(ConfigError):
             MigrateOnExit(migration_delay=-0.5)
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         w = _worker(sim, "w")
         c = w.launch(_memory_job("j", 50.0, memory=0.1))
         negative = ProgressAwareRebalance(migration_delay=lambda _c: -1.0)
@@ -409,7 +409,7 @@ class TestFootprintMigrationCost:
         historical tie-break (lowest cid = the heavy container) decides
         the preferred migrant under a constant delay model.
         """
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         donor = _worker(sim, "donor")
         target = _worker(sim, "idle")
         policy.bind(sim)
@@ -445,7 +445,7 @@ class TestFootprintMigrationCost:
     def test_footprint_delay_lands_in_manager_records(self):
         from repro.cluster.rebalance import FOOTPRINT_DELAY_SCALE
 
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         workers = [
             _worker(sim, "w0", capacity=1.0),
             _worker(sim, "w1", capacity=0.25),
@@ -480,14 +480,14 @@ class TestDrainingWorkers:
     def test_draining_worker_is_no_migration_target(self):
         from repro.cluster.rebalance import _has_headroom
 
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         w = _worker(sim, "w", slots=4)
         assert _has_headroom(w, 0)
         w.draining = True
         assert not _has_headroom(w, 0)
 
     def test_migrate_on_exit_skips_draining_targets(self):
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         donor = _worker(sim, "donor")
         idle = _worker(sim, "idle")
         for i in range(4):

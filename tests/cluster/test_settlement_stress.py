@@ -35,7 +35,7 @@ class TestPokeStorms:
     def test_poke_storm_preserves_completion_time(self):
         # Identical worlds; one run is poked relentlessly, one never.
         def build(poked: bool) -> float:
-            sim = Simulator(seed=3, trace=False)
+            sim = Simulator(seed=3)
             worker = Worker(sim, contention=ContentionModel.ideal())
             worker.launch(make_linear_job("a", total_work=60.0))
             worker.launch(make_linear_job("b", total_work=30.0))
@@ -96,7 +96,7 @@ class TestRapidReallocation:
     def test_exit_projection_replaced_when_rate_changes(self):
         from repro.containers.allocator import AllocationMode
 
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         worker = Worker(
             sim,
             contention=ContentionModel.ideal(),
@@ -177,7 +177,7 @@ class TestExitEventSingleReallocation:
         """A stale exit projection triggers exactly one reallocation."""
         from repro.containers.allocator import AllocationMode
 
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         worker = Worker(
             sim,
             contention=ContentionModel.ideal(),

@@ -281,7 +281,7 @@ class TestOneExitTimer:
         result = run_scenario(
             random_ten_job(seed=0),
             FlowConPolicy(),
-            SimulationConfig(seed=0, trace=False),
+            SimulationConfig(seed=0),
         )
         assert len(result.completion_times()) == 10
         assert len(seen) == result.sim.events_processed  # no batching here
@@ -291,7 +291,7 @@ class TestOneExitTimer:
         from repro.cluster.manager import Manager
         from repro.cluster.submission import JobSubmission
 
-        sim = Simulator(seed=0, trace=False)
+        sim = Simulator(seed=0)
         workers = [
             Worker(sim, name=f"w{i}", contention=ContentionModel.ideal())
             for i in range(2)
@@ -371,7 +371,7 @@ def _hex(values) -> list[str]:
 def _random_worker(rng, n: int, jitter: bool) -> tuple[Simulator, Worker]:
     """A worker running *n* long jobs with random footprints, limits and
     contention (random ``eff``; jitter amplitudes zero unless *jitter*)."""
-    sim = Simulator(seed=int(rng.integers(1 << 30)), trace=False)
+    sim = Simulator(seed=int(rng.integers(1 << 30)))
     contention = ContentionModel(
         overhead=float(rng.uniform(0.0, 0.2)),
         jitter_free=float(rng.uniform(0.01, 0.3)) if jitter else 0.0,
@@ -486,7 +486,7 @@ class TestNumpyParity:
         """``load()`` is ``ndarray.sum()``'s pairwise order, which a left
         fold leaves past eight containers."""
         rng = np.random.default_rng(47)
-        worker = Worker(Simulator(seed=0, trace=False))
+        worker = Worker(Simulator(seed=0))
         assert worker.load() == 0.0
         for n in range(1, 300):
             shares = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-8, 1, n)

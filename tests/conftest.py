@@ -62,7 +62,7 @@ def settle_usage(account: CgroupAccount, dt: float, **usage: float) -> None:
 
 @pytest.fixture
 def sim() -> Simulator:
-    """A fresh, traced simulator."""
+    """A fresh simulator."""
     return Simulator(seed=7)
 
 

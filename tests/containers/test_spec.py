@@ -78,7 +78,7 @@ class TestResourceSpec:
 def _usage(spec: ResourceSpec, alloc: float) -> ResourceVector:
     """Usage rate of *spec* granted *alloc* CPU, read off one worker
     settlement (one container, unit efficiency, unit interval)."""
-    sim = Simulator(seed=0, trace=False)
+    sim = Simulator(seed=0)
     worker = Worker(sim, contention=ContentionModel.ideal())
     job = make_linear_job(total_work=1e9)
     job._footprint = spec

@@ -23,7 +23,7 @@ from repro.experiments.scenarios import fixed_three_job
 )
 class TestAlternateResources:
     def test_full_run_completes(self, resource):
-        cfg = SimulationConfig(seed=1, trace=False)
+        cfg = SimulationConfig(seed=1)
         result = run_scenario(
             fixed_three_job(),
             FlowConPolicy(FlowConConfig(resource=resource)),
@@ -32,7 +32,7 @@ class TestAlternateResources:
         assert len(result.completion_times()) == 3
 
     def test_classification_still_happens(self, resource):
-        cfg = SimulationConfig(seed=1, trace=False)
+        cfg = SimulationConfig(seed=1)
         policy = FlowConPolicy(FlowConConfig(resource=resource))
         run_scenario(fixed_three_job(), policy, cfg)
         # The VAE's efficiency decays regardless of the denominator
@@ -49,7 +49,7 @@ class TestCpuVsMemoryDynamics:
         """G wrt memory uses the resident footprint as the denominator;
         since footprints are constant the *relative* decay matches the
         CPU-keyed classification and outcomes stay close."""
-        cfg = SimulationConfig(seed=1, trace=False)
+        cfg = SimulationConfig(seed=1)
         cpu = run_scenario(
             fixed_three_job(),
             FlowConPolicy(FlowConConfig(resource=ResourceType.CPU)),
@@ -69,7 +69,7 @@ class TestCpuVsMemoryDynamics:
         """Zoo jobs have zero network I/O; G wrt NETIO is always 0 ⇒
         relative growth stays 1.0 ⇒ everyone stays NL at limit 1 ⇒
         behaviour degrades to NA rather than misbehaving."""
-        cfg = SimulationConfig(seed=1, trace=False)
+        cfg = SimulationConfig(seed=1)
         net = run_scenario(
             fixed_three_job(),
             FlowConPolicy(FlowConConfig(resource=ResourceType.NETIO)),

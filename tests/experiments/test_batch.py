@@ -22,7 +22,7 @@ from repro.experiments.scenarios import (
     random_five_job,
 )
 
-_CFG = SimulationConfig(trace=False)
+_CFG = SimulationConfig()
 _FC = FlowConConfig(alpha=0.10, itval=20.0)
 #: A non-default cluster the batch entry points must forward unchanged:
 #: one-slot workers, so jobs queue and the admission order matters.
@@ -184,7 +184,7 @@ class TestPortedStudies:
     @pytest.mark.parametrize("cluster", [{}, _BOUNDED_SJF], ids=_IDS)
     def test_sweep_grid_workers_parity(self, cluster):
         specs = fixed_three_job()
-        cfg = SimulationConfig(seed=1, trace=False)
+        cfg = SimulationConfig(seed=1)
         kwargs = dict(
             specs=specs, alphas=[0.05, 0.10], itvals=[20.0], sim_config=cfg,
             **cluster,

@@ -64,7 +64,7 @@ class TestGoldenParity:
         result = run_cluster(
             random_ten_job(seed),
             NAPolicy,
-            SimulationConfig(seed=seed, trace=False),
+            SimulationConfig(seed=seed),
             n_workers=1,
             placement="spread",
         )
@@ -77,14 +77,14 @@ class TestGoldenParity:
         result = run_cluster(
             random_ten_job(seed),
             partial(FlowConPolicy, _FC),
-            SimulationConfig(seed=seed, trace=False),
+            SimulationConfig(seed=seed),
         )
         got = {k: repr(v) for k, v in result.completion_times().items()}
         assert got == golden
 
     def test_wrapper_matches_run_cluster(self):
         specs = random_ten_job(1)
-        cfg = SimulationConfig(seed=1, trace=False)
+        cfg = SimulationConfig(seed=1)
         via_wrapper = run_scenario(specs, NAPolicy(), cfg)
         via_cluster = run_cluster(specs, NAPolicy, cfg)
         assert (
@@ -98,7 +98,7 @@ class TestGoldenParity:
         result = run_cluster(
             random_ten_job(seed),
             NAPolicy,
-            SimulationConfig(seed=seed, trace=False),
+            SimulationConfig(seed=seed),
             rebalance="none",
         )
         got = {k: repr(v) for k, v in result.completion_times().items()}
@@ -118,7 +118,7 @@ class TestGoldenParity:
         result = run_cluster(
             random_ten_job(seed),
             factory,
-            SimulationConfig(seed=seed, trace=False),
+            SimulationConfig(seed=seed),
             admission="fifo",
             autoscale="none",
         )
@@ -141,7 +141,7 @@ class TestClusterGolden:
         result = run_cluster(
             two_hundred_job(seed=seed),
             NAPolicy,
-            SimulationConfig(seed=seed, trace=False),
+            SimulationConfig(seed=seed),
             n_workers=8,
             max_containers=4,
             placement="spread",
@@ -161,7 +161,7 @@ class TestClusterGolden:
         result = run_cluster(
             two_hundred_job(seed=0),
             NAPolicy,
-            SimulationConfig(seed=0, trace=False),
+            SimulationConfig(seed=0),
             n_workers=8,
             max_containers=4,
             placement="spread",
@@ -193,7 +193,7 @@ class TestFleetGolden:
         result = run_cluster(
             list(sc.specs),
             NAPolicy,
-            SimulationConfig(seed=seed, trace=False),
+            SimulationConfig(seed=seed),
             capacities=sc.capacities,
             max_containers=sc.max_containers,
             placement="spread",
@@ -249,7 +249,7 @@ class TestTickerParity:
         result = run_cluster(
             random_ten_job(seed),
             _POLICIES[policy],
-            SimulationConfig(seed=seed, trace=False),
+            SimulationConfig(seed=seed),
         )
         sampling_digest(_outcome(result))
 
@@ -272,7 +272,7 @@ class TestTickerParity:
             run_cluster(
                 stream,
                 NAPolicy,
-                SimulationConfig(seed=seed, trace=False),
+                SimulationConfig(seed=seed),
                 n_workers=16,
                 max_containers=2,
                 admission="wfq",
@@ -286,17 +286,23 @@ class TestTickerParity:
         assert outcome["fabric"]["messages_dropped"] > 0
 
     def test_fleet_mode_is_ignored(self, sampling_digest):
-        """``fleet_mode=True`` gives the digest ``fleet_mode=False`` gave."""
-        outcome = _outcome(
-            run_cluster(
-                two_hundred_job(seed=1)[:60],
-                NAPolicy,
-                SimulationConfig(seed=1, trace=False, fleet_mode=True),
-                n_workers=4,
-                max_containers=2,
+        """``fleet_mode=True`` gives the digest ``fleet_mode=False`` gave,
+        and ``trace``, accepted and ignored too, changes nothing."""
+        for cfg in (
+            SimulationConfig(seed=1, fleet_mode=True),
+            SimulationConfig(seed=1, trace=True),
+            SimulationConfig(seed=1, trace=False),
+        ):
+            outcome = _outcome(
+                run_cluster(
+                    two_hundred_job(seed=1)[:60],
+                    NAPolicy,
+                    cfg,
+                    n_workers=4,
+                    max_containers=2,
+                )
             )
-        )
-        sampling_digest(outcome)
+            sampling_digest(outcome)
 
 
 class TestClusterShapes:
@@ -308,7 +314,7 @@ class TestClusterShapes:
         result = run_cluster(
             random_ten_job(0),
             NAPolicy,
-            SimulationConfig(seed=0, trace=False),
+            SimulationConfig(seed=0),
             capacities=[1.0, 0.5],
         )
         assert len(result.workers) == 2
@@ -326,7 +332,7 @@ class TestClusterShapes:
         result = run_cluster(
             list(sc.specs),
             NAPolicy,
-            SimulationConfig(seed=0, trace=False),
+            SimulationConfig(seed=0),
             capacities=sc.capacities,
             max_containers=sc.max_containers,
         )
@@ -357,7 +363,7 @@ class TestClusterShapes:
         result = run_cluster(
             random_ten_job(0),
             NAPolicy,
-            SimulationConfig(seed=0, trace=False, max_containers=3),
+            SimulationConfig(seed=0, max_containers=3),
             n_workers=2,
         )
         assert all(w.max_containers == 3 for w in result.workers)
@@ -381,14 +387,14 @@ class TestRebalancePlumbing:
         )
 
     def test_rebalancing_beats_none_on_the_straggler(self):
-        cfg = SimulationConfig(seed=0, trace=False)
+        cfg = SimulationConfig(seed=0)
         _, idle = self._run(cfg, rebalance="none")
         _, moved = self._run(cfg, rebalance="progress")
         assert moved.makespan < idle.makespan
 
     def test_batch_records_carry_migrations(self):
         sc = imbalanced_cluster(seed=42, n_jobs=8)
-        cfg = SimulationConfig(seed=0, trace=False)
+        cfg = SimulationConfig(seed=0)
         _, direct = self._run(cfg, rebalance="progress")
         [serial] = run_many(
             [list(sc.specs)], NAPolicy, cfg, workers=1, seeds=[0],
@@ -412,7 +418,7 @@ class TestRebalancePlumbing:
     def test_batch_per_worker_slots_bind_and_match_direct(self):
         """run_many carries per-worker slot tuples, and they really bind."""
         specs = two_hundred_job(seed=0, n_jobs=24, mean_gap=0.5)
-        cfg = SimulationConfig(seed=0, trace=False)
+        cfg = SimulationConfig(seed=0)
         slots = (3, 3, 1, 1)
         direct = run_cluster(
             specs, NAPolicy, cfg,
@@ -435,7 +441,7 @@ class TestRebalancePlumbing:
 class TestOpenArrivalCluster:
     """The acceptance scenario: 200 Poisson jobs on 8 bounded workers."""
 
-    CFG = SimulationConfig(seed=0, trace=False)
+    CFG = SimulationConfig(seed=0)
 
     def _run(self):
         return run_cluster(
@@ -510,7 +516,7 @@ class TestAdmissionPlumbing:
         return sc, run_cluster(
             list(sc.specs),
             NAPolicy,
-            SimulationConfig(seed=0, trace=False),
+            SimulationConfig(seed=0),
             capacities=sc.capacities,
             max_containers=sc.max_containers,
             admission=admission,
@@ -541,7 +547,7 @@ class TestAdmissionPlumbing:
 
     def test_batch_records_carry_tenants_and_match_direct(self):
         sc, direct = self._mt_run(admission="wfq")
-        cfg = SimulationConfig(seed=0, trace=False)
+        cfg = SimulationConfig(seed=0)
         [serial] = run_many(
             [list(sc.specs)], NAPolicy, cfg, workers=1, seeds=[0],
             capacities=sc.capacities, max_containers=sc.max_containers,
@@ -569,7 +575,7 @@ class TestAutoscalePlumbing:
         return sc, run_cluster(
             list(sc.specs),
             NAPolicy,
-            SimulationConfig(seed=0, trace=False, max_containers=3),
+            SimulationConfig(seed=0, max_containers=3),
             capacities=sc.capacities,
             max_containers=sc.max_containers,
             autoscale=autoscale,
@@ -600,7 +606,7 @@ class TestAutoscalePlumbing:
 
     def test_batch_records_carry_fleet_timeline_and_match_direct(self):
         sc, direct = self._elastic_run(autoscale="queue_depth")
-        cfg = SimulationConfig(seed=0, trace=False, max_containers=3)
+        cfg = SimulationConfig(seed=0, max_containers=3)
         [serial] = run_many(
             [list(sc.specs)], NAPolicy, cfg, workers=1, seeds=[0],
             capacities=sc.capacities, max_containers=sc.max_containers,

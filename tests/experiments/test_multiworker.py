@@ -28,7 +28,7 @@ class TestMultiWorkerCluster:
         result = run_cluster(
             _specs(),
             FlowConPolicy,
-            SimulationConfig(seed=5, trace=False),
+            SimulationConfig(seed=5),
             n_workers=2,
         )
         assert len(result.completion_times()) == 6
@@ -37,7 +37,7 @@ class TestMultiWorkerCluster:
         result = run_cluster(
             _specs(),
             NAPolicy,
-            SimulationConfig(seed=5, trace=False),
+            SimulationConfig(seed=5),
             n_workers=2,
         )
         sizes = [len(v) for v in result.per_worker.values()]
@@ -47,7 +47,7 @@ class TestMultiWorkerCluster:
         result = run_cluster(
             _specs(),
             FlowConPolicy,
-            SimulationConfig(seed=5, trace=False),
+            SimulationConfig(seed=5),
             n_workers=3,
         )
         executors = {
@@ -60,11 +60,11 @@ class TestMultiWorkerCluster:
     def test_more_workers_shorter_makespan(self):
         one = run_cluster(
             _specs(), NAPolicy,
-            SimulationConfig(seed=5, trace=False), n_workers=1,
+            SimulationConfig(seed=5), n_workers=1,
         )
         three = run_cluster(
             _specs(), NAPolicy,
-            SimulationConfig(seed=5, trace=False), n_workers=3,
+            SimulationConfig(seed=5), n_workers=3,
         )
         assert three.makespan < one.makespan
 
@@ -72,7 +72,7 @@ class TestMultiWorkerCluster:
         from repro.experiments.runner import run_scenario
 
         specs = _specs()
-        cfg = SimulationConfig(seed=5, trace=False)
+        cfg = SimulationConfig(seed=5)
         multi = run_cluster(specs, NAPolicy, cfg, n_workers=1)
         single = run_scenario(specs, NAPolicy(), cfg)
         assert multi.completion_times() == pytest.approx(

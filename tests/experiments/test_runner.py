@@ -20,21 +20,21 @@ class TestRunScenario:
 
     def test_all_jobs_complete(self):
         result = run_scenario(
-            fixed_three_job(), NAPolicy(), SimulationConfig(seed=0, trace=False)
+            fixed_three_job(), NAPolicy(), SimulationConfig(seed=0)
         )
         assert set(result.completion_times()) == {"Job-1", "Job-2", "Job-3"}
         assert result.makespan > 0
 
     def test_policy_name_propagates(self):
         result = run_scenario(
-            fixed_three_job(), NAPolicy(), SimulationConfig(seed=0, trace=False)
+            fixed_three_job(), NAPolicy(), SimulationConfig(seed=0)
         )
         assert result.policy_name == "NA"
 
     def test_horizon_stops_early(self):
         from repro.errors import MetricsError
 
-        cfg = SimulationConfig(seed=0, trace=False, horizon=100.0)
+        cfg = SimulationConfig(seed=0, horizon=100.0)
         # No job of the fixed schedule can finish within 100 s, so the
         # run stops at the horizon and summarization reports no data —
         # it must not hang or overrun the horizon.
@@ -43,22 +43,22 @@ class TestRunScenario:
 
     def test_traces_available_per_label(self):
         result = run_scenario(
-            fixed_three_job(), NAPolicy(), SimulationConfig(seed=0, trace=False)
+            fixed_three_job(), NAPolicy(), SimulationConfig(seed=0)
         )
         trace = result.trace("Job-1")
         assert not trace.cpu_usage.empty
 
     def test_flowcon_and_na_share_workload(self):
         specs = fixed_three_job()
-        na = run_scenario(specs, NAPolicy(), SimulationConfig(seed=3, trace=False))
+        na = run_scenario(specs, NAPolicy(), SimulationConfig(seed=3))
         fc = run_scenario(
-            specs, FlowConPolicy(), SimulationConfig(seed=3, trace=False)
+            specs, FlowConPolicy(), SimulationConfig(seed=3)
         )
         assert set(na.completion_times()) == set(fc.completion_times())
 
     def test_single_job_runs(self):
         specs = WorkloadGenerator.fixed([("gru@tensorflow", 0.0)])
         result = run_scenario(
-            specs, NAPolicy(), SimulationConfig(seed=0, trace=False)
+            specs, NAPolicy(), SimulationConfig(seed=0)
         )
         assert result.completion_times()["Job-1"] > 0

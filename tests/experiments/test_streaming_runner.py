@@ -59,7 +59,7 @@ def _run(workload, *, streaming=False, policy=NAPolicy, seed=7, **kw):
     kw.setdefault("admission", "wfq")
     return run_cluster(
         workload, policy,
-        SimulationConfig(seed=seed, trace=False, streaming_metrics=streaming),
+        SimulationConfig(seed=seed, streaming_metrics=streaming),
         **kw,
     )
 
@@ -162,7 +162,7 @@ class TestBatchStreams:
         streams = [_small_stream("diurnal", s) for s in (0, 1)]
         records = run_many(
             streams, NAPolicy,
-            SimulationConfig(seed=3, trace=False, streaming_metrics=True),
+            SimulationConfig(seed=3, streaming_metrics=True),
             workers=2, n_workers=4, max_containers=2,
         )
         assert len(records) == 2
@@ -190,7 +190,7 @@ class TestStreamingGolden:
 
         dense = run_cluster(
             sc.workload, NAPolicy,
-            SimulationConfig(seed=golden["seed"], trace=False),
+            SimulationConfig(seed=golden["seed"]),
             capacities=sc.capacities, max_containers=sc.max_containers,
             admission=sc.admission,
         ).summary
@@ -201,9 +201,7 @@ class TestStreamingGolden:
 
         streaming = run_cluster(
             sc.workload, NAPolicy,
-            SimulationConfig(
-                seed=golden["seed"], trace=False, streaming_metrics=True
-            ),
+            SimulationConfig(seed=golden["seed"], streaming_metrics=True),
             capacities=sc.capacities, max_containers=sc.max_containers,
             admission=sc.admission,
         ).summary

@@ -12,7 +12,7 @@ from repro.experiments.runner import run_scenario
 from repro.experiments.scenarios import fixed_three_job
 
 
-CFG = SimulationConfig(seed=1, trace=False)
+CFG = SimulationConfig(seed=1)
 
 
 def _run(flowcon_cfg=None, sim_cfg=CFG, policy=None):

@@ -20,7 +20,7 @@ from repro.experiments.scenarios import fixed_three_job, random_ten_job
 @pytest.fixture(scope="module")
 def fixed_pair():
     specs = fixed_three_job()
-    cfg = SimulationConfig(seed=1, trace=False)
+    cfg = SimulationConfig(seed=1)
     na = run_scenario(specs, NAPolicy(), cfg)
     fc = run_scenario(
         specs, FlowConPolicy(FlowConConfig(alpha=0.05, itval=20.0)), cfg
@@ -58,7 +58,7 @@ class TestFixedSchedule:
 class TestScale:
     def test_ten_jobs_headline(self):
         specs = random_ten_job(seed=42)
-        cfg = SimulationConfig(seed=42, trace=False)
+        cfg = SimulationConfig(seed=42)
         na = run_scenario(specs, NAPolicy(), cfg)
         fc = run_scenario(
             specs, FlowConPolicy(FlowConConfig(alpha=0.10, itval=20.0)), cfg
@@ -76,7 +76,7 @@ class TestAgainstSlaq:
         MNIST-TF waits for the next epoch before receiving resources,
         while FlowCon's listeners react instantly."""
         specs = fixed_three_job()
-        cfg = SimulationConfig(seed=1, trace=False)
+        cfg = SimulationConfig(seed=1)
         slaq = run_scenario(specs, SlaqLikePolicy(epoch=60.0), cfg)
         fc = run_scenario(specs, FlowConPolicy(), cfg)
         assert (
@@ -88,7 +88,7 @@ class TestAgainstSlaq:
 class TestDeterminism:
     def test_same_seed_identical_results(self):
         specs = fixed_three_job()
-        cfg = SimulationConfig(seed=9, trace=False)
+        cfg = SimulationConfig(seed=9)
         a = run_scenario(specs, FlowConPolicy(), cfg)
         b = run_scenario(specs, FlowConPolicy(), cfg)
         assert a.completion_times() == b.completion_times()
@@ -96,8 +96,8 @@ class TestDeterminism:
 
     def test_different_seed_changes_jitter_not_shape(self):
         specs = fixed_three_job()
-        a = run_scenario(specs, NAPolicy(), SimulationConfig(seed=1, trace=False))
-        b = run_scenario(specs, NAPolicy(), SimulationConfig(seed=2, trace=False))
+        a = run_scenario(specs, NAPolicy(), SimulationConfig(seed=1))
+        b = run_scenario(specs, NAPolicy(), SimulationConfig(seed=2))
         # Jitter differs → times differ slightly but within a few %.
         for label in a.completion_times():
             ra = a.completion_times()[label]

@@ -35,7 +35,7 @@ class TestWorkerFuzz:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(op_strategy, min_size=1, max_size=25))
     def test_conservation_invariants(self, ops):
-        sim = Simulator(seed=1, trace=False)
+        sim = Simulator(seed=1)
         worker = Worker(sim, contention=ContentionModel.ideal())
         launched = []
 
@@ -78,7 +78,7 @@ class TestWorkerFuzz:
     def test_total_work_equals_makespan_when_saturated(self, works):
         """With an ideal substrate and all jobs at t=0, the makespan is
         exactly the total work (the node is never idle)."""
-        sim = Simulator(seed=2, trace=False)
+        sim = Simulator(seed=2)
         worker = Worker(sim, contention=ContentionModel.ideal())
         for i, work in enumerate(works):
             worker.launch(make_linear_job(f"j{i}", total_work=work))
@@ -93,7 +93,7 @@ class TestWorkerFuzz:
     def test_limits_never_break_completion(self, limits):
         """Whatever limits are applied, every job eventually completes
         (soft limits + work conservation guarantee liveness)."""
-        sim = Simulator(seed=3, trace=False)
+        sim = Simulator(seed=3)
         worker = Worker(sim, contention=ContentionModel.ideal())
         containers = [
             worker.launch(make_linear_job(f"j{i}", total_work=30.0))

@@ -119,11 +119,9 @@ class TestDeterminism:
         b = Simulator(seed=123).rngs.stream("x").random(5)
         assert (a == b).all()
 
-    def test_trace_records_current_time(self, sim: Simulator):
-        sim.schedule(2.0, lambda e: sim.trace("test.topic", "hello"))
-        sim.run_until_empty()
-        records = sim.tracer.records("test.topic")
-        assert len(records) == 1 and records[0].time == 2.0
+    def test_trace_keyword_is_gone(self):
+        with pytest.raises(TypeError):
+            Simulator(seed=0, trace=False)
 
     def test_kind_and_priority_passthrough(self, sim: Simulator):
         order = []

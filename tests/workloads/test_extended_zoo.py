@@ -59,7 +59,7 @@ class TestExtendedModels:
                 ("gru@tensorflow", 120.0),
             ]
         )
-        cfg = SimulationConfig(seed=4, trace=False)
+        cfg = SimulationConfig(seed=4)
         na = run_scenario(specs, NAPolicy(), cfg)
         fc = run_scenario(specs, FlowConPolicy(), cfg)
         assert len(fc.completion_times()) == 3
