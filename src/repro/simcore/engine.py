@@ -1,8 +1,8 @@
 """The discrete-event simulation loop.
 
 :class:`Simulator` owns the clock, the event queue and the RNG registry,
-and exposes a tiny scheduling API.  Higher layers (container
-runtime, cluster, FlowCon executor) are plain objects that hold a reference
+and exposes a tiny scheduling API.  Higher layers (container runtime,
+cluster, FlowCon executor) are plain objects that hold a reference
 to the simulator and schedule callbacks on it; there are no coroutines or
 threads, which keeps replay fully deterministic.
 

@@ -45,6 +45,7 @@ from repro.config import FlowConConfig, SimulationConfig
 from repro.core.policy import FlowConPolicy
 from repro.errors import ClusterError, ConfigError, UnknownPolicyError
 from repro.experiments.runner import run_cluster
+from repro.experiments.scenarios import random_ten_job
 from repro.metrics.recorder import MetricsRecorder
 from repro.simcore.engine import Simulator
 from repro.workloads.generator import WorkloadGenerator
@@ -601,8 +602,6 @@ class TestRetryQueueDelay:
     CRASH = 50.0
 
     def _run(self, durability, slots=None, streaming=False):
-        from repro.experiments.scenarios import random_ten_job
-
         return run_cluster(
             random_ten_job(0),
             NAPolicy,
