@@ -634,6 +634,30 @@ class TestRetryQueueDelay:
                 # The restore is booked as time off the queue.
                 assert record.wait_start > self.CRASH
 
+    def test_delay_is_last_wait_not_sum(self):
+        # One slot per worker: C waits 10 s for A's slot on w0, runs
+        # there until w0 crashes at 20 s, then waits again until w0
+        # rejoins at 35 s (w1 is busy with B throughout).
+        sim = Simulator(seed=0)
+        workers = [_worker(sim, "w0", max_containers=1),
+                   _worker(sim, "w1", max_containers=1)]
+        injector = ScriptedFailures(
+            [WorkerFault(worker="w0", time=20.0, recover_after=15.0)],
+            durability="lost",
+        )
+        manager = Manager(sim, workers, placement="binpack",
+                          failures=injector)
+        for sub in (_sub("A", 10.0), _sub("B", 100.0), _sub("C", 50.0)):
+            manager.submit(sub)
+        sim.run_until_empty()
+        record = manager.jobs["C"]
+        assert record.retries == 1
+        assert record.lost_work == pytest.approx(10.0)  # ran 10 s → 20 s
+        assert record.wait_start == 20.0
+        assert record.placed_time == pytest.approx(35.0)
+        # Only the wait after the crash: not 10 + 15, nor 35 since submit.
+        assert record.queue_delay == pytest.approx(15.0)
+
     @pytest.mark.parametrize("durability", ["lost", "checkpoint(10)"])
     def test_streaming_sink_folds_the_same_delay(self, durability):
         # With free slots nothing ever waits, retried jobs included.

@@ -8,8 +8,8 @@ from repro.baselines.na import NAPolicy
 from repro.config import SimulationConfig
 from repro.core.policy import FlowConPolicy
 from repro.errors import ExperimentError
-from repro.experiments.runner import run_scenario
-from repro.experiments.scenarios import fixed_three_job
+from repro.experiments.runner import run_cluster, run_scenario
+from repro.experiments.scenarios import fixed_three_job, random_ten_job
 from repro.workloads.generator import WorkloadGenerator
 
 
@@ -47,6 +47,24 @@ class TestRunScenario:
         )
         trace = result.trace("Job-1")
         assert not trace.cpu_usage.empty
+
+    def test_trace_of_unknown_label_raises(self):
+        result = run_scenario(
+            fixed_three_job(), NAPolicy(), SimulationConfig(seed=0)
+        )
+        with pytest.raises(ExperimentError, match="nope"):
+            result.trace("nope")
+
+    def test_trace_finds_jobs_on_every_worker(self):
+        result = run_cluster(
+            random_ten_job(0), NAPolicy, SimulationConfig(seed=0),
+            n_workers=2, placement="spread",
+        )
+        hosts = {r.worker_name for r in result.manager.jobs.values()}
+        assert hosts == set(result.recorders)
+        for label, record in result.manager.jobs.items():
+            recorder = result.recorders[record.worker_name]
+            assert result.trace(label) is recorder.trace_by_label(label)
 
     def test_flowcon_and_na_share_workload(self):
         specs = fixed_three_job()
